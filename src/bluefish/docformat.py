@@ -36,6 +36,7 @@ from .errors import (
 FORMAT_VERSION = 1
 _DOCUMENT_KEYS = {"bluefish", "root"}
 _ELEMENT_KEYS = {"kind", "name", "props", "children", "select"}
+_TOO_DEEP = "document nests too deeply"
 
 
 @dataclass
@@ -96,7 +97,8 @@ def parse_document(data: bytes | str) -> Element:
     """Parse document bytes into an element tree.
 
     Raises DocumentSyntaxError (with line and column) for malformed
-    JSON, SchemaError (with a document path) for structural problems.
+    JSON, SchemaError (with a document path) for structural problems,
+    including nesting deeper than the parser's recursion allows.
     """
     if isinstance(data, bytes):
         try:
@@ -107,6 +109,8 @@ def parse_document(data: bytes | str) -> Element:
         raw = json.loads(data)
     except json.JSONDecodeError as exc:
         raise DocumentSyntaxError(exc.lineno, exc.colno, exc.msg) from exc
+    except RecursionError:
+        raise SchemaError("document", _TOO_DEEP) from None
     if not isinstance(raw, dict):
         raise SchemaError("document", "document must be a JSON object")
     unknown = set(raw) - _DOCUMENT_KEYS
@@ -116,7 +120,10 @@ def parse_document(data: bytes | str) -> Element:
         raise SchemaError("document", f"'bluefish' must be {FORMAT_VERSION}, got {raw.get('bluefish')!r}")
     if "root" not in raw:
         raise SchemaError("document", "document requires a 'root' element")
-    return _parse_element(raw["root"], "root")
+    try:
+        return _parse_element(raw["root"], "root")
+    except RecursionError:
+        raise SchemaError("document", _TOO_DEEP) from None
 
 
 def _element_to_json(el: Element) -> dict:
@@ -150,30 +157,25 @@ def print_document(tree: Element) -> bytes:
 # --- paths and traversal ------------------------------------------------------
 
 
-def element_path(ancestry: list[tuple[Element, int]]) -> str:
-    """Human-readable path: kind[index] per level, :name where present."""
-    parts = []
-    for depth, (el, index) in enumerate(ancestry):
-        seg = el.kind if depth == 0 else f"{el.kind}[{index}]"
-        if el.name:
-            seg += f":{el.name}"
-        parts.append(seg)
-    return "/".join(parts)
-
-
 def walk(tree: Element):
-    """Yield (element, path, parent_index_chain) in pre-order.
+    """Yield (element, path, parent_index) in pre-order.
 
-    The chain is the list of (element, child-index) pairs from the root
-    down to the element itself; index 0 is used for the root.
+    The path is readable, ``kind[index]`` per level with ``:name`` where
+    present, and each one extends its parent's. ``parent_index`` is the
+    parent's position in this same pre-order, None for the root, so a
+    caller can derive any per-ancestor fact from its parent's entry.
     """
-    stack: list[list[tuple[Element, int]]] = [[(tree, 0)]]
+    stack: list[tuple[Element, str, int | None]] = [
+        (tree, f"{tree.kind}:{tree.name}" if tree.name else tree.kind, None)]
+    index = 0
     while stack:
-        ancestry = stack.pop()
-        el = ancestry[-1][0]
-        yield el, element_path(ancestry), ancestry
+        el, path, parent = stack.pop()
+        yield el, path, parent
         for i in range(len(el.children) - 1, -1, -1):
-            stack.append(ancestry + [(el.children[i], i)])
+            child = el.children[i]
+            seg = f"{path}/{child.kind}[{i}]"
+            stack.append((child, f"{seg}:{child.name}" if child.name else seg, index))
+        index += 1
 
 
 # --- validation ---------------------------------------------------------------
@@ -308,21 +310,20 @@ def resolve_names(tree: Element) -> tuple[NameTable, list[Diagnostic]]:
     duplicate, or forward references). Resolution always runs to the end
     so all problems surface together.
     """
-    order: list[tuple[Element, str, list[tuple[Element, int]]]] = list(walk(tree))
-    index_of = {id(el): i for i, (el, _, _) in enumerate(order)}
+    order: list[tuple[Element, str, int | None]] = list(walk(tree))
     table = NameTable()
     diags: list[Diagnostic] = []
 
     # scope owner of an element = nearest named ancestor (root scope: -1)
-    scope_of: dict[int, int] = {}
+    scope_of: list[int] = []
     named: list[tuple[int, str, int, str]] = []  # (index, name, scope, path)
-    for i, (el, path, ancestry) in enumerate(order):
+    for i, (el, path, parent) in enumerate(order):
         table.paths[i] = path
-        owner = -1
-        for anc, _ in ancestry[:-1]:
-            if anc.name:
-                owner = index_of[id(anc)]
-        scope_of[i] = owner
+        if parent is None:
+            owner = -1
+        else:
+            owner = parent if order[parent][0].name else scope_of[parent]
+        scope_of.append(owner)
         if el.name and el.kind != "ref":
             named.append((i, el.name, owner, path))
 

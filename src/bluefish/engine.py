@@ -6,8 +6,9 @@ collected and reported together before any layout runs; layout itself
 stops at the first conflict, because a conflicting scene has no
 well-defined geometry to keep going with.
 
-Layout is a single pass: every node's layout function is invoked exactly
-once, parents around their children, siblings in document order.
+Layout is a single post-order pass driven by the engine: every node's
+layout function is invoked exactly once, after all of its children,
+siblings in document order. Layout functions never recurse.
 Document order is also the tiebreaker for shared dimensions: the
 relation that gets there first owns the dimension, later relations must
 agree or conflict.
@@ -15,7 +16,6 @@ agree or conflict.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field as dc_field
 
 from . import docformat
@@ -43,7 +43,7 @@ from .errors import (
     UnsizedNodes,
 )
 from .relations import ElementKindSpec, standard_kind_specs
-from .scenegraph import LayoutNode, RefNode, ResolvedScene, Scenegraph
+from .scenegraph import RefNode, ResolvedScene, Scenegraph
 
 _MAX_EXPANSIONS = 32
 
@@ -126,11 +126,8 @@ def build_scenegraph(tree: Element, names: NameTable, registry: Registry) -> Sce
     """
     graph = Scenegraph()
     node_of_element: dict[int, str] = {}
-    indices = itertools.count()
-
-    def build(el: Element, parent: str | None) -> None:
-        index = next(indices)
-        path = names.paths[index]
+    for index, (el, path, parent_index) in enumerate(docformat.walk(tree)):
+        parent = None if parent_index is None else node_of_element[parent_index]
         if el.kind == "ref":
             referent_index = names.refs.get(index)
             assert referent_index is not None, "unresolved ref survived static checks"
@@ -140,7 +137,7 @@ def build_scenegraph(tree: Element, names: NameTable, registry: Registry) -> Sce
                 graph.create_ref(parent, referent, path=path)
             except SelfReference:
                 raise SelfReference(path, graph.nodes[referent].path) from None
-            return
+            continue
         spec = registry.kinds[el.kind]
         nid = graph.create_node(
             el.kind, parent, paint_props=_normalized_props(el, spec),
@@ -155,10 +152,6 @@ def build_scenegraph(tree: Element, names: NameTable, registry: Registry) -> Sce
                 mark.kind, nid, paint_props=_normalized_props(mark, mark_spec),
                 path=f"{path}/{mark.kind}(background mark)")
             graph.background_marks[nid] = mark_id
-        for child in el.children:
-            build(child, nid)
-
-    build(tree, None)
     return graph
 
 
@@ -175,27 +168,32 @@ class LayoutRuntime:
     calls: dict[str, int] = dc_field(default_factory=dict)
     _done: set[str] = dc_field(default_factory=set)
 
-    def layout_children(self, nid: str) -> None:
-        node = self.graph.nodes[nid]
-        assert isinstance(node, LayoutNode)
-        for child in node.children:
-            self.layout_node(child)
-
     def layout_node(self, nid: str) -> None:
-        node = self.graph.nodes[nid]
-        if isinstance(node, RefNode):
-            # referents precede their refs in document order, so by the
-            # time a relation walks its children the target is done
-            assert node.ref_id in self._done, "ref reached before its referent"
-            return
-        assert nid not in self._done, f"layout invoked twice for {nid}"
-        self.calls[nid] = self.calls.get(nid, 0) + 1
-        spec = self.registry.kinds[node.kind]
-        if spec.layout is not None:
-            spec.layout(self, nid, node.paint_props)
-        else:
-            self.layout_children(nid)
-        self._done.add(nid)
+        """Lay out the subtree under nid in post-order.
+
+        Children come before their parent and siblings in document
+        order, so every layout function finds its children (and, through
+        refs, their referents) already laid out and never recurses.
+        """
+        stack: list[tuple[str, bool]] = [(nid, False)]
+        while stack:
+            nid, children_done = stack.pop()
+            node = self.graph.nodes[nid]
+            if isinstance(node, RefNode):
+                # referents precede their refs in document order, so by
+                # the time the walk reaches a ref the target is done
+                assert node.ref_id in self._done, "ref reached before its referent"
+                continue
+            if not children_done:
+                assert nid not in self._done, f"layout invoked twice for {nid}"
+                self.calls[nid] = self.calls.get(nid, 0) + 1
+                stack.append((nid, True))
+                stack.extend((child, False) for child in reversed(node.children))
+                continue
+            spec = self.registry.kinds[node.kind]
+            if spec.layout is not None:
+                spec.layout(self, nid, node.paint_props)
+            self._done.add(nid)
 
     def background_mark(self, nid: str) -> str:
         return self.graph.background_marks[nid]

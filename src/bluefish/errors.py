@@ -8,7 +8,7 @@ stable codes; tools may match on the code but never on message text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # Stable diagnostic codes. Codes are append-only: new failure modes get
 # new codes, existing codes never change meaning.
@@ -186,17 +186,3 @@ class DuplicateKind(BluefishError):
     def __init__(self, kind: str):
         self.kind = kind
         super().__init__(f"element kind {kind!r} is already registered (pass override=True to replace)")
-
-
-@dataclass
-class DiagnosticSink:
-    """Mutable collector threaded through pipeline stages."""
-
-    diagnostics: list[Diagnostic] = field(default_factory=list)
-
-    def add(self, diag: Diagnostic) -> None:
-        self.diagnostics.append(diag)
-
-    @property
-    def has_errors(self) -> bool:
-        return any(d.severity == ERROR for d in self.diagnostics)

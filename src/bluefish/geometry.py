@@ -98,7 +98,11 @@ def axis_of(field_name: str) -> Axis:
 
 @dataclass(frozen=True)
 class PartialBBox:
-    """A bounding box with independently optional fields."""
+    """A bounding box with independently optional fields.
+
+    The stored fields on each axis satisfy the axis identities: a box
+    whose fields contradict them raises InconsistentBBox on construction.
+    """
 
     left: float | None = None
     centerX: float | None = None
@@ -108,6 +112,10 @@ class PartialBBox:
     centerY: float | None = None
     bottom: float | None = None
     height: float | None = None
+
+    def __post_init__(self) -> None:
+        for axis in Axis:
+            _check_axis(self, axis)
 
     def defined(self) -> tuple[str, ...]:
         return tuple(f for f in DIMENSIONS if getattr(self, f) is not None)
@@ -149,14 +157,14 @@ def _axis_values(bbox: PartialBBox, axis: Axis) -> list[tuple[str, float]]:
     return [(f, getattr(bbox, f)) for f in axis.fields if getattr(bbox, f) is not None]
 
 
-def _check_axis(bbox: PartialBBox, axis: Axis, node: str | None = None) -> None:
+def _check_axis(bbox: PartialBBox, axis: Axis) -> None:
     """Verify the axis identities hold for all stored fields."""
     stored = _axis_values(bbox, axis)
     if len(stored) < 2:
         return
     start, extent = _solve_axis(stored, axis)
     if extent < -TOLERANCE:
-        raise InconsistentBBox(axis.value, f"implied {axis.extent_field} is {extent!r}", node)
+        raise InconsistentBBox(axis.value, f"implied {axis.extent_field} is {extent!r}")
     solution = {
         axis.start_field: start,
         axis.center_field: start + extent / 2.0,
@@ -166,20 +174,18 @@ def _check_axis(bbox: PartialBBox, axis: Axis, node: str | None = None) -> None:
     for f, v in stored:
         if abs(v - solution[f]) > TOLERANCE:
             raise InconsistentBBox(
-                axis.value, f"{f}={v!r} but other fields imply {f}={solution[f]!r}", node
-            )
+                axis.value, f"{f}={v!r} but other fields imply {f}={solution[f]!r}")
 
 
-def bbox_get(bbox: PartialBBox, field_name: str, node: str | None = None) -> float | None:
+def bbox_get(bbox: PartialBBox, field_name: str) -> float | None:
     """Return a stored or derived field value, or None if underdetermined.
 
     Stored values are returned as written. A missing field is derived
     when at least two fields on its axis are defined; otherwise the
-    result is None. Raises InconsistentBBox when the stored fields on
-    the axis contradict each other beyond TOLERANCE.
+    result is None. A box cannot hold contradicting fields (see
+    ``PartialBBox``), so reads never re-check the axis identities.
     """
     axis = axis_of(field_name)
-    _check_axis(bbox, axis, node)
     value = getattr(bbox, field_name)
     if value is not None:
         return value
@@ -209,7 +215,9 @@ def bbox_set(
     A repeated write by the same owner with the same value (within
     TOLERANCE) is a no-op; the same owner with a different value, or any
     other writer, raises DimensionConflict carrying both owners. Negative
-    extents raise InvalidExtent. Returns the updated (bbox, owners).
+    extents raise InvalidExtent, and a value contradicting the other
+    fields on its axis raises InconsistentBBox; both name ``node``.
+    Returns the updated (bbox, owners).
     """
     if not math.isfinite(value):
         raise ValueError(f"bbox field {field_name!r} must be finite, got {value!r}")
@@ -222,8 +230,11 @@ def bbox_set(
             return bbox, owners
         raise DimensionConflict(node or "?", field_name, owners[field_name], writer,
                                 existing_value=existing, value=value)
-    new_bbox = replace(bbox, **{field_name: value})
-    _check_axis(new_bbox, axis, node)  # keep the axis identities an invariant
+    try:
+        new_bbox = replace(bbox, **{field_name: value})
+    except InconsistentBBox as exc:
+        exc.node = node
+        raise
     new_owners = dict(owners)
     new_owners[field_name] = writer
     return new_bbox, new_owners

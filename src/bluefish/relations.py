@@ -1,9 +1,11 @@
 """The standard element kinds: marks and layout relations.
 
 Every kind is described by an ElementKindSpec bundling its props, its
-layout function, and its paint function. Layout functions run once per
-node, after their children: they size and place children (directly or
-through refs), then record the node's own extent and local origin.
+layout function, and its paint function. The engine runs a node's layout
+function once, after it has laid out all of the node's children, so
+layout functions never recurse: they size and place the finished
+children (directly or through refs), then record the node's own extent
+and local origin.
 
 The anchor discipline is what lets one relation mesh with decisions made
 by earlier ones. On each axis a relation first checks which participants
@@ -75,6 +77,8 @@ class ElementKindSpec:
     is_mark: bool = False
     min_children: int | None = None
     exact_children: int | None = None
+    # called as layout(rt, nid, props) once the engine has laid out every
+    # child of nid; it places those children and never recurses
     layout: Callable[["LayoutRuntime", str, dict], None] | None = None
     paint: Callable[..., str] | None = None
     expand: Callable[[dict, list], object] | None = None
@@ -321,7 +325,6 @@ def _union_boxes(rt: "LayoutRuntime", nid: str, targets: list[str],
 
 def _make_stack_layout(main: Axis):
     def layout_stack(rt: "LayoutRuntime", nid: str, props: dict) -> None:
-        rt.layout_children(nid)
         targets = [rt.graph.target_of(c) for c in rt.graph.nodes[nid].children]
         cross = main.other
         cross_extents = [_require_extent(rt, t, cross) for t in targets]
@@ -344,7 +347,6 @@ def _make_stack_layout(main: Axis):
 
 
 def layout_align(rt: "LayoutRuntime", nid: str, props: dict) -> None:
-    rt.layout_children(nid)
     targets = [rt.graph.target_of(c) for c in rt.graph.nodes[nid].children]
     v_field, h_field = ALIGNMENT_FIELDS[props["alignment"]]
     for axis, field_name in ((Axis.VERTICAL, v_field), (Axis.HORIZONTAL, h_field)):
@@ -382,7 +384,6 @@ def layout_align(rt: "LayoutRuntime", nid: str, props: dict) -> None:
 
 
 def layout_distribute(rt: "LayoutRuntime", nid: str, props: dict) -> None:
-    rt.layout_children(nid)
     targets = [rt.graph.target_of(c) for c in rt.graph.nodes[nid].children]
     main = Axis.VERTICAL if props["direction"] == "vertical" else Axis.HORIZONTAL
     origin, total = _distribute_axis(rt, nid, targets, main, props["spacing"])
@@ -395,7 +396,6 @@ def layout_distribute(rt: "LayoutRuntime", nid: str, props: dict) -> None:
 
 def layout_group(rt: "LayoutRuntime", nid: str, props: dict) -> None:
     del props
-    rt.layout_children(nid)
     targets = [rt.graph.target_of(c) for c in rt.graph.nodes[nid].children]
     for t in targets:
         for axis in (Axis.HORIZONTAL, Axis.VERTICAL):
@@ -414,7 +414,6 @@ def layout_group(rt: "LayoutRuntime", nid: str, props: dict) -> None:
 
 
 def layout_background(rt: "LayoutRuntime", nid: str, props: dict) -> None:
-    rt.layout_children(nid)
     children = rt.graph.nodes[nid].children
     mark = rt.background_mark(nid)
     targets = [rt.graph.target_of(c) for c in children if c != mark]
@@ -434,7 +433,6 @@ def layout_background(rt: "LayoutRuntime", nid: str, props: dict) -> None:
 
 def _make_connector_layout(arrow: bool):
     def layout_connector(rt: "LayoutRuntime", nid: str, props: dict) -> None:
-        rt.layout_children(nid)
         children = rt.graph.nodes[nid].children
         targets = [rt.graph.target_of(c) for c in children]
         for t in targets:

@@ -58,6 +58,7 @@ class LayoutNode:
     paint_props: dict = field(default_factory=dict)
     name: str | None = None
     path: str = ""
+    depth: int = 0  # edges from the root; frame conversion climbs by it
 
 
 @dataclass
@@ -155,15 +156,17 @@ class Scenegraph:
     ) -> str:
         if parent is not None and parent not in self.nodes:
             raise UnknownParent(parent)
+        parent_node = None if parent is None else self._layout(parent)
         nid = self._next_id()
         node = LayoutNode(id=nid, kind=kind, parent=parent,
-                          paint_props=dict(paint_props or {}), name=name, path=path or nid)
+                          paint_props=dict(paint_props or {}), name=name, path=path or nid,
+                          depth=0 if parent_node is None else parent_node.depth + 1)
         self.nodes[nid] = node
-        if parent is None:
+        if parent_node is None:
             if self.root is None:
                 self.root = nid
         else:
-            self._layout(parent).children.append(nid)
+            parent_node.children.append(nid)
         return nid
 
     def create_ref(self, parent: str, referent: str, path: str = "") -> str:
@@ -200,28 +203,6 @@ class Scenegraph:
         node = self.nodes[node_id]
         return node.ref_id if isinstance(node, RefNode) else node_id
 
-    def ancestors(self, node_id: str) -> list[str]:
-        """node_id first, then its chain of parents up to the root."""
-        chain = []
-        walk: str | None = node_id
-        while walk is not None:
-            chain.append(walk)
-            walk = self.nodes[walk].parent
-        return chain
-
-    def lca(self, a: str, b: str) -> str:
-        if a not in self.nodes:
-            raise UnknownNode(a)
-        if b not in self.nodes:
-            raise UnknownNode(b)
-        seen = set(self.ancestors(a))
-        walk: str | None = b
-        while walk is not None:
-            if walk in seen:
-                return walk
-            walk = self.nodes[walk].parent
-        raise DisconnectedNodes(a, b)
-
     def is_fixed(self, node_id: str, axis: Axis) -> bool:
         """Has this node's translation on the axis already been decided?"""
         return axis.component in self._layout(node_id).transform_owners
@@ -229,7 +210,7 @@ class Scenegraph:
     def extent_of(self, node_id: str, axis: Axis) -> float | None:
         """Extent on an axis. Frame-independent, so no materialization."""
         node = self._layout(node_id)
-        return bbox_get(node.bbox, axis.extent_field, node_id)
+        return bbox_get(node.bbox, axis.extent_field)
 
     # --- transforms -----------------------------------------------------------
 
@@ -262,19 +243,22 @@ class Scenegraph:
 
         The target leg includes the target itself; the frame leg includes
         the frame itself; the lca's own translation belongs to neither
-        (it maps the lca out of the frame both sides share).
+        (it maps the lca out of the frame both sides share). Both layout
+        nodes climb to the lca by depth, the deeper side first.
         """
-        anchor = self.lca(target, frame)
-        up = []
-        walk: str | None = target
-        while walk != anchor:
-            up.append(walk)
-            walk = self.nodes[walk].parent
-        down = []
-        walk = frame
-        while walk != anchor:
-            down.append(walk)
-            walk = self.nodes[walk].parent
+        up: list[str] = []
+        down: list[str] = []
+        a, b = target, frame
+        while a != b:
+            node_a, node_b = self.nodes[a], self.nodes[b]
+            if node_a.parent is None and node_b.parent is None:
+                raise DisconnectedNodes(target, frame)
+            if node_a.depth >= node_b.depth:
+                up.append(a)
+                a = node_a.parent
+            else:
+                down.append(b)
+                b = node_b.parent
         return up, down
 
     def bbox_in_frame(self, target: str, frame: str, axis: Axis, requester: str) -> dict[str, float | None]:
@@ -295,7 +279,7 @@ class Scenegraph:
             back += self.materialize(n, axis, requester)
         out: dict[str, float | None] = {}
         for f in axis.position_fields:
-            local = bbox_get(node.bbox, f, target)
+            local = bbox_get(node.bbox, f)
             if local is None:
                 out[f] = None
             else:
@@ -303,7 +287,7 @@ class Scenegraph:
                 for t in chain:
                     v += t
                 out[f] = v - back
-        out[axis.extent_field] = bbox_get(node.bbox, axis.extent_field, target)
+        out[axis.extent_field] = bbox_get(node.bbox, axis.extent_field)
         return out
 
     def set_dim_in_frame(self, target: str, frame: str, field_name: str, value: float, writer: str) -> None:
@@ -336,11 +320,11 @@ class Scenegraph:
         back = 0.0
         for n in down:
             back += self.materialize(n, axis, writer)
-        local = bbox_get(node.bbox, field_name, target)
+        local = bbox_get(node.bbox, field_name)
         if local is None:
             stored = any(
-                bbox_get(node.bbox, f, target) is not None for f in axis.position_fields)
-            extent = bbox_get(node.bbox, axis.extent_field, target)
+                bbox_get(node.bbox, f) is not None for f in axis.position_fields)
+            extent = bbox_get(node.bbox, axis.extent_field)
             if stored or (extent is None and field_name != axis.start_field):
                 # a stored position plus an unknown extent (or neither)
                 # leaves the requested field unrelatable to the content
@@ -427,11 +411,11 @@ class Scenegraph:
                 id=nid, kind=node.kind, name=node.name, parent=node.parent,
                 children=tuple(node.children), path=node.path,
                 x=ox, y=oy,
-                width=bbox_get(node.bbox, "width", nid) or 0.0,
-                height=bbox_get(node.bbox, "height", nid) or 0.0,
+                width=bbox_get(node.bbox, "width") or 0.0,
+                height=bbox_get(node.bbox, "height") or 0.0,
                 transform=(tx, ty),
-                local_left=bbox_get(node.bbox, "left", nid),
-                local_top=bbox_get(node.bbox, "top", nid),
+                local_left=bbox_get(node.bbox, "left"),
+                local_top=bbox_get(node.bbox, "top"),
                 bbox_owners=dict(node.bbox_owners),
                 transform_owners=dict(node.transform_owners),
                 paint_props=dict(node.paint_props))

@@ -19,5 +19,12 @@ def compile_fixture(name: str):
     return compile_source((FIXTURES / f"{name}.json").read_bytes())
 
 
+def stack_chain(levels: int) -> bytes:
+    """A rect nested ``levels`` stackV elements deep, built without json.dumps."""
+    leaf = '{"kind": "rect", "props": {"width": 4, "height": 3}}'
+    root = '{"kind": "stackV", "children": [' * levels + leaf + "]}" * levels
+    return ('{"bluefish": 1, "root": ' + root + "}").encode("utf-8")
+
+
 def errors_of(diagnostics):
     return [d for d in diagnostics if d.severity == "error"]

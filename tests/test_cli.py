@@ -18,7 +18,7 @@ from bluefish.cli import (
     run_bench,
 )
 
-from conftest import FIXTURES
+from conftest import FIXTURES, stack_chain
 
 _DOC = {"bluefish": 1, "root": {"kind": "rect", "props": {"width": 10, "height": 20}}}
 
@@ -66,6 +66,15 @@ def test_check_rejects_schema_problems(tmp_path, capsys):
     source = _write_doc(tmp_path, {"bluefish": 1, "root": {"kind": "rect"}})
     assert main(["check", str(source)]) == 1
     assert "error[BF007]" in capsys.readouterr().err
+
+
+def test_check_rejects_a_document_nested_too_deeply(tmp_path, capsys):
+    source = tmp_path / "deep.json"
+    source.write_bytes(stack_chain(5000))
+    assert main(["check", str(source)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error[BF007]") == 1
+    assert "nests too deeply" in err
 
 
 def test_missing_input_is_an_io_error(tmp_path, capsys):

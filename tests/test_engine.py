@@ -2,19 +2,23 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from bluefish.docformat import Element
+from bluefish import dump_scene, paint
+from bluefish.docformat import Element, parse_document, resolve_names
 from bluefish.engine import (
     Registry,
     compile_source,
+    expand_tree,
     register_element_kind,
     standard_registry,
 )
 from bluefish.errors import DuplicateKind
 from bluefish.relations import ElementKindSpec
 
-from conftest import compile_doc, compile_fixture, errors_of
+from conftest import compile_doc, compile_fixture, errors_of, stack_chain
 
 
 def test_layout_runs_exactly_once_per_node():
@@ -125,6 +129,55 @@ def test_runaway_expansion_is_cut_off():
     (diag,) = errors_of(diags)
     assert diag.code == "BF007"
     assert "without terminating" in diag.message
+
+
+def test_scopes_follow_each_placement_of_a_shared_element():
+    def expand_twins(props: dict, children: list) -> Element:
+        box = Element(kind="rect", name="box", props={"width": 10.0, "height": 10.0})
+        cell = Element(kind="group", name="cell", children=[box])
+        return Element(kind="stackH", props={"spacing": 20.0}, children=[
+            Element(kind="group", name="a", children=[cell]),
+            Element(kind="group", name="b", children=[cell]),
+        ])
+
+    registry = standard_registry()
+    register_element_kind(registry, ElementKindSpec(kind="twins", expand=expand_twins))
+    doc = {"bluefish": 1, "root": {
+        "kind": "group",
+        "children": [
+            {"kind": "twins"},
+            {"kind": "arrow", "children": [
+                {"kind": "ref", "select": ["a", "cell", "box"]},
+                {"kind": "ref", "select": ["b", "cell", "box"]},
+            ]},
+        ],
+    }}
+    tree = expand_tree(parse_document(json.dumps(doc)), registry)
+    table, diags = resolve_names(tree)
+    assert diags == []
+    assert [table.paths[i] for i in table.refs.values()] == [
+        "group/stackH[0]/group[0]:a/group[0]:cell/rect[0]:box",
+        "group/stackH[0]/group[1]:b/group[0]:cell/rect[0]:box",
+    ]
+    scene, diags = compile_doc(doc, registry=registry)
+    assert errors_of(diags) == []
+    boxes = [m.content_box() for m in scene.marks()]
+    assert boxes == [(0.0, -5.0, 10.0, 10.0), (30.0, -5.0, 10.0, 10.0)]
+
+
+def test_documents_nested_hundreds_deep_compile():
+    scene, diags = compile_source(stack_chain(400))
+    assert diags == []
+    assert paint(scene).startswith(b"<svg ")
+    assert b'"kind": "rect"' in dump_scene(scene)
+
+
+def test_documents_nested_too_deeply_are_one_schema_error():
+    scene, diags = compile_source(stack_chain(5000))
+    assert scene is None
+    (diag,) = diags
+    assert diag.code == "BF007"
+    assert diag.message == "document nests too deeply (at document)"
 
 
 def test_static_problems_are_batched_before_layout():

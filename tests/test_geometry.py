@@ -153,6 +153,18 @@ def test_inconsistent_axis_rejected_on_write():
         bbox_set(bbox, {"left": "w", "right": "w"}, "width", 50.0, "other")
 
 
+def test_inconsistent_box_rejected_on_construction():
+    with pytest.raises(InconsistentBBox):
+        PartialBBox(left=0.0, right=10.0, width=50.0)
+
+
+def test_inconsistent_write_names_the_node():
+    bbox = _bbox_of({"left": 0.0, "right": 10.0})
+    with pytest.raises(InconsistentBBox) as caught:
+        bbox_set(bbox, {"left": "w", "right": "w"}, "width", 50.0, "other", node="n3")
+    assert caught.value.node == "n3"
+
+
 def test_implied_negative_extent_rejected():
     bbox = _bbox_of({"left": 10.0})
     with pytest.raises(InconsistentBBox):

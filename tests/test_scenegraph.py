@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from bluefish import Axis, Scenegraph
 from bluefish.errors import (
     DimensionConflict,
+    DisconnectedNodes,
     RefToRef,
     SelfReference,
     UndefinedExtentError,
@@ -223,6 +224,28 @@ def test_frame_coherence_after_a_write(depth, value):
     g.set_dim_in_frame(a, root, "left", value, root)
     box = g.bbox_in_frame(a, root, Axis.HORIZONTAL, root)
     assert box["left"] == pytest.approx(value, abs=1e-9)
+
+
+def test_read_from_a_deeper_frame_subtracts_the_frame_leg():
+    g = Scenegraph()
+    root = g.create_node("group", None)
+    a = _rect(g, root, 10.0, 10.0)
+    outer = g.create_node("group", root)
+    inner = g.create_node("group", outer)
+    g.set_dim_in_frame(a, root, "left", 30.0, root)
+    g.set_dim_in_frame(outer, root, "left", 5.0, root)
+    box = g.bbox_in_frame(a, inner, Axis.HORIZONTAL, "n99")
+    assert box["left"] == 25.0
+    assert g.nodes[inner].transform_owners["x"] == "n99"  # frame leg pinned
+    assert g.nodes[root].transform.x is None  # the lca's own translation is untouched
+
+
+def test_frames_of_parentless_nodes_are_disconnected():
+    g = Scenegraph()
+    a = _rect(g, None, 10.0, 10.0)
+    b = _rect(g, None, 10.0, 10.0)
+    with pytest.raises(DisconnectedNodes):
+        g.bbox_in_frame(a, b, Axis.HORIZONTAL, a)
 
 
 # --- finalize and resolve ----------------------------------------------------------
