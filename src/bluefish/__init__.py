@@ -14,11 +14,10 @@ from .engine import (
     compile_source,
     expand_tree,
     layout_document,
-    register_element_kind,
     standard_registry,
 )
 from .errors import BluefishError, Diagnostic
-from .geometry import TOLERANCE, Axis, PartialBBox, Translate, bbox_get, bbox_set, compose_translations
+from .geometry import TOLERANCE, Axis, PartialBBox, Translate, bbox_get, bbox_set
 from .relations import ALIGNMENT_FIELDS, MARK_KINDS, ElementKindSpec, measure_text
 from .renderer import dump_scene, paint
 from .scenegraph import ResolvedScene, SceneNode, Scenegraph
@@ -46,7 +45,6 @@ __all__ = [
     "bbox_set",
     "build_scenegraph",
     "compile_source",
-    "compose_translations",
     "dump_scene",
     "expand_tree",
     "layout_document",
@@ -54,7 +52,6 @@ __all__ = [
     "paint",
     "parse_document",
     "print_document",
-    "register_element_kind",
     "resolve_names",
     "standard_registry",
     "validate",

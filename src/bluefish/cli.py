@@ -1,4 +1,4 @@
-"""Command-line front end: render, check, and benchmark documents.
+"""Command-line front end: render and check documents.
 
 Exit codes: 0 success (warnings allowed), 1 the document has errors,
 2 usage or IO problems. Diagnostics go to stderr, artifacts to files,
@@ -8,11 +8,8 @@ and nothing interleaves, so the tool composes in scripts.
 from __future__ import annotations
 
 import argparse
-import json
 import os
-import statistics
 import sys
-import time
 from pathlib import Path
 
 from .engine import compile_source
@@ -77,116 +74,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
-# --- bench document generators ---------------------------------------------------
-
-
-def generate_nested_stacks(target_nodes: int) -> bytes:
-    """A stack of stacks of rects, roughly target_nodes scenegraph nodes.
-
-    Broad and shallow on purpose: node count scales without deep
-    recursion, and rect sizes vary so layout does real arithmetic.
-    """
-    per_row = 16
-    rows = max(1, round((target_nodes - 1) / (per_row + 1)))
-    children = []
-    for i in range(rows):
-        rects = [
-            {"kind": "rect", "props": {
-                "width": 10 + (i * per_row + j) % 7,
-                "height": 8 + (i + j) % 5,
-            }}
-            for j in range(per_row)
-        ]
-        children.append({"kind": "stackH", "props": {"spacing": 4}, "children": rects})
-    doc = {"bluefish": 1, "root": {
-        "kind": "stackV", "props": {"spacing": 6, "alignment": "left"},
-        "children": children,
-    }}
-    return json.dumps(doc).encode("utf-8")
-
-
-def generate_insertion_sort_like(target_nodes: int) -> bytes:
-    """Rows of boxed cells connected by arrows through refs.
-
-    Each step is a background around a stackH of 8 cells (11 nodes with
-    the background's own mark); consecutive steps are joined by an arrow
-    and two refs (3 nodes); the root stack adds one. Steps are sized so
-    the total lands near target_nodes.
-    """
-    cells = 8
-    per_step = cells + 3
-    steps = max(2, round((target_nodes + 2) / (per_step + 3)))
-    rows = []
-    for i in range(steps):
-        row = [
-            {"kind": "rect", "props": {"width": 14 + (i + j) % 5, "height": 14,
-                                       "fill": "white", "stroke": "black"}}
-            for j in range(cells)
-        ]
-        rows.append({
-            "kind": "background", "name": f"step{i}", "props": {"padding": 4},
-            "children": [{"kind": "stackH", "props": {"spacing": 2}, "children": row}],
-        })
-    arrows = [
-        {"kind": "arrow", "children": [
-            {"kind": "ref", "select": f"step{i}"},
-            {"kind": "ref", "select": f"step{i + 1}"},
-        ]}
-        for i in range(steps - 1)
-    ]
-    doc = {"bluefish": 1, "root": {
-        "kind": "group", "children": [
-            {"kind": "stackV", "props": {"spacing": 18, "alignment": "left"},
-             "children": rows},
-            *arrows,
-        ],
-    }}
-    return json.dumps(doc).encode("utf-8")
-
-
-GENERATORS = {
-    "nested-stacks": generate_nested_stacks,
-    "insertion-sort-like": generate_insertion_sort_like,
-}
-
-
-def run_bench(generator: str, sizes: list[int], reps: int) -> list[tuple[int, float]]:
-    """Median wall time of parse+layout+paint per size, as (nodes, ms)."""
-    rows = []
-    for size in sizes:
-        data = GENERATORS[generator](size)
-        times = []
-        count = 0
-        for _ in range(reps):
-            started = time.perf_counter()
-            scene, diagnostics = compile_source(data)
-            assert scene is not None, [d.render() for d in diagnostics]
-            paint(scene)
-            times.append((time.perf_counter() - started) * 1000.0)
-            count = len(scene.order)
-        rows.append((count, statistics.median(times)))
-    return rows
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    try:
-        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    except ValueError:
-        print(f"--sizes must be a comma-separated list of integers, got {args.sizes!r}",
-              file=sys.stderr)
-        return 2
-    if not sizes or any(s <= 0 for s in sizes):
-        print("--sizes values must be positive", file=sys.stderr)
-        return 2
-    if args.reps <= 0:
-        print("--reps must be positive", file=sys.stderr)
-        return 2
-    print(f"{'nodes':>8}  {'ms':>10}")
-    for count, ms in run_bench(args.generator, sizes, args.reps):
-        print(f"{count:>8}  {ms:>10.2f}")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="bluefish", description="Compile declarative diagram documents to SVG.")
@@ -202,12 +89,6 @@ def main(argv: list[str] | None = None) -> int:
     check = sub.add_parser("check", help="validate and lay out a document, writing nothing")
     check.add_argument("input", help="document file (JSON)")
     check.set_defaults(run=cmd_check)
-
-    bench = sub.add_parser("bench", help="time parse+layout+paint on synthetic documents")
-    bench.add_argument("generator", choices=sorted(GENERATORS))
-    bench.add_argument("--sizes", required=True, help="comma-separated node counts")
-    bench.add_argument("--reps", type=int, default=3, help="repetitions per size (median wins)")
-    bench.set_defaults(run=cmd_bench)
 
     args = parser.parse_args(argv)
     return args.run(args)

@@ -19,6 +19,7 @@ public name. Referents must precede their refs in document order.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field as dc_field
 
 from .errors import (
@@ -37,6 +38,7 @@ FORMAT_VERSION = 1
 _DOCUMENT_KEYS = {"bluefish", "root"}
 _ELEMENT_KEYS = {"kind", "name", "props", "children", "select"}
 _TOO_DEEP = "document nests too deeply"
+_MAX_NUMBER = sys.float_info.max
 
 
 @dataclass
@@ -79,6 +81,8 @@ def _parse_element(raw: object, path: str) -> Element:
         elif isinstance(value, bool) or value is None or isinstance(value, list):
             raise SchemaError(f"{path}.props.{key}", "prop values must be numbers, strings, or elements")
         elif isinstance(value, (int, float)):
+            if not -_MAX_NUMBER <= value <= _MAX_NUMBER:  # NaN, infinities, huge integers
+                raise SchemaError(f"{path}.props.{key}", "prop values must be finite numbers")
             props[key] = float(value)
         elif isinstance(value, str):
             props[key] = value

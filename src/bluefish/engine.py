@@ -54,15 +54,10 @@ class Registry:
     def __init__(self) -> None:
         self.kinds: dict[str, ElementKindSpec] = {}
 
-    def register(self, spec: ElementKindSpec, override: bool = False) -> None:
-        if spec.kind in self.kinds and not override:
+    def register(self, spec: ElementKindSpec) -> None:
+        if spec.kind in self.kinds:
             raise DuplicateKind(spec.kind)
         self.kinds[spec.kind] = spec
-
-
-def register_element_kind(registry: Registry, spec: ElementKindSpec, override: bool = False) -> Registry:
-    registry.register(spec, override)
-    return registry
 
 
 def standard_registry() -> Registry:

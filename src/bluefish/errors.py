@@ -21,12 +21,12 @@ SYNTAX_ERROR = "BF006"
 SCHEMA_ERROR = "BF007"
 DEGENERATE_CONNECTOR = "BF008"
 SELF_REFERENCE = "BF009"
-REF_TO_REF = "BF010"
+REF_TO_REF = "BF010"  # reserved, no longer emitted
 DUPLICATE_NAME = "BF011"
 UNDEFINED_EXTENT = "BF012"
 INVALID_EXTENT = "BF013"
 INCONSISTENT_BBOX = "BF014"
-UNDEFINED_TRANSFORM = "BF015"
+UNDEFINED_TRANSFORM = "BF015"  # reserved, no longer emitted
 
 ERROR = "error"
 WARNING = "warning"
@@ -95,12 +95,6 @@ class InconsistentBBox(GeometryError):
         super().__init__(f"bbox fields on the {axis} axis disagree: {detail}")
 
 
-class UndefinedTransform(GeometryError):
-    def __init__(self, component: str):
-        self.component = component
-        super().__init__(f"translation component {component!r} is undefined")
-
-
 # --- scenegraph -------------------------------------------------------------
 
 
@@ -128,12 +122,6 @@ class SelfReference(ScenegraphError):
             f"ref under {ref_parent!r} points at {referent!r}, which would "
             f"make the relation contain itself"
         )
-
-
-class RefToRef(ScenegraphError):
-    def __init__(self, referent: str):
-        self.node = referent
-        super().__init__(f"refs must point at layout nodes, not at other refs ({referent!r})")
 
 
 class DisconnectedNodes(ScenegraphError):
@@ -185,4 +173,4 @@ class SchemaError(DocumentError):
 class DuplicateKind(BluefishError):
     def __init__(self, kind: str):
         self.kind = kind
-        super().__init__(f"element kind {kind!r} is already registered (pass override=True to replace)")
+        super().__init__(f"element kind {kind!r} is already registered")

@@ -14,8 +14,9 @@ have owners.
 
 Ownership is the immutability mechanism: each field is written at most
 once, by exactly one owner, and a second writer is a conflict rather
-than a silent overwrite. All operations here have pure value semantics;
-``bbox_set`` returns updated copies instead of mutating.
+than a silent overwrite. ``bbox_set`` checks a write before making it,
+then stores the field and its owner in place; a rejected write leaves
+the box and its owners as they were.
 
 Field names use the document format's dimension vocabulary (``centerX``
 not ``center_x``) so the same spelling works in documents, owner maps,
@@ -25,15 +26,10 @@ and dumps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
-from .errors import (
-    DimensionConflict,
-    InconsistentBBox,
-    InvalidExtent,
-    UndefinedTransform,
-)
+from .errors import DimensionConflict, InconsistentBBox, InvalidExtent
 
 #: Absolute tolerance for geometric comparisons. Values closer than this
 #: are the same dimension; disagreements beyond it are conflicts.
@@ -96,12 +92,13 @@ def axis_of(field_name: str) -> Axis:
         raise ValueError(f"unknown bbox field {field_name!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PartialBBox:
     """A bounding box with independently optional fields.
 
     The stored fields on each axis satisfy the axis identities: a box
-    whose fields contradict them raises InconsistentBBox on construction.
+    whose fields contradict them raises InconsistentBBox on construction,
+    and ``bbox_set`` is the only writer afterwards.
     """
 
     left: float | None = None
@@ -115,13 +112,13 @@ class PartialBBox:
 
     def __post_init__(self) -> None:
         for axis in Axis:
-            _check_axis(self, axis)
+            _check_axis(_axis_values(self, axis), axis)
 
     def defined(self) -> tuple[str, ...]:
         return tuple(f for f in DIMENSIONS if getattr(self, f) is not None)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Translate:
     """A translation; either component may be undefined (not yet decided)."""
 
@@ -157,9 +154,8 @@ def _axis_values(bbox: PartialBBox, axis: Axis) -> list[tuple[str, float]]:
     return [(f, getattr(bbox, f)) for f in axis.fields if getattr(bbox, f) is not None]
 
 
-def _check_axis(bbox: PartialBBox, axis: Axis) -> None:
+def _check_axis(stored: list[tuple[str, float]], axis: Axis) -> None:
     """Verify the axis identities hold for all stored fields."""
-    stored = _axis_values(bbox, axis)
     if len(stored) < 2:
         return
     start, extent = _solve_axis(stored, axis)
@@ -209,15 +205,16 @@ def bbox_set(
     value: float,
     writer: str,
     node: str | None = None,
-) -> tuple[PartialBBox, dict[str, str]]:
-    """Write one field, enforcing single ownership.
+) -> None:
+    """Write one field and its owner in place, enforcing single ownership.
 
     A repeated write by the same owner with the same value (within
     TOLERANCE) is a no-op; the same owner with a different value, or any
     other writer, raises DimensionConflict carrying both owners. Negative
     extents raise InvalidExtent, and a value contradicting the other
     fields on its axis raises InconsistentBBox; both name ``node``.
-    Returns the updated (bbox, owners).
+    Every check runs before the write, so a rejected write changes
+    nothing.
     """
     if not math.isfinite(value):
         raise ValueError(f"bbox field {field_name!r} must be finite, got {value!r}")
@@ -227,40 +224,16 @@ def bbox_set(
     existing = getattr(bbox, field_name)
     if field_name in owners:
         if owners[field_name] == writer and existing is not None and abs(existing - value) <= TOLERANCE:
-            return bbox, owners
+            return
         raise DimensionConflict(node or "?", field_name, owners[field_name], writer,
                                 existing_value=existing, value=value)
+    # the written axis as it would be after the write; the other axis is untouched
+    stored = [(f, value if f == field_name else getattr(bbox, f)) for f in axis.fields
+              if f == field_name or getattr(bbox, f) is not None]
     try:
-        new_bbox = replace(bbox, **{field_name: value})
+        _check_axis(stored, axis)
     except InconsistentBBox as exc:
         exc.node = node
         raise
-    new_owners = dict(owners)
-    new_owners[field_name] = writer
-    return new_bbox, new_owners
-
-
-def compose_translations(
-    chain: list[Translate] | tuple[Translate, ...],
-    axes: tuple[Axis, ...] = (Axis.HORIZONTAL, Axis.VERTICAL),
-) -> Translate:
-    """Compose a chain of translations by component-wise addition.
-
-    Only the requested axes are composed; the other component of the
-    result is None. The empty chain is the identity. Raises
-    UndefinedTransform if any translation in the chain is undefined on a
-    composed axis: composition is only meaningful once every component
-    has been decided (or materialized).
-    """
-    x: float | None = 0.0 if Axis.HORIZONTAL in axes else None
-    y: float | None = 0.0 if Axis.VERTICAL in axes else None
-    for t in chain:
-        if x is not None:
-            if t.x is None:
-                raise UndefinedTransform("x")
-            x += t.x
-        if y is not None:
-            if t.y is None:
-                raise UndefinedTransform("y")
-            y += t.y
-    return Translate(x, y)
+    setattr(bbox, field_name, value)
+    owners[field_name] = writer

@@ -22,12 +22,11 @@ below, which record every write in ``write_log``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import (
     DimensionConflict,
     DisconnectedNodes,
-    RefToRef,
     SelfReference,
     UndefinedExtentError,
     UnknownNode,
@@ -172,11 +171,7 @@ class Scenegraph:
     def create_ref(self, parent: str, referent: str, path: str = "") -> str:
         if parent not in self.nodes:
             raise UnknownParent(parent)
-        target = self.nodes.get(referent)
-        if target is None:
-            raise UnknownNode(referent)
-        if isinstance(target, RefNode):
-            raise RefToRef(referent)
+        self._layout(referent)  # refs cannot be named, so only layout nodes are referents
         # A ref may not point at the relation that holds it or any ancestor
         # of it: the relation would contain itself through the edge.
         walk: str | None = parent
@@ -220,7 +215,7 @@ class Scenegraph:
 
     def _set_component(self, node_id: str, axis: Axis, value: float, owner: str) -> None:
         node = self._layout(node_id)
-        node.transform = replace(node.transform, **{axis.component: value})
+        setattr(node.transform, axis.component, value)
         node.transform_owners[axis.component] = owner
         self.write_log.append((node_id, f"transform.{axis.component}", owner))
 
@@ -308,8 +303,7 @@ class Scenegraph:
         node = self._layout(target)
         axis = axis_of(field_name)
         if field_name == axis.extent_field or target == frame:
-            node.bbox, node.bbox_owners = bbox_set(
-                node.bbox, node.bbox_owners, field_name, value, writer, target)
+            bbox_set(node.bbox, node.bbox_owners, field_name, value, writer, target)
             self.write_log.append((target, field_name, writer))
             return
         self._layout(frame)

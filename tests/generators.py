@@ -1,13 +1,19 @@
-"""Random document builders shared by the property and acceptance tests.
+"""Document builders shared by the property and acceptance tests.
 
 Documents come out as plain dicts in the JSON input shape, paired where
 needed with the oracle-side description of the same structure, so one
-random draw feeds both pipelines.
+random draw feeds both pipelines. The sized nested-stacks documents and
+their timing loop back the linear-time acceptance check.
 """
 
 from __future__ import annotations
 
+import json
 import random
+import statistics
+import time
+
+from bluefish import compile_source, paint
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 _V_ALIGNMENTS = ("left", "centerX", "right")
@@ -159,3 +165,49 @@ def random_ref_free_element(rng: random.Random, depth: int = 3,
 def random_ref_free_doc(rng: random.Random, depth: int = 3) -> dict:
     root = random_ref_free_element(rng, depth)
     return {"bluefish": 1, "root": root}
+
+
+# --- sized documents for timing ------------------------------------------------------
+
+
+def generate_nested_stacks(target_nodes: int) -> bytes:
+    """A stack of stacks of rects, roughly target_nodes scenegraph nodes.
+
+    Broad and shallow on purpose: node count scales without deep
+    nesting, and rect sizes vary so layout does real arithmetic.
+    """
+    per_row = 16
+    rows = max(1, round((target_nodes - 1) / (per_row + 1)))
+    children = []
+    for i in range(rows):
+        rects = [
+            {"kind": "rect", "props": {
+                "width": 10 + (i * per_row + j) % 7,
+                "height": 8 + (i + j) % 5,
+            }}
+            for j in range(per_row)
+        ]
+        children.append({"kind": "stackH", "props": {"spacing": 4}, "children": rects})
+    doc = {"bluefish": 1, "root": {
+        "kind": "stackV", "props": {"spacing": 6, "alignment": "left"},
+        "children": children,
+    }}
+    return json.dumps(doc).encode("utf-8")
+
+
+def time_nested_stacks(sizes: list[int], reps: int) -> list[tuple[int, float]]:
+    """Median wall time of compile+paint per size, as (nodes, ms)."""
+    rows = []
+    for size in sizes:
+        data = generate_nested_stacks(size)
+        times = []
+        count = 0
+        for _ in range(reps):
+            started = time.perf_counter()
+            scene, diagnostics = compile_source(data)
+            assert scene is not None, [d.render() for d in diagnostics]
+            paint(scene)
+            times.append((time.perf_counter() - started) * 1000.0)
+            count = len(scene.order)
+        rows.append((count, statistics.median(times)))
+    return rows

@@ -17,7 +17,7 @@ from contextlib import contextmanager
 import pytest
 
 from bluefish import compile_source, dump_scene, paint
-from bluefish.cli import main, run_bench
+from bluefish.cli import main
 
 from conftest import FIXTURES, compile_doc, compile_fixture, errors_of
 from generators import (
@@ -25,6 +25,7 @@ from generators import (
     random_stack_tree,
     random_stack_triplet,
     stack_tree_to_doc,
+    time_nested_stacks,
 )
 from oracles import stack_layout, stack_marks, tree_walk, walk_marks
 
@@ -169,7 +170,7 @@ def test_criterion_6_ref_free_documents_match_a_tree_walk(criterion):
 
 def test_criterion_7_layout_time_stays_linear(criterion):
     with criterion(7, "nested-stacks timing grows linearly from 1k to 8k nodes"):
-        rows = run_bench("nested-stacks", [1000, 2000, 4000, 8000], reps=3)
+        rows = time_nested_stacks([1000, 2000, 4000, 8000], reps=3)
         times = [ms for _, ms in rows]
         assert all(ms < 2000.0 for ms in times)
         assert times[3] / times[0] <= 12.0

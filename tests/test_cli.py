@@ -3,22 +3,14 @@
 from __future__ import annotations
 
 import json
-import re
 import shutil
 from pathlib import Path
 
-import pytest
-
 from bluefish import compile_source
-from bluefish.cli import (
-    _use_color,
-    generate_insertion_sort_like,
-    generate_nested_stacks,
-    main,
-    run_bench,
-)
+from bluefish.cli import _use_color, main
 
 from conftest import FIXTURES, stack_chain
+from generators import generate_nested_stacks
 
 _DOC = {"bluefish": 1, "root": {"kind": "rect", "props": {"width": 10, "height": 20}}}
 
@@ -77,6 +69,16 @@ def test_check_rejects_a_document_nested_too_deeply(tmp_path, capsys):
     assert "nests too deeply" in err
 
 
+def test_check_rejects_a_nan_without_a_traceback(tmp_path, capsys):
+    source = tmp_path / "nan.json"
+    source.write_text('{"bluefish": 1, "root": {"kind": "rect", "props": {"width": NaN, "height": 1}}}')
+    assert main(["check", str(source)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("error[BF007]") == 1
+    assert "root.props.width" in err
+
+
 def test_missing_input_is_an_io_error(tmp_path, capsys):
     assert main(["check", str(tmp_path / "absent.json")]) == 2
     assert "cannot read" in capsys.readouterr().err
@@ -100,45 +102,9 @@ def test_warnings_do_not_fail_the_run(tmp_path, capsys):
     assert source.with_suffix(".svg").exists()
 
 
-# --- bench ---------------------------------------------------------------------
-
-
-def test_bench_prints_a_table(tmp_path, capsys):
-    assert main(["bench", "nested-stacks", "--sizes", "103", "--reps", "1"]) == 0
-    out = capsys.readouterr().out.splitlines()
-    assert out[0] == f"{'nodes':>8}  {'ms':>10}"
-    assert re.fullmatch(r"\s+103\s+\d+\.\d\d", out[1])
-
-
-@pytest.mark.parametrize("argv", [
-    ["bench", "nested-stacks", "--sizes", "0"],
-    ["bench", "nested-stacks", "--sizes", "10,x"],
-    ["bench", "nested-stacks", "--sizes", ""],
-    ["bench", "nested-stacks", "--sizes", "10", "--reps", "0"],
-])
-def test_bench_rejects_bad_arguments(argv, capsys):
-    assert main(argv) == 2
-    assert capsys.readouterr().err != ""
-
-
-def test_unknown_generator_is_a_usage_error(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["bench", "unknown", "--sizes", "10"])
-    assert excinfo.value.code == 2
-
-
 def test_generators_hit_their_node_budgets():
     scene, _ = compile_source(generate_nested_stacks(1000))
     assert len(scene.order) == 1 + 17 * round(999 / 17)
-    scene, _ = compile_source(generate_insertion_sort_like(50))
-    # 4 steps of 11 nodes, 3 arrows of 3, plus the group and root stack
-    assert len(scene.order) == 55
-
-
-def test_run_bench_reports_node_counts_with_timings():
-    rows = run_bench("insertion-sort-like", [50], reps=1)
-    assert [count for count, _ in rows] == [55]
-    assert all(ms > 0 for _, ms in rows)
 
 
 # --- color gating ----------------------------------------------------------------

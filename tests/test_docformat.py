@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -14,7 +15,7 @@ from bluefish.docformat import (
     validate,
     walk,
 )
-from bluefish.engine import standard_registry
+from bluefish.engine import compile_source, standard_registry
 from bluefish.errors import DocumentSyntaxError, SchemaError
 
 from conftest import errors_of
@@ -95,6 +96,34 @@ def test_schema_errors_carry_the_document_path():
     with pytest.raises(SchemaError) as excinfo:
         parse_document(_doc({"kind": "group", "children": [{"kind": 3}]}))
     assert excinfo.value.path == "root.children[0]"
+
+
+_RECT_WIDTH = '{"bluefish": 1, "root": {"kind": "rect", "props": {"width": %s, "height": 1}}}'
+
+
+@pytest.mark.parametrize("source, prop_path", [
+    (_RECT_WIDTH % "NaN", "root.props.width"),
+    (_RECT_WIDTH % "Infinity", "root.props.width"),
+    (_RECT_WIDTH % "-Infinity", "root.props.width"),
+    (_RECT_WIDTH % "1e400", "root.props.width"),
+    (_RECT_WIDTH % ("9" * 400), "root.props.width"),
+    (_RECT_WIDTH % ("-" + "9" * 400), "root.props.width"),
+    ('{"bluefish": 1, "root": {"kind": "group", "children": ['
+     '{"kind": "text", "props": {"content": "a", "fontSize": NaN}}]}}',
+     "root.children[0].props.fontSize"),
+])
+def test_non_finite_and_out_of_range_numbers_are_one_schema_error(source, prop_path):
+    with pytest.raises(SchemaError) as excinfo:
+        parse_document(source)
+    assert excinfo.value.path == prop_path
+    scene, diagnostics = compile_source(source)
+    assert scene is None
+    assert [(d.code, d.node_paths) for d in diagnostics] == [("BF007", (prop_path,))]
+
+
+def test_the_largest_finite_numbers_are_accepted():
+    tree = parse_document(_RECT_WIDTH % "1.7976931348623157e308")
+    assert tree.props["width"] == sys.float_info.max
 
 
 def test_select_accepts_string_or_path():

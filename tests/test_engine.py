@@ -12,7 +12,6 @@ from bluefish.engine import (
     Registry,
     compile_source,
     expand_tree,
-    register_element_kind,
     standard_registry,
 )
 from bluefish.errors import DuplicateKind
@@ -69,10 +68,8 @@ def test_duplicate_kind_is_rejected_without_override():
     spec = ElementKindSpec(kind="widget")
     registry.register(spec)
     with pytest.raises(DuplicateKind):
-        registry.register(spec)
-    replacement = ElementKindSpec(kind="widget", is_mark=True)
-    registry.register(replacement, override=True)
-    assert registry.kinds["widget"] is replacement
+        registry.register(ElementKindSpec(kind="widget", is_mark=True))
+    assert registry.kinds["widget"] is spec
 
 
 def _planet_registry() -> Registry:
@@ -81,12 +78,13 @@ def _planet_registry() -> Registry:
         return Element(kind="circle", props={"r": props.get("r", 10.0), "fill": "goldenrod"})
 
     registry = standard_registry()
-    return register_element_kind(registry, ElementKindSpec(
+    registry.register(ElementKindSpec(
         kind="planet",
         optional_props={"r": 10.0},
         prop_types={"r": "number"},
         expand=expand_planet,
     ))
+    return registry
 
 
 def test_composite_kinds_expand_before_layout():
@@ -110,7 +108,7 @@ def test_composites_may_expand_to_composites():
         return Element(kind="planet", props={"r": 5.0})
 
     registry = _planet_registry()
-    register_element_kind(registry, ElementKindSpec(kind="moon", expand=expand_moon))
+    registry.register(ElementKindSpec(kind="moon", expand=expand_moon))
     scene, diags = compile_doc({"bluefish": 1, "root": {"kind": "moon"}},
                                registry=registry)
     assert errors_of(diags) == []
@@ -122,7 +120,7 @@ def test_runaway_expansion_is_cut_off():
         return Element(kind="loop")
 
     registry = standard_registry()
-    register_element_kind(registry, ElementKindSpec(kind="loop", expand=expand_loop))
+    registry.register(ElementKindSpec(kind="loop", expand=expand_loop))
     scene, diags = compile_doc({"bluefish": 1, "root": {"kind": "loop"}},
                                registry=registry)
     assert scene is None
@@ -141,7 +139,7 @@ def test_scopes_follow_each_placement_of_a_shared_element():
         ])
 
     registry = standard_registry()
-    register_element_kind(registry, ElementKindSpec(kind="twins", expand=expand_twins))
+    registry.register(ElementKindSpec(kind="twins", expand=expand_twins))
     doc = {"bluefish": 1, "root": {
         "kind": "group",
         "children": [

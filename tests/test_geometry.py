@@ -1,4 +1,4 @@
-"""Partial bbox calculus: derivation, ownership, and translation algebra."""
+"""Partial bbox calculus: derivation and in-place, write-once ownership."""
 
 from __future__ import annotations
 
@@ -8,21 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bluefish import (
-    TOLERANCE,
-    Axis,
-    PartialBBox,
-    Translate,
-    bbox_get,
-    bbox_set,
-    compose_translations,
-)
-from bluefish.errors import (
-    DimensionConflict,
-    InconsistentBBox,
-    InvalidExtent,
-    UndefinedTransform,
-)
+from bluefish import TOLERANCE, PartialBBox, bbox_get, bbox_set
+from bluefish.errors import DimensionConflict, InconsistentBBox, InvalidExtent
 from bluefish.geometry import axis_of
 
 from oracles import solve_axis
@@ -36,8 +23,14 @@ X_FIELDS = ("left", "centerX", "right", "width")
 def _bbox_of(fields: dict[str, float]) -> PartialBBox:
     bbox, owners = PartialBBox(), {}
     for f, v in fields.items():
-        bbox, owners = bbox_set(bbox, owners, f, v, "w")
+        bbox_set(bbox, owners, f, v, "w")
     return bbox
+
+
+def _written(field_name: str, value: float, writer: str) -> tuple[PartialBBox, dict[str, str]]:
+    bbox, owners = PartialBBox(), {}
+    bbox_set(bbox, owners, field_name, value, writer)
+    return bbox, owners
 
 
 # --- derivation -------------------------------------------------------------------
@@ -108,26 +101,27 @@ def test_derivations_match_the_pairwise_solver(start, extent, data):
 
 
 def test_write_records_the_owner():
-    bbox, owners = bbox_set(PartialBBox(), {}, "width", 10.0, "stack")
+    bbox, owners = PartialBBox(), {}
+    assert bbox_set(bbox, owners, "width", 10.0, "stack") is None
     assert owners == {"width": "stack"}
     assert bbox.width == 10.0
 
 
 def test_same_owner_same_value_is_a_noop():
-    bbox, owners = bbox_set(PartialBBox(), {}, "left", 4.0, "w")
-    again, owners_again = bbox_set(bbox, owners, "left", 4.0, "w")
-    assert again == bbox
-    assert owners_again == owners
+    bbox, owners = _written("left", 4.0, "w")
+    bbox_set(bbox, owners, "left", 4.0 + TOLERANCE / 2, "w")
+    assert bbox == PartialBBox(left=4.0)
+    assert owners == {"left": "w"}
 
 
 def test_same_owner_different_value_conflicts():
-    bbox, owners = bbox_set(PartialBBox(), {}, "left", 4.0, "w")
+    bbox, owners = _written("left", 4.0, "w")
     with pytest.raises(DimensionConflict):
         bbox_set(bbox, owners, "left", 5.0, "w")
 
 
 def test_second_writer_conflicts_and_names_both_owners():
-    bbox, owners = bbox_set(PartialBBox(), {}, "top", 0.0, "first")
+    bbox, owners = _written("top", 0.0, "first")
     with pytest.raises(DimensionConflict) as excinfo:
         bbox_set(bbox, owners, "top", 0.0, "second")
     assert excinfo.value.existing_owner == "first"
@@ -173,7 +167,7 @@ def test_implied_negative_extent_rejected():
 
 @given(value=finite, other=finite)
 def test_every_field_is_write_once(value, other):
-    bbox, owners = bbox_set(PartialBBox(), {}, "centerY", value, "a")
+    bbox, owners = _written("centerY", value, "a")
     with pytest.raises(DimensionConflict):
         bbox_set(bbox, owners, "centerY", other, "b")
 
@@ -187,36 +181,18 @@ def test_contradictory_third_field_is_inconsistent(start, extent, nudge):
         bbox_set(bbox, {"left": "w", "width": "w"}, "right", bad_right, "w")
 
 
-# --- translations -----------------------------------------------------------------
-
-
-def test_compose_empty_chain_is_identity():
-    assert compose_translations([]) == Translate(0.0, 0.0)
-
-
-def test_compose_adds_componentwise():
-    chain = [Translate(1.0, 2.0), Translate(3.0, 4.0), Translate(-1.0, 0.0)]
-    assert compose_translations(chain) == Translate(3.0, 6.0)
-
-
-def test_compose_selected_axis_leaves_the_other_undefined():
-    chain = [Translate(1.0, None), Translate(2.0, None)]
-    out = compose_translations(chain, axes=(Axis.HORIZONTAL,))
-    assert out == Translate(3.0, None)
-
-
-def test_compose_undefined_component_raises():
-    with pytest.raises(UndefinedTransform):
-        compose_translations([Translate(None, 0.0)], axes=(Axis.HORIZONTAL,))
-
-
-@given(st.lists(st.tuples(finite, finite), max_size=8))
-def test_compose_matches_plain_sums(pairs):
-    chain = [Translate(x, y) for x, y in pairs]
-    out = compose_translations(chain)
-    sx = 0.0
-    sy = 0.0
-    for x, y in pairs:
-        sx += x
-        sy += y
-    assert out.x == sx and out.y == sy
+@pytest.mark.parametrize("field_name, value, writer, error", [
+    ("width", math.nan, "w", ValueError),
+    ("height", -1.0, "w", InvalidExtent),
+    ("left", 0.0, "second", DimensionConflict),
+    ("right", 25.0, "w", InconsistentBBox),
+])
+def test_rejected_write_changes_nothing(field_name, value, writer, error):
+    bbox, owners = PartialBBox(), {}
+    for f, v in (("left", 0.0), ("width", 20.0), ("top", 5.0)):
+        bbox_set(bbox, owners, f, v, "w")
+    before_box, before_owners = PartialBBox(left=0.0, width=20.0, top=5.0), dict(owners)
+    with pytest.raises(error):
+        bbox_set(bbox, owners, field_name, value, writer, node="n1")
+    assert bbox == before_box
+    assert owners == before_owners

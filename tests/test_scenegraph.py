@@ -10,7 +10,6 @@ from bluefish import Axis, Scenegraph
 from bluefish.errors import (
     DimensionConflict,
     DisconnectedNodes,
-    RefToRef,
     SelfReference,
     UndefinedExtentError,
     UnknownNode,
@@ -60,16 +59,6 @@ def test_ref_to_unknown_node_rejected():
     root = g.create_node("group", None)
     with pytest.raises(UnknownNode):
         g.create_ref(root, "n42")
-
-
-def test_ref_to_ref_rejected():
-    g = Scenegraph()
-    root = g.create_node("group", None)
-    a = _rect(g, root, 10, 10)
-    stack = g.create_node("stackV", root)
-    ref = g.create_ref(stack, a)
-    with pytest.raises(RefToRef):
-        g.create_ref(stack, ref)
 
 
 def test_ref_to_own_ancestor_rejected():
