@@ -23,6 +23,7 @@ from .docformat import Element, NameTable
 from .errors import (
     DIMENSION_CONFLICT,
     ERROR,
+    GEOMETRY_OVERFLOW,
     INCONSISTENT_BBOX,
     INVALID_EXTENT,
     SCHEMA_ERROR,
@@ -35,6 +36,7 @@ from .errors import (
     DimensionConflict,
     DocumentSyntaxError,
     DuplicateKind,
+    GeometryOverflow,
     InconsistentBBox,
     InvalidExtent,
     SchemaError,
@@ -224,6 +226,12 @@ def _layout_error_diagnostic(graph: Scenegraph, exc: BluefishError) -> Diagnosti
         return Diagnostic(INVALID_EXTENT, str(exc), (_path(graph, exc.node),))
     if isinstance(exc, InconsistentBBox):
         return Diagnostic(INCONSISTENT_BBOX, str(exc), (_path(graph, exc.node),))
+    if isinstance(exc, GeometryOverflow):
+        return Diagnostic(
+            GEOMETRY_OVERFLOW,
+            f"geometry overflows the float range: {exc.field!r} of "
+            f"{_path(graph, exc.node)} would be {exc.value!r}",
+            (_path(graph, exc.node),))
     raise exc
 
 
@@ -239,6 +247,7 @@ def layout_document(graph: Scenegraph, registry: Registry) -> tuple[ResolvedScen
     try:
         rt.layout_node(graph.root)
         graph.finalize()
+        scene = graph.resolve()
     except UnsizedNodes as exc:
         diags = [
             Diagnostic(UNSIZED_NODE,
@@ -249,7 +258,6 @@ def layout_document(graph: Scenegraph, registry: Registry) -> tuple[ResolvedScen
         return None, rt.warnings + diags
     except BluefishError as exc:
         return None, rt.warnings + [_layout_error_diagnostic(graph, exc)]
-    scene = graph.resolve()
     scene.layout_calls = dict(rt.calls)
     return scene, rt.warnings
 

@@ -27,6 +27,7 @@ UNDEFINED_EXTENT = "BF012"
 INVALID_EXTENT = "BF013"
 INCONSISTENT_BBOX = "BF014"
 UNDEFINED_TRANSFORM = "BF015"  # reserved, no longer emitted
+GEOMETRY_OVERFLOW = "BF016"
 
 ERROR = "error"
 WARNING = "warning"
@@ -88,6 +89,22 @@ class InvalidExtent(GeometryError):
         super().__init__(f"extent {field_name!r} must be non-negative, got {value!r}")
 
 
+class GeometryOverflow(GeometryError):
+    """A derived box field, translation or origin left the float range.
+
+    Props are finite once parsed, so this comes from arithmetic on them,
+    such as a stack summing extents near the float maximum. ``field`` is
+    a box field, ``transform.x``/``transform.y``, or ``x``/``y`` for a
+    node's absolute origin.
+    """
+
+    def __init__(self, node: str | None, field_name: str, value: float):
+        self.node = node
+        self.field = field_name
+        self.value = value
+        super().__init__(f"{field_name!r} of node {node!r} overflows the float range: {value!r}")
+
+
 class InconsistentBBox(GeometryError):
     def __init__(self, axis: str, detail: str, node: str | None = None):
         self.axis = axis
@@ -125,10 +142,11 @@ class SelfReference(ScenegraphError):
 
 
 class DisconnectedNodes(ScenegraphError):
-    def __init__(self, a: str, b: str):
-        self.node = a
-        self.other = b
-        super().__init__(f"nodes {a!r} and {b!r} share no ancestor")
+    """A second parentless node: a graph has exactly one root."""
+
+    def __init__(self, root: str):
+        self.node = root
+        super().__init__(f"the graph already has root {root!r}; every other node needs a parent")
 
 
 class UndefinedExtentError(ScenegraphError):

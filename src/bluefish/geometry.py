@@ -29,60 +29,54 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DimensionConflict, InconsistentBBox, InvalidExtent
+from .errors import DimensionConflict, GeometryOverflow, InconsistentBBox, InvalidExtent
 
 #: Absolute tolerance for geometric comparisons. Values closer than this
 #: are the same dimension; disagreements beyond it are conflicts.
 TOLERANCE = 1e-6
 
-HORIZONTAL_FIELDS = ("left", "centerX", "right")
-VERTICAL_FIELDS = ("top", "centerY", "bottom")
-EXTENT_FIELDS = ("width", "height")
-DIMENSIONS = HORIZONTAL_FIELDS + ("width",) + VERTICAL_FIELDS + ("height",)
-
 
 class Axis(Enum):
-    HORIZONTAL = "horizontal"
-    VERTICAL = "vertical"
+    """One of the two independent axes, with its field names as plain data.
 
-    @property
-    def position_fields(self) -> tuple[str, str, str]:
-        return HORIZONTAL_FIELDS if self is Axis.HORIZONTAL else VERTICAL_FIELDS
+    ``position_fields`` are start, center and end (``left``/``centerX``/
+    ``right`` horizontally), also available one by one as
+    ``start_field``/``center_field``/``end_field``; ``fields`` adds the
+    ``extent_field``; ``component`` is the translation component the
+    axis moves along and ``other`` the perpendicular axis. They are set
+    once when the class is created, because layout reads them on every
+    frame conversion.
+    """
 
-    @property
-    def extent_field(self) -> str:
-        return "width" if self is Axis.HORIZONTAL else "height"
+    position_fields: tuple[str, str, str]
+    start_field: str
+    center_field: str
+    end_field: str
+    extent_field: str
+    fields: tuple[str, str, str, str]
+    component: str
+    other: "Axis"
 
-    @property
-    def fields(self) -> tuple[str, str, str, str]:
-        return self.position_fields + (self.extent_field,)
+    HORIZONTAL = ("horizontal", ("left", "centerX", "right"), "width", "x")
+    VERTICAL = ("vertical", ("top", "centerY", "bottom"), "height", "y")
 
-    @property
-    def start_field(self) -> str:
-        """left / top"""
-        return self.position_fields[0]
-
-    @property
-    def center_field(self) -> str:
-        return self.position_fields[1]
-
-    @property
-    def end_field(self) -> str:
-        """right / bottom"""
-        return self.position_fields[2]
-
-    @property
-    def component(self) -> str:
-        """The translation component this axis moves along."""
-        return "x" if self is Axis.HORIZONTAL else "y"
-
-    @property
-    def other(self) -> "Axis":
-        return Axis.VERTICAL if self is Axis.HORIZONTAL else Axis.HORIZONTAL
+    def __new__(cls, value: str, position_fields: tuple[str, str, str],
+                extent_field: str, component: str) -> "Axis":
+        axis = object.__new__(cls)
+        axis._value_ = value
+        axis.position_fields = position_fields
+        axis.start_field, axis.center_field, axis.end_field = position_fields
+        axis.extent_field = extent_field
+        axis.fields = position_fields + (extent_field,)
+        axis.component = component
+        return axis
 
 
-_FIELD_AXIS = {f: Axis.HORIZONTAL for f in HORIZONTAL_FIELDS + ("width",)}
-_FIELD_AXIS.update({f: Axis.VERTICAL for f in VERTICAL_FIELDS + ("height",)})
+Axis.HORIZONTAL.other = Axis.VERTICAL
+Axis.VERTICAL.other = Axis.HORIZONTAL
+
+DIMENSIONS = Axis.HORIZONTAL.fields + Axis.VERTICAL.fields
+_FIELD_AXIS = {f: axis for axis in Axis for f in axis.fields}
 
 
 def axis_of(field_name: str) -> Axis:
@@ -151,7 +145,7 @@ def _solve_axis(stored: list[tuple[str, float]], axis: Axis) -> tuple[float, flo
 
 
 def _axis_values(bbox: PartialBBox, axis: Axis) -> list[tuple[str, float]]:
-    return [(f, getattr(bbox, f)) for f in axis.fields if getattr(bbox, f) is not None]
+    return [(f, v) for f in axis.fields if (v := getattr(bbox, f)) is not None]
 
 
 def _check_axis(stored: list[tuple[str, float]], axis: Axis) -> None:
@@ -210,14 +204,15 @@ def bbox_set(
 
     A repeated write by the same owner with the same value (within
     TOLERANCE) is a no-op; the same owner with a different value, or any
-    other writer, raises DimensionConflict carrying both owners. Negative
-    extents raise InvalidExtent, and a value contradicting the other
-    fields on its axis raises InconsistentBBox; both name ``node``.
+    other writer, raises DimensionConflict carrying both owners. A NaN
+    or infinite value raises GeometryOverflow, a negative extent
+    InvalidExtent, and a value contradicting the other fields on its
+    axis InconsistentBBox; all three name ``node``.
     Every check runs before the write, so a rejected write changes
     nothing.
     """
     if not math.isfinite(value):
-        raise ValueError(f"bbox field {field_name!r} must be finite, got {value!r}")
+        raise GeometryOverflow(node, field_name, value)
     axis = axis_of(field_name)
     if field_name == axis.extent_field and value < 0:
         raise InvalidExtent(field_name, value, node)
@@ -228,8 +223,8 @@ def bbox_set(
         raise DimensionConflict(node or "?", field_name, owners[field_name], writer,
                                 existing_value=existing, value=value)
     # the written axis as it would be after the write; the other axis is untouched
-    stored = [(f, value if f == field_name else getattr(bbox, f)) for f in axis.fields
-              if f == field_name or getattr(bbox, f) is not None]
+    stored = [(f, value if f == field_name else v) for f in axis.fields
+              if f == field_name or (v := getattr(bbox, f)) is not None]
     try:
         _check_axis(stored, axis)
     except InconsistentBBox as exc:

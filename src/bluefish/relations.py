@@ -399,8 +399,7 @@ def layout_group(rt: "LayoutRuntime", nid: str, props: dict) -> None:
     targets = [rt.graph.target_of(c) for c in rt.graph.nodes[nid].children]
     for t in targets:
         for axis in (Axis.HORIZONTAL, Axis.VERTICAL):
-            if not rt.graph.is_fixed(t, axis):
-                rt.graph.materialize(t, axis, nid)  # unplaced children stay put
+            rt.graph.materialize(rt.graph.nodes[t], axis, nid)  # unplaced children stay put
     for axis in (Axis.HORIZONTAL, Axis.VERTICAL):
         span = _union_boxes(rt, nid, targets, axis)
         if span is not None:
@@ -437,8 +436,7 @@ def _make_connector_layout(arrow: bool):
         targets = [rt.graph.target_of(c) for c in children]
         for t in targets:
             for axis in (Axis.HORIZONTAL, Axis.VERTICAL):
-                if not rt.graph.is_fixed(t, axis):
-                    rt.graph.materialize(t, axis, nid)
+                rt.graph.materialize(rt.graph.nodes[t], axis, nid)
         boxes = []
         for t in targets:
             h = rt.graph.bbox_in_frame(t, nid, Axis.HORIZONTAL, nid)

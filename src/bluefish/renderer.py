@@ -11,11 +11,17 @@ platform.
 from __future__ import annotations
 
 import json
-from decimal import ROUND_CEILING, ROUND_HALF_EVEN, Decimal
+from decimal import ROUND_CEILING, ROUND_HALF_EVEN, Context, Decimal
 
 from .scenegraph import ResolvedScene
 
 SVG_NS = "http://www.w3.org/2000/svg"
+
+# Enough significant digits for any finite float at two decimals
+# (sys.float_info.max has 309 integer digits), so quantizing is always
+# exact; the default 28-digit context fails from 1e26 up.
+_QUANTIZE = Context(prec=320)
+_CENTS = Decimal("0.01")
 
 
 def _strip(q: Decimal) -> str:
@@ -27,18 +33,18 @@ def _strip(q: Decimal) -> str:
 
 def fmt_num(value: float) -> str:
     """Fixed-point decimal for SVG attributes: 12.345 -> '12.34'."""
-    q = Decimal(repr(float(value))).quantize(Decimal("0.01"), rounding=ROUND_HALF_EVEN)
+    q = Decimal(repr(float(value))).quantize(_CENTS, ROUND_HALF_EVEN, _QUANTIZE)
     return _strip(q)
 
 
 def _ceil2(value: float) -> str:
     # document size rounds up so content is never clipped
-    q = Decimal(repr(float(value))).quantize(Decimal("0.01"), rounding=ROUND_CEILING)
+    q = Decimal(repr(float(value))).quantize(_CENTS, ROUND_CEILING, _QUANTIZE)
     return _strip(q)
 
 
 def _round2(value: float) -> float | int:
-    q = Decimal(repr(float(value))).quantize(Decimal("0.01"), rounding=ROUND_HALF_EVEN)
+    q = Decimal(repr(float(value))).quantize(_CENTS, ROUND_HALF_EVEN, _QUANTIZE)
     f = float(q)
     return int(f) if f.is_integer() else f
 

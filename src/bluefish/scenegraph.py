@@ -22,11 +22,13 @@ below, which record every write in ``write_log``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import (
     DimensionConflict,
     DisconnectedNodes,
+    GeometryOverflow,
     SelfReference,
     UndefinedExtentError,
     UnknownNode,
@@ -153,17 +155,22 @@ class Scenegraph:
         name: str | None = None,
         path: str = "",
     ) -> str:
-        if parent is not None and parent not in self.nodes:
+        if parent is None:
+            # one root, so any two layout nodes share an ancestor (see _legs)
+            if self.root is not None:
+                raise DisconnectedNodes(self.root)
+            parent_node = None
+        elif parent not in self.nodes:
             raise UnknownParent(parent)
-        parent_node = None if parent is None else self._layout(parent)
+        else:
+            parent_node = self._layout(parent)
         nid = self._next_id()
         node = LayoutNode(id=nid, kind=kind, parent=parent,
                           paint_props=dict(paint_props or {}), name=name, path=path or nid,
                           depth=0 if parent_node is None else parent_node.depth + 1)
         self.nodes[nid] = node
         if parent_node is None:
-            if self.root is None:
-                self.root = nid
+            self.root = nid
         else:
             parent_node.children.append(nid)
         return nid
@@ -209,51 +216,47 @@ class Scenegraph:
 
     # --- transforms -----------------------------------------------------------
 
-    def _component(self, node_id: str, axis: Axis) -> float | None:
-        t = self._layout(node_id).transform
-        return t.x if axis is Axis.HORIZONTAL else t.y
-
-    def _set_component(self, node_id: str, axis: Axis, value: float, owner: str) -> None:
-        node = self._layout(node_id)
+    def _set_component(self, node: LayoutNode, axis: Axis, value: float, owner: str) -> None:
+        if not math.isfinite(value):
+            raise GeometryOverflow(node.id, f"transform.{axis.component}", value)
         setattr(node.transform, axis.component, value)
         node.transform_owners[axis.component] = owner
-        self.write_log.append((node_id, f"transform.{axis.component}", owner))
+        self.write_log.append((node.id, f"transform.{axis.component}", owner))
 
-    def materialize(self, node_id: str, axis: Axis, requester: str) -> float:
+    def materialize(self, node: LayoutNode, axis: Axis, requester: str) -> float:
         """Read a translation component, defaulting it to 0 if undecided.
 
         The default is a real layout decision: the requester becomes the
         owner, and later relations see the node as fixed on this axis.
         """
-        value = self._component(node_id, axis)
+        value = getattr(node.transform, axis.component)
         if value is None:
-            self._set_component(node_id, axis, 0.0, requester)
+            self._set_component(node, axis, 0.0, requester)
             return 0.0
         return value
 
     # --- frame conversion -------------------------------------------------------
 
-    def _legs(self, target: str, frame: str) -> tuple[list[str], list[str]]:
-        """Node ids whose translations map target->lca and frame->lca.
+    def _legs(self, target: LayoutNode, frame: LayoutNode) -> tuple[list[LayoutNode], list[LayoutNode]]:
+        """Nodes whose translations map target->lca and frame->lca.
 
         The target leg includes the target itself; the frame leg includes
         the frame itself; the lca's own translation belongs to neither
         (it maps the lca out of the frame both sides share). Both layout
-        nodes climb to the lca by depth, the deeper side first.
+        nodes climb to the lca by depth, the deeper side first; the graph
+        has one root, so the climbs meet before either side runs out.
         """
-        up: list[str] = []
-        down: list[str] = []
+        nodes = self.nodes
+        up: list[LayoutNode] = []
+        down: list[LayoutNode] = []
         a, b = target, frame
-        while a != b:
-            node_a, node_b = self.nodes[a], self.nodes[b]
-            if node_a.parent is None and node_b.parent is None:
-                raise DisconnectedNodes(target, frame)
-            if node_a.depth >= node_b.depth:
+        while a is not b:
+            if a.depth >= b.depth:
                 up.append(a)
-                a = node_a.parent
+                a = nodes[a.parent]
             else:
                 down.append(b)
-                b = node_b.parent
+                b = nodes[b.parent]
         return up, down
 
     def bbox_in_frame(self, target: str, frame: str, axis: Axis, requester: str) -> dict[str, float | None]:
@@ -266,8 +269,7 @@ class Scenegraph:
         underdetermined fields are None.
         """
         node = self._layout(target)
-        self._layout(frame)
-        up, down = self._legs(target, frame)
+        up, down = self._legs(node, self._layout(frame))
         chain = [self.materialize(n, axis, requester) for n in up]
         back = 0.0
         for n in down:
@@ -306,8 +308,7 @@ class Scenegraph:
             bbox_set(node.bbox, node.bbox_owners, field_name, value, writer, target)
             self.write_log.append((target, field_name, writer))
             return
-        self._layout(frame)
-        up, down = self._legs(target, frame)
+        up, down = self._legs(node, self._layout(frame))
         rest = 0.0
         for n in up[1:]:  # exclude the target's own translation
             rest += self.materialize(n, axis, writer)
@@ -330,9 +331,9 @@ class Scenegraph:
             else:
                 local = extent
         implied = ((value - local) - rest) + back
-        current = self._component(target, axis)
+        current = getattr(node.transform, axis.component)
         if current is None:
-            self._set_component(target, axis, implied, writer)
+            self._set_component(node, axis, implied, writer)
         elif abs(current - implied) > TOLERANCE or node.transform_owners[axis.component] != writer:
             raise DimensionConflict(
                 target, field_name, node.transform_owners[axis.component], writer,
@@ -348,20 +349,14 @@ class Scenegraph:
         extents are an error, collected per node into UnsizedNodes.
         """
         assert self.root is not None
-        order = self.preorder()
-        for nid in order:
-            node = self.nodes[nid]
-            if isinstance(node, RefNode):
-                continue
+        nodes = [self.nodes[nid] for nid in self.preorder()]
+        layout_nodes = [node for node in nodes if isinstance(node, LayoutNode)]
+        for node in layout_nodes:
             for axis in (Axis.HORIZONTAL, Axis.VERTICAL):
-                if self._component(nid, axis) is None:
-                    self._set_component(nid, axis, 0.0, self.root)
+                self.materialize(node, axis, self.root)
         unsized = tuple(
-            nid for nid in order
-            if isinstance(self.nodes[nid], LayoutNode)
-            and (self.extent_of(nid, Axis.HORIZONTAL) is None
-                 or self.extent_of(nid, Axis.VERTICAL) is None)
-        )
+            node.id for node in layout_nodes
+            if bbox_get(node.bbox, "width") is None or bbox_get(node.bbox, "height") is None)
         if unsized:
             raise UnsizedNodes(unsized)
 
@@ -400,6 +395,10 @@ class Scenegraph:
             else:
                 px, py = origins[node.parent]
                 ox, oy = px + tx, py + ty
+                if not math.isfinite(ox):
+                    raise GeometryOverflow(nid, "x", ox)
+                if not math.isfinite(oy):
+                    raise GeometryOverflow(nid, "y", oy)
             origins[nid] = (ox, oy)
             scene[nid] = SceneNode(
                 id=nid, kind=node.kind, name=node.name, parent=node.parent,

@@ -79,6 +79,25 @@ def test_check_rejects_a_nan_without_a_traceback(tmp_path, capsys):
     assert "root.props.width" in err
 
 
+def test_check_rejects_overflowing_geometry_without_a_traceback(tmp_path, capsys):
+    tall = {"kind": "rect", "props": {"width": 1, "height": 1e308}}
+    source = _write_doc(tmp_path, {"bluefish": 1, "root": {"kind": "stackV", "children": [tall, tall]}})
+    assert main(["check", str(source)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("error[BF016]") == 1
+    assert "Traceback" not in err
+
+
+def test_render_dumps_coordinates_beyond_28_digits(tmp_path):
+    source = _write_doc(tmp_path, {"bluefish": 1, "root": {
+        "kind": "rect", "props": {"width": 1e30, "height": 1}}})
+    assert main(["render", str(source), "--dump"]) == 0
+    assert 'width="1000000000000000000000000000000"' in source.with_suffix(".svg").read_text()
+    dump = json.loads(source.with_suffix(".scene.json").read_text())
+    assert dump["geometry"][0]["width"] == 1e30
+
+
 def test_missing_input_is_an_io_error(tmp_path, capsys):
     assert main(["check", str(tmp_path / "absent.json")]) == 2
     assert "cannot read" in capsys.readouterr().err

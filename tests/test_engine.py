@@ -10,14 +10,16 @@ from bluefish import dump_scene, paint
 from bluefish.docformat import Element, parse_document, resolve_names
 from bluefish.engine import (
     Registry,
+    build_scenegraph,
     compile_source,
     expand_tree,
+    layout_document,
     standard_registry,
 )
 from bluefish.errors import DuplicateKind
 from bluefish.relations import ElementKindSpec
 
-from conftest import compile_doc, compile_fixture, errors_of, stack_chain
+from conftest import FIXTURES, compile_doc, compile_fixture, errors_of, stack_chain
 
 
 def test_layout_runs_exactly_once_per_node():
@@ -26,6 +28,70 @@ def test_layout_runs_exactly_once_per_node():
     layout_nodes = {n for n in scene.order if scene[n].kind != "ref"}
     assert set(scene.layout_calls) == layout_nodes
     assert set(scene.layout_calls.values()) == {1}
+
+
+def _write_log(fixture: str) -> list[tuple[str, str, str]]:
+    registry = standard_registry()
+    tree = expand_tree(parse_document((FIXTURES / f"{fixture}.json").read_bytes()), registry)
+    table, diags = resolve_names(tree)
+    assert diags == []
+    graph = build_scenegraph(tree, table, registry)
+    scene, diags = layout_document(graph, registry)
+    assert scene is not None and diags == []
+    return graph.write_log
+
+
+def _own_box(nid: str, *fields: str) -> list[tuple[str, str, str]]:
+    return [(nid, f, nid) for f in fields]
+
+
+def test_write_order_through_refs_is_pinned():
+    # rects a (n1) and b (n2) size themselves; the stackV (n3) first pins
+    # its own frame leg, then moves both referents; finalize defaults the
+    # root's own translation (n0 is the root, so it owns the defaults)
+    assert _write_log("ref_stack") == [
+        *_own_box("n1", "left", "top", "width", "height"),
+        *_own_box("n2", "left", "top", "width", "height"),
+        ("n3", "transform.x", "n3"),
+        ("n1", "transform.x", "n3"),
+        ("n2", "transform.x", "n3"),
+        ("n3", "transform.y", "n3"),
+        ("n1", "transform.y", "n3"),
+        ("n2", "transform.y", "n3"),
+        *_own_box("n3", "top", "height", "left", "width"),
+        *_own_box("n0", "left", "width", "top", "height"),
+        ("n0", "transform.x", "n0"),
+        ("n0", "transform.y", "n0"),
+    ]
+
+
+def test_write_order_of_connectors_is_pinned():
+    # the stackH (n1) owns its rects' translations, cross axis first; each
+    # connector (n5 arrow, n8 line) materializes the legs between its
+    # frame and its referents before sizing itself
+    assert _write_log("connectors") == [
+        *_own_box("n2", "left", "top", "width", "height"),
+        *_own_box("n3", "left", "top", "width", "height"),
+        *_own_box("n4", "left", "top", "width", "height"),
+        ("n2", "transform.y", "n1"),
+        ("n3", "transform.y", "n1"),
+        ("n4", "transform.y", "n1"),
+        ("n2", "transform.x", "n1"),
+        ("n3", "transform.x", "n1"),
+        ("n4", "transform.x", "n1"),
+        *_own_box("n1", "left", "width", "top", "height"),
+        ("n1", "transform.x", "n5"),
+        ("n5", "transform.x", "n5"),
+        ("n1", "transform.y", "n5"),
+        ("n5", "transform.y", "n5"),
+        *_own_box("n5", "left", "width", "top", "height"),
+        ("n8", "transform.x", "n8"),
+        ("n8", "transform.y", "n8"),
+        *_own_box("n8", "left", "width", "top", "height"),
+        *_own_box("n0", "left", "width", "top", "height"),
+        ("n0", "transform.x", "n0"),
+        ("n0", "transform.y", "n0"),
+    ]
 
 
 def test_refs_share_nodes_instead_of_copying():
@@ -176,6 +242,26 @@ def test_documents_nested_too_deeply_are_one_schema_error():
     (diag,) = diags
     assert diag.code == "BF007"
     assert diag.message == "document nests too deeply (at document)"
+
+
+def _tall_rect(height: float) -> dict:
+    return {"kind": "rect", "props": {"width": 1, "height": height}}
+
+
+@pytest.mark.parametrize("root, field, path", [
+    # the stack's extent sums to inf
+    ({"kind": "stackV", "children": [_tall_rect(1e308), _tall_rect(1e308)]}, "height", "stackV"),
+    # the path's box spans more than the float range
+    ({"kind": "path", "props": {"d": "M -1e308 0 L 1e308 0"}}, "width", "path"),
+    # the third rect's slot, a translation, overflows before the extent does
+    ({"kind": "stackV", "children": [_tall_rect(1e308)] * 3}, "transform.y", "stackV/rect[2]"),
+])
+def test_geometry_overflowing_the_float_range_is_one_diagnostic(root, field, path):
+    scene, diags = compile_doc({"bluefish": 1, "root": root})
+    assert scene is None
+    (diag,) = diags
+    assert (diag.code, diag.node_paths) == ("BF016", (path,))
+    assert f"{field!r} of {path} would be inf" in diag.message
 
 
 def test_static_problems_are_batched_before_layout():

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bluefish import TOLERANCE, PartialBBox, bbox_get, bbox_set
-from bluefish.errors import DimensionConflict, InconsistentBBox, InvalidExtent
+from bluefish.errors import DimensionConflict, GeometryOverflow, InconsistentBBox, InvalidExtent
 from bluefish.geometry import axis_of
 
 from oracles import solve_axis
@@ -135,10 +135,11 @@ def test_negative_extent_rejected():
 
 
 def test_non_finite_value_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(GeometryOverflow):
         bbox_set(PartialBBox(), {}, "left", math.nan, "w")
-    with pytest.raises(ValueError):
-        bbox_set(PartialBBox(), {}, "width", math.inf, "w")
+    with pytest.raises(GeometryOverflow) as caught:
+        bbox_set(PartialBBox(), {}, "width", math.inf, "w", node="n3")
+    assert (caught.value.node, caught.value.field, caught.value.value) == ("n3", "width", math.inf)
 
 
 def test_inconsistent_axis_rejected_on_write():
@@ -182,7 +183,7 @@ def test_contradictory_third_field_is_inconsistent(start, extent, nudge):
 
 
 @pytest.mark.parametrize("field_name, value, writer, error", [
-    ("width", math.nan, "w", ValueError),
+    ("width", math.nan, "w", GeometryOverflow),
     ("height", -1.0, "w", InvalidExtent),
     ("left", 0.0, "second", DimensionConflict),
     ("right", 25.0, "w", InconsistentBBox),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 from bluefish import compile_source, dump_scene, paint, parse_document, print_document
 from bluefish.renderer import esc, fmt_num
@@ -37,6 +38,8 @@ def test_numbers_round_half_even_to_two_digits():
         -0.0001: "0",
         -0.0: "0",
         -5.0: "-5",
+        1e30: "1" + "0" * 30,
+        -sys.float_info.max: "-17976931348623157" + "0" * 292,
     }
     for value, expected in cases.items():
         assert fmt_num(value) == expected, value

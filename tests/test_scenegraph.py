@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from bluefish import Axis, Scenegraph
 from bluefish.errors import (
     DimensionConflict,
     DisconnectedNodes,
+    GeometryOverflow,
     SelfReference,
     UndefinedExtentError,
     UnknownNode,
@@ -183,7 +186,7 @@ def test_materialize_keeps_decided_values():
     root = g.create_node("group", None)
     a = _rect(g, root, 10.0, 10.0)
     g.set_dim_in_frame(a, root, "left", 40.0, root)
-    assert g.materialize(a, Axis.HORIZONTAL, "n99") == 40.0
+    assert g.materialize(g.nodes[a], Axis.HORIZONTAL, "n99") == 40.0
     assert g.nodes[a].transform_owners["x"] == root
 
 
@@ -232,9 +235,10 @@ def test_read_from_a_deeper_frame_subtracts_the_frame_leg():
 def test_frames_of_parentless_nodes_are_disconnected():
     g = Scenegraph()
     a = _rect(g, None, 10.0, 10.0)
-    b = _rect(g, None, 10.0, 10.0)
-    with pytest.raises(DisconnectedNodes):
-        g.bbox_in_frame(a, b, Axis.HORIZONTAL, a)
+    with pytest.raises(DisconnectedNodes) as excinfo:
+        g.create_node("rect", None)
+    assert excinfo.value.node == a
+    assert list(g.nodes) == [a] and g.root == a
 
 
 # --- finalize and resolve ----------------------------------------------------------
@@ -279,3 +283,32 @@ def test_resolve_accumulates_origins_down_the_tree():
     assert scene[a].x == 7.0
     assert scene[a].content_box() == (7.0, 0.0, 10.0, 10.0)
     assert scene.order[0] == root
+
+
+def test_a_translation_beyond_the_float_range_is_not_written():
+    g = Scenegraph()
+    root = g.create_node("group", None)
+    a = g.create_node("path", root)
+    for field, value in (("left", -sys.float_info.max), ("top", 0.0), ("width", 1.0), ("height", 1.0)):
+        g.set_dim_in_frame(a, a, field, value, a)
+    log = list(g.write_log)
+    with pytest.raises(GeometryOverflow) as excinfo:
+        g.set_dim_in_frame(a, root, "left", sys.float_info.max, root)
+    assert (excinfo.value.node, excinfo.value.field) == (a, "transform.x")
+    assert g.nodes[a].transform.x is None and g.write_log == log
+
+
+def test_origins_beyond_the_float_range_overflow_in_resolve():
+    g = Scenegraph()
+    root = g.create_node("group", None)
+    outer = g.create_node("group", root)
+    inner = _rect(g, outer, 1.0, 1.0)
+    for nid in (root, outer):
+        g.set_dim_in_frame(nid, nid, "width", 1.0, nid)
+        g.set_dim_in_frame(nid, nid, "height", 1.0, nid)
+    g.set_dim_in_frame(outer, root, "left", 1e308, root)
+    g.set_dim_in_frame(inner, outer, "left", 1e308, outer)
+    g.finalize()
+    with pytest.raises(GeometryOverflow) as excinfo:
+        g.resolve()
+    assert (excinfo.value.node, excinfo.value.field) == (inner, "x")
