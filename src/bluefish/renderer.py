@@ -24,28 +24,45 @@ _QUANTIZE = Context(prec=320)
 _CENTS = Decimal("0.01")
 
 
-def _strip(q: Decimal) -> str:
-    text = format(q, "f")
+def _strip(text: str) -> str:
     if "." in text:
         text = text.rstrip("0").rstrip(".")
     return "0" if text in ("-0", "") else text
 
 
+def _cents(value: float) -> float | Decimal:
+    """``repr(value)`` rounded half even to two fractional digits.
+
+    Decimal decides only exponent forms and exact ties such as ``2.675``.
+    Elsewhere a repr with at most two fractional digits is already the
+    answer, and a longer one rounds as ``round`` rounds the float itself:
+    a cents boundary between the float and its repr would be a shorter or
+    closer round-tripping string, so repr would have printed it.
+    """
+    text = repr(value)
+    if "e" not in text:
+        digits = len(text) - text.index(".") - 1
+        if digits <= 2:
+            return value
+        if digits > 3 or text[-1] != "5":
+            return round(value, 2)
+    return Decimal(text).quantize(_CENTS, ROUND_HALF_EVEN, _QUANTIZE)
+
+
 def fmt_num(value: float) -> str:
     """Fixed-point decimal for SVG attributes: 12.345 -> '12.34'."""
-    q = Decimal(repr(float(value))).quantize(_CENTS, ROUND_HALF_EVEN, _QUANTIZE)
-    return _strip(q)
+    q = _cents(float(value))
+    return _strip(repr(q) if type(q) is float else format(q, "f"))
 
 
 def _ceil2(value: float) -> str:
     # document size rounds up so content is never clipped
     q = Decimal(repr(float(value))).quantize(_CENTS, ROUND_CEILING, _QUANTIZE)
-    return _strip(q)
+    return _strip(format(q, "f"))
 
 
 def _round2(value: float) -> float | int:
-    q = Decimal(repr(float(value))).quantize(_CENTS, ROUND_HALF_EVEN, _QUANTIZE)
-    f = float(q)
+    f = float(_cents(float(value)))
     return int(f) if f.is_integer() else f
 
 
@@ -77,7 +94,9 @@ def paint(scene: ResolvedScene, registry=None) -> bytes:
     viewBox; every node becomes a translated group around its own markup
     (painted by its kind's paint function) and its children, pre-order.
     Identity translations are elided. Refs emit nothing: the referent
-    already paints at its own position in the hierarchy.
+    already paints at its own position in the hierarchy. Each element
+    takes one unindented line, so bytes do not grow with depth, and the
+    walk keeps its own stack, so neither does the call stack.
     """
     if registry is None:
         from .engine import standard_registry
@@ -87,38 +106,37 @@ def paint(scene: ResolvedScene, registry=None) -> bytes:
     markers = _marker_defs(scene)
     lines = [f'<svg viewBox="0 0 {_ceil2(root.width)} {_ceil2(root.height)}" xmlns="{SVG_NS}">']
     if markers:
-        lines.append("  <defs>")
+        lines.append("<defs>")
         for color, ref in markers.items():
             lines.append(
-                f'    <marker id="{ref}" markerHeight="4" markerUnits="strokeWidth"'
+                f'<marker id="{ref}" markerHeight="4" markerUnits="strokeWidth"'
                 f' markerWidth="4" orient="auto" refX="4" refY="2" viewBox="0 0 4 4">'
                 f'<path d="M 0 0 L 4 2 L 0 4 Z" fill="{esc(color)}"/></marker>')
-        lines.append("  </defs>")
-
-    def emit(nid: str, indent: int, transform: tuple[float, float] | None = None) -> None:
-        node = scene[nid]
-        if node.is_ref:
-            return
-        spec = registry.kinds.get(node.kind)
-        own = spec.paint(node, fmt_num, esc) if spec is not None and spec.paint is not None else ""
-        tx, ty = transform if transform is not None else node.transform
-        sx, sy = fmt_num(tx), fmt_num(ty)
-        wrap = sx != "0" or sy != "0"
-        pad = "  " * indent
-        inner = indent + 1 if wrap else indent
-        if wrap:
-            lines.append(f'{pad}<g transform="translate({sx} {sy})">')
-        if own:
-            lines.append("  " * inner + own)
-        for child in node.children:
-            emit(child, inner)
-        if wrap:
-            lines.append(f"{pad}</g>")
+        lines.append("</defs>")
 
     # the root has no parent, so replacing its translation pins the
     # content box's top-left corner to the viewBox origin
-    emit(scene.root, 1, transform=(
-        -(root.local_left or 0.0), -(root.local_top or 0.0)))
+    shift = (-(root.local_left or 0.0), -(root.local_top or 0.0))
+    kinds = registry.kinds
+    stack: list[str | None] = [scene.root]  # None closes a group
+    while stack:
+        nid = stack.pop()
+        if nid is None:
+            lines.append("</g>")
+            continue
+        node = scene[nid]
+        if node.is_ref:
+            continue
+        tx, ty = shift if node is root else node.transform
+        sx, sy = fmt_num(tx), fmt_num(ty)
+        if sx != "0" or sy != "0":
+            lines.append(f'<g transform="translate({sx} {sy})">')
+            stack.append(None)
+        spec = kinds.get(node.kind)
+        own = spec.paint(node, fmt_num, esc) if spec is not None and spec.paint is not None else ""
+        if own:
+            lines.append(own)
+        stack.extend(reversed(node.children))
     lines.append("</svg>")
     return ("\n".join(lines) + "\n").encode("utf-8")
 
@@ -130,6 +148,8 @@ def dump_scene(scene: ResolvedScene) -> bytes:
     extents, translation, and owner maps; refs appear as edges. The
     ``geometry`` section repeats just the marks' absolute content boxes,
     which is the part equivalent documents must agree on byte for byte.
+    The form is compact (sorted keys, no whitespace, one line), which
+    json's C encoder writes; any indent would send it to the Python one.
     """
     nodes: list[dict] = []
     for nid in scene.order:
@@ -147,7 +167,7 @@ def dump_scene(scene: ResolvedScene) -> bytes:
             "transform": {"x": _round2(node.transform[0]), "y": _round2(node.transform[1])},
             "bboxOwners": node.bbox_owners,
             "transformOwners": node.transform_owners,
-            "children": list(node.children),
+            "children": node.children,
         }
         if node.name is not None:
             entry["name"] = node.name
@@ -163,4 +183,4 @@ def dump_scene(scene: ResolvedScene) -> bytes:
             "height": _round2(height),
         })
     doc = {"root": scene.root, "geometry": geometry, "nodes": nodes}
-    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")

@@ -1,4 +1,4 @@
-"""Digests of everything a compile produces, for byte-identity checks.
+"""Digests of everything a compile produces, for identity checks.
 
 Usage, from the root of the checkout whose compiler should be digested:
 
@@ -9,15 +9,23 @@ the first 400 service-mix, 80 editor-session and 30 bulk-deep documents),
 so pointing ``PYTHONPATH`` at another checkout's ``src`` digests that
 compiler on the same inputs. For every document the digest covers the
 SVG, the scene dump, the rendered diagnostics, the scenegraph's
-``write_log`` and the per-node layout call counts. One sha256 line is
-printed per workload, then one over all three; a change that means to
-keep output identical must print the same lines as its parent.
+``write_log`` and the per-node layout call counts.
+
+Two sets of lines are printed, each one per workload and then one over
+all three. The raw lines digest the output bytes as written; a change
+that means to keep output byte-identical must print the same raw lines as
+its parent. The content lines digest the SVG with each line's leading
+whitespace stripped and the dump re-encoded canonically after
+``json.loads``, so a change of layout whitespace or JSON spelling alone
+keeps them; a change of output format that means to keep content must
+print the same content lines as its parent.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 import sys
 from pathlib import Path
 
@@ -49,28 +57,43 @@ def write_log(data: bytes) -> list[tuple[str, str, str]]:
     return graph.write_log
 
 
-def document_digest(data: bytes) -> bytes:
+def document_digests(data: bytes) -> tuple[bytes, bytes]:
+    """The raw and the content digest of one document's compile."""
     scene, diags = bluefish.compile_source(data)
-    h = hashlib.sha256()
-    h.update("\n".join(d.render() for d in diags).encode())
+    raw, content = hashlib.sha256(), hashlib.sha256()
+
+    def both(part: bytes) -> None:
+        raw.update(part)
+        content.update(part)
+
+    both("\n".join(d.render() for d in diags).encode())
     if scene is not None:
-        h.update(bluefish.paint(scene))
-        h.update(bluefish.dump_scene(scene))
-        h.update(repr(sorted(scene.layout_calls.items())).encode())
-    h.update(repr(write_log(data)).encode())
-    return h.digest()
+        svg, dump = bluefish.paint(scene), bluefish.dump_scene(scene)
+        raw.update(svg)
+        content.update(b"\n".join(line.lstrip() for line in svg.split(b"\n")))
+        raw.update(dump)
+        content.update(json.dumps(json.loads(dump), sort_keys=True, separators=(",", ":")).encode())
+        both(repr(sorted(scene.layout_calls.items())).encode())
+    both(repr(write_log(data)).encode())
+    return raw.digest(), content.digest()
 
 
 def main() -> None:
     print(f"bluefish from {Path(bluefish.__file__).resolve().parent}", file=sys.stderr)
-    combined = hashlib.sha256()
+    lines = {"": {}, "content ": {}}  # label -> workload -> sha256
     for name, count in DOCUMENTS.items():
-        h = hashlib.sha256()
+        raw, content = hashlib.sha256(), hashlib.sha256()
         for doc in itertools.islice(WORKLOADS[name].stream(SEED), count):
-            h.update(document_digest(doc.data))
-        print(f"{name} {h.hexdigest()}")
-        combined.update(h.digest())
-    print(f"combined {combined.hexdigest()}")
+            raw_digest, content_digest = document_digests(doc.data)
+            raw.update(raw_digest)
+            content.update(content_digest)
+        lines[""][name], lines["content "][name] = raw, content
+    for label, by_workload in lines.items():
+        combined = hashlib.sha256()
+        for name, h in by_workload.items():
+            print(f"{label}{name} {h.hexdigest()}")
+            combined.update(h.digest())
+        print(f"{label}combined {combined.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -4,16 +4,28 @@ from __future__ import annotations
 
 import json
 import sys
+import threading
+from decimal import ROUND_HALF_EVEN, Context, Decimal
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bluefish import compile_source, dump_scene, paint, parse_document, print_document
-from bluefish.renderer import esc, fmt_num
+from bluefish.renderer import _round2, esc, fmt_num
 
-from conftest import compile_doc, compile_fixture, errors_of
+from conftest import compile_doc, compile_fixture, errors_of, stack_chain
 
 GOLDEN_RECT = (
     b'<svg viewBox="0 0 10 20" xmlns="http://www.w3.org/2000/svg">\n'
-    b'  <rect fill="black" height="20" width="10" x="0" y="0"/>\n'
+    b'<rect fill="black" height="20" width="10" x="0" y="0"/>\n'
     b"</svg>\n"
+)
+
+GOLDEN_RECT_DUMP = (
+    b'{"geometry":[{"height":20,"kind":"rect","width":10,"x":0,"y":0}],'
+    b'"nodes":[{"bboxOwners":{"height":"n0","left":"n0","top":"n0","width":"n0"},'
+    b'"children":[],"height":20,"id":"n0","kind":"rect","transform":{"x":0,"y":0},'
+    b'"transformOwners":{"x":"n0","y":"n0"},"width":10,"x":0,"y":0}],"root":"n0"}\n'
 )
 
 
@@ -45,6 +57,34 @@ def test_numbers_round_half_even_to_two_digits():
         assert fmt_num(value) == expected, value
 
 
+def _reference_cents(value: float) -> tuple[str, str]:
+    """fmt_num and repr(_round2) as one Decimal quantize of repr(value) gives them."""
+    q = Decimal(repr(value)).quantize(Decimal("0.01"), ROUND_HALF_EVEN, Context(prec=320))
+    text = format(q, "f")
+    if "." in text:
+        text = text.rstrip("0").rstrip(".")
+    f = float(q)
+    return ("0" if text == "-0" else text), repr(int(f) if f.is_integer() else f)
+
+
+@settings(max_examples=1000)
+@given(st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    # thousandths: three-digit reprs, among them every exact tie
+    st.integers(-10**12, 10**12).map(lambda n: n / 1000),
+))
+@example(0.125)
+@example(2.675)
+@example(-7.125)
+@example(0.005)
+@example(1e-9)
+@example(1e16)
+@example(sys.float_info.max)
+@example(-sys.float_info.max)
+def test_numbers_match_a_decimal_quantize_of_their_repr(value):
+    assert (fmt_num(value), repr(_round2(value))) == _reference_cents(value)
+
+
 def test_markup_characters_are_escaped():
     assert esc('a<b & "c">') == "a&lt;b &amp; &quot;c&quot;&gt;"
 
@@ -55,6 +95,35 @@ def test_markup_characters_are_escaped():
 def test_single_rect_golden_bytes():
     scene = _scene({"kind": "rect", "props": {"width": 10, "height": 20}})
     assert paint(scene) == GOLDEN_RECT
+
+
+def test_painting_does_not_recurse_with_depth():
+    # Parsing still recurses (ROADMAP item 3): below the test runner's own
+    # frames a 490-level chain is past the limit, so compile it on the
+    # fresh stack of a new thread.
+    compiled = []
+    worker = threading.Thread(target=lambda: compiled.append(compile_source(stack_chain(490))))
+    worker.start()
+    worker.join()
+    ((scene, diags),) = compiled
+    assert diags == []
+
+    def at_depth(frames: int) -> bytes:
+        return paint(scene) if frames <= 0 else at_depth(frames - 1)
+
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    svg = at_depth(520 - depth)
+    assert svg.count(b"<rect") == 1
+
+
+def test_svg_lines_carry_no_indentation():
+    scene, diags = compile_fixture("connectors")
+    assert errors_of(diags) == []
+    lines = paint(scene).decode().splitlines()
+    assert lines[1] == "<defs>"
+    assert all(line == line.lstrip() for line in lines)
 
 
 def test_painting_twice_is_byte_identical():
@@ -141,6 +210,11 @@ def test_degenerate_connector_paints_nothing():
 
 
 # --- scene dump ----------------------------------------------------------------
+
+
+def test_single_rect_dump_golden_bytes():
+    scene = _scene({"kind": "rect", "props": {"width": 10, "height": 20}})
+    assert dump_scene(scene) == GOLDEN_RECT_DUMP
 
 
 def test_dump_geometry_lists_marks_in_paint_order():
