@@ -20,7 +20,7 @@ from .errors import BluefishError, Diagnostic
 from .geometry import TOLERANCE, Axis, PartialBBox, Translate, bbox_get, bbox_set
 from .relations import ALIGNMENT_FIELDS, MARK_KINDS, ElementKindSpec, measure_text
 from .renderer import dump_scene, paint
-from .scenegraph import ResolvedScene, SceneNode, Scenegraph
+from .scenegraph import ResolvedScene, Scenegraph
 
 __version__ = "0.1.0"
 
@@ -37,7 +37,6 @@ __all__ = [
     "PartialBBox",
     "Registry",
     "ResolvedScene",
-    "SceneNode",
     "Scenegraph",
     "TOLERANCE",
     "Translate",

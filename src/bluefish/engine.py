@@ -115,11 +115,12 @@ def _normalized_props(el: Element, spec: ElementKindSpec) -> dict:
 
 
 def build_scenegraph(tree: Element, names: NameTable, registry: Registry) -> Scenegraph:
-    """Create layout and ref nodes for every element, in document order.
+    """Create layout and ref nodes for every element, in document pre-order.
 
     Background elements grow an extra first child for their mark (the
-    user-supplied one or a plain outlined rect), so paint order falls out
-    of plain pre-order traversal.
+    user-supplied one or a plain outlined rect), created right after the
+    background, so creation order stays pre-order and paint order falls
+    out of plain pre-order traversal.
     """
     graph = Scenegraph()
     node_of_element: dict[int, str] = {}
@@ -145,10 +146,9 @@ def build_scenegraph(tree: Element, names: NameTable, registry: Registry) -> Sce
             if not isinstance(mark, Element):
                 mark = _DEFAULT_BACKGROUND_MARK
             mark_spec = registry.kinds[mark.kind]
-            mark_id = graph.create_node(
+            graph.create_node(
                 mark.kind, nid, paint_props=_normalized_props(mark, mark_spec),
                 path=f"{path}/{mark.kind}(background mark)")
-            graph.background_marks[nid] = mark_id
     return graph
 
 
@@ -191,9 +191,6 @@ class LayoutRuntime:
             if spec.layout is not None:
                 spec.layout(self, nid, node.paint_props)
             self._done.add(nid)
-
-    def background_mark(self, nid: str) -> str:
-        return self.graph.background_marks[nid]
 
     def path_of(self, nid: str) -> str:
         return self.graph.nodes[nid].path

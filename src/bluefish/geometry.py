@@ -90,9 +90,8 @@ def axis_of(field_name: str) -> Axis:
 class PartialBBox:
     """A bounding box with independently optional fields.
 
-    The stored fields on each axis satisfy the axis identities: a box
-    whose fields contradict them raises InconsistentBBox on construction,
-    and ``bbox_set`` is the only writer afterwards.
+    ``bbox_set`` is the only writer, and it checks the axis identities
+    before each write, so the stored fields on each axis satisfy them.
     """
 
     left: float | None = None
@@ -103,10 +102,6 @@ class PartialBBox:
     centerY: float | None = None
     bottom: float | None = None
     height: float | None = None
-
-    def __post_init__(self) -> None:
-        for axis in Axis:
-            _check_axis(_axis_values(self, axis), axis)
 
     def defined(self) -> tuple[str, ...]:
         return tuple(f for f in DIMENSIONS if getattr(self, f) is not None)

@@ -80,6 +80,8 @@ class ElementKindSpec:
     # called as layout(rt, nid, props) once the engine has laid out every
     # child of nid; it places those children and never recurses
     layout: Callable[["LayoutRuntime", str, dict], None] | None = None
+    # called as paint(node, fmt, esc, markers), markers mapping an arrowhead
+    # color to its marker id; returns the node's own markup
     paint: Callable[..., str] | None = None
     expand: Callable[[dict, list], object] | None = None
 
@@ -413,9 +415,8 @@ def layout_group(rt: "LayoutRuntime", nid: str, props: dict) -> None:
 
 
 def layout_background(rt: "LayoutRuntime", nid: str, props: dict) -> None:
-    children = rt.graph.nodes[nid].children
-    mark = rt.background_mark(nid)
-    targets = [rt.graph.target_of(c) for c in children if c != mark]
+    mark, *rest = rt.graph.nodes[nid].children  # build_scenegraph puts the mark first
+    targets = [rt.graph.target_of(c) for c in rest]
     padding = props["padding"]
     for axis in (Axis.HORIZONTAL, Axis.VERTICAL):
         for t in targets:
@@ -519,7 +520,12 @@ def _stroke_attrs(props: dict) -> dict[str, object]:
     return attrs
 
 
-def paint_rect(node, fmt, esc) -> str:
+def arrowhead_color(props: dict) -> str:
+    """The color an arrow's head is filled with; paint defines one marker per color."""
+    return str(props.get("stroke") or "black")
+
+
+def paint_rect(node, fmt, esc, markers) -> str:
     attrs = {"x": node.local_left, "y": node.local_top,
              "width": node.width, "height": node.height}
     attrs.update(_style_attrs(node.paint_props, "fill"))
@@ -529,7 +535,7 @@ def paint_rect(node, fmt, esc) -> str:
     return _tag("rect", attrs, fmt, esc)
 
 
-def paint_circle(node, fmt, esc) -> str:
+def paint_circle(node, fmt, esc, markers) -> str:
     attrs = {"cx": node.local_left + node.width / 2.0,
              "cy": node.local_top + node.height / 2.0,
              "r": min(node.width, node.height) / 2.0}
@@ -538,7 +544,7 @@ def paint_circle(node, fmt, esc) -> str:
     return _tag("circle", attrs, fmt, esc)
 
 
-def paint_ellipse(node, fmt, esc) -> str:
+def paint_ellipse(node, fmt, esc, markers) -> str:
     attrs = {"cx": node.local_left + node.width / 2.0,
              "cy": node.local_top + node.height / 2.0,
              "rx": node.width / 2.0, "ry": node.height / 2.0}
@@ -547,14 +553,14 @@ def paint_ellipse(node, fmt, esc) -> str:
     return _tag("ellipse", attrs, fmt, esc)
 
 
-def paint_path(node, fmt, esc) -> str:
+def paint_path(node, fmt, esc, markers) -> str:
     attrs = {"d": node.paint_props["d"]}
     attrs.update(_style_attrs(node.paint_props, "fill"))
     attrs.update(_stroke_attrs(node.paint_props))
     return _tag("path", attrs, fmt, esc)
 
 
-def paint_text(node, fmt, esc) -> str:
+def paint_text(node, fmt, esc, markers) -> str:
     attrs = {"x": node.local_left, "y": node.local_top,
              "dominant-baseline": "text-before-edge"}
     attrs.update(_style_attrs(node.paint_props, "fill", "fontSize", "fontFamily"))
@@ -562,7 +568,7 @@ def paint_text(node, fmt, esc) -> str:
     return _tag("text", attrs, fmt, esc, body=body)
 
 
-def paint_connector(node, fmt, esc) -> str:
+def paint_connector(node, fmt, esc, markers) -> str:
     segment = node.paint_props.get("segment")
     if segment is None:
         return ""  # degenerate: reported during layout, painted as nothing
@@ -572,9 +578,8 @@ def paint_connector(node, fmt, esc) -> str:
         "fill": "none",
     }
     attrs.update(_stroke_attrs(node.paint_props))
-    marker = node.paint_props.get("markerRef")
-    if marker:
-        attrs["marker-end"] = f"url(#{marker})"
+    if node.paint_props.get("arrow"):
+        attrs["marker-end"] = f"url(#{markers[arrowhead_color(node.paint_props)]})"
     return _tag("path", attrs, fmt, esc)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from decimal import ROUND_CEILING, ROUND_HALF_EVEN, Context, Decimal
 
+from .relations import arrowhead_color
 from .scenegraph import ResolvedScene
 
 SVG_NS = "http://www.w3.org/2000/svg"
@@ -62,8 +63,11 @@ def _ceil2(value: float) -> str:
 
 
 def _round2(value: float) -> float | int:
-    f = float(_cents(float(value)))
-    return int(f) if f.is_integer() else f
+    q = _cents(float(value))
+    f = float(q)
+    # a whole value keeps the digits the SVG writes: int(1e30) would be
+    # the float's binary value, 1000000000000000019884624838656
+    return int(q) if f.is_integer() else f
 
 
 def esc(text: str) -> str:
@@ -72,18 +76,12 @@ def esc(text: str) -> str:
 
 
 def _marker_defs(scene: ResolvedScene) -> dict[str, str]:
-    """Assign one arrowhead marker per stroke color, first seen first.
-
-    The assignment is stored on each arrow's paint props as markerRef;
-    repeat calls see the refs already present and reproduce them.
-    """
+    """Assign one arrowhead marker id per stroke color, first seen first."""
     markers: dict[str, str] = {}
-    for nid in scene.order:
-        node = scene[nid]
-        if node.paint_props.get("arrow") and node.paint_props.get("segment") is not None:
-            color = str(node.paint_props.get("stroke") or "black")
-            ref = markers.setdefault(color, f"arrowhead-{len(markers)}")
-            node.paint_props["markerRef"] = ref
+    for node in scene.nodes.values():
+        props = node.paint_props
+        if props.get("arrow") and props.get("segment") is not None:
+            markers.setdefault(arrowhead_color(props), f"arrowhead-{len(markers)}")
     return markers
 
 
@@ -94,9 +92,10 @@ def paint(scene: ResolvedScene, registry=None) -> bytes:
     viewBox; every node becomes a translated group around its own markup
     (painted by its kind's paint function) and its children, pre-order.
     Identity translations are elided. Refs emit nothing: the referent
-    already paints at its own position in the hierarchy. Each element
-    takes one unindented line, so bytes do not grow with depth, and the
-    walk keeps its own stack, so neither does the call stack.
+    already paints at its own position in the hierarchy. Painting only
+    reads the scene. Each element takes one unindented line, so bytes do
+    not grow with depth, and the walk keeps its own stack, so neither
+    does the call stack.
     """
     if registry is None:
         from .engine import standard_registry
@@ -127,13 +126,13 @@ def paint(scene: ResolvedScene, registry=None) -> bytes:
         node = scene[nid]
         if node.is_ref:
             continue
-        tx, ty = shift if node is root else node.transform
+        tx, ty = shift if node is root else (node.transform.x, node.transform.y)
         sx, sy = fmt_num(tx), fmt_num(ty)
         if sx != "0" or sy != "0":
             lines.append(f'<g transform="translate({sx} {sy})">')
             stack.append(None)
         spec = kinds.get(node.kind)
-        own = spec.paint(node, fmt_num, esc) if spec is not None and spec.paint is not None else ""
+        own = spec.paint(node, fmt_num, esc, markers) if spec is not None and spec.paint is not None else ""
         if own:
             lines.append(own)
         stack.extend(reversed(node.children))
@@ -144,7 +143,7 @@ def paint(scene: ResolvedScene, registry=None) -> bytes:
 def dump_scene(scene: ResolvedScene) -> bytes:
     """Canonical JSON form of a resolved scene.
 
-    ``nodes`` lists every node pre-order with absolute frame origin,
+    ``nodes`` lists every node in scene order with absolute frame origin,
     extents, translation, and owner maps; refs appear as edges. The
     ``geometry`` section repeats just the marks' absolute content boxes,
     which is the part equivalent documents must agree on byte for byte.
@@ -152,19 +151,18 @@ def dump_scene(scene: ResolvedScene) -> bytes:
     json's C encoder writes; any indent would send it to the Python one.
     """
     nodes: list[dict] = []
-    for nid in scene.order:
-        node = scene[nid]
+    for node in scene.nodes.values():
         if node.is_ref:
-            nodes.append({"id": nid, "kind": "ref", "refId": node.ref_id})
+            nodes.append({"id": node.id, "kind": "ref", "refId": node.ref_id})
             continue
         entry: dict[str, object] = {
-            "id": nid,
+            "id": node.id,
             "kind": node.kind,
             "x": _round2(node.x),
             "y": _round2(node.y),
             "width": _round2(node.width),
             "height": _round2(node.height),
-            "transform": {"x": _round2(node.transform[0]), "y": _round2(node.transform[1])},
+            "transform": {"x": _round2(node.transform.x), "y": _round2(node.transform.y)},
             "bboxOwners": node.bbox_owners,
             "transformOwners": node.transform_owners,
             "children": node.children,

@@ -16,14 +16,17 @@ itself a layout decision that must be owned. Once materialized, a
 component never changes (same single-write rule as bbox fields).
 
 Nothing here is shared or global: each Scenegraph instance is confined
-to its creating pipeline run, and all mutation goes through the methods
-below, which record every write in ``write_log``.
+to its creating pipeline run, and every layout decision goes through the
+methods below, which record each write in ``write_log``. ``resolve`` then
+stores the absolute origins those decisions imply on the same node
+records, which the resolved scene reads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .errors import (
     DimensionConflict,
@@ -48,6 +51,15 @@ from .geometry import (
 
 @dataclass
 class LayoutNode:
+    """One layout node, the same record from build through layout to output.
+
+    ``x``/``y`` are the node's frame origin in root coordinates (the sum
+    of translations from the root down to and including this node), set
+    by ``Scenegraph.resolve``. Extents and the local box start are read
+    from the box; the local start may differ from the origin for
+    relations whose content does not begin at 0.
+    """
+
     id: str
     kind: str
     bbox: PartialBBox = field(default_factory=PartialBBox)
@@ -60,76 +72,80 @@ class LayoutNode:
     name: str | None = None
     path: str = ""
     depth: int = 0  # edges from the root; frame conversion climbs by it
+    x: float = 0.0
+    y: float = 0.0
+
+    is_ref = False
+
+    @property
+    def width(self) -> float | None:
+        return bbox_get(self.bbox, "width")
+
+    @property
+    def height(self) -> float | None:
+        return bbox_get(self.bbox, "height")
+
+    @property
+    def local_left(self) -> float | None:
+        return bbox_get(self.bbox, "left")
+
+    @property
+    def local_top(self) -> float | None:
+        return bbox_get(self.bbox, "top")
+
+    def content_box(self) -> tuple[float, float, float, float]:
+        """Absolute (left, top, width, height) of the node's content."""
+        left, top = self.local_left, self.local_top
+        return (self.x + (left if left is not None else 0.0),
+                self.y + (top if top is not None else 0.0), self.width, self.height)
 
 
 @dataclass
 class RefNode:
+    """An edge to an earlier layout node; in a scene, a leaf that paints nothing."""
+
     id: str
     ref_id: str
     parent: str | None = None
     path: str = ""
 
-
-@dataclass
-class SceneNode:
-    """One node of a resolved scene, in absolute coordinates.
-
-    ``x``/``y`` are the node's frame origin in root coordinates (the sum
-    of translations from the root down to and including this node);
-    ``width``/``height`` its extent. The local box start may differ from
-    the origin for relations whose content does not begin at 0.
-    """
-
-    id: str
-    kind: str
-    name: str | None
-    parent: str | None
-    children: tuple[str, ...]
-    path: str
-    x: float
-    y: float
-    width: float
-    height: float
-    transform: tuple[float, float]
-    local_left: float | None
-    local_top: float | None
-    bbox_owners: dict[str, str]
-    transform_owners: dict[str, str]
-    paint_props: dict
-    ref_id: str | None = None
-
-    @property
-    def is_ref(self) -> bool:
-        return self.ref_id is not None
-
-    def content_box(self) -> tuple[float, float, float, float]:
-        """Absolute (left, top, width, height) of the node's content."""
-        left = self.x + (self.local_left if self.local_left is not None else 0.0)
-        top = self.y + (self.local_top if self.local_top is not None else 0.0)
-        return (left, top, self.width, self.height)
+    kind = "ref"
+    is_ref = True
+    name = None
+    children = ()
+    paint_props = MappingProxyType({})
 
 
 @dataclass
 class ResolvedScene:
+    """A finalized graph read as a scene: the graph's own node records.
+
+    ``nodes`` is the graph's dict, in creation order, which puts every
+    parent before its children; ``build_scenegraph`` creates nodes in
+    document pre-order, so for a built document ``order`` is pre-order.
+    """
+
     root: str
-    nodes: dict[str, SceneNode]
-    order: tuple[str, ...]  # pre-order
+    nodes: dict[str, LayoutNode | RefNode]
     layout_calls: dict[str, int] = field(default_factory=dict)
 
-    def __getitem__(self, node_id: str) -> SceneNode:
+    @property
+    def order(self) -> tuple[str, ...]:
+        return tuple(self.nodes)
+
+    def __getitem__(self, node_id: str) -> LayoutNode | RefNode:
         return self.nodes[node_id]
 
-    def by_name(self, name: str) -> SceneNode:
-        for nid in self.order:
-            node = self.nodes[nid]
-            if not node.is_ref and node.name == name:
+    def by_name(self, name: str) -> LayoutNode:
+        for node in self.nodes.values():
+            if node.name == name:  # refs have no name
                 return node
         raise KeyError(name)
 
-    def marks(self) -> list[SceneNode]:
+    def marks(self) -> list[LayoutNode]:
         from .relations import MARK_KINDS  # local import; relations builds on this module
 
-        return [self.nodes[nid] for nid in self.order if self.nodes[nid].kind in MARK_KINDS]
+        return [node for node in self.nodes.values() if node.kind in MARK_KINDS]
 
 
 class Scenegraph:
@@ -137,7 +153,6 @@ class Scenegraph:
         self.nodes: dict[str, LayoutNode | RefNode] = {}
         self.root: str | None = None
         self.write_log: list[tuple[str, str, str]] = []  # (node, field, writer)
-        self.background_marks: dict[str, str] = {}  # background node -> its mark child
         self._counter = 0
 
     # --- construction -------------------------------------------------------
@@ -349,8 +364,7 @@ class Scenegraph:
         extents are an error, collected per node into UnsizedNodes.
         """
         assert self.root is not None
-        nodes = [self.nodes[nid] for nid in self.preorder()]
-        layout_nodes = [node for node in nodes if isinstance(node, LayoutNode)]
+        layout_nodes = [node for node in self.nodes.values() if isinstance(node, LayoutNode)]
         for node in layout_nodes:
             for axis in (Axis.HORIZONTAL, Axis.VERTICAL):
                 self.materialize(node, axis, self.root)
@@ -360,56 +374,24 @@ class Scenegraph:
         if unsized:
             raise UnsizedNodes(unsized)
 
-    def preorder(self) -> tuple[str, ...]:
-        assert self.root is not None
-        out: list[str] = []
-        stack = [self.root]
-        while stack:
-            nid = stack.pop()
-            out.append(nid)
-            node = self.nodes[nid]
-            if isinstance(node, LayoutNode):
-                stack.extend(reversed(node.children))
-        return tuple(out)
-
     def resolve(self) -> ResolvedScene:
-        """Materialized absolute view of a finalized graph."""
+        """Store each layout node's absolute origin; the scene reads the nodes.
+
+        Creation order puts a parent before its children, so one pass in
+        that order finds every parent's origin already stored.
+        """
         assert self.root is not None
-        order = self.preorder()
-        origins: dict[str, tuple[float, float]] = {}
-        scene: dict[str, SceneNode] = {}
-        for nid in order:
-            node = self.nodes[nid]
+        nodes = self.nodes
+        for node in nodes.values():
             if isinstance(node, RefNode):
-                scene[nid] = SceneNode(
-                    id=nid, kind="ref", name=None, parent=node.parent, children=(),
-                    path=node.path, x=0.0, y=0.0, width=0.0, height=0.0,
-                    transform=(0.0, 0.0), local_left=None, local_top=None,
-                    bbox_owners={}, transform_owners={}, paint_props={},
-                    ref_id=node.ref_id)
                 continue
-            tx = node.transform.x if node.transform.x is not None else 0.0
-            ty = node.transform.y if node.transform.y is not None else 0.0
-            if node.parent is None:
-                ox, oy = tx, ty
-            else:
-                px, py = origins[node.parent]
-                ox, oy = px + tx, py + ty
-                if not math.isfinite(ox):
-                    raise GeometryOverflow(nid, "x", ox)
-                if not math.isfinite(oy):
-                    raise GeometryOverflow(nid, "y", oy)
-            origins[nid] = (ox, oy)
-            scene[nid] = SceneNode(
-                id=nid, kind=node.kind, name=node.name, parent=node.parent,
-                children=tuple(node.children), path=node.path,
-                x=ox, y=oy,
-                width=bbox_get(node.bbox, "width") or 0.0,
-                height=bbox_get(node.bbox, "height") or 0.0,
-                transform=(tx, ty),
-                local_left=bbox_get(node.bbox, "left"),
-                local_top=bbox_get(node.bbox, "top"),
-                bbox_owners=dict(node.bbox_owners),
-                transform_owners=dict(node.transform_owners),
-                paint_props=dict(node.paint_props))
-        return ResolvedScene(root=self.root, nodes=scene, order=order)
+            x, y = node.transform.x, node.transform.y
+            if node.parent is not None:
+                parent = nodes[node.parent]
+                x, y = parent.x + x, parent.y + y
+                if not math.isfinite(x):
+                    raise GeometryOverflow(node.id, "x", x)
+                if not math.isfinite(y):
+                    raise GeometryOverflow(node.id, "y", y)
+            node.x, node.y = x, y
+        return ResolvedScene(root=self.root, nodes=nodes)

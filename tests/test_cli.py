@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import json
 import shutil
+import sys
 from pathlib import Path
+
+import pytest
 
 from bluefish import compile_source
 from bluefish.cli import _use_color, main
@@ -89,13 +92,19 @@ def test_check_rejects_overflowing_geometry_without_a_traceback(tmp_path, capsys
     assert "Traceback" not in err
 
 
-def test_render_dumps_coordinates_beyond_28_digits(tmp_path):
+@pytest.mark.parametrize(("width", "digits"), [
+    (1e30, "1" + "0" * 30),
+    (sys.float_info.max, "17976931348623157" + "0" * 292),
+])
+def test_render_dumps_coordinates_beyond_28_digits(tmp_path, width, digits):
     source = _write_doc(tmp_path, {"bluefish": 1, "root": {
-        "kind": "rect", "props": {"width": 1e30, "height": 1}}})
+        "kind": "rect", "props": {"width": width, "height": 1}}})
     assert main(["render", str(source), "--dump"]) == 0
-    assert 'width="1000000000000000000000000000000"' in source.with_suffix(".svg").read_text()
+    assert f'width="{digits}"' in source.with_suffix(".svg").read_text()
     dump = json.loads(source.with_suffix(".scene.json").read_text())
-    assert dump["geometry"][0]["width"] == 1e30
+    # the dump's integer is the SVG's spelling, not the float's binary value
+    assert dump["geometry"][0]["width"] == int(digits)
+    assert float(dump["geometry"][0]["width"]) == width
 
 
 def test_missing_input_is_an_io_error(tmp_path, capsys):

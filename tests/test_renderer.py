@@ -2,18 +2,20 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import sys
 import threading
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bluefish import compile_source, dump_scene, paint, parse_document, print_document
 from bluefish.renderer import _round2, esc, fmt_num
 
-from conftest import compile_doc, compile_fixture, errors_of, stack_chain
+from conftest import FIXTURES, compile_doc, compile_fixture, errors_of, stack_chain
 
 GOLDEN_RECT = (
     b'<svg viewBox="0 0 10 20" xmlns="http://www.w3.org/2000/svg">\n'
@@ -64,7 +66,7 @@ def _reference_cents(value: float) -> tuple[str, str]:
     if "." in text:
         text = text.rstrip("0").rstrip(".")
     f = float(q)
-    return ("0" if text == "-0" else text), repr(int(f) if f.is_integer() else f)
+    return ("0" if text == "-0" else text), repr(int(q) if f.is_integer() else f)
 
 
 @settings(max_examples=1000)
@@ -130,6 +132,18 @@ def test_painting_twice_is_byte_identical():
     scene, diags = compile_fixture("connectors")
     assert errors_of(diags) == []
     assert paint(scene) == paint(scene)
+
+
+@pytest.mark.parametrize("fixture", sorted(
+    p.stem for p in FIXTURES.glob("*.json") if p.stem != "conflict_two_aligns"))
+def test_painting_only_reads_the_scene(fixture):
+    scene, diags = compile_fixture(fixture)
+    assert errors_of(diags) == []
+    props = {nid: copy.deepcopy(dict(node.paint_props)) for nid, node in scene.nodes.items()}
+    dump = dump_scene(scene)
+    paint(scene)
+    assert {nid: dict(node.paint_props) for nid, node in scene.nodes.items()} == props
+    assert dump_scene(scene) == dump
 
 
 def test_identity_translations_are_elided():

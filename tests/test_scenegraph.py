@@ -8,7 +8,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bluefish import Axis, Scenegraph
+from bluefish import (
+    Axis,
+    Scenegraph,
+    build_scenegraph,
+    compile_source,
+    expand_tree,
+    parse_document,
+    resolve_names,
+    standard_registry,
+)
 from bluefish.errors import (
     DimensionConflict,
     DisconnectedNodes,
@@ -19,6 +28,8 @@ from bluefish.errors import (
     UnknownParent,
     UnsizedNodes,
 )
+
+from conftest import FIXTURES
 
 
 def _rect(g: Scenegraph, parent: str | None, w: float, h: float) -> str:
@@ -312,3 +323,32 @@ def test_origins_beyond_the_float_range_overflow_in_resolve():
     with pytest.raises(GeometryOverflow) as excinfo:
         g.resolve()
     assert (excinfo.value.node, excinfo.value.field) == (inner, "x")
+
+
+# --- creation order -------------------------------------------------------------
+
+
+def _preorder(nodes: dict, root: str) -> tuple[str, ...]:
+    out: list[str] = []
+    stack = [root]
+    while stack:
+        nid = stack.pop()
+        out.append(nid)
+        stack.extend(reversed(nodes[nid].children))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("fixture", sorted(p.stem for p in FIXTURES.glob("*.json")))
+def test_built_graphs_and_scenes_are_in_preorder(fixture):
+    # background_ref_arrow mixes a background, refs and an arrow
+    data = (FIXTURES / f"{fixture}.json").read_bytes()
+    registry = standard_registry()
+    tree = expand_tree(parse_document(data), registry)
+    table, _ = resolve_names(tree)
+    graph = build_scenegraph(tree, table, registry)
+    assert tuple(graph.nodes) == _preorder(graph.nodes, graph.root)
+    scene, _ = compile_source(data)
+    if fixture == "conflict_two_aligns":
+        assert scene is None
+    else:
+        assert scene.order == _preorder(scene.nodes, scene.root)
