@@ -24,7 +24,6 @@ from .errors import (
     DIMENSION_CONFLICT,
     ERROR,
     GEOMETRY_OVERFLOW,
-    INCONSISTENT_BBOX,
     INVALID_EXTENT,
     SCHEMA_ERROR,
     SELF_REFERENCE,
@@ -37,7 +36,6 @@ from .errors import (
     DocumentSyntaxError,
     DuplicateKind,
     GeometryOverflow,
-    InconsistentBBox,
     InvalidExtent,
     SchemaError,
     SelfReference,
@@ -221,8 +219,6 @@ def _layout_error_diagnostic(graph: Scenegraph, exc: BluefishError) -> Diagnosti
             (_path(graph, exc.node),))
     if isinstance(exc, InvalidExtent):
         return Diagnostic(INVALID_EXTENT, str(exc), (_path(graph, exc.node),))
-    if isinstance(exc, InconsistentBBox):
-        return Diagnostic(INCONSISTENT_BBOX, str(exc), (_path(graph, exc.node),))
     if isinstance(exc, GeometryOverflow):
         return Diagnostic(
             GEOMETRY_OVERFLOW,

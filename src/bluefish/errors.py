@@ -25,7 +25,7 @@ REF_TO_REF = "BF010"  # reserved, no longer emitted
 DUPLICATE_NAME = "BF011"
 UNDEFINED_EXTENT = "BF012"
 INVALID_EXTENT = "BF013"
-INCONSISTENT_BBOX = "BF014"
+INCONSISTENT_BBOX = "BF014"  # reserved, no longer emitted
 UNDEFINED_TRANSFORM = "BF015"  # reserved, no longer emitted
 GEOMETRY_OVERFLOW = "BF016"
 
@@ -103,13 +103,6 @@ class GeometryOverflow(GeometryError):
         self.field = field_name
         self.value = value
         super().__init__(f"{field_name!r} of node {node!r} overflows the float range: {value!r}")
-
-
-class InconsistentBBox(GeometryError):
-    def __init__(self, axis: str, detail: str, node: str | None = None):
-        self.axis = axis
-        self.node = node
-        super().__init__(f"bbox fields on the {axis} axis disagree: {detail}")
 
 
 # --- scenegraph -------------------------------------------------------------

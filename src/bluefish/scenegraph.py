@@ -79,19 +79,19 @@ class LayoutNode:
 
     @property
     def width(self) -> float | None:
-        return bbox_get(self.bbox, "width")
+        return self.bbox.width
 
     @property
     def height(self) -> float | None:
-        return bbox_get(self.bbox, "height")
+        return self.bbox.height
 
     @property
     def local_left(self) -> float | None:
-        return bbox_get(self.bbox, "left")
+        return self.bbox.left
 
     @property
     def local_top(self) -> float | None:
-        return bbox_get(self.bbox, "top")
+        return self.bbox.top
 
     def content_box(self) -> tuple[float, float, float, float]:
         """Absolute (left, top, width, height) of the node's content."""
@@ -226,8 +226,7 @@ class Scenegraph:
 
     def extent_of(self, node_id: str, axis: Axis) -> float | None:
         """Extent on an axis. Frame-independent, so no materialization."""
-        node = self._layout(node_id)
-        return bbox_get(node.bbox, axis.extent_field)
+        return getattr(self._layout(node_id).bbox, axis.extent_field)
 
     # --- transforms -----------------------------------------------------------
 
@@ -306,16 +305,17 @@ class Scenegraph:
         """Write one dimension of target, with value given in frame coordinates.
 
         Extents are frame-independent and go straight into the target's
-        bbox, as does any write in the target's own frame: both define
-        what the node *is*. A position written from any other frame
-        decides where the node *sits* and becomes its translation on the
-        axis (relations move nodes, they do not reshape them). When the
-        target stores no position on the axis its content sits at the
-        local origin by default (the same default finalize applies), so
-        the local value is derived from the extent alone. Either way the
-        written dimension gets ``writer`` as its owner, and writing over
-        a differently-owned dimension raises DimensionConflict naming
-        both owners.
+        bbox, as does a start written in the target's own frame: both
+        define what the node *is* (the box stores nothing else, so a
+        centre or end in the own frame raises ValueError). A position
+        written from any other frame decides where the node *sits* and
+        becomes its translation on the axis (relations move nodes, they
+        do not reshape them). When the target stores no start on the
+        axis its content sits at the local origin by default (the same
+        default finalize applies), so the local value is derived from
+        the extent alone. Either way the written dimension gets
+        ``writer`` as its owner, and writing over a differently-owned
+        dimension raises DimensionConflict naming both owners.
         """
         node = self._layout(target)
         axis = axis_of(field_name)
@@ -330,21 +330,17 @@ class Scenegraph:
         back = 0.0
         for n in down:
             back += self.materialize(n, axis, writer)
-        local = bbox_get(node.bbox, field_name)
-        if local is None:
-            stored = any(
-                bbox_get(node.bbox, f) is not None for f in axis.position_fields)
-            extent = bbox_get(node.bbox, axis.extent_field)
-            if stored or (extent is None and field_name != axis.start_field):
-                # a stored position plus an unknown extent (or neither)
-                # leaves the requested field unrelatable to the content
-                raise UndefinedExtentError(target, field_name)
-            if field_name == axis.start_field:
-                local = 0.0
-            elif field_name == axis.center_field:
-                local = extent / 2.0
-            else:
-                local = extent
+        start = getattr(node.bbox, axis.start_field)
+        extent = getattr(node.bbox, axis.extent_field)
+        if field_name == axis.start_field:
+            local = 0.0 if start is None else start
+        elif extent is None:
+            # a centre or end with no extent is unrelatable to the content
+            raise UndefinedExtentError(target, field_name)
+        elif field_name == axis.center_field:
+            local = extent / 2.0 if start is None else start + extent / 2.0
+        else:
+            local = extent if start is None else start + extent
         implied = ((value - local) - rest) + back
         current = getattr(node.transform, axis.component)
         if current is None:
@@ -370,7 +366,7 @@ class Scenegraph:
                 self.materialize(node, axis, self.root)
         unsized = tuple(
             node.id for node in layout_nodes
-            if bbox_get(node.bbox, "width") is None or bbox_get(node.bbox, "height") is None)
+            if node.bbox.width is None or node.bbox.height is None)
         if unsized:
             raise UnsizedNodes(unsized)
 

@@ -9,15 +9,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bluefish import TOLERANCE, PartialBBox, bbox_get, bbox_set
-from bluefish.errors import DimensionConflict, GeometryOverflow, InconsistentBBox, InvalidExtent
+from bluefish.errors import DimensionConflict, GeometryOverflow, InvalidExtent
 from bluefish.geometry import axis_of
 
-from oracles import solve_axis
+from oracles import X_FIELDS, Y_FIELDS, solve_axis
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 extents = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
-
-X_FIELDS = ("left", "centerX", "right", "width")
 
 
 def _bbox_of(fields: dict[str, float]) -> PartialBBox:
@@ -40,10 +38,6 @@ def test_right_derives_from_left_and_width():
     assert bbox_get(_bbox_of({"left": 10.0, "width": 20.0}), "right") == 30.0
 
 
-def test_left_derives_from_center_and_width():
-    assert bbox_get(_bbox_of({"centerX": 0.0, "width": 30.0}), "left") == -15.0
-
-
 def test_single_field_underdetermines_the_axis():
     bbox = _bbox_of({"left": 5.0})
     assert bbox_get(bbox, "left") == 5.0
@@ -60,8 +54,9 @@ def test_axes_never_interact():
 def test_derived_values_are_not_stored():
     bbox = _bbox_of({"left": 10.0, "width": 20.0})
     assert bbox_get(bbox, "centerX") == 20.0
-    assert bbox.defined() == ("left", "width")
-    assert bbox.centerX is None
+    assert bbox_get(bbox, "right") == 30.0
+    assert bbox == PartialBBox(left=10.0, width=20.0)
+    assert not hasattr(bbox, "centerX")
 
 
 def test_unknown_field_rejected():
@@ -69,31 +64,13 @@ def test_unknown_field_rejected():
         axis_of("diagonal")
 
 
-@given(start=finite, extent=extents, data=st.data())
-def test_any_pair_determines_the_axis(start, extent, data):
-    full = {"left": start, "centerX": start + extent / 2.0,
-            "right": start + extent, "width": extent}
-    pair = data.draw(st.sets(st.sampled_from(X_FIELDS), min_size=2, max_size=2))
-    known = {f: full[f] for f in pair}
+@given(start=finite, extent=extents, fields=st.sampled_from((X_FIELDS, Y_FIELDS)))
+def test_derivations_match_the_pairwise_solver(start, extent, fields):
+    start_f, _, _, extent_f = fields
+    known = {start_f: start, extent_f: extent}
     bbox = _bbox_of(known)
-    expected = solve_axis(known)
-    assert expected is not None
-    for f in X_FIELDS:
-        got = bbox_get(bbox, f)
-        assert got is not None
-        assert math.isclose(got, expected[f], rel_tol=1e-9, abs_tol=1e-9)
-
-
-@given(start=finite, extent=extents, data=st.data())
-def test_derivations_match_the_pairwise_solver(start, extent, data):
-    full = {"left": start, "centerX": start + extent / 2.0,
-            "right": start + extent, "width": extent}
-    count = data.draw(st.integers(min_value=2, max_value=4))
-    chosen = data.draw(st.permutations(X_FIELDS))[:count]
-    known = {f: full[f] for f in chosen}
-    bbox = _bbox_of(known)
-    expected = solve_axis(known)
-    for f in X_FIELDS:
+    expected = solve_axis(known, "x" if fields == X_FIELDS else "y")
+    for f in fields:
         assert math.isclose(bbox_get(bbox, f), expected[f], rel_tol=1e-9, abs_tol=1e-9)
 
 
@@ -142,46 +119,19 @@ def test_non_finite_value_rejected():
     assert (caught.value.node, caught.value.field, caught.value.value) == ("n3", "width", math.inf)
 
 
-def test_inconsistent_axis_rejected_on_write():
-    bbox = _bbox_of({"left": 0.0, "right": 10.0})
-    with pytest.raises(InconsistentBBox):
-        bbox_set(bbox, {"left": "w", "right": "w"}, "width", 50.0, "other")
-
-
-def test_inconsistent_write_names_the_node():
-    bbox = _bbox_of({"left": 0.0, "right": 10.0})
-    with pytest.raises(InconsistentBBox) as caught:
-        bbox_set(bbox, {"left": "w", "right": "w"}, "width", 50.0, "other", node="n3")
-    assert caught.value.node == "n3"
-
-
-def test_implied_negative_extent_rejected():
-    bbox = _bbox_of({"left": 10.0})
-    with pytest.raises(InconsistentBBox):
-        bbox_set(bbox, {"left": "w"}, "right", 0.0, "w")
-
-
-@given(value=finite, other=finite)
-def test_every_field_is_write_once(value, other):
-    bbox, owners = _written("centerY", value, "a")
+@given(field_name=st.sampled_from(("left", "width", "top", "height")), value=extents, other=extents)
+def test_every_field_is_write_once(field_name, value, other):
+    bbox, owners = _written(field_name, value, "a")
     with pytest.raises(DimensionConflict):
-        bbox_set(bbox, owners, "centerY", other, "b")
-
-
-@given(start=finite, extent=st.floats(min_value=1.0, max_value=1e6),
-       nudge=st.floats(min_value=1e-3, max_value=1e3))
-def test_contradictory_third_field_is_inconsistent(start, extent, nudge):
-    bbox = _bbox_of({"left": start, "width": extent})
-    bad_right = (start + extent) + nudge
-    with pytest.raises(InconsistentBBox):
-        bbox_set(bbox, {"left": "w", "width": "w"}, "right", bad_right, "w")
+        bbox_set(bbox, owners, field_name, other, "b")
 
 
 @pytest.mark.parametrize("field_name, value, writer, error", [
     ("width", math.nan, "w", GeometryOverflow),
     ("height", -1.0, "w", InvalidExtent),
     ("left", 0.0, "second", DimensionConflict),
-    ("right", 25.0, "w", InconsistentBBox),
+    ("centerX", 10.0, "w", ValueError),  # a box stores no centre or end
+    ("right", 25.0, "w", ValueError),
 ])
 def test_rejected_write_changes_nothing(field_name, value, writer, error):
     bbox, owners = PartialBBox(), {}
@@ -192,3 +142,4 @@ def test_rejected_write_changes_nothing(field_name, value, writer, error):
         bbox_set(bbox, owners, field_name, value, writer, node="n1")
     assert bbox == before_box
     assert owners == before_owners
+
