@@ -43,7 +43,7 @@ from .errors import (
     UnsizedNodes,
 )
 from .relations import ElementKindSpec, standard_kind_specs
-from .scenegraph import RefNode, ResolvedScene, Scenegraph
+from .scenegraph import LayoutNode, RefNode, ResolvedScene, Scenegraph
 
 _MAX_EXPANSIONS = 32
 
@@ -121,7 +121,7 @@ def build_scenegraph(tree: Element, names: NameTable, registry: Registry) -> Sce
     out of plain pre-order traversal.
     """
     graph = Scenegraph()
-    node_of_element: dict[int, str] = {}
+    node_of_element: dict[int, LayoutNode] = {}
     for index, (el, path, parent_index) in enumerate(docformat.walk(tree)):
         parent = None if parent_index is None else node_of_element[parent_index]
         if el.kind == "ref":
@@ -132,20 +132,20 @@ def build_scenegraph(tree: Element, names: NameTable, registry: Registry) -> Sce
             try:
                 graph.create_ref(parent, referent, path=path)
             except SelfReference:
-                raise SelfReference(path, graph.nodes[referent].path) from None
+                raise SelfReference(parent.path, referent.path, ref=path) from None
             continue
         spec = registry.kinds[el.kind]
-        nid = graph.create_node(
+        node = graph.create_node(
             el.kind, parent, paint_props=_normalized_props(el, spec),
             name=el.name, path=path)
-        node_of_element[index] = nid
+        node_of_element[index] = node
         if el.kind == "background":
             mark = el.props.get("background")
             if not isinstance(mark, Element):
                 mark = _DEFAULT_BACKGROUND_MARK
             mark_spec = registry.kinds[mark.kind]
             graph.create_node(
-                mark.kind, nid, paint_props=_normalized_props(mark, mark_spec),
+                mark.kind, node, paint_props=_normalized_props(mark, mark_spec),
                 path=f"{path}/{mark.kind}(background mark)")
     return graph
 
@@ -170,28 +170,25 @@ class LayoutRuntime:
         order, so every layout function finds its children (and, through
         refs, their referents) already laid out and never recurses.
         """
-        stack: list[tuple[str, bool]] = [(nid, False)]
+        nodes = self.graph.nodes
+        stack: list[tuple[LayoutNode | RefNode, bool]] = [(nodes[nid], False)]
         while stack:
-            nid, children_done = stack.pop()
-            node = self.graph.nodes[nid]
-            if isinstance(node, RefNode):
+            node, children_done = stack.pop()
+            if node.is_ref:
                 # referents precede their refs in document order, so by
                 # the time the walk reaches a ref the target is done
                 assert node.ref_id in self._done, "ref reached before its referent"
                 continue
             if not children_done:
-                assert nid not in self._done, f"layout invoked twice for {nid}"
-                self.calls[nid] = self.calls.get(nid, 0) + 1
-                stack.append((nid, True))
-                stack.extend((child, False) for child in reversed(node.children))
+                assert node.id not in self._done, f"layout invoked twice for {node.id}"
+                self.calls[node.id] = self.calls.get(node.id, 0) + 1
+                stack.append((node, True))
+                stack.extend((nodes[child], False) for child in reversed(node.children))
                 continue
             spec = self.registry.kinds[node.kind]
             if spec.layout is not None:
-                spec.layout(self, nid, node.paint_props)
-            self._done.add(nid)
-
-    def path_of(self, nid: str) -> str:
-        return self.graph.nodes[nid].path
+                spec.layout(self, node, node.paint_props)
+            self._done.add(node.id)
 
     def warn(self, diag: Diagnostic) -> None:
         self.warnings.append(diag)
@@ -276,6 +273,6 @@ def compile_source(data: bytes | str, registry: Registry | None = None) -> tuple
     try:
         graph = build_scenegraph(tree, table, registry)
     except SelfReference as exc:
-        return None, diags + [Diagnostic(SELF_REFERENCE, str(exc), (exc.node, exc.referent))]
+        return None, diags + [Diagnostic(SELF_REFERENCE, str(exc), (exc.ref, exc.referent))]
     scene, layout_diags = layout_document(graph, registry)
     return scene, diags + layout_diags

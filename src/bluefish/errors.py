@@ -112,22 +112,18 @@ class ScenegraphError(BluefishError):
     pass
 
 
-class UnknownNode(ScenegraphError):
-    def __init__(self, node_id: str):
-        self.node = node_id
-        super().__init__(f"no node with id {node_id!r}")
-
-
-class UnknownParent(ScenegraphError):
-    def __init__(self, parent_id: str):
-        self.node = parent_id
-        super().__init__(f"parent node {parent_id!r} does not exist")
-
-
 class SelfReference(ScenegraphError):
-    def __init__(self, ref_parent: str, referent: str):
+    """A ref points at the relation that holds it or at an ancestor of it.
+
+    ``node`` is the ref's parent and ``referent`` its target. ``ref``
+    names the ref itself where the caller knows it; the graph raises
+    before it creates the ref, so it has none to give.
+    """
+
+    def __init__(self, ref_parent: str, referent: str, ref: str | None = None):
         self.node = ref_parent
         self.referent = referent
+        self.ref = ref
         super().__init__(
             f"ref under {ref_parent!r} points at {referent!r}, which would "
             f"make the relation contain itself"

@@ -37,6 +37,7 @@ from .geometry import TOLERANCE, Axis
 
 if TYPE_CHECKING:
     from .engine import LayoutRuntime
+    from .scenegraph import LayoutNode
 
 MARK_KINDS = frozenset({"rect", "circle", "ellipse", "path", "text"})
 BACKGROUND_MARK_KINDS = frozenset({"rect", "circle", "ellipse"})
@@ -77,9 +78,11 @@ class ElementKindSpec:
     is_mark: bool = False
     min_children: int | None = None
     exact_children: int | None = None
-    # called as layout(rt, nid, props) once the engine has laid out every
-    # child of nid; it places those children and never recurses
-    layout: Callable[["LayoutRuntime", str, dict], None] | None = None
+    # called as layout(rt, node, props) with node's LayoutNode once the
+    # engine has laid out every child of it; it places those children
+    # (rt.graph.target_of gives a child's record, through refs) and never
+    # recurses
+    layout: Callable[["LayoutRuntime", "LayoutNode", dict], None] | None = None
     # called as paint(node, fmt, esc, markers), markers mapping an arrowhead
     # color to its marker id; returns the node's own markup
     paint: Callable[..., str] | None = None
@@ -176,71 +179,69 @@ def path_control_points(d: str) -> list[tuple[float, float]]:
 # --- mark layout ----------------------------------------------------------------
 
 
-def _set_own(rt: "LayoutRuntime", nid: str, **fields: float) -> None:
+def _set_own(rt: "LayoutRuntime", node: LayoutNode, **fields: float) -> None:
     for f, v in fields.items():
-        rt.graph.set_dim_in_frame(nid, nid, f, v, nid)
+        rt.graph.set_dim_in_frame(node, node, f, v, node)
 
 
-def layout_rect(rt: "LayoutRuntime", nid: str, props: dict) -> None:
-    _set_own(rt, nid, left=0.0, top=0.0)
+def layout_rect(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
+    _set_own(rt, node, left=0.0, top=0.0)
     # a background-sized rect has no width/height of its own
     if "width" in props:
-        _set_own(rt, nid, width=props["width"])
+        _set_own(rt, node, width=props["width"])
     if "height" in props:
-        _set_own(rt, nid, height=props["height"])
+        _set_own(rt, node, height=props["height"])
 
 
-def layout_circle(rt: "LayoutRuntime", nid: str, props: dict) -> None:
-    _set_own(rt, nid, left=0.0, top=0.0)
+def layout_circle(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
+    _set_own(rt, node, left=0.0, top=0.0)
     if "r" in props:
-        _set_own(rt, nid, width=2.0 * props["r"], height=2.0 * props["r"])
+        _set_own(rt, node, width=2.0 * props["r"], height=2.0 * props["r"])
 
 
-def layout_ellipse(rt: "LayoutRuntime", nid: str, props: dict) -> None:
-    _set_own(rt, nid, left=0.0, top=0.0)
+def layout_ellipse(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
+    _set_own(rt, node, left=0.0, top=0.0)
     if "rx" in props:
-        _set_own(rt, nid, width=2.0 * props["rx"])
+        _set_own(rt, node, width=2.0 * props["rx"])
     if "ry" in props:
-        _set_own(rt, nid, height=2.0 * props["ry"])
+        _set_own(rt, node, height=2.0 * props["ry"])
 
 
-def layout_text(rt: "LayoutRuntime", nid: str, props: dict) -> None:
+def layout_text(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
     w, h = measure_text(props["content"], props["fontSize"], props["fontFamily"])
-    _set_own(rt, nid, left=0.0, top=0.0, width=w, height=h)
+    _set_own(rt, node, left=0.0, top=0.0, width=w, height=h)
 
 
-def layout_path(rt: "LayoutRuntime", nid: str, props: dict) -> None:
+def layout_path(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
     # the box tracks the drawn geometry, so it need not start at 0
     pts = path_control_points(props["d"])
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
-    _set_own(rt, nid, left=min(xs), top=min(ys),
+    _set_own(rt, node, left=min(xs), top=min(ys),
              width=max(xs) - min(xs), height=max(ys) - min(ys))
 
 
 # --- relation helpers -----------------------------------------------------------
 
 
-def _require_extent(rt: "LayoutRuntime", target: str, axis: Axis) -> float:
+def _require_extent(rt: "LayoutRuntime", target: LayoutNode, axis: Axis) -> float:
     value = rt.graph.extent_of(target, axis)
     if value is None:
-        raise UndefinedExtentError(target, axis.extent_field)
+        raise UndefinedExtentError(target.id, axis.extent_field)
     return value
 
 
-def _guideline_value(rt: "LayoutRuntime", target: str, nid: str, axis: Axis, field_name: str) -> float:
-    box = rt.graph.bbox_in_frame(target, nid, axis, nid)
+def _guideline_value(rt: "LayoutRuntime", target: LayoutNode, node: LayoutNode, axis: Axis,
+                     field_name: str) -> float:
+    box = rt.graph.bbox_in_frame(target, node, axis, node)
     value = box[field_name]
     if value is None:
-        raise UndefinedExtentError(target, field_name)
+        raise UndefinedExtentError(target.id, field_name)
     return value
 
 
-def _transform_owner(rt: "LayoutRuntime", target: str, axis: Axis) -> str:
-    return rt.graph.nodes[target].transform_owners[axis.component]
-
-
-def _align_axis(rt: "LayoutRuntime", nid: str, targets: list[str], axis: Axis, field_name: str) -> float:
+def _align_axis(rt: "LayoutRuntime", node: LayoutNode, targets: list[LayoutNode], axis: Axis,
+                field_name: str) -> float:
     """Put every target's ``field_name`` on one guideline; returns it.
 
     The guideline is 0 in the relation's frame unless some target is
@@ -249,24 +250,24 @@ def _align_axis(rt: "LayoutRuntime", nid: str, targets: list[str], axis: Axis, f
     """
     fixed = [i for i, t in enumerate(targets) if rt.graph.is_fixed(t, axis)]
     if fixed:
-        guideline = _guideline_value(rt, targets[fixed[0]], nid, axis, field_name)
+        guideline = _guideline_value(rt, targets[fixed[0]], node, axis, field_name)
     else:
         guideline = 0.0
     for i, t in enumerate(targets):
         if fixed and i == fixed[0]:
             continue
         if rt.graph.is_fixed(t, axis):
-            value = _guideline_value(rt, t, nid, axis, field_name)
+            value = _guideline_value(rt, t, node, axis, field_name)
             if abs(value - guideline) > TOLERANCE:
                 raise DimensionConflict(
-                    t, field_name, _transform_owner(rt, t, axis), nid,
+                    t.id, field_name, t.transform_owners[axis.component], node.id,
                     existing_value=value, value=guideline)
         else:
-            rt.graph.set_dim_in_frame(t, nid, field_name, guideline, nid)
+            rt.graph.set_dim_in_frame(t, node, field_name, guideline, node)
     return guideline
 
 
-def _distribute_axis(rt: "LayoutRuntime", nid: str, targets: list[str], axis: Axis,
+def _distribute_axis(rt: "LayoutRuntime", node: LayoutNode, targets: list[LayoutNode], axis: Axis,
                      spacing: float) -> tuple[float, float]:
     """Pack targets along the axis with equal gaps.
 
@@ -284,24 +285,24 @@ def _distribute_axis(rt: "LayoutRuntime", nid: str, targets: list[str], axis: Ax
     delta = 0.0
     if fixed:
         anchor = fixed[0]
-        delta = _guideline_value(rt, targets[anchor], nid, axis, start_field) - slots[anchor]
+        delta = _guideline_value(rt, targets[anchor], node, axis, start_field) - slots[anchor]
     for i, t in enumerate(targets):
         implied = slots[i] + delta
         if rt.graph.is_fixed(t, axis):
-            actual = _guideline_value(rt, t, nid, axis, start_field)
+            actual = _guideline_value(rt, t, node, axis, start_field)
             if abs(actual - implied) > TOLERANCE:
                 raise DimensionConflict(
-                    t, start_field, _transform_owner(rt, t, axis), nid,
+                    t.id, start_field, t.transform_owners[axis.component], node.id,
                     existing_value=actual, value=implied)
         else:
-            rt.graph.set_dim_in_frame(t, nid, start_field, implied, nid)
+            rt.graph.set_dim_in_frame(t, node, start_field, implied, node)
     total = sum(extents) + spacing * (len(extents) - 1)
     return delta, total
 
 
-def _union_boxes(rt: "LayoutRuntime", nid: str, targets: list[str],
+def _union_boxes(rt: "LayoutRuntime", node: LayoutNode, targets: list[LayoutNode],
                  axis: Axis, strict: bool = False) -> tuple[float, float] | None:
-    """(min position, max position) of targets on an axis, in nid's frame.
+    """(min position, max position) of targets on an axis, in node's frame.
 
     Children without a full box on the axis are skipped, unless
     ``strict``, in which case they are an error (a background must
@@ -310,12 +311,12 @@ def _union_boxes(rt: "LayoutRuntime", nid: str, targets: list[str],
     lo = math.inf
     hi = -math.inf
     for t in targets:
-        box = rt.graph.bbox_in_frame(t, nid, axis, nid)
+        box = rt.graph.bbox_in_frame(t, node, axis, node)
         start = box[axis.start_field]
         end = box[axis.end_field]
         if start is None or end is None:
             if strict:
-                raise UndefinedExtentError(t, axis.start_field if start is None else axis.end_field)
+                raise UndefinedExtentError(t.id, axis.start_field if start is None else axis.end_field)
             continue
         lo = min(lo, start)
         hi = max(hi, end)
@@ -325,13 +326,13 @@ def _union_boxes(rt: "LayoutRuntime", nid: str, targets: list[str],
 # --- relation layout -------------------------------------------------------------
 
 
-def _make_stack_layout(main: Axis):
-    def layout_stack(rt: "LayoutRuntime", nid: str, props: dict) -> None:
-        targets = [rt.graph.target_of(c) for c in rt.graph.nodes[nid].children]
+def _stack_layout_for(main: Axis):
+    def layout_stack(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
+        targets = [rt.graph.target_of(c) for c in node.children]
         cross = main.other
         cross_extents = [_require_extent(rt, t, cross) for t in targets]
-        guideline = _align_axis(rt, nid, targets, cross, props["alignment"])
-        origin, total = _distribute_axis(rt, nid, targets, main, props["spacing"])
+        guideline = _align_axis(rt, node, targets, cross, props["alignment"])
+        origin, total = _distribute_axis(rt, node, targets, main, props["spacing"])
         cross_extent = max(cross_extents)
         field_name = props["alignment"]
         if field_name == cross.start_field:
@@ -340,7 +341,7 @@ def _make_stack_layout(main: Axis):
             cross_origin = guideline - cross_extent / 2.0
         else:
             cross_origin = guideline - cross_extent
-        _set_own(rt, nid, **{
+        _set_own(rt, node, **{
             main.start_field: origin, main.extent_field: total,
             cross.start_field: cross_origin, cross.extent_field: cross_extent,
         })
@@ -348,21 +349,21 @@ def _make_stack_layout(main: Axis):
     return layout_stack
 
 
-def layout_align(rt: "LayoutRuntime", nid: str, props: dict) -> None:
-    targets = [rt.graph.target_of(c) for c in rt.graph.nodes[nid].children]
+def layout_align(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
+    targets = [rt.graph.target_of(c) for c in node.children]
     v_field, h_field = ALIGNMENT_FIELDS[props["alignment"]]
     for axis, field_name in ((Axis.VERTICAL, v_field), (Axis.HORIZONTAL, h_field)):
         if field_name is None:
             # untouched axis: extent recorded for the node's own box only
             extents = [rt.graph.extent_of(t, axis) for t in targets]
             if all(e is not None for e in extents):
-                _set_own(rt, nid, **{axis.extent_field: max(extents)})
+                _set_own(rt, node, **{axis.extent_field: max(extents)})
             continue
-        guideline = _align_axis(rt, nid, targets, axis, field_name)
+        guideline = _align_axis(rt, node, targets, axis, field_name)
         lo = math.inf
         hi = -math.inf
         for t in targets:
-            box = rt.graph.bbox_in_frame(t, nid, axis, nid)
+            box = rt.graph.bbox_in_frame(t, node, axis, node)
             start = box[axis.start_field]
             end = box[axis.end_field]
             if start is None or end is None:
@@ -381,76 +382,76 @@ def layout_align(rt: "LayoutRuntime", nid: str, props: dict) -> None:
             lo = min(lo, start)
             hi = max(hi, end)
         if lo is not math.inf:
-            _set_own(rt, nid, **{axis.start_field: lo,
-                                 axis.extent_field: hi - lo})
+            _set_own(rt, node, **{axis.start_field: lo,
+                                  axis.extent_field: hi - lo})
 
 
-def layout_distribute(rt: "LayoutRuntime", nid: str, props: dict) -> None:
-    targets = [rt.graph.target_of(c) for c in rt.graph.nodes[nid].children]
+def layout_distribute(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
+    targets = [rt.graph.target_of(c) for c in node.children]
     main = Axis.VERTICAL if props["direction"] == "vertical" else Axis.HORIZONTAL
-    origin, total = _distribute_axis(rt, nid, targets, main, props["spacing"])
-    _set_own(rt, nid, **{main.start_field: origin, main.extent_field: total})
+    origin, total = _distribute_axis(rt, node, targets, main, props["spacing"])
+    _set_own(rt, node, **{main.start_field: origin, main.extent_field: total})
     cross = main.other
     extents = [rt.graph.extent_of(t, cross) for t in targets]
     if all(e is not None for e in extents):
-        _set_own(rt, nid, **{cross.extent_field: max(extents)})
+        _set_own(rt, node, **{cross.extent_field: max(extents)})
 
 
-def layout_group(rt: "LayoutRuntime", nid: str, props: dict) -> None:
+def layout_group(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
     del props
-    targets = [rt.graph.target_of(c) for c in rt.graph.nodes[nid].children]
+    targets = [rt.graph.target_of(c) for c in node.children]
     for t in targets:
         for axis in (Axis.HORIZONTAL, Axis.VERTICAL):
-            rt.graph.materialize(rt.graph.nodes[t], axis, nid)  # unplaced children stay put
+            rt.graph.materialize(t, axis, node)  # unplaced children stay put
     for axis in (Axis.HORIZONTAL, Axis.VERTICAL):
-        span = _union_boxes(rt, nid, targets, axis)
+        span = _union_boxes(rt, node, targets, axis)
         if span is not None:
-            _set_own(rt, nid, **{axis.start_field: span[0],
-                                 axis.extent_field: span[1] - span[0]})
+            _set_own(rt, node, **{axis.start_field: span[0],
+                                  axis.extent_field: span[1] - span[0]})
         else:
             extents = [rt.graph.extent_of(t, axis) for t in targets]
             known = [e for e in extents if e is not None]
             if known:
-                _set_own(rt, nid, **{axis.extent_field: max(known)})
+                _set_own(rt, node, **{axis.extent_field: max(known)})
 
 
-def layout_background(rt: "LayoutRuntime", nid: str, props: dict) -> None:
-    mark, *rest = rt.graph.nodes[nid].children  # build_scenegraph puts the mark first
+def layout_background(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
+    mark_id, *rest = node.children  # build_scenegraph puts the mark first
+    mark = rt.graph.nodes[mark_id]
     targets = [rt.graph.target_of(c) for c in rest]
     padding = props["padding"]
     for axis in (Axis.HORIZONTAL, Axis.VERTICAL):
         for t in targets:
             if not rt.graph.is_fixed(t, axis):
-                rt.graph.set_dim_in_frame(t, nid, axis.start_field, padding, nid)
-        span = _union_boxes(rt, nid, targets, axis, strict=True)
+                rt.graph.set_dim_in_frame(t, node, axis.start_field, padding, node)
+        span = _union_boxes(rt, node, targets, axis, strict=True)
         assert span is not None  # strict union either returns or raises
         lo, hi = span
         extent = (hi - lo) + 2.0 * padding
-        rt.graph.set_dim_in_frame(mark, nid, axis.extent_field, extent, nid)
-        rt.graph.set_dim_in_frame(mark, nid, axis.start_field, lo - padding, nid)
-        _set_own(rt, nid, **{axis.start_field: lo - padding, axis.extent_field: extent})
+        rt.graph.set_dim_in_frame(mark, node, axis.extent_field, extent, node)
+        rt.graph.set_dim_in_frame(mark, node, axis.start_field, lo - padding, node)
+        _set_own(rt, node, **{axis.start_field: lo - padding, axis.extent_field: extent})
 
 
-def _make_connector_layout(arrow: bool):
-    def layout_connector(rt: "LayoutRuntime", nid: str, props: dict) -> None:
-        children = rt.graph.nodes[nid].children
-        targets = [rt.graph.target_of(c) for c in children]
+def _connector_layout_for(arrow: bool):
+    def layout_connector(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
+        targets = [rt.graph.target_of(c) for c in node.children]
         for t in targets:
             for axis in (Axis.HORIZONTAL, Axis.VERTICAL):
-                rt.graph.materialize(rt.graph.nodes[t], axis, nid)
+                rt.graph.materialize(t, axis, node)
         boxes = []
         for t in targets:
-            h = rt.graph.bbox_in_frame(t, nid, Axis.HORIZONTAL, nid)
-            v = rt.graph.bbox_in_frame(t, nid, Axis.VERTICAL, nid)
+            h = rt.graph.bbox_in_frame(t, node, Axis.HORIZONTAL, node)
+            v = rt.graph.bbox_in_frame(t, node, Axis.VERTICAL, node)
             if None in (h["centerX"], h["width"], v["centerY"], v["height"]):
-                raise UndefinedExtentError(t, "width" if h["width"] is None else "height")
+                raise UndefinedExtentError(t.id, "width" if h["width"] is None else "height")
             boxes.append((h, v))
         (h1, v1), (h2, v2) = boxes
         lo_x = min(h1["left"], h2["left"])
         hi_x = max(h1["right"], h2["right"])
         lo_y = min(v1["top"], v2["top"])
         hi_y = max(v1["bottom"], v2["bottom"])
-        _set_own(rt, nid, left=lo_x, width=hi_x - lo_x, top=lo_y, height=hi_y - lo_y)
+        _set_own(rt, node, left=lo_x, width=hi_x - lo_x, top=lo_y, height=hi_y - lo_y)
         segment = _clip_segment(
             (h1["centerX"], v1["centerY"]), (h1["width"], v1["height"]),
             (h2["centerX"], v2["centerY"]), (h2["width"], v2["height"]),
@@ -459,10 +460,10 @@ def _make_connector_layout(arrow: bool):
             rt.warn(Diagnostic(
                 DEGENERATE_CONNECTOR,
                 "connector endpoints leave no visible segment",
-                (rt.path_of(nid),), severity=WARNING))
+                (node.path,), severity=WARNING))
         else:
-            rt.graph.nodes[nid].paint_props["segment"] = segment
-            rt.graph.nodes[nid].paint_props["arrow"] = arrow
+            node.paint_props["segment"] = segment
+            node.paint_props["arrow"] = arrow
 
     return layout_connector
 
@@ -659,14 +660,14 @@ def standard_kind_specs() -> list[ElementKindSpec]:
             prop_types=_types("spacing", "alignment"),
             enum_props={"alignment": stack_alignments[Axis.VERTICAL]},
             min_children=1,
-            layout=_make_stack_layout(Axis.VERTICAL)),
+            layout=_stack_layout_for(Axis.VERTICAL)),
         ElementKindSpec(
             kind="stackH",
             optional_props={"spacing": 0.0, "alignment": "centerY"},
             prop_types=_types("spacing", "alignment"),
             enum_props={"alignment": stack_alignments[Axis.HORIZONTAL]},
             min_children=1,
-            layout=_make_stack_layout(Axis.HORIZONTAL)),
+            layout=_stack_layout_for(Axis.HORIZONTAL)),
         ElementKindSpec(
             kind="align",
             required_props=("alignment",),
@@ -694,7 +695,7 @@ def standard_kind_specs() -> list[ElementKindSpec]:
             prop_types=_types("stroke", "strokeWidth", "gap"),
             nonnegative_props=frozenset({"strokeWidth", "gap"}),
             exact_children=2,
-            layout=_make_connector_layout(arrow=True), paint=paint_connector),
+            layout=_connector_layout_for(arrow=True), paint=paint_connector),
         ElementKindSpec(
             kind="line",
             optional_props={"stroke": "black", "strokeWidth": 1.0,
@@ -702,6 +703,6 @@ def standard_kind_specs() -> list[ElementKindSpec]:
             prop_types=_types("stroke", "strokeWidth", "strokeDasharray", "gap"),
             nonnegative_props=frozenset({"strokeWidth", "gap"}),
             exact_children=2,
-            layout=_make_connector_layout(arrow=False), paint=paint_connector),
+            layout=_connector_layout_for(arrow=False), paint=paint_connector),
         ElementKindSpec(kind="ref"),
     ]

@@ -15,6 +15,14 @@ the undecided offsets in between are pinned down, and pinning them is
 itself a layout decision that must be owned. Once materialized, a
 component never changes (same single-write rule as bbox fields).
 
+The methods below take and return node records (``LayoutNode`` and
+``RefNode``), never ids, so a relation reaches a node it does not own
+without a lookup. Ids remain where a node is recorded or printed: the
+``nodes`` table, the stored ``parent``/``children``/``ref_id`` links, the
+owner maps, ``write_log`` and errors. The links stay ids because records
+pointing both ways would form reference cycles, which would keep a
+finished graph alive until the cyclic garbage collector runs.
+
 Nothing here is shared or global: each Scenegraph instance is confined
 to its creating pipeline run, and every layout decision goes through the
 methods below, which record each write in ``write_log``. ``resolve`` then
@@ -34,8 +42,6 @@ from .errors import (
     GeometryOverflow,
     SelfReference,
     UndefinedExtentError,
-    UnknownNode,
-    UnknownParent,
     UnsizedNodes,
 )
 from .geometry import (
@@ -153,80 +159,60 @@ class Scenegraph:
         self.nodes: dict[str, LayoutNode | RefNode] = {}
         self.root: str | None = None
         self.write_log: list[tuple[str, str, str]] = []  # (node, field, writer)
-        self._counter = 0
 
     # --- construction -------------------------------------------------------
-
-    def _next_id(self) -> str:
-        nid = f"n{self._counter}"
-        self._counter += 1
-        return nid
 
     def create_node(
         self,
         kind: str,
-        parent: str | None,
+        parent: LayoutNode | None,
         paint_props: dict | None = None,
         name: str | None = None,
         path: str = "",
-    ) -> str:
+    ) -> LayoutNode:
+        nid = f"n{len(self.nodes)}"
+        node = LayoutNode(id=nid, kind=kind, paint_props=dict(paint_props or {}),
+                          name=name, path=path or nid)
         if parent is None:
             # one root, so any two layout nodes share an ancestor (see _legs)
             if self.root is not None:
                 raise DisconnectedNodes(self.root)
-            parent_node = None
-        elif parent not in self.nodes:
-            raise UnknownParent(parent)
-        else:
-            parent_node = self._layout(parent)
-        nid = self._next_id()
-        node = LayoutNode(id=nid, kind=kind, parent=parent,
-                          paint_props=dict(paint_props or {}), name=name, path=path or nid,
-                          depth=0 if parent_node is None else parent_node.depth + 1)
-        self.nodes[nid] = node
-        if parent_node is None:
             self.root = nid
         else:
-            parent_node.children.append(nid)
-        return nid
+            node.parent, node.depth = parent.id, parent.depth + 1
+            parent.children.append(nid)
+        self.nodes[nid] = node
+        return node
 
-    def create_ref(self, parent: str, referent: str, path: str = "") -> str:
-        if parent not in self.nodes:
-            raise UnknownParent(parent)
-        self._layout(referent)  # refs cannot be named, so only layout nodes are referents
+    def create_ref(self, parent: LayoutNode, referent: LayoutNode, path: str = "") -> RefNode:
         # A ref may not point at the relation that holds it or any ancestor
-        # of it: the relation would contain itself through the edge.
-        walk: str | None = parent
-        while walk is not None:
-            if walk == referent:
-                raise SelfReference(parent, referent)
-            walk = self.nodes[walk].parent
-        nid = self._next_id()
-        self.nodes[nid] = RefNode(id=nid, ref_id=referent, parent=parent, path=path or nid)
-        self._layout(parent).children.append(nid)
-        return nid
+        # of it: the relation would contain itself through the edge. Only an
+        # ancestor as deep as the referent can be the referent.
+        walk = parent
+        while walk.depth > referent.depth:
+            walk = self.nodes[walk.parent]
+        if walk is referent:
+            raise SelfReference(parent.id, referent.id)
+        nid = f"n{len(self.nodes)}"
+        ref = RefNode(id=nid, ref_id=referent.id, parent=parent.id, path=path or nid)
+        self.nodes[nid] = ref
+        parent.children.append(nid)
+        return ref
 
     # --- accessors ------------------------------------------------------------
 
-    def _layout(self, node_id: str) -> LayoutNode:
-        node = self.nodes.get(node_id)
-        if node is None:
-            raise UnknownNode(node_id)
-        assert isinstance(node, LayoutNode), f"{node_id} is a ref node"
-        return node
-
-    def target_of(self, node_id: str) -> str:
+    def target_of(self, child_id: str) -> LayoutNode:
         """Follow a ref to its referent; layout nodes are their own target."""
-        node = self.nodes[node_id]
-        return node.ref_id if isinstance(node, RefNode) else node_id
+        node = self.nodes[child_id]
+        return self.nodes[node.ref_id] if node.is_ref else node
 
-    def is_fixed(self, node_id: str, axis: Axis) -> bool:
+    def is_fixed(self, node: LayoutNode, axis: Axis) -> bool:
         """Has this node's translation on the axis already been decided?"""
-        return axis.component in self._layout(node_id).transform_owners
+        return axis.component in node.transform_owners
 
-    def extent_of(self, node_id: str, axis: Axis) -> float | None:
+    def extent_of(self, node: LayoutNode, axis: Axis) -> float | None:
         """Extent on an axis. Frame-independent, so no materialization."""
-        return getattr(self._layout(node_id).bbox, axis.extent_field)
+        return getattr(node.bbox, axis.extent_field)
 
     # --- transforms -----------------------------------------------------------
 
@@ -237,7 +223,7 @@ class Scenegraph:
         node.transform_owners[axis.component] = owner
         self.write_log.append((node.id, f"transform.{axis.component}", owner))
 
-    def materialize(self, node: LayoutNode, axis: Axis, requester: str) -> float:
+    def materialize(self, node: LayoutNode, axis: Axis, requester: LayoutNode) -> float:
         """Read a translation component, defaulting it to 0 if undecided.
 
         The default is a real layout decision: the requester becomes the
@@ -245,7 +231,7 @@ class Scenegraph:
         """
         value = getattr(node.transform, axis.component)
         if value is None:
-            self._set_component(node, axis, 0.0, requester)
+            self._set_component(node, axis, 0.0, requester.id)
             return 0.0
         return value
 
@@ -273,7 +259,8 @@ class Scenegraph:
                 b = nodes[b.parent]
         return up, down
 
-    def bbox_in_frame(self, target: str, frame: str, axis: Axis, requester: str) -> dict[str, float | None]:
+    def bbox_in_frame(self, target: LayoutNode, frame: LayoutNode, axis: Axis,
+                      requester: LayoutNode) -> dict[str, float | None]:
         """Target's box fields on one axis, expressed in frame coordinates.
 
         Walks target -> lca -> frame, materializing every undecided
@@ -282,15 +269,14 @@ class Scenegraph:
         Returns a dict over the axis's three position fields and extent;
         underdetermined fields are None.
         """
-        node = self._layout(target)
-        up, down = self._legs(node, self._layout(frame))
+        up, down = self._legs(target, frame)
         chain = [self.materialize(n, axis, requester) for n in up]
         back = 0.0
         for n in down:
             back += self.materialize(n, axis, requester)
         out: dict[str, float | None] = {}
         for f in axis.position_fields:
-            local = bbox_get(node.bbox, f)
+            local = bbox_get(target.bbox, f)
             if local is None:
                 out[f] = None
             else:
@@ -298,10 +284,11 @@ class Scenegraph:
                 for t in chain:
                     v += t
                 out[f] = v - back
-        out[axis.extent_field] = bbox_get(node.bbox, axis.extent_field)
+        out[axis.extent_field] = bbox_get(target.bbox, axis.extent_field)
         return out
 
-    def set_dim_in_frame(self, target: str, frame: str, field_name: str, value: float, writer: str) -> None:
+    def set_dim_in_frame(self, target: LayoutNode, frame: LayoutNode, field_name: str, value: float,
+                         writer: LayoutNode) -> None:
         """Write one dimension of target, with value given in frame coordinates.
 
         Extents are frame-independent and go straight into the target's
@@ -315,39 +302,42 @@ class Scenegraph:
         default finalize applies), so the local value is derived from
         the extent alone. Either way the written dimension gets
         ``writer`` as its owner, and writing over a differently-owned
-        dimension raises DimensionConflict naming both owners.
+        dimension raises DimensionConflict naming both owners. Only a
+        write that happens is logged: the same writer repeating a value
+        changes nothing.
         """
-        node = self._layout(target)
         axis = axis_of(field_name)
-        if field_name == axis.extent_field or target == frame:
-            bbox_set(node.bbox, node.bbox_owners, field_name, value, writer, target)
-            self.write_log.append((target, field_name, writer))
+        if field_name == axis.extent_field or target is frame:
+            fresh = field_name not in target.bbox_owners  # else bbox_set no-ops or raises
+            bbox_set(target.bbox, target.bbox_owners, field_name, value, writer.id, target.id)
+            if fresh:
+                self.write_log.append((target.id, field_name, writer.id))
             return
-        up, down = self._legs(node, self._layout(frame))
+        up, down = self._legs(target, frame)
         rest = 0.0
         for n in up[1:]:  # exclude the target's own translation
             rest += self.materialize(n, axis, writer)
         back = 0.0
         for n in down:
             back += self.materialize(n, axis, writer)
-        start = getattr(node.bbox, axis.start_field)
-        extent = getattr(node.bbox, axis.extent_field)
+        start = getattr(target.bbox, axis.start_field)
+        extent = getattr(target.bbox, axis.extent_field)
         if field_name == axis.start_field:
             local = 0.0 if start is None else start
         elif extent is None:
             # a centre or end with no extent is unrelatable to the content
-            raise UndefinedExtentError(target, field_name)
+            raise UndefinedExtentError(target.id, field_name)
         elif field_name == axis.center_field:
             local = extent / 2.0 if start is None else start + extent / 2.0
         else:
             local = extent if start is None else start + extent
         implied = ((value - local) - rest) + back
-        current = getattr(node.transform, axis.component)
+        current = getattr(target.transform, axis.component)
         if current is None:
-            self._set_component(node, axis, implied, writer)
-        elif abs(current - implied) > TOLERANCE or node.transform_owners[axis.component] != writer:
+            self._set_component(target, axis, implied, writer.id)
+        elif abs(current - implied) > TOLERANCE or target.transform_owners[axis.component] != writer.id:
             raise DimensionConflict(
-                target, field_name, node.transform_owners[axis.component], writer,
+                target.id, field_name, target.transform_owners[axis.component], writer.id,
                 existing_value=current, value=implied)
 
     # --- finalization --------------------------------------------------------
@@ -360,10 +350,11 @@ class Scenegraph:
         extents are an error, collected per node into UnsizedNodes.
         """
         assert self.root is not None
+        root = self.nodes[self.root]
         layout_nodes = [node for node in self.nodes.values() if isinstance(node, LayoutNode)]
         for node in layout_nodes:
             for axis in (Axis.HORIZONTAL, Axis.VERTICAL):
-                self.materialize(node, axis, self.root)
+                self.materialize(node, axis, root)
         unsized = tuple(
             node.id for node in layout_nodes
             if node.bbox.width is None or node.bbox.height is None)

@@ -17,7 +17,8 @@ from bluefish.engine import (
     standard_registry,
 )
 from bluefish.errors import DuplicateKind
-from bluefish.relations import ElementKindSpec
+from bluefish.relations import ElementKindSpec, layout_group
+from bluefish.scenegraph import LayoutNode
 
 from conftest import FIXTURES, compile_doc, compile_fixture, errors_of, stack_chain
 
@@ -122,8 +123,40 @@ def test_ref_to_enclosing_relation_is_rejected():
     }})
     assert scene is None
     (diag,) = errors_of(diags)
-    assert diag.code == "BF009"
-    assert all("stackV" in path for path in diag.node_paths)
+    # the message names the ref's parent; the ref and its referent are the at lines
+    assert diag.render() == (
+        "error[BF009]: ref under 'group/stackV[0]:s' points at 'group/stackV[0]:s', "
+        "which would make the relation contain itself\n"
+        "  at group/stackV[0]:s/ref[1]\n"
+        "  at group/stackV[0]:s")
+
+
+def test_custom_layouts_receive_node_records():
+    seen = []
+
+    def layout_probe(rt, node, props):
+        seen.append((node, [rt.graph.target_of(c) for c in node.children]))
+        layout_group(rt, node, props)
+
+    registry = standard_registry()
+    registry.register(ElementKindSpec(kind="probe", min_children=1, layout=layout_probe))
+    scene, diags = compile_doc({"bluefish": 1, "root": {
+        "kind": "group",
+        "children": [
+            {"kind": "rect", "name": "a", "props": {"width": 5, "height": 5}},
+            {"kind": "probe", "children": [
+                {"kind": "circle", "name": "c", "props": {"r": 2}},
+                {"kind": "ref", "select": "a"},
+            ]},
+        ],
+    }}, registry=registry)
+    assert errors_of(diags) == []
+    ((node, targets),) = seen
+    assert isinstance(node, LayoutNode) and node.kind == "probe"
+    assert node is scene[node.id]
+    # a child is its own target; a ref's target is its referent's record
+    assert targets[0] is scene.by_name("c")
+    assert targets[1] is scene.by_name("a")
 
 
 # --- registry and composites --------------------------------------------------------

@@ -8,6 +8,7 @@ from bluefish import Axis, Scenegraph
 from bluefish.engine import LayoutRuntime, standard_registry
 from bluefish.errors import DimensionConflict
 from bluefish.relations import _clip_segment, measure_text, path_control_points
+from bluefish.scenegraph import LayoutNode
 
 from conftest import compile_doc, compile_fixture, errors_of
 
@@ -153,7 +154,7 @@ def _fresh(kinds=()):
     return LayoutRuntime(graph=graph, registry=registry), graph
 
 
-def _node(rt: LayoutRuntime, kind: str, parent: str | None, **props) -> str:
+def _node(rt: LayoutRuntime, kind: str, parent: LayoutNode | None, **props) -> LayoutNode:
     spec = rt.registry.kinds[kind]
     paint = dict(spec.defaults())
     for key, value in props.items():
@@ -169,10 +170,10 @@ def test_align_adopts_a_fixed_participant():
     align = _node(rt, "align", root, alignment="left")
     g.create_ref(align, a)
     g.create_ref(align, b)
-    rt.layout_node(a)
-    rt.layout_node(b)
+    rt.layout_node(a.id)
+    rt.layout_node(b.id)
     g.set_dim_in_frame(a, root, "left", 100.0, root)
-    rt.layout_node(align)
+    rt.layout_node(align.id)
     assert g.bbox_in_frame(b, root, Axis.HORIZONTAL, root)["left"] == 100.0
 
 
@@ -184,14 +185,14 @@ def test_distribute_fills_backward_from_a_fixed_participant():
     dist = _node(rt, "distribute", root, direction="vertical", spacing=30)
     g.create_ref(dist, a)
     g.create_ref(dist, b)
-    rt.layout_node(a)
-    rt.layout_node(b)
+    rt.layout_node(a.id)
+    rt.layout_node(b.id)
     g.set_dim_in_frame(b, root, "top", 100.0, root)
-    rt.layout_node(dist)
+    rt.layout_node(dist.id)
     # slot for b starts at 20 + 30, so the whole run shifts up to meet it
     assert g.bbox_in_frame(a, root, Axis.VERTICAL, root)["top"] == 50.0
-    assert g.nodes[dist].bbox.top == 50.0
-    assert g.nodes[dist].bbox.height == 60.0
+    assert dist.bbox.top == 50.0
+    assert dist.bbox.height == 60.0
 
 
 def test_distribute_rejects_a_disagreeing_second_anchor():
@@ -202,12 +203,14 @@ def test_distribute_rejects_a_disagreeing_second_anchor():
     dist = _node(rt, "distribute", root, direction="vertical", spacing=30)
     g.create_ref(dist, a)
     g.create_ref(dist, b)
-    rt.layout_node(a)
-    rt.layout_node(b)
+    rt.layout_node(a.id)
+    rt.layout_node(b.id)
     g.set_dim_in_frame(a, root, "top", 0.0, root)
     g.set_dim_in_frame(b, root, "top", 100.0, root)  # implied slot is 50
-    with pytest.raises(DimensionConflict):
-        rt.layout_node(dist)
+    with pytest.raises(DimensionConflict) as excinfo:
+        rt.layout_node(dist.id)
+    conflict = excinfo.value
+    assert (conflict.node, conflict.existing_owner, conflict.writer) == (b.id, root.id, dist.id)
 
 
 # --- background --------------------------------------------------------------------

@@ -24,19 +24,18 @@ from bluefish.errors import (
     GeometryOverflow,
     SelfReference,
     UndefinedExtentError,
-    UnknownNode,
-    UnknownParent,
     UnsizedNodes,
 )
+from bluefish.scenegraph import LayoutNode
 
 from conftest import FIXTURES
 
 
-def _rect(g: Scenegraph, parent: str | None, w: float, h: float) -> str:
-    nid = g.create_node("rect", parent)
+def _rect(g: Scenegraph, parent: LayoutNode | None, w: float, h: float) -> LayoutNode:
+    node = g.create_node("rect", parent)
     for field, value in (("left", 0.0), ("top", 0.0), ("width", w), ("height", h)):
-        g.set_dim_in_frame(nid, nid, field, value, nid)
-    return nid
+        g.set_dim_in_frame(node, node, field, value, node)
+    return node
 
 
 # --- construction ------------------------------------------------------------------
@@ -47,15 +46,11 @@ def test_ids_are_sequential_and_children_keep_order():
     root = g.create_node("group", None)
     a = g.create_node("rect", root)
     b = g.create_node("rect", root)
-    assert (root, a, b) == ("n0", "n1", "n2")
-    assert g.nodes[root].children == [a, b]
-    assert g.root == root
-
-
-def test_unknown_parent_rejected():
-    g = Scenegraph()
-    with pytest.raises(UnknownParent):
-        g.create_node("rect", "n99")
+    assert (root.id, a.id, b.id) == ("n0", "n1", "n2")
+    assert g.nodes["n1"] is a
+    assert root.children == ["n1", "n2"]
+    assert (a.parent, a.depth) == ("n0", 1)
+    assert g.root == "n0"
 
 
 def test_ref_resolves_to_its_referent():
@@ -64,15 +59,10 @@ def test_ref_resolves_to_its_referent():
     a = _rect(g, root, 10, 10)
     stack = g.create_node("stackV", root)
     ref = g.create_ref(stack, a)
-    assert g.target_of(ref) == a
-    assert g.target_of(a) == a
-
-
-def test_ref_to_unknown_node_rejected():
-    g = Scenegraph()
-    root = g.create_node("group", None)
-    with pytest.raises(UnknownNode):
-        g.create_ref(root, "n42")
+    assert (ref.id, ref.ref_id, ref.parent) == ("n3", a.id, stack.id)
+    assert stack.children == [ref.id]
+    assert g.target_of(ref.id) is a
+    assert g.target_of(a.id) is a
 
 
 def test_ref_to_own_ancestor_rejected():
@@ -81,8 +71,10 @@ def test_ref_to_own_ancestor_rejected():
     stack = g.create_node("stackV", root)
     with pytest.raises(SelfReference):
         g.create_ref(stack, stack)
-    with pytest.raises(SelfReference):
+    with pytest.raises(SelfReference) as excinfo:
         g.create_ref(stack, root)
+    assert (excinfo.value.node, excinfo.value.referent) == (stack.id, root.id)
+    assert stack.children == [] and len(g.nodes) == 2
 
 
 # --- write semantics ---------------------------------------------------------------
@@ -92,9 +84,8 @@ def test_own_frame_write_defines_the_local_box_only():
     g = Scenegraph()
     root = g.create_node("group", None)
     a = _rect(g, root, 10.0, 20.0)
-    node = g.nodes[a]
-    assert node.bbox.left == 0.0 and node.bbox.width == 10.0
-    assert node.transform.x is None
+    assert a.bbox.left == 0.0 and a.bbox.width == 10.0
+    assert a.transform.x is None
     assert not g.is_fixed(a, Axis.HORIZONTAL)
 
 
@@ -103,10 +94,9 @@ def test_cross_frame_write_moves_without_reshaping():
     root = g.create_node("group", None)
     a = _rect(g, root, 10.0, 20.0)
     g.set_dim_in_frame(a, root, "left", 25.0, root)
-    node = g.nodes[a]
-    assert node.transform.x == 25.0
-    assert node.transform_owners["x"] == root
-    assert node.bbox.left == 0.0  # the local box is untouched
+    assert a.transform.x == 25.0
+    assert a.transform_owners["x"] == root.id
+    assert a.bbox.left == 0.0  # the local box is untouched
     assert g.is_fixed(a, Axis.HORIZONTAL)
     assert not g.is_fixed(a, Axis.VERTICAL)
 
@@ -117,7 +107,7 @@ def test_cross_frame_write_derives_local_position_from_extent():
     a = g.create_node("rect", root)
     g.set_dim_in_frame(a, a, "width", 10.0, a)
     g.set_dim_in_frame(a, root, "centerX", 0.0, root)
-    assert g.nodes[a].transform.x == -5.0
+    assert a.transform.x == -5.0
 
 
 def test_start_write_needs_no_extent():
@@ -125,7 +115,7 @@ def test_start_write_needs_no_extent():
     root = g.create_node("group", None)
     a = g.create_node("rect", root)
     g.set_dim_in_frame(a, root, "left", 7.0, root)
-    assert g.nodes[a].transform.x == 7.0
+    assert a.transform.x == 7.0
 
 
 def test_center_write_with_no_extent_is_underivable():
@@ -154,8 +144,8 @@ def test_double_placement_conflicts_with_both_owners():
     g.set_dim_in_frame(a, root, "top", 0.0, first)
     with pytest.raises(DimensionConflict) as excinfo:
         g.set_dim_in_frame(a, root, "top", 30.0, second)
-    assert excinfo.value.existing_owner == first
-    assert excinfo.value.writer == second
+    assert excinfo.value.existing_owner == first.id
+    assert excinfo.value.writer == second.id
 
 
 def test_same_writer_same_value_is_idempotent():
@@ -164,7 +154,12 @@ def test_same_writer_same_value_is_idempotent():
     a = _rect(g, root, 10.0, 10.0)
     g.set_dim_in_frame(a, root, "top", 12.0, root)
     g.set_dim_in_frame(a, root, "top", 12.0, root)
-    assert g.nodes[a].transform.y == 12.0
+    assert a.transform.y == 12.0
+    # a box field repeated by its owner is no write either, so it is logged once
+    g.set_dim_in_frame(a, a, "width", 10.0, a)
+    assert a.bbox.width == 10.0
+    assert g.write_log.count((a.id, "width", a.id)) == 1
+    assert g.write_log.count((a.id, "transform.y", root.id)) == 1
 
 
 def test_writes_are_logged():
@@ -187,18 +182,19 @@ def test_read_through_frames_materializes_undecided_transforms():
     requester = g.create_node("align", root)
     box = g.bbox_in_frame(a, root, Axis.HORIZONTAL, requester)
     assert box["left"] == 0.0
-    assert g.nodes[inner].transform.x == 0.0
-    assert g.nodes[inner].transform_owners["x"] == requester
-    assert g.nodes[a].transform_owners["x"] == requester
+    assert inner.transform.x == 0.0
+    assert inner.transform_owners["x"] == requester.id
+    assert a.transform_owners["x"] == requester.id
 
 
 def test_materialize_keeps_decided_values():
     g = Scenegraph()
     root = g.create_node("group", None)
     a = _rect(g, root, 10.0, 10.0)
+    other = g.create_node("align", root)
     g.set_dim_in_frame(a, root, "left", 40.0, root)
-    assert g.materialize(g.nodes[a], Axis.HORIZONTAL, "n99") == 40.0
-    assert g.nodes[a].transform_owners["x"] == root
+    assert g.materialize(a, Axis.HORIZONTAL, other) == 40.0
+    assert a.transform_owners["x"] == root.id
 
 
 def test_write_into_a_sibling_frame_composes_both_legs():
@@ -211,8 +207,8 @@ def test_write_into_a_sibling_frame_composes_both_legs():
     box = g.bbox_in_frame(a, g2, Axis.HORIZONTAL, root)
     assert box["left"] == 40.0
     # both legs got pinned on the way
-    assert g.nodes[g1].transform.x == 0.0
-    assert g.nodes[g2].transform.x == 0.0
+    assert g1.transform.x == 0.0
+    assert g2.transform.x == 0.0
 
 
 @given(depth=st.integers(min_value=1, max_value=4),
@@ -237,10 +233,11 @@ def test_read_from_a_deeper_frame_subtracts_the_frame_leg():
     inner = g.create_node("group", outer)
     g.set_dim_in_frame(a, root, "left", 30.0, root)
     g.set_dim_in_frame(outer, root, "left", 5.0, root)
-    box = g.bbox_in_frame(a, inner, Axis.HORIZONTAL, "n99")
+    requester = g.create_node("align", root)
+    box = g.bbox_in_frame(a, inner, Axis.HORIZONTAL, requester)
     assert box["left"] == 25.0
-    assert g.nodes[inner].transform_owners["x"] == "n99"  # frame leg pinned
-    assert g.nodes[root].transform.x is None  # the lca's own translation is untouched
+    assert inner.transform_owners["x"] == requester.id  # frame leg pinned
+    assert root.transform.x is None  # the lca's own translation is untouched
 
 
 def test_frames_of_parentless_nodes_are_disconnected():
@@ -248,8 +245,8 @@ def test_frames_of_parentless_nodes_are_disconnected():
     a = _rect(g, None, 10.0, 10.0)
     with pytest.raises(DisconnectedNodes) as excinfo:
         g.create_node("rect", None)
-    assert excinfo.value.node == a
-    assert list(g.nodes) == [a] and g.root == a
+    assert excinfo.value.node == a.id
+    assert list(g.nodes) == [a.id] and g.root == a.id
 
 
 # --- finalize and resolve ----------------------------------------------------------
@@ -262,8 +259,8 @@ def test_finalize_defaults_transforms_to_zero_owned_by_root():
     g.set_dim_in_frame(root, root, "width", 10.0, root)
     g.set_dim_in_frame(root, root, "height", 10.0, root)
     g.finalize()
-    assert g.nodes[a].transform.x == 0.0
-    assert g.nodes[a].transform_owners["x"] == root
+    assert a.transform.x == 0.0
+    assert a.transform_owners["x"] == root.id
 
 
 def test_finalize_reports_unsized_nodes():
@@ -274,7 +271,7 @@ def test_finalize_reports_unsized_nodes():
     g.set_dim_in_frame(root, root, "height", 1.0, root)
     with pytest.raises(UnsizedNodes) as excinfo:
         g.finalize()
-    assert a in excinfo.value.node_ids
+    assert a.id in excinfo.value.node_ids
 
 
 def test_resolve_accumulates_origins_down_the_tree():
@@ -286,14 +283,14 @@ def test_resolve_accumulates_origins_down_the_tree():
     g.set_dim_in_frame(inner, root, "top", 0.0, root)
     g.set_dim_in_frame(a, inner, "left", 2.0, inner)
     g.set_dim_in_frame(a, inner, "top", 0.0, inner)
-    for nid in (root, inner):
-        g.set_dim_in_frame(nid, nid, "width", 20.0, nid)
-        g.set_dim_in_frame(nid, nid, "height", 20.0, nid)
+    for node in (root, inner):
+        g.set_dim_in_frame(node, node, "width", 20.0, node)
+        g.set_dim_in_frame(node, node, "height", 20.0, node)
     g.finalize()
     scene = g.resolve()
-    assert scene[a].x == 7.0
-    assert scene[a].content_box() == (7.0, 0.0, 10.0, 10.0)
-    assert scene.order[0] == root
+    assert scene[a.id] is a and a.x == 7.0
+    assert a.content_box() == (7.0, 0.0, 10.0, 10.0)
+    assert scene.order[0] == root.id
 
 
 def test_a_translation_beyond_the_float_range_is_not_written():
@@ -305,8 +302,8 @@ def test_a_translation_beyond_the_float_range_is_not_written():
     log = list(g.write_log)
     with pytest.raises(GeometryOverflow) as excinfo:
         g.set_dim_in_frame(a, root, "left", sys.float_info.max, root)
-    assert (excinfo.value.node, excinfo.value.field) == (a, "transform.x")
-    assert g.nodes[a].transform.x is None and g.write_log == log
+    assert (excinfo.value.node, excinfo.value.field) == (a.id, "transform.x")
+    assert a.transform.x is None and g.write_log == log
 
 
 def test_origins_beyond_the_float_range_overflow_in_resolve():
@@ -314,15 +311,15 @@ def test_origins_beyond_the_float_range_overflow_in_resolve():
     root = g.create_node("group", None)
     outer = g.create_node("group", root)
     inner = _rect(g, outer, 1.0, 1.0)
-    for nid in (root, outer):
-        g.set_dim_in_frame(nid, nid, "width", 1.0, nid)
-        g.set_dim_in_frame(nid, nid, "height", 1.0, nid)
+    for node in (root, outer):
+        g.set_dim_in_frame(node, node, "width", 1.0, node)
+        g.set_dim_in_frame(node, node, "height", 1.0, node)
     g.set_dim_in_frame(outer, root, "left", 1e308, root)
     g.set_dim_in_frame(inner, outer, "left", 1e308, outer)
     g.finalize()
     with pytest.raises(GeometryOverflow) as excinfo:
         g.resolve()
-    assert (excinfo.value.node, excinfo.value.field) == (inner, "x")
+    assert (excinfo.value.node, excinfo.value.field) == (inner.id, "x")
 
 
 # --- creation order -------------------------------------------------------------
