@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import sys
+import weakref
 
 import pytest
 from hypothesis import given
@@ -75,6 +77,34 @@ def test_ref_to_own_ancestor_rejected():
         g.create_ref(stack, root)
     assert (excinfo.value.node, excinfo.value.referent) == (stack.id, root.id)
     assert stack.children == [] and len(g.nodes) == 2
+
+
+def test_ref_check_matches_the_whole_ancestor_chain():
+    # create_ref climbs only to the referent's depth; judge it against every ancestor
+    g = Scenegraph()
+    root = g.create_node("group", None)
+    g1 = g.create_node("group", root)
+    stack = g.create_node("stackV", g1)
+    inner = g.create_node("group", stack)
+    a = _rect(g, inner, 10, 10)
+    g2 = g.create_node("group", root)
+    b = _rect(g, g2, 10, 10)
+    c = _rect(g, root, 10, 10)
+    layout = [root, g1, stack, inner, a, g2, b, c]
+    for parent in layout:
+        chain, walk = [], parent
+        while walk is not None:
+            chain.append(walk)
+            walk = g.nodes[walk.parent] if walk.parent is not None else None
+        for referent in layout:
+            before = len(g.nodes)
+            if any(referent is up for up in chain):
+                with pytest.raises(SelfReference):
+                    g.create_ref(parent, referent)
+                assert len(g.nodes) == before
+            else:
+                ref = g.create_ref(parent, referent)
+                assert g.target_of(ref.id) is referent and len(g.nodes) == before + 1
 
 
 # --- write semantics ---------------------------------------------------------------
@@ -349,3 +379,18 @@ def test_built_graphs_and_scenes_are_in_preorder(fixture):
         assert scene is None
     else:
         assert scene.order == _preorder(scene.nodes, scene.root)
+
+
+@pytest.mark.parametrize("fixture", sorted(
+    p.stem for p in FIXTURES.glob("*.json") if p.stem != "conflict_two_aligns"))
+def test_finished_scenes_are_freed_without_the_cycle_collector(fixture):
+    # the stored links are ids, so a scene and its records form no reference cycle
+    gc.collect()
+    gc.disable()
+    try:
+        scene, _ = compile_source((FIXTURES / f"{fixture}.json").read_bytes())
+        refs = [weakref.ref(scene)] + [weakref.ref(node) for node in scene.nodes.values()]
+        del scene
+        assert [r for r in refs if r() is not None] == []
+    finally:
+        gc.enable()
