@@ -19,6 +19,7 @@ public name. Referents must precede their refs in document order.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from dataclasses import dataclass, field as dc_field
 
@@ -39,6 +40,9 @@ _DOCUMENT_KEYS = {"bluefish", "root"}
 _ELEMENT_KEYS = {"kind", "name", "props", "children", "select"}
 _TOO_DEEP = "document nests too deeply"
 _MAX_NUMBER = sys.float_info.max
+# What XML, and so SVG, cannot carry: C0 controls other than tab, LF and
+# CR, lone surrogates (UTF-8 cannot encode them) and U+FFFE/U+FFFF.
+_NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 @dataclass
@@ -85,6 +89,9 @@ def _parse_element(raw: object, path: str) -> Element:
                 raise SchemaError(f"{path}.props.{key}", "prop values must be finite numbers")
             props[key] = float(value)
         elif isinstance(value, str):
+            bad = _NOT_XML_CHAR.search(value)
+            if bad is not None:
+                raise SchemaError(f"{path}.props.{key}", f"SVG cannot carry {bad.group()!r} in a string")
             props[key] = value
         else:
             raise SchemaError(f"{path}.props.{key}", f"unsupported prop value {value!r}")
@@ -102,7 +109,8 @@ def parse_document(data: bytes | str) -> Element:
 
     Raises DocumentSyntaxError (with line and column) for malformed
     JSON, SchemaError (with a document path) for structural problems,
-    including nesting deeper than the parser's recursion allows.
+    including nesting deeper than the parser's recursion allows, and
+    for string props holding characters SVG cannot carry.
     """
     if isinstance(data, bytes):
         try:

@@ -72,6 +72,14 @@ class Axis(Enum):
         axis.component = component
         return axis
 
+    def offset(self, field_name: str, extent: float) -> float:
+        """How far a start, centre or end field sits from a box's start."""
+        if field_name == self.start_field:
+            return 0.0
+        if field_name == self.center_field:
+            return extent / 2.0
+        return extent
+
 
 Axis.HORIZONTAL.other = Axis.VERTICAL
 Axis.VERTICAL.other = Axis.HORIZONTAL
@@ -119,9 +127,7 @@ def bbox_get(bbox: PartialBBox, field_name: str) -> float | None:
     extent = getattr(bbox, axis.extent_field)
     if start is None or extent is None:
         return None
-    if field_name == axis.center_field:
-        return start + extent / 2.0
-    return start + extent
+    return start + axis.offset(field_name, extent)
 
 
 def bbox_set(

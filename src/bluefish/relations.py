@@ -13,10 +13,10 @@ are already fixed (their translation on that axis has an owner). The
 first fixed participant anchors the relation: stacks and distributes
 anchor their cursor there and fill earlier slots backward, aligns adopt
 its guideline. Remaining participants are placed relative to the anchor,
-and any *other* fixed participant must agree with its implied position
-within tolerance or the two owners conflict. With no fixed participant
-the relation lays out from 0 in its own frame, exactly like a plain
-tree-based layout.
+and every fixed participant must agree with its implied position within
+tolerance or the two owners conflict; ``_place`` holds this rule. With
+no fixed participant the relation lays out from 0 in its own frame,
+exactly like a plain tree-based layout.
 """
 
 from __future__ import annotations
@@ -95,16 +95,16 @@ class ElementKindSpec:
 # --- text metrics -------------------------------------------------------------
 
 
-def measure_text(content: str, font_size: float, font_family: str = "sans-serif") -> tuple[float, float]:
+def measure_text(content: str, font_size: float) -> tuple[float, float]:
     """Deterministic text metrics independent of any font rasterizer.
 
     Width is 0.6 * fontSize per Unicode scalar value; height is
     1.2 * fontSize. Crude, but identical on every platform, which
-    matters more here than typographic fidelity.
+    matters more here than typographic fidelity, so the font family
+    plays no part.
     """
     if font_size <= 0:
         raise ValueError(f"fontSize must be positive, got {font_size!r}")
-    del font_family  # reserved; metrics do not vary by family
     return (0.6 * font_size * len(content), 1.2 * font_size)
 
 
@@ -181,7 +181,7 @@ def path_control_points(d: str) -> list[tuple[float, float]]:
 
 def _set_own(rt: "LayoutRuntime", node: LayoutNode, **fields: float) -> None:
     for f, v in fields.items():
-        rt.graph.set_dim_in_frame(node, node, f, v, node)
+        rt.graph.set_dim_in_frame(node, node, f, v)
 
 
 def layout_rect(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
@@ -208,7 +208,7 @@ def layout_ellipse(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
 
 
 def layout_text(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
-    w, h = measure_text(props["content"], props["fontSize"], props["fontFamily"])
+    w, h = measure_text(props["content"], props["fontSize"])
     _set_own(rt, node, left=0.0, top=0.0, width=w, height=h)
 
 
@@ -233,71 +233,50 @@ def _require_extent(rt: "LayoutRuntime", target: LayoutNode, axis: Axis) -> floa
 
 def _guideline_value(rt: "LayoutRuntime", target: LayoutNode, node: LayoutNode, axis: Axis,
                      field_name: str) -> float:
-    box = rt.graph.bbox_in_frame(target, node, axis, node)
+    box = rt.graph.bbox_in_frame(target, node, axis)
     value = box[field_name]
     if value is None:
         raise UndefinedExtentError(target.id, field_name)
     return value
 
 
-def _align_axis(rt: "LayoutRuntime", node: LayoutNode, targets: list[LayoutNode], axis: Axis,
-                field_name: str) -> float:
-    """Put every target's ``field_name`` on one guideline; returns it.
-
-    The guideline is 0 in the relation's frame unless some target is
-    already fixed on the axis, in which case the first fixed target
-    anchors it and the rest must fall in line.
-    """
-    fixed = [i for i, t in enumerate(targets) if rt.graph.is_fixed(t, axis)]
-    if fixed:
-        guideline = _guideline_value(rt, targets[fixed[0]], node, axis, field_name)
-    else:
-        guideline = 0.0
-    for i, t in enumerate(targets):
-        if fixed and i == fixed[0]:
-            continue
-        if rt.graph.is_fixed(t, axis):
-            value = _guideline_value(rt, t, node, axis, field_name)
-            if abs(value - guideline) > TOLERANCE:
-                raise DimensionConflict(
-                    t.id, field_name, t.transform_owners[axis.component], node.id,
-                    existing_value=value, value=guideline)
-        else:
-            rt.graph.set_dim_in_frame(t, node, field_name, guideline, node)
-    return guideline
-
-
-def _distribute_axis(rt: "LayoutRuntime", node: LayoutNode, targets: list[LayoutNode], axis: Axis,
-                     spacing: float) -> tuple[float, float]:
-    """Pack targets along the axis with equal gaps.
-
-    Slot offsets are the plain cursor walk (0, e0+spacing, ...); a fixed
-    target shifts the whole train so its slot lands where it already
-    sits, which fills earlier slots backward. Returns (origin, extent) of
-    the packed run in the relation's frame.
-    """
+def _packed_slots(rt: "LayoutRuntime", targets: list[LayoutNode], axis: Axis,
+                  spacing: float) -> tuple[list[float], float]:
+    """Start offsets of targets packed with equal gaps (0, e0+spacing, ...), and the run's extent."""
     extents = [_require_extent(rt, t, axis) for t in targets]
     slots = [0.0]
     for e in extents[:-1]:
         slots.append(slots[-1] + (e + spacing))
-    start_field = axis.start_field
+    return slots, sum(extents) + spacing * (len(extents) - 1)
+
+
+def _place(rt: "LayoutRuntime", node: LayoutNode, targets: list[LayoutNode], axis: Axis,
+           field_name: str, slots: list[float]) -> float:
+    """Put target *i*'s ``field_name`` at ``slots[i] + shift``; returns the shift.
+
+    The shift is 0 in the relation's frame unless some target is already
+    fixed on the axis. Then the first fixed target anchors it: the shift
+    lands that target's slot where it already sits, so a packed run
+    fills earlier slots backward and an align (all slots 0) adopts its
+    guideline as the shift. Every fixed target, the anchor included,
+    must sit at its implied value, or its owner and the relation conflict.
+    """
     fixed = [i for i, t in enumerate(targets) if rt.graph.is_fixed(t, axis)]
-    delta = 0.0
+    shift = 0.0
     if fixed:
         anchor = fixed[0]
-        delta = _guideline_value(rt, targets[anchor], node, axis, start_field) - slots[anchor]
+        shift = _guideline_value(rt, targets[anchor], node, axis, field_name) - slots[anchor]
     for i, t in enumerate(targets):
-        implied = slots[i] + delta
+        implied = slots[i] + shift
         if rt.graph.is_fixed(t, axis):
-            actual = _guideline_value(rt, t, node, axis, start_field)
+            actual = _guideline_value(rt, t, node, axis, field_name)
             if abs(actual - implied) > TOLERANCE:
                 raise DimensionConflict(
-                    t.id, start_field, t.transform_owners[axis.component], node.id,
+                    t.id, field_name, t.transform_owners[axis.component], node.id,
                     existing_value=actual, value=implied)
         else:
-            rt.graph.set_dim_in_frame(t, node, start_field, implied, node)
-    total = sum(extents) + spacing * (len(extents) - 1)
-    return delta, total
+            rt.graph.set_dim_in_frame(t, node, field_name, implied)
+    return shift
 
 
 def _union_boxes(rt: "LayoutRuntime", node: LayoutNode, targets: list[LayoutNode],
@@ -311,7 +290,7 @@ def _union_boxes(rt: "LayoutRuntime", node: LayoutNode, targets: list[LayoutNode
     lo = math.inf
     hi = -math.inf
     for t in targets:
-        box = rt.graph.bbox_in_frame(t, node, axis, node)
+        box = rt.graph.bbox_in_frame(t, node, axis)
         start = box[axis.start_field]
         end = box[axis.end_field]
         if start is None or end is None:
@@ -331,16 +310,12 @@ def _stack_layout_for(main: Axis):
         targets = [rt.graph.target_of(c) for c in node.children]
         cross = main.other
         cross_extents = [_require_extent(rt, t, cross) for t in targets]
-        guideline = _align_axis(rt, node, targets, cross, props["alignment"])
-        origin, total = _distribute_axis(rt, node, targets, main, props["spacing"])
-        cross_extent = max(cross_extents)
         field_name = props["alignment"]
-        if field_name == cross.start_field:
-            cross_origin = guideline
-        elif field_name == cross.center_field:
-            cross_origin = guideline - cross_extent / 2.0
-        else:
-            cross_origin = guideline - cross_extent
+        guideline = _place(rt, node, targets, cross, field_name, [0.0] * len(targets))
+        slots, total = _packed_slots(rt, targets, main, props["spacing"])
+        origin = _place(rt, node, targets, main, main.start_field, slots)
+        cross_extent = max(cross_extents)
+        cross_origin = guideline - cross.offset(field_name, cross_extent)
         _set_own(rt, node, **{
             main.start_field: origin, main.extent_field: total,
             cross.start_field: cross_origin, cross.extent_field: cross_extent,
@@ -359,11 +334,11 @@ def layout_align(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
             if all(e is not None for e in extents):
                 _set_own(rt, node, **{axis.extent_field: max(extents)})
             continue
-        guideline = _align_axis(rt, node, targets, axis, field_name)
+        guideline = _place(rt, node, targets, axis, field_name, [0.0] * len(targets))
         lo = math.inf
         hi = -math.inf
         for t in targets:
-            box = rt.graph.bbox_in_frame(t, node, axis, node)
+            box = rt.graph.bbox_in_frame(t, node, axis)
             start = box[axis.start_field]
             end = box[axis.end_field]
             if start is None or end is None:
@@ -372,12 +347,7 @@ def layout_align(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
                     continue
                 # a target without its own box position was just placed on
                 # the guideline with content at its local origin
-                if field_name == axis.start_field:
-                    start = guideline
-                elif field_name == axis.center_field:
-                    start = guideline - extent / 2.0
-                else:
-                    start = guideline - extent
+                start = guideline - axis.offset(field_name, extent)
                 end = start + extent
             lo = min(lo, start)
             hi = max(hi, end)
@@ -389,7 +359,8 @@ def layout_align(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
 def layout_distribute(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
     targets = [rt.graph.target_of(c) for c in node.children]
     main = Axis.VERTICAL if props["direction"] == "vertical" else Axis.HORIZONTAL
-    origin, total = _distribute_axis(rt, node, targets, main, props["spacing"])
+    slots, total = _packed_slots(rt, targets, main, props["spacing"])
+    origin = _place(rt, node, targets, main, main.start_field, slots)
     _set_own(rt, node, **{main.start_field: origin, main.extent_field: total})
     cross = main.other
     extents = [rt.graph.extent_of(t, cross) for t in targets]
@@ -423,13 +394,13 @@ def layout_background(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> Non
     for axis in (Axis.HORIZONTAL, Axis.VERTICAL):
         for t in targets:
             if not rt.graph.is_fixed(t, axis):
-                rt.graph.set_dim_in_frame(t, node, axis.start_field, padding, node)
+                rt.graph.set_dim_in_frame(t, node, axis.start_field, padding)
         span = _union_boxes(rt, node, targets, axis, strict=True)
         assert span is not None  # strict union either returns or raises
         lo, hi = span
         extent = (hi - lo) + 2.0 * padding
-        rt.graph.set_dim_in_frame(mark, node, axis.extent_field, extent, node)
-        rt.graph.set_dim_in_frame(mark, node, axis.start_field, lo - padding, node)
+        rt.graph.set_dim_in_frame(mark, node, axis.extent_field, extent)
+        rt.graph.set_dim_in_frame(mark, node, axis.start_field, lo - padding)
         _set_own(rt, node, **{axis.start_field: lo - padding, axis.extent_field: extent})
 
 
@@ -441,8 +412,8 @@ def _connector_layout_for(arrow: bool):
                 rt.graph.materialize(t, axis, node)
         boxes = []
         for t in targets:
-            h = rt.graph.bbox_in_frame(t, node, Axis.HORIZONTAL, node)
-            v = rt.graph.bbox_in_frame(t, node, Axis.VERTICAL, node)
+            h = rt.graph.bbox_in_frame(t, node, Axis.HORIZONTAL)
+            v = rt.graph.bbox_in_frame(t, node, Axis.VERTICAL)
             if None in (h["centerX"], h["width"], v["centerY"], v["height"]):
                 raise UndefinedExtentError(t.id, "width" if h["width"] is None else "height")
             boxes.append((h, v))

@@ -8,12 +8,13 @@ writing them *through* the tree, in its own coordinate frame.
 Coordinates are strictly local. A node's bbox lives in its own frame and
 its translation maps that frame into the parent's. Converting between
 frames composes translations along the paths to the least common
-ancestor. When a translation component on that path has not been decided
-yet, it is lazily materialized to 0 and the requesting relation becomes
-its owner: asking "where is X relative to me?" is only answerable once
-the undecided offsets in between are pinned down, and pinning them is
-itself a layout decision that must be owned. Once materialized, a
-component never changes (same single-write rule as bbox fields).
+ancestor. A relation reads and writes in its own frame, and the frame
+owns what it decides or defaults: each dimension it writes, and each
+undecided translation component on the path, lazily materialized to 0.
+Asking "where is X relative to me?" is only answerable once the
+undecided offsets in between are pinned down, and pinning them is itself
+a layout decision that must be owned. Once materialized, a component
+never changes (same single-write rule as bbox fields).
 
 The methods below take and return node records (``LayoutNode`` and
 ``RefNode``), never ids, so a relation reaches a node it does not own
@@ -259,21 +260,21 @@ class Scenegraph:
                 b = nodes[b.parent]
         return up, down
 
-    def bbox_in_frame(self, target: LayoutNode, frame: LayoutNode, axis: Axis,
-                      requester: LayoutNode) -> dict[str, float | None]:
+    def bbox_in_frame(self, target: LayoutNode, frame: LayoutNode,
+                      axis: Axis) -> dict[str, float | None]:
         """Target's box fields on one axis, expressed in frame coordinates.
 
         Walks target -> lca -> frame, materializing every undecided
-        translation component on the way (owner = requester), then
-        offsets the target's local values by the composed translations.
-        Returns a dict over the axis's three position fields and extent;
-        underdetermined fields are None.
+        translation component on the way (the frame owns what it
+        defaults), then offsets the target's local values by the
+        composed translations. Returns a dict over the axis's three
+        position fields and extent; underdetermined fields are None.
         """
         up, down = self._legs(target, frame)
-        chain = [self.materialize(n, axis, requester) for n in up]
+        chain = [self.materialize(n, axis, frame) for n in up]
         back = 0.0
         for n in down:
-            back += self.materialize(n, axis, requester)
+            back += self.materialize(n, axis, frame)
         out: dict[str, float | None] = {}
         for f in axis.position_fields:
             local = bbox_get(target.bbox, f)
@@ -287,57 +288,53 @@ class Scenegraph:
         out[axis.extent_field] = bbox_get(target.bbox, axis.extent_field)
         return out
 
-    def set_dim_in_frame(self, target: LayoutNode, frame: LayoutNode, field_name: str, value: float,
-                         writer: LayoutNode) -> None:
+    def set_dim_in_frame(self, target: LayoutNode, frame: LayoutNode, field_name: str,
+                         value: float) -> None:
         """Write one dimension of target, with value given in frame coordinates.
 
-        Extents are frame-independent and go straight into the target's
-        bbox, as does a start written in the target's own frame: both
-        define what the node *is* (the box stores nothing else, so a
-        centre or end in the own frame raises ValueError). A position
-        written from any other frame decides where the node *sits* and
-        becomes its translation on the axis (relations move nodes, they
-        do not reshape them). When the target stores no start on the
-        axis its content sits at the local origin by default (the same
-        default finalize applies), so the local value is derived from
-        the extent alone. Either way the written dimension gets
-        ``writer`` as its owner, and writing over a differently-owned
-        dimension raises DimensionConflict naming both owners. Only a
-        write that happens is logged: the same writer repeating a value
-        changes nothing.
+        The frame owns what it decides or defaults. Extents are
+        frame-independent and go straight into the target's bbox, as
+        does a start written in the target's own frame: both define what
+        the node *is* (the box stores nothing else, so a centre or end
+        in the own frame raises ValueError). A position written from any
+        other frame decides where the node *sits* and becomes its
+        translation on the axis (relations move nodes, they do not
+        reshape them). When the target stores no start on the axis its
+        content sits at the local origin by default (the same default
+        finalize applies), so the local value is the field's offset from
+        that origin. Either way the written dimension gets ``frame`` as
+        its owner, and writing over a differently-owned dimension raises
+        DimensionConflict naming both owners. Only a write that happens
+        is logged: the same frame repeating a value changes nothing.
         """
         axis = axis_of(field_name)
         if field_name == axis.extent_field or target is frame:
             fresh = field_name not in target.bbox_owners  # else bbox_set no-ops or raises
-            bbox_set(target.bbox, target.bbox_owners, field_name, value, writer.id, target.id)
+            bbox_set(target.bbox, target.bbox_owners, field_name, value, frame.id, target.id)
             if fresh:
-                self.write_log.append((target.id, field_name, writer.id))
+                self.write_log.append((target.id, field_name, frame.id))
             return
         up, down = self._legs(target, frame)
         rest = 0.0
         for n in up[1:]:  # exclude the target's own translation
-            rest += self.materialize(n, axis, writer)
+            rest += self.materialize(n, axis, frame)
         back = 0.0
         for n in down:
-            back += self.materialize(n, axis, writer)
-        start = getattr(target.bbox, axis.start_field)
-        extent = getattr(target.bbox, axis.extent_field)
-        if field_name == axis.start_field:
-            local = 0.0 if start is None else start
-        elif extent is None:
-            # a centre or end with no extent is unrelatable to the content
-            raise UndefinedExtentError(target.id, field_name)
-        elif field_name == axis.center_field:
-            local = extent / 2.0 if start is None else start + extent / 2.0
-        else:
-            local = extent if start is None else start + extent
+            back += self.materialize(n, axis, frame)
+        local = bbox_get(target.bbox, field_name)  # None unless the box stores what it needs
+        if local is None:
+            extent = getattr(target.bbox, axis.extent_field)
+            if extent is None and field_name != axis.start_field:
+                # a centre or end with no extent is unrelatable to the content
+                raise UndefinedExtentError(target.id, field_name)
+            local = axis.offset(field_name, extent)
         implied = ((value - local) - rest) + back
         current = getattr(target.transform, axis.component)
         if current is None:
-            self._set_component(target, axis, implied, writer.id)
-        elif abs(current - implied) > TOLERANCE or target.transform_owners[axis.component] != writer.id:
+            self._set_component(target, axis, implied, frame.id)
+        elif abs(current - implied) > TOLERANCE or target.transform_owners[axis.component] != frame.id:
             raise DimensionConflict(
-                target.id, field_name, target.transform_owners[axis.component], writer.id,
+                target.id, field_name, target.transform_owners[axis.component], frame.id,
                 existing_value=current, value=implied)
 
     # --- finalization --------------------------------------------------------

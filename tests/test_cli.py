@@ -92,6 +92,20 @@ def test_check_rejects_overflowing_geometry_without_a_traceback(tmp_path, capsys
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["render", "check"])
+def test_a_string_svg_cannot_carry_fails_without_a_traceback(tmp_path, capsys, command):
+    source = tmp_path / "surrogate.json"
+    source.write_text('{"bluefish": 1, "root": {"kind": "text", '
+                      '"props": {"content": "a\\ud800b", "fontSize": 12}}}')
+    assert main([command, str(source)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("error[BF007]") == 1
+    assert "root.props.content" in err
+    assert "Traceback" not in err
+    assert not source.with_suffix(".svg").exists()
+
+
 @pytest.mark.parametrize(("width", "digits"), [
     (1e30, "1" + "0" * 30),
     (sys.float_info.max, "17976931348623157" + "0" * 292),

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import json
 import sys
+from xml.dom import minidom
 
 import pytest
 
+from bluefish import paint
 from bluefish.docformat import (
     Element,
     parse_document,
@@ -99,6 +101,7 @@ def test_schema_errors_carry_the_document_path():
 
 
 _RECT_WIDTH = '{"bluefish": 1, "root": {"kind": "rect", "props": {"width": %s, "height": 1}}}'
+_TEXT_CONTENT = '{"bluefish": 1, "root": {"kind": "text", "props": {"content": "%s", "fontSize": 12}}}'
 
 
 @pytest.mark.parametrize("source, prop_path", [
@@ -111,8 +114,20 @@ _RECT_WIDTH = '{"bluefish": 1, "root": {"kind": "rect", "props": {"width": %s, "
     ('{"bluefish": 1, "root": {"kind": "group", "children": ['
      '{"kind": "text", "props": {"content": "a", "fontSize": NaN}}]}}',
      "root.children[0].props.fontSize"),
+    # strings SVG cannot carry: lone surrogates, C0 controls other than
+    # tab, LF and CR, and U+FFFE/U+FFFF
+    (_TEXT_CONTENT % "a\\ud800b", "root.props.content"),
+    (_TEXT_CONTENT % "\\udc00", "root.props.content"),
+    (_TEXT_CONTENT % "\\u0000", "root.props.content"),
+    ('{"bluefish": 1, "root": {"kind": "rect", "props": {"width": 1, "height": 1, "fill": "\\u0001"}}}',
+     "root.props.fill"),
+    ('{"bluefish": 1, "root": {"kind": "path", "props": {"d": "M 0 0 L 1 1\\u000b"}}}', "root.props.d"),
+    # a raw U+FFFF, not an escape: valid UTF-8, yet not an XML character
+    ((_TEXT_CONTENT % "a\uffffb").encode("utf-8"), "root.props.content"),
+    # a str document was never UTF-8 checked, so it can hold a raw lone surrogate
+    (_TEXT_CONTENT % "\ud800", "root.props.content"),
 ])
-def test_non_finite_and_out_of_range_numbers_are_one_schema_error(source, prop_path):
+def test_unrepresentable_prop_values_are_one_schema_error(source, prop_path):
     with pytest.raises(SchemaError) as excinfo:
         parse_document(source)
     assert excinfo.value.path == prop_path
@@ -124,6 +139,13 @@ def test_non_finite_and_out_of_range_numbers_are_one_schema_error(source, prop_p
 def test_the_largest_finite_numbers_are_accepted():
     tree = parse_document(_RECT_WIDTH % "1.7976931348623157e308")
     assert tree.props["width"] == sys.float_info.max
+
+
+def test_tab_newline_and_escaped_astral_text_compile_to_well_formed_svg():
+    scene, diagnostics = compile_source(_TEXT_CONTENT % "a\\tb\\nc\\ud83d\\ude00")
+    assert diagnostics == []
+    text = minidom.parseString(paint(scene)).getElementsByTagName("text")[0]
+    assert text.firstChild.data == "a\tb\nc\U0001F600"
 
 
 def test_select_accepts_string_or_path():

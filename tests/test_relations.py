@@ -25,10 +25,6 @@ def test_text_metrics_are_deterministic(content, size, expected):
     assert measure_text(content, size) == pytest.approx(expected)
 
 
-def test_text_metrics_ignore_the_family():
-    assert measure_text("hi", 16, "serif") == measure_text("hi", 16, "monospace")
-
-
 def test_text_metrics_reject_nonpositive_sizes():
     with pytest.raises(ValueError):
         measure_text("x", 0)
@@ -172,9 +168,9 @@ def test_align_adopts_a_fixed_participant():
     g.create_ref(align, b)
     rt.layout_node(a.id)
     rt.layout_node(b.id)
-    g.set_dim_in_frame(a, root, "left", 100.0, root)
+    g.set_dim_in_frame(a, root, "left", 100.0)
     rt.layout_node(align.id)
-    assert g.bbox_in_frame(b, root, Axis.HORIZONTAL, root)["left"] == 100.0
+    assert g.bbox_in_frame(b, root, Axis.HORIZONTAL)["left"] == 100.0
 
 
 def test_distribute_fills_backward_from_a_fixed_participant():
@@ -187,30 +183,35 @@ def test_distribute_fills_backward_from_a_fixed_participant():
     g.create_ref(dist, b)
     rt.layout_node(a.id)
     rt.layout_node(b.id)
-    g.set_dim_in_frame(b, root, "top", 100.0, root)
+    g.set_dim_in_frame(b, root, "top", 100.0)
     rt.layout_node(dist.id)
     # slot for b starts at 20 + 30, so the whole run shifts up to meet it
-    assert g.bbox_in_frame(a, root, Axis.VERTICAL, root)["top"] == 50.0
+    assert g.bbox_in_frame(a, root, Axis.VERTICAL)["top"] == 50.0
     assert dist.bbox.top == 50.0
     assert dist.bbox.height == 60.0
 
 
-def test_distribute_rejects_a_disagreeing_second_anchor():
+@pytest.mark.parametrize("kind,props,implied", [
+    ("distribute", {"direction": "vertical", "spacing": 30}, 50.0),  # b's slot is 20 + 30
+    ("align", {"alignment": "top"}, 0.0),  # b's top is a's
+], ids=["distribute", "align"])
+def test_relation_rejects_a_disagreeing_second_anchor(kind, props, implied):
     rt, g = _fresh()
     root = _node(rt, "group", None)
     a = _node(rt, "rect", root, width=20, height=20)
     b = _node(rt, "rect", root, width=20, height=10)
-    dist = _node(rt, "distribute", root, direction="vertical", spacing=30)
-    g.create_ref(dist, a)
-    g.create_ref(dist, b)
+    relation = _node(rt, kind, root, **props)
+    g.create_ref(relation, a)
+    g.create_ref(relation, b)
     rt.layout_node(a.id)
     rt.layout_node(b.id)
-    g.set_dim_in_frame(a, root, "top", 0.0, root)
-    g.set_dim_in_frame(b, root, "top", 100.0, root)  # implied slot is 50
+    g.set_dim_in_frame(a, root, "top", 0.0)
+    g.set_dim_in_frame(b, root, "top", 100.0)
     with pytest.raises(DimensionConflict) as excinfo:
-        rt.layout_node(dist.id)
+        rt.layout_node(relation.id)
     conflict = excinfo.value
-    assert (conflict.node, conflict.existing_owner, conflict.writer) == (b.id, root.id, dist.id)
+    assert (conflict.node, conflict.existing_owner, conflict.writer) == (b.id, root.id, relation.id)
+    assert (conflict.existing_value, conflict.value) == (100.0, implied)
 
 
 # --- background --------------------------------------------------------------------

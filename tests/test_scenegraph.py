@@ -36,7 +36,7 @@ from conftest import FIXTURES
 def _rect(g: Scenegraph, parent: LayoutNode | None, w: float, h: float) -> LayoutNode:
     node = g.create_node("rect", parent)
     for field, value in (("left", 0.0), ("top", 0.0), ("width", w), ("height", h)):
-        g.set_dim_in_frame(node, node, field, value, node)
+        g.set_dim_in_frame(node, node, field, value)
     return node
 
 
@@ -123,7 +123,7 @@ def test_cross_frame_write_moves_without_reshaping():
     g = Scenegraph()
     root = g.create_node("group", None)
     a = _rect(g, root, 10.0, 20.0)
-    g.set_dim_in_frame(a, root, "left", 25.0, root)
+    g.set_dim_in_frame(a, root, "left", 25.0)
     assert a.transform.x == 25.0
     assert a.transform_owners["x"] == root.id
     assert a.bbox.left == 0.0  # the local box is untouched
@@ -135,8 +135,8 @@ def test_cross_frame_write_derives_local_position_from_extent():
     g = Scenegraph()
     root = g.create_node("group", None)
     a = g.create_node("rect", root)
-    g.set_dim_in_frame(a, a, "width", 10.0, a)
-    g.set_dim_in_frame(a, root, "centerX", 0.0, root)
+    g.set_dim_in_frame(a, a, "width", 10.0)
+    g.set_dim_in_frame(a, root, "centerX", 0.0)
     assert a.transform.x == -5.0
 
 
@@ -144,7 +144,7 @@ def test_start_write_needs_no_extent():
     g = Scenegraph()
     root = g.create_node("group", None)
     a = g.create_node("rect", root)
-    g.set_dim_in_frame(a, root, "left", 7.0, root)
+    g.set_dim_in_frame(a, root, "left", 7.0)
     assert a.transform.x == 7.0
 
 
@@ -153,16 +153,16 @@ def test_center_write_with_no_extent_is_underivable():
     root = g.create_node("group", None)
     a = g.create_node("rect", root)
     with pytest.raises(UndefinedExtentError):
-        g.set_dim_in_frame(a, root, "centerX", 0.0, root)
+        g.set_dim_in_frame(a, root, "centerX", 0.0)
 
 
 def test_stored_position_with_underivable_field_is_an_error():
     g = Scenegraph()
     root = g.create_node("group", None)
     a = g.create_node("path", root)
-    g.set_dim_in_frame(a, a, "left", 3.0, a)  # position but no width
+    g.set_dim_in_frame(a, a, "left", 3.0)  # position but no width
     with pytest.raises(UndefinedExtentError):
-        g.set_dim_in_frame(a, root, "centerX", 10.0, root)
+        g.set_dim_in_frame(a, root, "centerX", 10.0)
 
 
 def test_double_placement_conflicts_with_both_owners():
@@ -171,9 +171,9 @@ def test_double_placement_conflicts_with_both_owners():
     a = _rect(g, root, 10.0, 10.0)
     first = g.create_node("align", root)
     second = g.create_node("align", root)
-    g.set_dim_in_frame(a, root, "top", 0.0, first)
+    g.set_dim_in_frame(a, first, "top", 0.0)
     with pytest.raises(DimensionConflict) as excinfo:
-        g.set_dim_in_frame(a, root, "top", 30.0, second)
+        g.set_dim_in_frame(a, second, "top", 30.0)
     assert excinfo.value.existing_owner == first.id
     assert excinfo.value.writer == second.id
 
@@ -182,11 +182,11 @@ def test_same_writer_same_value_is_idempotent():
     g = Scenegraph()
     root = g.create_node("group", None)
     a = _rect(g, root, 10.0, 10.0)
-    g.set_dim_in_frame(a, root, "top", 12.0, root)
-    g.set_dim_in_frame(a, root, "top", 12.0, root)
+    g.set_dim_in_frame(a, root, "top", 12.0)
+    g.set_dim_in_frame(a, root, "top", 12.0)
     assert a.transform.y == 12.0
     # a box field repeated by its owner is no write either, so it is logged once
-    g.set_dim_in_frame(a, a, "width", 10.0, a)
+    g.set_dim_in_frame(a, a, "width", 10.0)
     assert a.bbox.width == 10.0
     assert g.write_log.count((a.id, "width", a.id)) == 1
     assert g.write_log.count((a.id, "transform.y", root.id)) == 1
@@ -197,7 +197,7 @@ def test_writes_are_logged():
     root = g.create_node("group", None)
     a = _rect(g, root, 10.0, 10.0)
     before = len(g.write_log)
-    g.set_dim_in_frame(a, root, "left", 1.0, root)
+    g.set_dim_in_frame(a, root, "left", 1.0)
     assert len(g.write_log) == before + 1
 
 
@@ -209,12 +209,15 @@ def test_read_through_frames_materializes_undecided_transforms():
     root = g.create_node("group", None)
     inner = g.create_node("group", root)
     a = _rect(g, inner, 10.0, 10.0)
-    requester = g.create_node("align", root)
-    box = g.bbox_in_frame(a, root, Axis.HORIZONTAL, requester)
+    frame = g.create_node("align", root)
+    box = g.bbox_in_frame(a, frame, Axis.HORIZONTAL)
     assert box["left"] == 0.0
     assert inner.transform.x == 0.0
-    assert inner.transform_owners["x"] == requester.id
-    assert a.transform_owners["x"] == requester.id
+    # the reading frame owns every translation it defaulted on both legs
+    assert inner.transform_owners["x"] == frame.id
+    assert a.transform_owners["x"] == frame.id
+    assert frame.transform_owners["x"] == frame.id
+    assert root.transform.x is None
 
 
 def test_materialize_keeps_decided_values():
@@ -222,7 +225,7 @@ def test_materialize_keeps_decided_values():
     root = g.create_node("group", None)
     a = _rect(g, root, 10.0, 10.0)
     other = g.create_node("align", root)
-    g.set_dim_in_frame(a, root, "left", 40.0, root)
+    g.set_dim_in_frame(a, root, "left", 40.0)
     assert g.materialize(a, Axis.HORIZONTAL, other) == 40.0
     assert a.transform_owners["x"] == root.id
 
@@ -233,12 +236,13 @@ def test_write_into_a_sibling_frame_composes_both_legs():
     g1 = g.create_node("group", root)
     g2 = g.create_node("group", root)
     a = _rect(g, g1, 10.0, 10.0)
-    g.set_dim_in_frame(a, g2, "left", 40.0, root)
-    box = g.bbox_in_frame(a, g2, Axis.HORIZONTAL, root)
+    g.set_dim_in_frame(a, g2, "left", 40.0)
+    box = g.bbox_in_frame(a, g2, Axis.HORIZONTAL)
     assert box["left"] == 40.0
-    # both legs got pinned on the way
+    # both legs got pinned on the way, owned by the writing frame
     assert g1.transform.x == 0.0
     assert g2.transform.x == 0.0
+    assert a.transform_owners["x"] == g1.transform_owners["x"] == g2.transform_owners["x"] == g2.id
 
 
 @given(depth=st.integers(min_value=1, max_value=4),
@@ -250,8 +254,8 @@ def test_frame_coherence_after_a_write(depth, value):
     for _ in range(depth):
         parent = g.create_node("group", parent)
     a = _rect(g, parent, 10.0, 10.0)
-    g.set_dim_in_frame(a, root, "left", value, root)
-    box = g.bbox_in_frame(a, root, Axis.HORIZONTAL, root)
+    g.set_dim_in_frame(a, root, "left", value)
+    box = g.bbox_in_frame(a, root, Axis.HORIZONTAL)
     assert box["left"] == pytest.approx(value, abs=1e-9)
 
 
@@ -261,12 +265,11 @@ def test_read_from_a_deeper_frame_subtracts_the_frame_leg():
     a = _rect(g, root, 10.0, 10.0)
     outer = g.create_node("group", root)
     inner = g.create_node("group", outer)
-    g.set_dim_in_frame(a, root, "left", 30.0, root)
-    g.set_dim_in_frame(outer, root, "left", 5.0, root)
-    requester = g.create_node("align", root)
-    box = g.bbox_in_frame(a, inner, Axis.HORIZONTAL, requester)
+    g.set_dim_in_frame(a, root, "left", 30.0)
+    g.set_dim_in_frame(outer, root, "left", 5.0)
+    box = g.bbox_in_frame(a, inner, Axis.HORIZONTAL)
     assert box["left"] == 25.0
-    assert inner.transform_owners["x"] == requester.id  # frame leg pinned
+    assert inner.transform_owners["x"] == inner.id  # frame leg pinned by the frame
     assert root.transform.x is None  # the lca's own translation is untouched
 
 
@@ -286,8 +289,8 @@ def test_finalize_defaults_transforms_to_zero_owned_by_root():
     g = Scenegraph()
     root = g.create_node("group", None)
     a = _rect(g, root, 10.0, 10.0)
-    g.set_dim_in_frame(root, root, "width", 10.0, root)
-    g.set_dim_in_frame(root, root, "height", 10.0, root)
+    g.set_dim_in_frame(root, root, "width", 10.0)
+    g.set_dim_in_frame(root, root, "height", 10.0)
     g.finalize()
     assert a.transform.x == 0.0
     assert a.transform_owners["x"] == root.id
@@ -297,8 +300,8 @@ def test_finalize_reports_unsized_nodes():
     g = Scenegraph()
     root = g.create_node("group", None)
     a = g.create_node("rect", root)  # never sized
-    g.set_dim_in_frame(root, root, "width", 1.0, root)
-    g.set_dim_in_frame(root, root, "height", 1.0, root)
+    g.set_dim_in_frame(root, root, "width", 1.0)
+    g.set_dim_in_frame(root, root, "height", 1.0)
     with pytest.raises(UnsizedNodes) as excinfo:
         g.finalize()
     assert a.id in excinfo.value.node_ids
@@ -309,13 +312,13 @@ def test_resolve_accumulates_origins_down_the_tree():
     root = g.create_node("group", None)
     inner = g.create_node("group", root)
     a = _rect(g, inner, 10.0, 10.0)
-    g.set_dim_in_frame(inner, root, "left", 5.0, root)
-    g.set_dim_in_frame(inner, root, "top", 0.0, root)
-    g.set_dim_in_frame(a, inner, "left", 2.0, inner)
-    g.set_dim_in_frame(a, inner, "top", 0.0, inner)
+    g.set_dim_in_frame(inner, root, "left", 5.0)
+    g.set_dim_in_frame(inner, root, "top", 0.0)
+    g.set_dim_in_frame(a, inner, "left", 2.0)
+    g.set_dim_in_frame(a, inner, "top", 0.0)
     for node in (root, inner):
-        g.set_dim_in_frame(node, node, "width", 20.0, node)
-        g.set_dim_in_frame(node, node, "height", 20.0, node)
+        g.set_dim_in_frame(node, node, "width", 20.0)
+        g.set_dim_in_frame(node, node, "height", 20.0)
     g.finalize()
     scene = g.resolve()
     assert scene[a.id] is a and a.x == 7.0
@@ -328,10 +331,10 @@ def test_a_translation_beyond_the_float_range_is_not_written():
     root = g.create_node("group", None)
     a = g.create_node("path", root)
     for field, value in (("left", -sys.float_info.max), ("top", 0.0), ("width", 1.0), ("height", 1.0)):
-        g.set_dim_in_frame(a, a, field, value, a)
+        g.set_dim_in_frame(a, a, field, value)
     log = list(g.write_log)
     with pytest.raises(GeometryOverflow) as excinfo:
-        g.set_dim_in_frame(a, root, "left", sys.float_info.max, root)
+        g.set_dim_in_frame(a, root, "left", sys.float_info.max)
     assert (excinfo.value.node, excinfo.value.field) == (a.id, "transform.x")
     assert a.transform.x is None and g.write_log == log
 
@@ -342,10 +345,10 @@ def test_origins_beyond_the_float_range_overflow_in_resolve():
     outer = g.create_node("group", root)
     inner = _rect(g, outer, 1.0, 1.0)
     for node in (root, outer):
-        g.set_dim_in_frame(node, node, "width", 1.0, node)
-        g.set_dim_in_frame(node, node, "height", 1.0, node)
-    g.set_dim_in_frame(outer, root, "left", 1e308, root)
-    g.set_dim_in_frame(inner, outer, "left", 1e308, outer)
+        g.set_dim_in_frame(node, node, "width", 1.0)
+        g.set_dim_in_frame(node, node, "height", 1.0)
+    g.set_dim_in_frame(outer, root, "left", 1e308)
+    g.set_dim_in_frame(inner, outer, "left", 1e308)
     g.finalize()
     with pytest.raises(GeometryOverflow) as excinfo:
         g.resolve()
