@@ -18,7 +18,7 @@ from .engine import (
 )
 from .errors import BluefishError, Diagnostic
 from .geometry import TOLERANCE, Axis, PartialBBox, Translate, bbox_get, bbox_set
-from .relations import ALIGNMENT_FIELDS, MARK_KINDS, ElementKindSpec, measure_text
+from .relations import ALIGNMENT_FIELDS, ElementKindSpec, measure_text
 from .renderer import dump_scene, paint
 from .scenegraph import ResolvedScene, Scenegraph
 
@@ -32,7 +32,6 @@ __all__ = [
     "Element",
     "ElementKindSpec",
     "LayoutRuntime",
-    "MARK_KINDS",
     "NameTable",
     "PartialBBox",
     "Registry",

@@ -34,6 +34,7 @@ from .errors import (
     DocumentSyntaxError,
     SchemaError,
 )
+from .relations import BACKGROUND_MARK_KINDS, path_control_points
 
 FORMAT_VERSION = 1
 _DOCUMENT_KEYS = {"bluefish", "root"}
@@ -194,10 +195,10 @@ def walk(tree: Element):
 
 
 def _check_props(el: Element, path: str, spec, diags: list[Diagnostic],
-                 relax_required: frozenset[str] = frozenset()) -> None:
+                 require: bool = True) -> None:
     allowed = set(spec.required_props) | set(spec.optional_props)
     for prop in spec.required_props:
-        if prop not in el.props and prop not in relax_required:
+        if require and prop not in el.props:
             diags.append(Diagnostic(
                 SCHEMA_ERROR, f"{el.kind} requires prop {prop!r} (MissingProp)", (path,)))
     for prop, value in el.props.items():
@@ -234,8 +235,6 @@ def _check_props(el: Element, path: str, spec, diags: list[Diagnostic],
 
 def validate(tree: Element, registry) -> list[Diagnostic]:
     """Check the tree against a kind registry. Returns all problems found."""
-    from .relations import BACKGROUND_MARK_KINDS, BACKGROUND_MARK_SIZE_PROPS
-
     diags: list[Diagnostic] = []
     for el, path, _ in walk(tree):
         spec = registry.kinds.get(el.kind)
@@ -291,12 +290,10 @@ def validate(tree: Element, registry) -> list[Diagnostic]:
                     if mark.children or mark.name or mark.select:
                         diags.append(Diagnostic(
                             SCHEMA_ERROR, "background mark must be a bare mark element", (mpath,)))
-                    # the background sizes its mark, so size props are optional here
-                    _check_props(mark, mpath, mark_spec, diags,
-                                 relax_required=BACKGROUND_MARK_SIZE_PROPS)
+                    # the background sizes its mark, whose required props
+                    # are all size props, so none is required here
+                    _check_props(mark, mpath, mark_spec, diags, require=False)
         if el.kind == "path" and isinstance(el.props.get("d"), str):
-            from .relations import path_control_points
-
             try:
                 path_control_points(el.props["d"])  # type: ignore[arg-type]
             except ValueError as exc:

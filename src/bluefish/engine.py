@@ -120,7 +120,7 @@ def build_scenegraph(tree: Element, names: NameTable, registry: Registry) -> Sce
     background, so creation order stays pre-order and paint order falls
     out of plain pre-order traversal.
     """
-    graph = Scenegraph()
+    graph = Scenegraph(registry)
     node_of_element: dict[int, LayoutNode] = {}
     for index, (el, path, parent_index) in enumerate(docformat.walk(tree)):
         parent = None if parent_index is None else node_of_element[parent_index]
@@ -225,14 +225,14 @@ def _layout_error_diagnostic(graph: Scenegraph, exc: BluefishError) -> Diagnosti
     raise exc
 
 
-def layout_document(graph: Scenegraph, registry: Registry) -> tuple[ResolvedScene | None, list[Diagnostic]]:
-    """Run the single layout pass and finalize.
+def layout_document(graph: Scenegraph) -> tuple[ResolvedScene | None, list[Diagnostic]]:
+    """Run the single layout pass with the graph's registry, and finalize.
 
     Returns (scene, diagnostics). The scene is None when layout aborted;
     the diagnostics then explain why. Warnings may accompany a
     successful scene.
     """
-    rt = LayoutRuntime(graph=graph, registry=registry)
+    rt = LayoutRuntime(graph=graph, registry=graph.registry)
     assert graph.root is not None
     try:
         rt.layout_node(graph.root)
@@ -274,5 +274,5 @@ def compile_source(data: bytes | str, registry: Registry | None = None) -> tuple
         graph = build_scenegraph(tree, table, registry)
     except SelfReference as exc:
         return None, diags + [Diagnostic(SELF_REFERENCE, str(exc), (exc.ref, exc.referent))]
-    scene, layout_diags = layout_document(graph, registry)
+    scene, layout_diags = layout_document(graph)
     return scene, diags + layout_diags

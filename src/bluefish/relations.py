@@ -39,9 +39,7 @@ if TYPE_CHECKING:
     from .engine import LayoutRuntime
     from .scenegraph import LayoutNode
 
-MARK_KINDS = frozenset({"rect", "circle", "ellipse", "path", "text"})
 BACKGROUND_MARK_KINDS = frozenset({"rect", "circle", "ellipse"})
-BACKGROUND_MARK_SIZE_PROPS = frozenset({"width", "height", "r", "rx", "ry"})
 
 #: 2D alignments decompose into one guideline field per axis.
 ALIGNMENT_FIELDS: dict[str, tuple[str | None, str | None]] = {
@@ -569,111 +567,79 @@ def _tag(name: str, attrs: dict[str, object], fmt, esc, body: str | None = None)
 
 # --- registry ------------------------------------------------------------------
 
-_STYLE_TYPES = {
+#: Each standard prop has one type and one sign in every kind that takes it.
+_PROP_TYPES = {
+    "width": "number", "height": "number", "r": "number", "rx": "number", "ry": "number",
+    "strokeWidth": "number", "fontSize": "number", "spacing": "number",
+    "padding": "number", "gap": "number",
     "fill": "string", "stroke": "string", "strokeDasharray": "string",
     "fontFamily": "string", "content": "string", "d": "string",
     "alignment": "string", "direction": "string",
+    "background": "element",
 }
+_NONNEGATIVE_PROPS = frozenset({"width", "height", "r", "rx", "ry", "strokeWidth", "padding", "gap"})
+_POSITIVE_PROPS = frozenset({"fontSize"})
 
 
-def _types(*names: str) -> dict[str, str]:
-    return {n: _STYLE_TYPES.get(n, "number") for n in names}
+def _standard_spec(kind: str, required_props: tuple[str, ...] = (),
+                   optional_props: dict[str, object] | None = None, **facts) -> ElementKindSpec:
+    """A built-in kind whose props' types and signs come from the tables above."""
+    optional_props = optional_props or {}
+    names = (*required_props, *optional_props)
+    return ElementKindSpec(
+        kind=kind, required_props=required_props, optional_props=optional_props,
+        prop_types={n: _PROP_TYPES[n] for n in names},
+        nonnegative_props=_NONNEGATIVE_PROPS.intersection(names),
+        positive_props=_POSITIVE_PROPS.intersection(names), **facts)
 
 
 def standard_kind_specs() -> list[ElementKindSpec]:
-    stack_alignments = {
-        Axis.VERTICAL: ("left", "centerX", "right"),
-        Axis.HORIZONTAL: ("top", "centerY", "bottom"),
-    }
     return [
-        ElementKindSpec(
-            kind="rect", is_mark=True,
-            required_props=("width", "height"),
-            optional_props={"fill": "black", "stroke": None, "strokeWidth": 1.0, "rx": 0.0},
-            prop_types=_types("width", "height", "fill", "stroke", "strokeWidth", "rx"),
-            nonnegative_props=frozenset({"width", "height", "rx", "strokeWidth"}),
-            layout=layout_rect, paint=paint_rect),
-        ElementKindSpec(
-            kind="circle", is_mark=True,
-            required_props=("r",),
-            optional_props={"fill": None, "stroke": None, "strokeWidth": None},
-            prop_types=_types("r", "fill", "stroke", "strokeWidth"),
-            nonnegative_props=frozenset({"r", "strokeWidth"}),
-            layout=layout_circle, paint=paint_circle),
-        ElementKindSpec(
-            kind="ellipse", is_mark=True,
-            required_props=("rx", "ry"),
-            optional_props={"fill": None, "stroke": None, "strokeWidth": None},
-            prop_types=_types("rx", "ry", "fill", "stroke", "strokeWidth"),
-            nonnegative_props=frozenset({"rx", "ry", "strokeWidth"}),
-            layout=layout_ellipse, paint=paint_ellipse),
-        ElementKindSpec(
-            kind="path", is_mark=True,
-            required_props=("d",),
-            optional_props={"stroke": "black", "strokeWidth": 1.0,
-                            "strokeDasharray": None, "fill": "none"},
-            prop_types=_types("d", "stroke", "strokeWidth", "strokeDasharray", "fill"),
-            nonnegative_props=frozenset({"strokeWidth"}),
-            layout=layout_path, paint=paint_path),
-        ElementKindSpec(
-            kind="text", is_mark=True,
-            required_props=("content",),
-            optional_props={"fontSize": 16.0, "fontFamily": "sans-serif", "fill": "black"},
-            prop_types=_types("content", "fontSize", "fontFamily", "fill"),
-            positive_props=frozenset({"fontSize"}),
-            layout=layout_text, paint=paint_text),
-        ElementKindSpec(
-            kind="group",
-            layout=layout_group),
-        ElementKindSpec(
-            kind="stackV",
-            optional_props={"spacing": 0.0, "alignment": "centerX"},
-            prop_types=_types("spacing", "alignment"),
-            enum_props={"alignment": stack_alignments[Axis.VERTICAL]},
-            min_children=1,
-            layout=_stack_layout_for(Axis.VERTICAL)),
-        ElementKindSpec(
-            kind="stackH",
-            optional_props={"spacing": 0.0, "alignment": "centerY"},
-            prop_types=_types("spacing", "alignment"),
-            enum_props={"alignment": stack_alignments[Axis.HORIZONTAL]},
-            min_children=1,
-            layout=_stack_layout_for(Axis.HORIZONTAL)),
-        ElementKindSpec(
-            kind="align",
-            required_props=("alignment",),
-            prop_types=_types("alignment"),
+        _standard_spec(
+            "rect", ("width", "height"),
+            {"fill": "black", "stroke": None, "strokeWidth": 1.0, "rx": 0.0},
+            is_mark=True, layout=layout_rect, paint=paint_rect),
+        _standard_spec(
+            "circle", ("r",), {"fill": None, "stroke": None, "strokeWidth": None},
+            is_mark=True, layout=layout_circle, paint=paint_circle),
+        _standard_spec(
+            "ellipse", ("rx", "ry"), {"fill": None, "stroke": None, "strokeWidth": None},
+            is_mark=True, layout=layout_ellipse, paint=paint_ellipse),
+        _standard_spec(
+            "path", ("d",),
+            {"stroke": "black", "strokeWidth": 1.0, "strokeDasharray": None, "fill": "none"},
+            is_mark=True, layout=layout_path, paint=paint_path),
+        _standard_spec(
+            "text", ("content",),
+            {"fontSize": 16.0, "fontFamily": "sans-serif", "fill": "black"},
+            is_mark=True, layout=layout_text, paint=paint_text),
+        _standard_spec("group", layout=layout_group),
+        _standard_spec(
+            "stackV", optional_props={"spacing": 0.0, "alignment": "centerX"},
+            enum_props={"alignment": Axis.HORIZONTAL.position_fields},
+            min_children=1, layout=_stack_layout_for(Axis.VERTICAL)),
+        _standard_spec(
+            "stackH", optional_props={"spacing": 0.0, "alignment": "centerY"},
+            enum_props={"alignment": Axis.VERTICAL.position_fields},
+            min_children=1, layout=_stack_layout_for(Axis.HORIZONTAL)),
+        _standard_spec(
+            "align", ("alignment",),
             enum_props={"alignment": tuple(ALIGNMENT_FIELDS)},
-            min_children=1,
-            layout=layout_align),
-        ElementKindSpec(
-            kind="distribute",
-            required_props=("direction", "spacing"),
-            prop_types=_types("direction", "spacing"),
+            min_children=1, layout=layout_align),
+        _standard_spec(
+            "distribute", ("direction", "spacing"),
             enum_props={"direction": ("vertical", "horizontal")},
-            min_children=2,
-            layout=layout_distribute),
-        ElementKindSpec(
-            kind="background",
-            optional_props={"padding": 10.0, "background": None},
-            prop_types={**_types("padding"), "background": "element"},
-            nonnegative_props=frozenset({"padding"}),
-            min_children=1,
-            layout=layout_background),
-        ElementKindSpec(
-            kind="arrow",
-            optional_props={"stroke": "black", "strokeWidth": 1.5, "gap": 5.0},
-            prop_types=_types("stroke", "strokeWidth", "gap"),
-            nonnegative_props=frozenset({"strokeWidth", "gap"}),
-            exact_children=2,
-            layout=_connector_layout_for(arrow=True), paint=paint_connector),
-        ElementKindSpec(
-            kind="line",
+            min_children=2, layout=layout_distribute),
+        _standard_spec(
+            "background", optional_props={"padding": 10.0, "background": None},
+            min_children=1, layout=layout_background),
+        _standard_spec(
+            "arrow", optional_props={"stroke": "black", "strokeWidth": 1.5, "gap": 5.0},
+            exact_children=2, layout=_connector_layout_for(arrow=True), paint=paint_connector),
+        _standard_spec(
+            "line",
             optional_props={"stroke": "black", "strokeWidth": 1.0,
                             "strokeDasharray": None, "gap": 0.0},
-            prop_types=_types("stroke", "strokeWidth", "strokeDasharray", "gap"),
-            nonnegative_props=frozenset({"strokeWidth", "gap"}),
-            exact_children=2,
-            layout=_connector_layout_for(arrow=False), paint=paint_connector),
-        ElementKindSpec(kind="ref"),
+            exact_children=2, layout=_connector_layout_for(arrow=False), paint=paint_connector),
+        _standard_spec("ref"),
     ]

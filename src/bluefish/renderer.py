@@ -85,22 +85,19 @@ def _marker_defs(scene: ResolvedScene) -> dict[str, str]:
     return markers
 
 
-def paint(scene: ResolvedScene, registry=None) -> bytes:
+def paint(scene: ResolvedScene) -> bytes:
     """Serialize a finalized scene as SVG.
 
     The root's content box is shifted to start at (0, 0) and sets the
     viewBox; every node becomes a translated group around its own markup
-    (painted by its kind's paint function) and its children, pre-order.
+    (painted by its kind's paint function, from the registry that compiled
+    the scene) and its children, pre-order.
     Identity translations are elided. Refs emit nothing: the referent
     already paints at its own position in the hierarchy. Painting only
     reads the scene. Each element takes one unindented line, so bytes do
     not grow with depth, and the walk keeps its own stack, so neither
     does the call stack.
     """
-    if registry is None:
-        from .engine import standard_registry
-
-        registry = standard_registry()
     root = scene[scene.root]
     markers = _marker_defs(scene)
     lines = [f'<svg viewBox="0 0 {_ceil2(root.width)} {_ceil2(root.height)}" xmlns="{SVG_NS}">']
@@ -116,7 +113,7 @@ def paint(scene: ResolvedScene, registry=None) -> bytes:
     # the root has no parent, so replacing its translation pins the
     # content box's top-left corner to the viewBox origin
     shift = (-(root.local_left or 0.0), -(root.local_top or 0.0))
-    kinds = registry.kinds
+    kinds = scene.registry.kinds
     stack: list[str | None] = [scene.root]  # None closes a group
     while stack:
         nid = stack.pop()
@@ -131,8 +128,8 @@ def paint(scene: ResolvedScene, registry=None) -> bytes:
         if sx != "0" or sy != "0":
             lines.append(f'<g transform="translate({sx} {sy})">')
             stack.append(None)
-        spec = kinds.get(node.kind)
-        own = spec.paint(node, fmt_num, esc, markers) if spec is not None and spec.paint is not None else ""
+        spec = kinds[node.kind]
+        own = spec.paint(node, fmt_num, esc, markers) if spec.paint is not None else ""
         if own:
             lines.append(own)
         stack.extend(reversed(node.children))

@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
+from typing import TYPE_CHECKING
 
 from .errors import (
     DimensionConflict,
@@ -54,6 +55,9 @@ from .geometry import (
     bbox_get,
     bbox_set,
 )
+
+if TYPE_CHECKING:
+    from .engine import Registry
 
 
 @dataclass
@@ -130,10 +134,13 @@ class ResolvedScene:
     ``nodes`` is the graph's dict, in creation order, which puts every
     parent before its children; ``build_scenegraph`` creates nodes in
     document pre-order, so for a built document ``order`` is pre-order.
+    ``registry`` is the one the graph was built with; output reads each
+    node's kind facts (is it a mark, how it paints) from it.
     """
 
     root: str
     nodes: dict[str, LayoutNode | RefNode]
+    registry: Registry
     layout_calls: dict[str, int] = field(default_factory=dict)
 
     @property
@@ -150,13 +157,13 @@ class ResolvedScene:
         raise KeyError(name)
 
     def marks(self) -> list[LayoutNode]:
-        from .relations import MARK_KINDS  # local import; relations builds on this module
-
-        return [node for node in self.nodes.values() if node.kind in MARK_KINDS]
+        kinds = self.registry.kinds
+        return [node for node in self.nodes.values() if kinds[node.kind].is_mark]
 
 
 class Scenegraph:
-    def __init__(self) -> None:
+    def __init__(self, registry: Registry) -> None:
+        self.registry = registry
         self.nodes: dict[str, LayoutNode | RefNode] = {}
         self.root: str | None = None
         self.write_log: list[tuple[str, str, str]] = []  # (node, field, writer)
@@ -378,4 +385,4 @@ class Scenegraph:
                 if not math.isfinite(y):
                     raise GeometryOverflow(node.id, "y", y)
             node.x, node.y = x, y
-        return ResolvedScene(root=self.root, nodes=nodes)
+        return ResolvedScene(root=self.root, nodes=nodes, registry=self.registry)

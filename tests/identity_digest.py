@@ -53,7 +53,7 @@ def write_log(data: bytes) -> list[tuple[str, str, str]]:
         graph = bluefish.build_scenegraph(tree, table, registry)
     except bluefish.BluefishError:
         return []
-    bluefish.layout_document(graph, registry)
+    bluefish.layout_document(graph)
     return graph.write_log
 
 

@@ -199,15 +199,62 @@ def test_unknown_prop_is_reported():
     assert any("'radius'" in d.message for d in diags)
 
 
-def test_enum_props_are_checked():
-    diags = _validate({"kind": "stackV", "props": {"alignment": "top"},
-                       "children": [dict(_RECT)]})
-    assert any("BadEnumValue" in d.message for d in diags)
+def _messages(root: dict) -> list[str]:
+    return [d.message for d in _validate(root)]
 
 
-def test_negative_extents_are_rejected():
-    diags = _validate({"kind": "rect", "props": {"width": -1, "height": 5}})
-    assert any("non-negative" in d.message for d in diags)
+@pytest.mark.parametrize("kind, prop, value, options", [
+    ("stackV", "alignment", "top", "left, centerX, right"),
+    ("stackH", "alignment", "left", "top, centerY, bottom"),
+    ("align", "alignment", "middle",
+     "left, centerX, right, top, centerY, bottom, topLeft, topCenter, topRight, "
+     "centerLeft, center, centerRight, bottomLeft, bottomCenter, bottomRight"),
+    ("distribute", "direction", "diagonal", "vertical, horizontal"),
+], ids=["stackV", "stackH", "align", "distribute"])
+def test_enum_props_are_checked(kind, prop, value, options):
+    messages = _messages({"kind": kind, "props": {prop: value}})
+    assert (f"prop {prop!r} of {kind} must be one of {options}; "
+            f"got {value!r} (BadEnumValue)") in messages
+
+
+# Each standard prop's type and sign, written out here rather than read from
+# the registry, so that a kind stating one wrongly, or losing one, fails.
+_PROP_TYPES = {
+    "width": "number", "height": "number", "r": "number", "rx": "number", "ry": "number",
+    "strokeWidth": "number", "fontSize": "number", "spacing": "number",
+    "padding": "number", "gap": "number",
+    "fill": "string", "stroke": "string", "strokeDasharray": "string",
+    "fontFamily": "string", "content": "string", "d": "string",
+    "alignment": "string", "direction": "string",
+    "background": "element",
+}
+_NONNEGATIVE = {"width", "height", "r", "rx", "ry", "strokeWidth", "padding", "gap"}
+_POSITIVE = {"fontSize"}
+_KIND_PROPS = [(kind, prop) for kind, spec in standard_registry().kinds.items()
+               for prop in (*spec.required_props, *spec.optional_props)]
+
+
+@pytest.mark.parametrize("kind, prop", _KIND_PROPS)
+def test_every_standard_prop_is_type_checked(kind, prop):
+    expected = _PROP_TYPES[prop]
+    wrong = "x" if expected == "number" else 1.0
+    article = "an" if expected == "element" else "a"
+    assert _prop_errors(kind, prop, wrong) == [f"prop {prop!r} of {kind} must be {article} {expected}"]
+
+
+def _prop_errors(kind: str, prop: str, value: object) -> list[str]:
+    return [m for m in _messages({"kind": kind, "props": {prop: value}})
+            if m.startswith(f"prop {prop!r} of {kind} must be")]
+
+
+@pytest.mark.parametrize("kind, prop", [
+    (kind, prop) for kind, prop in _KIND_PROPS if _PROP_TYPES[prop] == "number"])
+def test_negative_extents_are_rejected(kind, prop):
+    # spacing is unsigned; zero is an extent, but not a font size
+    sign = "positive" if prop in _POSITIVE else "non-negative"
+    negative = [f"prop {prop!r} of {kind} must be {sign}"] if prop in _NONNEGATIVE | _POSITIVE else []
+    assert _prop_errors(kind, prop, -1.0) == negative
+    assert _prop_errors(kind, prop, 0.0) == (negative if prop in _POSITIVE else [])
 
 
 def test_arity_messages_pluralize():

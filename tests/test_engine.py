@@ -17,7 +17,7 @@ from bluefish.engine import (
     standard_registry,
 )
 from bluefish.errors import DuplicateKind
-from bluefish.relations import ElementKindSpec, layout_group
+from bluefish.relations import ElementKindSpec, layout_group, layout_rect
 from bluefish.scenegraph import LayoutNode
 
 from conftest import FIXTURES, compile_doc, compile_fixture, errors_of, stack_chain
@@ -37,7 +37,7 @@ def _write_log(fixture: str) -> list[tuple[str, str, str]]:
     table, diags = resolve_names(tree)
     assert diags == []
     graph = build_scenegraph(tree, table, registry)
-    scene, diags = layout_document(graph, registry)
+    scene, diags = layout_document(graph)
     assert scene is not None and diags == []
     return graph.write_log
 
@@ -157,6 +157,27 @@ def test_custom_layouts_receive_node_records():
     # a child is its own target; a ref's target is its referent's record
     assert targets[0] is scene.by_name("c")
     assert targets[1] is scene.by_name("a")
+
+
+def test_custom_marks_are_painted_and_dumped_with_the_compiling_registry():
+    def paint_star(node, fmt, esc, markers):
+        return f'<star size="{fmt(node.width)}"/>'
+
+    registry = standard_registry()
+    registry.register(ElementKindSpec(
+        kind="star", is_mark=True, required_props=("width", "height"),
+        layout=layout_rect, paint=paint_star))
+    scene, diags = compile_doc({"bluefish": 1, "root": {
+        "kind": "stackH",
+        "children": [
+            {"kind": "rect", "props": {"width": 4, "height": 4}},
+            {"kind": "star", "props": {"width": 6, "height": 6}},
+        ],
+    }}, registry=registry)
+    assert errors_of(diags) == []
+    assert b'<star size="6"/>' in paint(scene)
+    assert [m.kind for m in scene.marks()] == ["rect", "star"]
+    assert [g["kind"] for g in json.loads(dump_scene(scene))["geometry"]] == ["rect", "star"]
 
 
 # --- registry and composites --------------------------------------------------------

@@ -146,7 +146,7 @@ def test_align_moves_targets_onto_the_guideline():
 def _fresh(kinds=()):
     del kinds
     registry = standard_registry()
-    graph = Scenegraph()
+    graph = Scenegraph(registry)
     return LayoutRuntime(graph=graph, registry=registry), graph
 
 

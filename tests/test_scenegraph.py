@@ -44,7 +44,7 @@ def _rect(g: Scenegraph, parent: LayoutNode | None, w: float, h: float) -> Layou
 
 
 def test_ids_are_sequential_and_children_keep_order():
-    g = Scenegraph()
+    g = Scenegraph(standard_registry())
     root = g.create_node("group", None)
     a = g.create_node("rect", root)
     b = g.create_node("rect", root)
@@ -56,7 +56,7 @@ def test_ids_are_sequential_and_children_keep_order():
 
 
 def test_ref_resolves_to_its_referent():
-    g = Scenegraph()
+    g = Scenegraph(standard_registry())
     root = g.create_node("group", None)
     a = _rect(g, root, 10, 10)
     stack = g.create_node("stackV", root)
@@ -68,7 +68,7 @@ def test_ref_resolves_to_its_referent():
 
 
 def test_ref_to_own_ancestor_rejected():
-    g = Scenegraph()
+    g = Scenegraph(standard_registry())
     root = g.create_node("group", None)
     stack = g.create_node("stackV", root)
     with pytest.raises(SelfReference):
@@ -81,7 +81,7 @@ def test_ref_to_own_ancestor_rejected():
 
 def test_ref_check_matches_the_whole_ancestor_chain():
     # create_ref climbs only to the referent's depth; judge it against every ancestor
-    g = Scenegraph()
+    g = Scenegraph(standard_registry())
     root = g.create_node("group", None)
     g1 = g.create_node("group", root)
     stack = g.create_node("stackV", g1)
@@ -111,7 +111,7 @@ def test_ref_check_matches_the_whole_ancestor_chain():
 
 
 def test_own_frame_write_defines_the_local_box_only():
-    g = Scenegraph()
+    g = Scenegraph(standard_registry())
     root = g.create_node("group", None)
     a = _rect(g, root, 10.0, 20.0)
     assert a.bbox.left == 0.0 and a.bbox.width == 10.0
@@ -120,7 +120,7 @@ def test_own_frame_write_defines_the_local_box_only():
 
 
 def test_cross_frame_write_moves_without_reshaping():
-    g = Scenegraph()
+    g = Scenegraph(standard_registry())
     root = g.create_node("group", None)
     a = _rect(g, root, 10.0, 20.0)
     g.set_dim_in_frame(a, root, "left", 25.0)
@@ -132,7 +132,7 @@ def test_cross_frame_write_moves_without_reshaping():
 
 
 def test_cross_frame_write_derives_local_position_from_extent():
-    g = Scenegraph()
+    g = Scenegraph(standard_registry())
     root = g.create_node("group", None)
     a = g.create_node("rect", root)
     g.set_dim_in_frame(a, a, "width", 10.0)
@@ -141,7 +141,7 @@ def test_cross_frame_write_derives_local_position_from_extent():
 
 
 def test_start_write_needs_no_extent():
-    g = Scenegraph()
+    g = Scenegraph(standard_registry())
     root = g.create_node("group", None)
     a = g.create_node("rect", root)
     g.set_dim_in_frame(a, root, "left", 7.0)
@@ -149,7 +149,7 @@ def test_start_write_needs_no_extent():
 
 
 def test_center_write_with_no_extent_is_underivable():
-    g = Scenegraph()
+    g = Scenegraph(standard_registry())
     root = g.create_node("group", None)
     a = g.create_node("rect", root)
     with pytest.raises(UndefinedExtentError):
@@ -157,7 +157,7 @@ def test_center_write_with_no_extent_is_underivable():
 
 
 def test_stored_position_with_underivable_field_is_an_error():
-    g = Scenegraph()
+    g = Scenegraph(standard_registry())
     root = g.create_node("group", None)
     a = g.create_node("path", root)
     g.set_dim_in_frame(a, a, "left", 3.0)  # position but no width
@@ -166,7 +166,7 @@ def test_stored_position_with_underivable_field_is_an_error():
 
 
 def test_double_placement_conflicts_with_both_owners():
-    g = Scenegraph()
+    g = Scenegraph(standard_registry())
     root = g.create_node("group", None)
     a = _rect(g, root, 10.0, 10.0)
     first = g.create_node("align", root)
@@ -179,7 +179,7 @@ def test_double_placement_conflicts_with_both_owners():
 
 
 def test_same_writer_same_value_is_idempotent():
-    g = Scenegraph()
+    g = Scenegraph(standard_registry())
     root = g.create_node("group", None)
     a = _rect(g, root, 10.0, 10.0)
     g.set_dim_in_frame(a, root, "top", 12.0)
@@ -193,7 +193,7 @@ def test_same_writer_same_value_is_idempotent():
 
 
 def test_writes_are_logged():
-    g = Scenegraph()
+    g = Scenegraph(standard_registry())
     root = g.create_node("group", None)
     a = _rect(g, root, 10.0, 10.0)
     before = len(g.write_log)
@@ -205,7 +205,7 @@ def test_writes_are_logged():
 
 
 def test_read_through_frames_materializes_undecided_transforms():
-    g = Scenegraph()
+    g = Scenegraph(standard_registry())
     root = g.create_node("group", None)
     inner = g.create_node("group", root)
     a = _rect(g, inner, 10.0, 10.0)
@@ -221,7 +221,7 @@ def test_read_through_frames_materializes_undecided_transforms():
 
 
 def test_materialize_keeps_decided_values():
-    g = Scenegraph()
+    g = Scenegraph(standard_registry())
     root = g.create_node("group", None)
     a = _rect(g, root, 10.0, 10.0)
     other = g.create_node("align", root)
@@ -231,7 +231,7 @@ def test_materialize_keeps_decided_values():
 
 
 def test_write_into_a_sibling_frame_composes_both_legs():
-    g = Scenegraph()
+    g = Scenegraph(standard_registry())
     root = g.create_node("group", None)
     g1 = g.create_node("group", root)
     g2 = g.create_node("group", root)
@@ -248,7 +248,7 @@ def test_write_into_a_sibling_frame_composes_both_legs():
 @given(depth=st.integers(min_value=1, max_value=4),
        value=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
 def test_frame_coherence_after_a_write(depth, value):
-    g = Scenegraph()
+    g = Scenegraph(standard_registry())
     root = g.create_node("group", None)
     parent = root
     for _ in range(depth):
@@ -260,7 +260,7 @@ def test_frame_coherence_after_a_write(depth, value):
 
 
 def test_read_from_a_deeper_frame_subtracts_the_frame_leg():
-    g = Scenegraph()
+    g = Scenegraph(standard_registry())
     root = g.create_node("group", None)
     a = _rect(g, root, 10.0, 10.0)
     outer = g.create_node("group", root)
@@ -274,7 +274,7 @@ def test_read_from_a_deeper_frame_subtracts_the_frame_leg():
 
 
 def test_frames_of_parentless_nodes_are_disconnected():
-    g = Scenegraph()
+    g = Scenegraph(standard_registry())
     a = _rect(g, None, 10.0, 10.0)
     with pytest.raises(DisconnectedNodes) as excinfo:
         g.create_node("rect", None)
@@ -286,7 +286,7 @@ def test_frames_of_parentless_nodes_are_disconnected():
 
 
 def test_finalize_defaults_transforms_to_zero_owned_by_root():
-    g = Scenegraph()
+    g = Scenegraph(standard_registry())
     root = g.create_node("group", None)
     a = _rect(g, root, 10.0, 10.0)
     g.set_dim_in_frame(root, root, "width", 10.0)
@@ -297,7 +297,7 @@ def test_finalize_defaults_transforms_to_zero_owned_by_root():
 
 
 def test_finalize_reports_unsized_nodes():
-    g = Scenegraph()
+    g = Scenegraph(standard_registry())
     root = g.create_node("group", None)
     a = g.create_node("rect", root)  # never sized
     g.set_dim_in_frame(root, root, "width", 1.0)
@@ -308,7 +308,7 @@ def test_finalize_reports_unsized_nodes():
 
 
 def test_resolve_accumulates_origins_down_the_tree():
-    g = Scenegraph()
+    g = Scenegraph(standard_registry())
     root = g.create_node("group", None)
     inner = g.create_node("group", root)
     a = _rect(g, inner, 10.0, 10.0)
@@ -327,7 +327,7 @@ def test_resolve_accumulates_origins_down_the_tree():
 
 
 def test_a_translation_beyond_the_float_range_is_not_written():
-    g = Scenegraph()
+    g = Scenegraph(standard_registry())
     root = g.create_node("group", None)
     a = g.create_node("path", root)
     for field, value in (("left", -sys.float_info.max), ("top", 0.0), ("width", 1.0), ("height", 1.0)):
@@ -340,7 +340,7 @@ def test_a_translation_beyond_the_float_range_is_not_written():
 
 
 def test_origins_beyond_the_float_range_overflow_in_resolve():
-    g = Scenegraph()
+    g = Scenegraph(standard_registry())
     root = g.create_node("group", None)
     outer = g.create_node("group", root)
     inner = _rect(g, outer, 1.0, 1.0)
