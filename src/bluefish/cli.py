@@ -15,6 +15,7 @@ from pathlib import Path
 from .engine import compile_source
 from .errors import ERROR, Diagnostic
 from .renderer import dump_scene, paint
+from .scenegraph import ResolvedScene
 
 _SEVERITY_COLORS = {"error": "\x1b[31m", "warning": "\x1b[33m"}
 _RESET = "\x1b[0m"
@@ -37,17 +38,29 @@ def _report(diagnostics: list[Diagnostic], stream=None) -> None:
         print(text, file=stream)
 
 
-def cmd_render(args: argparse.Namespace) -> int:
-    source = Path(args.input)
+def _compile(source: Path) -> tuple[ResolvedScene | None, int]:
+    """Read and compile a document, reporting its diagnostics.
+
+    Returns the scene and exit code 0, or None and 2 when the file
+    cannot be read or 1 when the document has errors.
+    """
     try:
         data = source.read_bytes()
     except OSError as exc:
         print(f"cannot read {source}: {exc.strerror or exc}", file=sys.stderr)
-        return 2
+        return None, 2
     scene, diagnostics = compile_source(data)
     _report(diagnostics)
     if scene is None or any(d.severity == ERROR for d in diagnostics):
-        return 1
+        return None, 1
+    return scene, 0
+
+
+def cmd_render(args: argparse.Namespace) -> int:
+    source = Path(args.input)
+    scene, code = _compile(source)
+    if scene is None:
+        return code
     out = Path(args.out) if args.out else source.with_suffix(".svg")
     try:
         out.write_bytes(paint(scene))
@@ -60,18 +73,10 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    source = Path(args.input)
-    try:
-        data = source.read_bytes()
-    except OSError as exc:
-        print(f"cannot read {source}: {exc.strerror or exc}", file=sys.stderr)
-        return 2
-    scene, diagnostics = compile_source(data)
-    _report(diagnostics)
-    if scene is None or any(d.severity == ERROR for d in diagnostics):
-        return 1
-    print("ok")
-    return 0
+    scene, code = _compile(Path(args.input))
+    if scene is not None:
+        print("ok")
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -34,7 +34,7 @@ from .errors import (
     DocumentSyntaxError,
     SchemaError,
 )
-from .relations import BACKGROUND_MARK_KINDS, path_control_points
+from .geometry import path_control_points
 
 FORMAT_VERSION = 1
 _DOCUMENT_KEYS = {"bluefish", "root"}
@@ -81,7 +81,7 @@ def _parse_element(raw: object, path: str) -> Element:
     props: dict[str, object] = {}
     for key, value in props_raw.items():
         if isinstance(value, dict):
-            # element-valued prop (a background's mark)
+            # element-valued prop: a mark the holder sizes
             props[key] = _parse_element(value, f"{path}.props.{key}")
         elif isinstance(value, bool) or value is None or isinstance(value, list):
             raise SchemaError(f"{path}.props.{key}", "prop values must be numbers, strings, or elements")
@@ -194,7 +194,7 @@ def walk(tree: Element):
 # --- validation ---------------------------------------------------------------
 
 
-def _check_props(el: Element, path: str, spec, diags: list[Diagnostic],
+def _check_props(el: Element, path: str, spec, kinds: dict, diags: list[Diagnostic],
                  require: bool = True) -> None:
     allowed = set(spec.required_props) | set(spec.optional_props)
     for prop in spec.required_props:
@@ -211,12 +211,19 @@ def _check_props(el: Element, path: str, spec, diags: list[Diagnostic],
             if not isinstance(value, float):
                 diags.append(Diagnostic(
                     SCHEMA_ERROR, f"prop {prop!r} of {el.kind} must be a number", (path,)))
-        elif expected == "string":
+        elif expected == "string" or expected == "path":
             if not isinstance(value, str):
                 diags.append(Diagnostic(
                     SCHEMA_ERROR, f"prop {prop!r} of {el.kind} must be a string", (path,)))
+            elif expected == "path":
+                try:
+                    path_control_points(value)
+                except ValueError as exc:
+                    diags.append(Diagnostic(SCHEMA_ERROR, f"invalid path data: {exc}", (path,)))
         elif expected == "element":
-            if not isinstance(value, Element):
+            if isinstance(value, Element):
+                _check_sized_mark(value, f"{path}.props.{prop}", prop, kinds, diags)
+            else:
                 diags.append(Diagnostic(
                     SCHEMA_ERROR, f"prop {prop!r} of {el.kind} must be an element", (path,)))
         if prop in spec.enum_props and isinstance(value, str) and value not in spec.enum_props[prop]:
@@ -231,6 +238,26 @@ def _check_props(el: Element, path: str, spec, diags: list[Diagnostic],
         if prop in spec.positive_props and isinstance(value, float) and value <= 0:
             diags.append(Diagnostic(
                 SCHEMA_ERROR, f"prop {prop!r} of {el.kind} must be positive", (path,)))
+
+
+def _sized_by_holder(spec) -> bool:
+    """A mark whose required props are all numbers: sizes its holder supplies."""
+    return spec.is_mark and all(
+        spec.prop_types.get(prop, "number") == "number" for prop in spec.required_props)
+
+
+def _check_sized_mark(mark: Element, path: str, prop: str, kinds: dict,
+                      diags: list[Diagnostic]) -> None:
+    """Check the mark an element-valued prop holds; the holder supplies its sizes."""
+    spec = kinds.get(mark.kind)
+    if spec is None or not _sized_by_holder(spec):
+        options = ", ".join(sorted(k for k, s in kinds.items() if _sized_by_holder(s)))
+        diags.append(Diagnostic(
+            SCHEMA_ERROR, f"{prop} mark must be one of {options}; got {mark.kind!r}", (path,)))
+        return
+    if mark.children or mark.name or mark.select:
+        diags.append(Diagnostic(SCHEMA_ERROR, f"{prop} mark must be a bare mark element", (path,)))
+    _check_props(mark, path, spec, kinds, diags, require=False)
 
 
 def validate(tree: Element, registry) -> list[Diagnostic]:
@@ -259,7 +286,7 @@ def validate(tree: Element, registry) -> list[Diagnostic]:
                 SCHEMA_ERROR, f"'select' is only valid on ref elements, not {el.kind}", (path,)))
         if spec.expand is not None:
             continue  # composite kinds are checked after expansion
-        _check_props(el, path, spec, diags)
+        _check_props(el, path, spec, registry.kinds, diags)
         if spec.is_mark and el.children:
             diags.append(Diagnostic(
                 SCHEMA_ERROR, f"mark kind {el.kind!r} cannot have children", (path,)))
@@ -275,29 +302,6 @@ def validate(tree: Element, registry) -> list[Diagnostic]:
                 SCHEMA_ERROR,
                 f"{el.kind} requires exactly {spec.exact_children} {want}, got {len(el.children)}",
                 (path,)))
-        if el.kind == "background":
-            mark = el.props.get("background")
-            if isinstance(mark, Element):
-                mpath = f"{path}.props.background"
-                mark_spec = registry.kinds.get(mark.kind)
-                if mark.kind not in BACKGROUND_MARK_KINDS or mark_spec is None:
-                    diags.append(Diagnostic(
-                        SCHEMA_ERROR,
-                        f"background mark must be one of {', '.join(sorted(BACKGROUND_MARK_KINDS))}; "
-                        f"got {mark.kind!r}",
-                        (mpath,)))
-                else:
-                    if mark.children or mark.name or mark.select:
-                        diags.append(Diagnostic(
-                            SCHEMA_ERROR, "background mark must be a bare mark element", (mpath,)))
-                    # the background sizes its mark, whose required props
-                    # are all size props, so none is required here
-                    _check_props(mark, mpath, mark_spec, diags, require=False)
-        if el.kind == "path" and isinstance(el.props.get("d"), str):
-            try:
-                path_control_points(el.props["d"])  # type: ignore[arg-type]
-            except ValueError as exc:
-                diags.append(Diagnostic(SCHEMA_ERROR, f"invalid path data: {exc}", (path,)))
     return diags
 
 

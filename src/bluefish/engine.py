@@ -101,24 +101,17 @@ def expand_tree(tree: Element, registry: Registry) -> Element:
 
 # --- scenegraph construction ----------------------------------------------------
 
-_DEFAULT_BACKGROUND_MARK = Element(
-    kind="rect", props={"fill": "none", "stroke": "black", "strokeWidth": 1.0})
-
-
 def _normalized_props(el: Element, spec: ElementKindSpec) -> dict:
-    props = dict(spec.defaults())
-    props.update(el.props)
-    props.pop("background", None)  # consumed structurally below
-    return props
+    return {**spec.defaults(), **el.props}
 
 
 def build_scenegraph(tree: Element, names: NameTable, registry: Registry) -> Scenegraph:
     """Create layout and ref nodes for every element, in document pre-order.
 
-    Background elements grow an extra first child for their mark (the
-    user-supplied one or a plain outlined rect), created right after the
-    background, so creation order stays pre-order and paint order falls
-    out of plain pre-order traversal.
+    An element-valued prop (the document's or the spec's default) is a
+    mark the element sizes: it becomes the node's first child, created
+    right after the node, so creation order stays pre-order and paint
+    order falls out of plain pre-order traversal.
     """
     graph = Scenegraph(registry)
     node_of_element: dict[int, LayoutNode] = {}
@@ -135,18 +128,15 @@ def build_scenegraph(tree: Element, names: NameTable, registry: Registry) -> Sce
                 raise SelfReference(parent.path, referent.path, ref=path) from None
             continue
         spec = registry.kinds[el.kind]
-        node = graph.create_node(
-            el.kind, parent, paint_props=_normalized_props(el, spec),
-            name=el.name, path=path)
+        props = _normalized_props(el, spec)
+        node = graph.create_node(el.kind, parent, paint_props=props, name=el.name, path=path)
         node_of_element[index] = node
-        if el.kind == "background":
-            mark = el.props.get("background")
-            if not isinstance(mark, Element):
-                mark = _DEFAULT_BACKGROUND_MARK
-            mark_spec = registry.kinds[mark.kind]
-            graph.create_node(
-                mark.kind, node, paint_props=_normalized_props(mark, mark_spec),
-                path=f"{path}/{mark.kind}(background mark)")
+        for prop, prop_type in spec.prop_types.items():
+            if prop_type == "element" and prop in props:
+                mark = props[prop]
+                graph.create_node(
+                    mark.kind, node, paint_props=_normalized_props(mark, registry.kinds[mark.kind]),
+                    path=f"{path}/{mark.kind}({prop} mark)")
     return graph
 
 
@@ -161,7 +151,6 @@ class LayoutRuntime:
     registry: Registry
     warnings: list[Diagnostic] = dc_field(default_factory=list)
     calls: dict[str, int] = dc_field(default_factory=dict)
-    _done: set[str] = dc_field(default_factory=set)
 
     def layout_node(self, nid: str) -> None:
         """Lay out the subtree under nid in post-order.
@@ -175,12 +164,8 @@ class LayoutRuntime:
         while stack:
             node, children_done = stack.pop()
             if node.is_ref:
-                # referents precede their refs in document order, so by
-                # the time the walk reaches a ref the target is done
-                assert node.ref_id in self._done, "ref reached before its referent"
-                continue
+                continue  # its referent came earlier in document order, so is done
             if not children_done:
-                assert node.id not in self._done, f"layout invoked twice for {node.id}"
                 self.calls[node.id] = self.calls.get(node.id, 0) + 1
                 stack.append((node, True))
                 stack.extend((nodes[child], False) for child in reversed(node.children))
@@ -188,7 +173,6 @@ class LayoutRuntime:
             spec = self.registry.kinds[node.kind]
             if spec.layout is not None:
                 spec.layout(self, node, node.paint_props)
-            self._done.add(node.id)
 
     def warn(self, diag: Diagnostic) -> None:
         self.warnings.append(diag)

@@ -22,11 +22,15 @@ the box and its owners as they were.
 Field names use the document format's dimension vocabulary (``centerX``
 not ``center_x``) so the same spelling works in documents, owner maps,
 and dumps.
+
+``path_control_points`` reads SVG path data into the points whose box a
+path draws in; the document checks and path layout both use it.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -164,3 +168,71 @@ def bbox_set(
                                 existing_value=existing, value=value)
     setattr(bbox, field_name, value)
     owners[field_name] = writer
+
+
+# --- path data ----------------------------------------------------------------
+
+_NUM = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+_ARGS_PER_COMMAND = {
+    "M": 2, "L": 2, "T": 2, "H": 1, "V": 1, "C": 6, "S": 4, "Q": 4, "A": 7, "Z": 0,
+}
+
+
+def path_control_points(d: str) -> list[tuple[float, float]]:
+    """All on-curve and control points of an SVG path string.
+
+    The control polygon bounds the curve for line and Bezier segments;
+    arcs contribute their endpoints only. Raises ValueError on malformed
+    data.
+    """
+    tokens = re.findall(r"[MmLlHhVvCcSsQqTtAaZz]|" + _NUM.pattern, d)
+    if not tokens:
+        raise ValueError("empty path data")
+    points: list[tuple[float, float]] = []
+    cur = (0.0, 0.0)
+    start = (0.0, 0.0)
+    i = 0
+    command: str | None = None
+    while i < len(tokens):
+        tok = tokens[i]
+        if tok.isalpha():
+            command = tok
+            i += 1
+            if command.upper() == "Z":
+                cur = start
+                continue
+        elif command is None:
+            raise ValueError("path data must begin with a command")
+        elif command.upper() == "Z":
+            raise ValueError("coordinates after close command")
+        elif command.upper() == "M":
+            command = "L" if command == "M" else "l"  # implicit lineto after moveto
+        assert command is not None
+        upper = command.upper()
+        rel = command.islower()
+        n = _ARGS_PER_COMMAND[upper]
+        if n == 0:
+            continue
+        args = tokens[i:i + n]
+        if len(args) < n or any(a.isalpha() for a in args):
+            raise ValueError(f"command {command!r} needs {n} numbers")
+        vals = [float(a) for a in args]
+        i += n
+        ox, oy = cur if rel else (0.0, 0.0)
+        if upper == "H":
+            cur = (ox + vals[0] if rel else vals[0], cur[1])
+            points.append(cur)
+        elif upper == "V":
+            cur = (cur[0], oy + vals[0] if rel else vals[0])
+            points.append(cur)
+        elif upper == "A":
+            cur = (ox + vals[5], oy + vals[6])
+            points.append(cur)
+        else:
+            for j in range(0, n, 2):
+                pt = (ox + vals[j], oy + vals[j + 1])
+                points.append(pt)
+            cur = points[-1]
+            if upper == "M":
+                start = cur
+    return points

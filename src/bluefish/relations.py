@@ -22,10 +22,10 @@ exactly like a plain tree-based layout.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field as dc_field
 from typing import TYPE_CHECKING, Callable
 
+from .docformat import Element
 from .errors import (
     DEGENERATE_CONNECTOR,
     WARNING,
@@ -33,13 +33,11 @@ from .errors import (
     DimensionConflict,
     UndefinedExtentError,
 )
-from .geometry import TOLERANCE, Axis
+from .geometry import TOLERANCE, Axis, path_control_points
 
 if TYPE_CHECKING:
     from .engine import LayoutRuntime
     from .scenegraph import LayoutNode
-
-BACKGROUND_MARK_KINDS = frozenset({"rect", "circle", "ellipse"})
 
 #: 2D alignments decompose into one guideline field per axis.
 ALIGNMENT_FIELDS: dict[str, tuple[str | None, str | None]] = {
@@ -69,7 +67,9 @@ class ElementKindSpec:
     kind: str
     required_props: tuple[str, ...] = ()
     optional_props: dict[str, object] = dc_field(default_factory=dict)
-    prop_types: dict[str, str] = dc_field(default_factory=dict)  # name -> number|string|element
+    # name -> number|string|path|element; an element-valued prop is a mark
+    # the node sizes, built as its first child
+    prop_types: dict[str, str] = dc_field(default_factory=dict)
     enum_props: dict[str, tuple[str, ...]] = dc_field(default_factory=dict)
     nonnegative_props: frozenset[str] = frozenset()
     positive_props: frozenset[str] = frozenset()
@@ -81,8 +81,9 @@ class ElementKindSpec:
     # (rt.graph.target_of gives a child's record, through refs) and never
     # recurses
     layout: Callable[["LayoutRuntime", "LayoutNode", dict], None] | None = None
-    # called as paint(node, fmt, esc, markers), markers mapping an arrowhead
-    # color to its marker id; returns the node's own markup
+    # called as paint(node, fmt, esc, markers); returns the node's own
+    # markup. markers maps an arrowhead color to its marker id; a paint
+    # function adds the colors it meets, and paint defines one marker each
     paint: Callable[..., str] | None = None
     expand: Callable[[dict, list], object] | None = None
 
@@ -104,74 +105,6 @@ def measure_text(content: str, font_size: float) -> tuple[float, float]:
     if font_size <= 0:
         raise ValueError(f"fontSize must be positive, got {font_size!r}")
     return (0.6 * font_size * len(content), 1.2 * font_size)
-
-
-# --- path data ----------------------------------------------------------------
-
-_NUM = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
-_ARGS_PER_COMMAND = {
-    "M": 2, "L": 2, "T": 2, "H": 1, "V": 1, "C": 6, "S": 4, "Q": 4, "A": 7, "Z": 0,
-}
-
-
-def path_control_points(d: str) -> list[tuple[float, float]]:
-    """All on-curve and control points of an SVG path string.
-
-    The control polygon bounds the curve for line and Bezier segments;
-    arcs contribute their endpoints only. Raises ValueError on malformed
-    data.
-    """
-    tokens = re.findall(r"[MmLlHhVvCcSsQqTtAaZz]|" + _NUM.pattern, d)
-    if not tokens:
-        raise ValueError("empty path data")
-    points: list[tuple[float, float]] = []
-    cur = (0.0, 0.0)
-    start = (0.0, 0.0)
-    i = 0
-    command: str | None = None
-    while i < len(tokens):
-        tok = tokens[i]
-        if tok.isalpha():
-            command = tok
-            i += 1
-            if command.upper() == "Z":
-                cur = start
-                continue
-        elif command is None:
-            raise ValueError("path data must begin with a command")
-        elif command.upper() == "Z":
-            raise ValueError("coordinates after close command")
-        elif command.upper() == "M":
-            command = "L" if command == "M" else "l"  # implicit lineto after moveto
-        assert command is not None
-        upper = command.upper()
-        rel = command.islower()
-        n = _ARGS_PER_COMMAND[upper]
-        if n == 0:
-            continue
-        args = tokens[i:i + n]
-        if len(args) < n or any(a.isalpha() for a in args):
-            raise ValueError(f"command {command!r} needs {n} numbers")
-        vals = [float(a) for a in args]
-        i += n
-        ox, oy = cur if rel else (0.0, 0.0)
-        if upper == "H":
-            cur = (ox + vals[0] if rel else vals[0], cur[1])
-            points.append(cur)
-        elif upper == "V":
-            cur = (cur[0], oy + vals[0] if rel else vals[0])
-            points.append(cur)
-        elif upper == "A":
-            cur = (ox + vals[5], oy + vals[6])
-            points.append(cur)
-        else:
-            for j in range(0, n, 2):
-                pt = (ox + vals[j], oy + vals[j + 1])
-                points.append(pt)
-            cur = points[-1]
-            if upper == "M":
-                start = cur
-    return points
 
 
 # --- mark layout ----------------------------------------------------------------
@@ -402,39 +335,33 @@ def layout_background(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> Non
         _set_own(rt, node, **{axis.start_field: lo - padding, axis.extent_field: extent})
 
 
-def _connector_layout_for(arrow: bool):
-    def layout_connector(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
-        targets = [rt.graph.target_of(c) for c in node.children]
-        for t in targets:
-            for axis in (Axis.HORIZONTAL, Axis.VERTICAL):
-                rt.graph.materialize(t, axis, node)
-        boxes = []
-        for t in targets:
-            h = rt.graph.bbox_in_frame(t, node, Axis.HORIZONTAL)
-            v = rt.graph.bbox_in_frame(t, node, Axis.VERTICAL)
-            if None in (h["centerX"], h["width"], v["centerY"], v["height"]):
-                raise UndefinedExtentError(t.id, "width" if h["width"] is None else "height")
-            boxes.append((h, v))
-        (h1, v1), (h2, v2) = boxes
-        lo_x = min(h1["left"], h2["left"])
-        hi_x = max(h1["right"], h2["right"])
-        lo_y = min(v1["top"], v2["top"])
-        hi_y = max(v1["bottom"], v2["bottom"])
-        _set_own(rt, node, left=lo_x, width=hi_x - lo_x, top=lo_y, height=hi_y - lo_y)
-        segment = _clip_segment(
-            (h1["centerX"], v1["centerY"]), (h1["width"], v1["height"]),
-            (h2["centerX"], v2["centerY"]), (h2["width"], v2["height"]),
-            props["gap"])
-        if segment is None:
-            rt.warn(Diagnostic(
-                DEGENERATE_CONNECTOR,
-                "connector endpoints leave no visible segment",
-                (node.path,), severity=WARNING))
-        else:
-            node.paint_props["segment"] = segment
-            node.paint_props["arrow"] = arrow
-
-    return layout_connector
+def layout_connector(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
+    targets = [rt.graph.target_of(c) for c in node.children]
+    for t in targets:
+        for axis in (Axis.HORIZONTAL, Axis.VERTICAL):
+            rt.graph.materialize(t, axis, node)
+    boxes = []
+    for t in targets:
+        h = rt.graph.bbox_in_frame(t, node, Axis.HORIZONTAL)
+        v = rt.graph.bbox_in_frame(t, node, Axis.VERTICAL)
+        if None in (h["centerX"], h["width"], v["centerY"], v["height"]):
+            raise UndefinedExtentError(t.id, "width" if h["width"] is None else "height")
+        boxes.append((h, v))
+    (h1, v1), (h2, v2) = boxes
+    lo_x = min(h1["left"], h2["left"])
+    hi_x = max(h1["right"], h2["right"])
+    lo_y = min(v1["top"], v2["top"])
+    hi_y = max(v1["bottom"], v2["bottom"])
+    _set_own(rt, node, left=lo_x, width=hi_x - lo_x, top=lo_y, height=hi_y - lo_y)
+    node.segment = _clip_segment(
+        (h1["centerX"], v1["centerY"]), (h1["width"], v1["height"]),
+        (h2["centerX"], v2["centerY"]), (h2["width"], v2["height"]),
+        props["gap"])
+    if node.segment is None:
+        rt.warn(Diagnostic(
+            DEGENERATE_CONNECTOR,
+            "connector endpoints leave no visible segment",
+            (node.path,), severity=WARNING))
 
 
 def _clip_segment(c1: tuple[float, float], e1: tuple[float, float],
@@ -490,11 +417,6 @@ def _stroke_attrs(props: dict) -> dict[str, object]:
     return attrs
 
 
-def arrowhead_color(props: dict) -> str:
-    """The color an arrow's head is filled with; paint defines one marker per color."""
-    return str(props.get("stroke") or "black")
-
-
 def paint_rect(node, fmt, esc, markers) -> str:
     attrs = {"x": node.local_left, "y": node.local_top,
              "width": node.width, "height": node.height}
@@ -538,18 +460,30 @@ def paint_text(node, fmt, esc, markers) -> str:
     return _tag("text", attrs, fmt, esc, body=body)
 
 
-def paint_connector(node, fmt, esc, markers) -> str:
-    segment = node.paint_props.get("segment")
-    if segment is None:
-        return ""  # degenerate: reported during layout, painted as nothing
-    x1, y1, x2, y2 = segment
+def _segment_attrs(node, fmt) -> dict[str, object]:
+    x1, y1, x2, y2 = node.segment
     attrs: dict[str, object] = {
         "d": f"M {fmt(x1)} {fmt(y1)} L {fmt(x2)} {fmt(y2)}",
         "fill": "none",
     }
     attrs.update(_stroke_attrs(node.paint_props))
-    if node.paint_props.get("arrow"):
-        attrs["marker-end"] = f"url(#{markers[arrowhead_color(node.paint_props)]})"
+    return attrs
+
+
+def paint_line(node, fmt, esc, markers) -> str:
+    if node.segment is None:
+        return ""  # degenerate: reported during layout, painted as nothing
+    return _tag("path", _segment_attrs(node, fmt), fmt, esc)
+
+
+def paint_arrow(node, fmt, esc, markers) -> str:
+    if node.segment is None:
+        return ""  # degenerate: no head either, so no marker
+    attrs = _segment_attrs(node, fmt)
+    # the head is filled with the stroke color; one marker per color
+    color = str(node.paint_props.get("stroke") or "black")
+    marker = markers.setdefault(color, f"arrowhead-{len(markers)}")
+    attrs["marker-end"] = f"url(#{marker})"
     return _tag("path", attrs, fmt, esc)
 
 
@@ -573,7 +507,7 @@ _PROP_TYPES = {
     "strokeWidth": "number", "fontSize": "number", "spacing": "number",
     "padding": "number", "gap": "number",
     "fill": "string", "stroke": "string", "strokeDasharray": "string",
-    "fontFamily": "string", "content": "string", "d": "string",
+    "fontFamily": "string", "content": "string", "d": "path",
     "alignment": "string", "direction": "string",
     "background": "element",
 }
@@ -631,15 +565,17 @@ def standard_kind_specs() -> list[ElementKindSpec]:
             enum_props={"direction": ("vertical", "horizontal")},
             min_children=2, layout=layout_distribute),
         _standard_spec(
-            "background", optional_props={"padding": 10.0, "background": None},
+            "background",
+            optional_props={"padding": 10.0, "background": Element(
+                kind="rect", props={"fill": "none", "stroke": "black", "strokeWidth": 1.0})},
             min_children=1, layout=layout_background),
         _standard_spec(
             "arrow", optional_props={"stroke": "black", "strokeWidth": 1.5, "gap": 5.0},
-            exact_children=2, layout=_connector_layout_for(arrow=True), paint=paint_connector),
+            exact_children=2, layout=layout_connector, paint=paint_arrow),
         _standard_spec(
             "line",
             optional_props={"stroke": "black", "strokeWidth": 1.0,
                             "strokeDasharray": None, "gap": 0.0},
-            exact_children=2, layout=_connector_layout_for(arrow=False), paint=paint_connector),
+            exact_children=2, layout=layout_connector, paint=paint_line),
         _standard_spec("ref"),
     ]

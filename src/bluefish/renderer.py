@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 from decimal import ROUND_CEILING, ROUND_HALF_EVEN, Context, Decimal
 
-from .relations import arrowhead_color
 from .scenegraph import ResolvedScene
 
 SVG_NS = "http://www.w3.org/2000/svg"
@@ -75,16 +74,6 @@ def esc(text: str) -> str:
             .replace(">", "&gt;").replace('"', "&quot;"))
 
 
-def _marker_defs(scene: ResolvedScene) -> dict[str, str]:
-    """Assign one arrowhead marker id per stroke color, first seen first."""
-    markers: dict[str, str] = {}
-    for node in scene.nodes.values():
-        props = node.paint_props
-        if props.get("arrow") and props.get("segment") is not None:
-            markers.setdefault(arrowhead_color(props), f"arrowhead-{len(markers)}")
-    return markers
-
-
 def paint(scene: ResolvedScene) -> bytes:
     """Serialize a finalized scene as SVG.
 
@@ -96,20 +85,12 @@ def paint(scene: ResolvedScene) -> bytes:
     already paints at its own position in the hierarchy. Painting only
     reads the scene. Each element takes one unindented line, so bytes do
     not grow with depth, and the walk keeps its own stack, so neither
-    does the call stack.
+    does the call stack. Paint functions add the arrowhead colors they
+    meet to ``markers``; their ``<defs>`` go in front once the walk is done.
     """
     root = scene[scene.root]
-    markers = _marker_defs(scene)
+    markers: dict[str, str] = {}
     lines = [f'<svg viewBox="0 0 {_ceil2(root.width)} {_ceil2(root.height)}" xmlns="{SVG_NS}">']
-    if markers:
-        lines.append("<defs>")
-        for color, ref in markers.items():
-            lines.append(
-                f'<marker id="{ref}" markerHeight="4" markerUnits="strokeWidth"'
-                f' markerWidth="4" orient="auto" refX="4" refY="2" viewBox="0 0 4 4">'
-                f'<path d="M 0 0 L 4 2 L 0 4 Z" fill="{esc(color)}"/></marker>')
-        lines.append("</defs>")
-
     # the root has no parent, so replacing its translation pins the
     # content box's top-left corner to the viewBox origin
     shift = (-(root.local_left or 0.0), -(root.local_top or 0.0))
@@ -133,6 +114,12 @@ def paint(scene: ResolvedScene) -> bytes:
         if own:
             lines.append(own)
         stack.extend(reversed(node.children))
+    if markers:
+        lines[1:1] = ["<defs>", *(
+            f'<marker id="{ref}" markerHeight="4" markerUnits="strokeWidth"'
+            f' markerWidth="4" orient="auto" refX="4" refY="2" viewBox="0 0 4 4">'
+            f'<path d="M 0 0 L 4 2 L 0 4 Z" fill="{esc(color)}"/></marker>'
+            for color, ref in markers.items()), "</defs>"]
     lines.append("</svg>")
     return ("\n".join(lines) + "\n").encode("utf-8")
 

@@ -68,7 +68,9 @@ class LayoutNode:
     of translations from the root down to and including this node), set
     by ``Scenegraph.resolve``. Extents and the local box start are read
     from the box; the local start may differ from the origin for
-    relations whose content does not begin at 0.
+    relations whose content does not begin at 0. ``segment`` is the
+    ``(x1, y1, x2, y2)`` a connector's layout clipped, None when nothing
+    of it is visible or the node is no connector.
     """
 
     id: str
@@ -85,6 +87,7 @@ class LayoutNode:
     depth: int = 0  # edges from the root; frame conversion climbs by it
     x: float = 0.0
     y: float = 0.0
+    segment: tuple[float, float, float, float] | None = None
 
     is_ref = False
 

@@ -284,10 +284,17 @@ def test_background_mark_prop_is_checked():
                     "props": {"background": {"kind": "rect", "props": {"fill": "none"}}},
                     "children": [dict(_RECT)]})
     assert ok == []
-    diags = _validate({"kind": "background",
-                       "props": {"background": {"kind": "text", "props": {"content": "x"}}},
-                       "children": [dict(_RECT)]})
-    assert any("background mark" in d.message for d in diags)
+    for mark in (
+        {"kind": "text", "props": {"content": "x"}},  # a string size prop
+        {"kind": "path", "props": {"d": "M 0 0 L 4 4"}},  # its data sets its size
+        {"kind": "stackV"},  # not a mark
+        {"kind": "hexagon"},  # not a kind
+    ):
+        diags = _validate({"kind": "group", "children": [
+            {"kind": "background", "props": {"background": mark}, "children": [dict(_RECT)]}]})
+        assert [(d.code, d.message, d.node_paths) for d in diags] == [(
+            "BF007", f"background mark must be one of circle, ellipse, rect; got {mark['kind']!r}",
+            ("group/background[0].props.background",))]
 
 
 def test_invalid_path_data_is_reported():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -178,6 +179,70 @@ def test_custom_marks_are_painted_and_dumped_with_the_compiling_registry():
     assert b'<star size="6"/>' in paint(scene)
     assert [m.kind for m in scene.marks()] == ["rect", "star"]
     assert [g["kind"] for g in json.loads(dump_scene(scene))["geometry"]] == ["rect", "star"]
+
+
+def _background_doc(holder: str, curve: str, mark: dict | None) -> dict:
+    props: dict = {"padding": 3} if mark is None else {"padding": 3, "background": mark}
+    return {"bluefish": 1, "root": {
+        "kind": holder, "props": props,
+        "children": [{"kind": "stackH", "props": {"spacing": 2}, "children": [
+            {"kind": "rect", "props": {"width": 4, "height": 6}},
+            {"kind": curve, "props": {"d": "M 0 0 L 10 5 Q 12 8 3 9"}},
+        ]}],
+    }}
+
+
+@pytest.mark.parametrize("mark", [None, {"kind": "ellipse", "props": {"fill": "gold"}}],
+                         ids=["default-mark", "explicit-mark"])
+def test_renamed_standard_kinds_behave_like_the_originals(mark):
+    # what a kind does is in its spec, so a copy under another name does
+    # the same: a frame sizes its mark, a curve's data is checked
+    registry = standard_registry()
+    registry.register(dataclasses.replace(registry.kinds["background"], kind="frame"))
+    registry.register(dataclasses.replace(registry.kinds["path"], kind="curve"))
+    original, diags = compile_doc(_background_doc("background", "path", mark))
+    assert diags == []
+    renamed, diags = compile_doc(_background_doc("frame", "curve", mark), registry=registry)
+    assert diags == []
+    assert paint(renamed) == paint(original)
+
+    bad = {"d": "M 0 Q"}
+    _, path_diags = compile_doc({"bluefish": 1, "root": {"kind": "path", "props": bad}})
+    _, curve_diags = compile_doc({"bluefish": 1, "root": {"kind": "curve", "props": bad}},
+                                 registry=registry)
+    assert [(d.code, d.message) for d in curve_diags] == [(d.code, d.message) for d in path_diags]
+    assert [d.code for d in path_diags] == ["BF007"]
+    assert [d.node_paths for d in curve_diags] == [("curve",)]
+
+
+def test_a_custom_mark_sized_by_its_holder_can_be_a_background_mark():
+    def paint_diamond(node, fmt, esc, markers):
+        x, y, w, h = node.local_left, node.local_top, node.width, node.height
+        corners = [(x + w / 2, y), (x + w, y + h / 2), (x + w / 2, y + h), (x, y + h / 2)]
+        return '<polygon points="%s"/>' % " ".join(f"{fmt(a)},{fmt(b)}" for a, b in corners)
+
+    registry = standard_registry()
+    registry.register(ElementKindSpec(
+        kind="diamond", is_mark=True, required_props=("width", "height"),
+        layout=layout_rect, paint=paint_diamond))
+    scene, diags = compile_doc({"bluefish": 1, "root": {
+        "kind": "background", "props": {"padding": 2, "background": {"kind": "diamond"}},
+        "children": [{"kind": "rect", "props": {"width": 4, "height": 2}}],
+    }}, registry=registry)
+    assert diags == []
+    assert b'<polygon points="4,0 8,3 4,6 0,3"/>' in paint(scene)
+    geometry = json.loads(dump_scene(scene))["geometry"]
+    assert geometry[0] == {"kind": "diamond", "x": 0, "y": 0, "width": 8, "height": 6}
+    assert [g["kind"] for g in geometry] == ["diamond", "rect"]
+
+    # the kinds a background may size are read from the registry
+    _, diags = compile_doc({"bluefish": 1, "root": {
+        "kind": "background", "props": {"background": {"kind": "text", "props": {"content": "x"}}},
+        "children": [{"kind": "rect", "props": {"width": 4, "height": 2}}],
+    }}, registry=registry)
+    assert [(d.code, d.message, d.node_paths) for d in diags] == [(
+        "BF007", "background mark must be one of circle, diamond, ellipse, rect; got 'text'",
+        ("background.props.background",))]
 
 
 # --- registry and composites --------------------------------------------------------

@@ -7,7 +7,8 @@ import pytest
 from bluefish import Axis, Scenegraph
 from bluefish.engine import LayoutRuntime, standard_registry
 from bluefish.errors import DimensionConflict
-from bluefish.relations import _clip_segment, measure_text, path_control_points
+from bluefish.geometry import path_control_points
+from bluefish.relations import _clip_segment, measure_text
 from bluefish.scenegraph import LayoutNode
 
 from conftest import compile_doc, compile_fixture, errors_of
@@ -269,16 +270,16 @@ def test_line_clips_to_the_box_edges():
     scene, diags = _connector_scene("line", {})
     assert errors_of(diags) == []
     line = _by_kind(scene, "line")
-    assert line.paint_props["segment"] == pytest.approx((10.0, 5.0, 40.0, 5.0))
-    assert line.paint_props["arrow"] is False
+    assert line.segment == pytest.approx((10.0, 5.0, 40.0, 5.0))
+    assert line.paint_props == scene.registry.kinds["line"].defaults()  # no arrow flag
 
 
 def test_arrow_insets_by_the_gap():
     scene, diags = _connector_scene("arrow", {"gap": 5})
     assert errors_of(diags) == []
     arrow = _by_kind(scene, "arrow")
-    assert arrow.paint_props["segment"] == pytest.approx((15.0, 5.0, 35.0, 5.0))
-    assert arrow.paint_props["arrow"] is True
+    assert arrow.segment == pytest.approx((15.0, 5.0, 35.0, 5.0))
+    assert arrow.paint_props == {**scene.registry.kinds["arrow"].defaults(), "gap": 5.0}
 
 
 def test_overlapping_endpoints_warn_and_draw_nothing():
@@ -296,7 +297,7 @@ def test_overlapping_endpoints_warn_and_draw_nothing():
     assert scene is not None
     assert errors_of(diags) == []
     assert [d.code for d in diags] == ["BF008"]
-    assert "segment" not in _by_kind(scene, "line").paint_props
+    assert _by_kind(scene, "line").segment is None
 
 
 def test_clip_handles_diagonals():

@@ -12,7 +12,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bluefish import compile_source, dump_scene, paint, parse_document, print_document
+from bluefish import (
+    Element,
+    compile_source,
+    dump_scene,
+    expand_tree,
+    paint,
+    parse_document,
+    print_document,
+    standard_registry,
+)
+from bluefish.docformat import walk
 from bluefish.renderer import _round2, esc, fmt_num
 
 from conftest import FIXTURES, compile_doc, compile_fixture, errors_of, stack_chain
@@ -149,6 +159,23 @@ def test_painting_only_reads_the_scene(fixture):
     assert dump_scene(scene) == dump
 
 
+@pytest.mark.parametrize("fixture", COMPILING_FIXTURES)
+def test_paint_props_are_the_element_props_over_the_spec_defaults(fixture):
+    # layout records its decisions on the node, never in paint_props; an
+    # element-valued prop's mark is the node right after its holder
+    registry = standard_registry()
+    data = (FIXTURES / f"{fixture}.json").read_bytes()
+    expected: list[dict] = []
+    for el, _, _ in walk(expand_tree(parse_document(data), registry)):
+        props = {} if el.kind == "ref" else {**registry.kinds[el.kind].defaults(), **el.props}
+        expected.append(props)
+        expected.extend({**registry.kinds[v.kind].defaults(), **v.props}
+                        for v in props.values() if isinstance(v, Element))
+    scene, diags = compile_fixture(fixture)
+    assert errors_of(diags) == []
+    assert [dict(node.paint_props) for node in scene.nodes.values()] == expected
+
+
 def test_identity_translations_are_elided():
     scene = _scene({"kind": "rect", "props": {"width": 10, "height": 20}})
     assert b"<g transform" not in paint(scene)
@@ -206,6 +233,34 @@ def test_connector_markup_and_markers():
     assert b'marker-end="url(#arrowhead-0)"' in svg
     assert b'stroke-dasharray="5"' in svg
     assert b'<path d="M 0 0 L 4 2 L 0 4 Z" fill="black"/>' in svg
+
+
+def test_markers_are_numbered_as_arrows_paint():
+    def arrow(stroke: str, a: str, b: str) -> dict:
+        return {"kind": "arrow", "props": {"stroke": stroke},
+                "children": [{"kind": "ref", "select": a}, {"kind": "ref", "select": b}]}
+
+    scene, diags = compile_doc({"bluefish": 1, "root": {"kind": "group", "children": [
+        {"kind": "stackH", "props": {"spacing": 30}, "children": [
+            {"kind": "rect", "name": n, "props": {"width": 10, "height": 10}} for n in "abc"]},
+        arrow("green", "a", "a"),  # degenerate: no segment, so no head
+        arrow("red", "a", "b"),
+        arrow("blue", "b", "c"),
+        arrow("red", "a", "c"),
+    ]}})
+    assert [d.code for d in diags] == ["BF008"]
+    lines = paint(scene).split(b"\n")
+    head = b'markerHeight="4" markerUnits="strokeWidth" markerWidth="4" orient="auto"' \
+        b' refX="4" refY="2" viewBox="0 0 4 4"><path d="M 0 0 L 4 2 L 0 4 Z"'
+    assert lines[1:5] == [
+        b"<defs>",
+        b'<marker id="arrowhead-0" ' + head + b' fill="red"/></marker>',
+        b'<marker id="arrowhead-1" ' + head + b' fill="blue"/></marker>',
+        b"</defs>",
+    ]
+    ends = [line.split(b'marker-end="')[1].split(b'"')[0] for line in lines if b"marker-end" in line]
+    assert ends == [b"url(#arrowhead-0)", b"url(#arrowhead-1)", b"url(#arrowhead-0)"]
+    assert b"green" not in b"\n".join(lines)
 
 
 def test_degenerate_connector_paints_nothing():
