@@ -17,7 +17,7 @@ from .engine import (
     standard_registry,
 )
 from .errors import BluefishError, Diagnostic
-from .geometry import TOLERANCE, Axis, PartialBBox, Translate, bbox_get, bbox_set
+from .geometry import TOLERANCE, Axis, PartialBBox, Translate, bbox_get
 from .relations import ALIGNMENT_FIELDS, ElementKindSpec, measure_text
 from .renderer import dump_scene, paint
 from .scenegraph import ResolvedScene, Scenegraph
@@ -40,7 +40,6 @@ __all__ = [
     "TOLERANCE",
     "Translate",
     "bbox_get",
-    "bbox_set",
     "build_scenegraph",
     "compile_source",
     "dump_scene",

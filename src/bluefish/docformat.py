@@ -89,13 +89,11 @@ def _parse_element(raw: object, path: str) -> Element:
             if not -_MAX_NUMBER <= value <= _MAX_NUMBER:  # NaN, infinities, huge integers
                 raise SchemaError(f"{path}.props.{key}", "prop values must be finite numbers")
             props[key] = float(value)
-        elif isinstance(value, str):
+        else:  # a string: json.loads yields no other value
             bad = _NOT_XML_CHAR.search(value)
             if bad is not None:
                 raise SchemaError(f"{path}.props.{key}", f"SVG cannot carry {bad.group()!r} in a string")
             props[key] = value
-        else:
-            raise SchemaError(f"{path}.props.{key}", f"unsupported prop value {value!r}")
     children_raw = raw.get("children", [])
     if not isinstance(children_raw, list):
         raise SchemaError(path, "'children' must be a list")
@@ -117,7 +115,10 @@ def parse_document(data: bytes | str) -> Element:
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise DocumentSyntaxError(1, max(1, exc.start), "document is not valid UTF-8") from exc
+            # line and column counted as JSONDecodeError counts them, in characters
+            prefix = data[:exc.start].decode("utf-8")
+            raise DocumentSyntaxError(prefix.count("\n") + 1, len(prefix) - prefix.rfind("\n"),
+                                      "document is not valid UTF-8") from exc
     try:
         raw = json.loads(data)
     except json.JSONDecodeError as exc:
@@ -313,7 +314,6 @@ class NameTable:
     """Resolution results, keyed by pre-order element index."""
 
     refs: dict[int, int] = dc_field(default_factory=dict)  # ref index -> referent index
-    paths: dict[int, str] = dc_field(default_factory=dict)  # any index -> element path
 
 
 def resolve_names(tree: Element) -> tuple[NameTable, list[Diagnostic]]:
@@ -331,7 +331,6 @@ def resolve_names(tree: Element) -> tuple[NameTable, list[Diagnostic]]:
     scope_of: list[int] = []
     named: list[tuple[int, str, int, str]] = []  # (index, name, scope, path)
     for i, (el, path, parent) in enumerate(order):
-        table.paths[i] = path
         if parent is None:
             owner = -1
         else:
@@ -349,7 +348,7 @@ def resolve_names(tree: Element) -> tuple[NameTable, list[Diagnostic]]:
             diags.append(Diagnostic(
                 DUPLICATE_NAME,
                 f"name {name!r} is already used in this scope (DuplicateNameInScope)",
-                (path, table.paths[first])))
+                (path, order[first][1])))
         by_scope.setdefault(key, []).append(i)
         by_name.setdefault(name, []).append(i)
 
@@ -364,7 +363,7 @@ def resolve_names(tree: Element) -> tuple[NameTable, list[Diagnostic]]:
                 UNRESOLVED_NAME, f"no element named {head!r} (selector {'/'.join(selector)!r})", (path,)))
             continue
         if len(candidates) > 1:
-            where = ", ".join(table.paths[c] for c in candidates)
+            where = ", ".join(order[c][1] for c in candidates)
             diags.append(Diagnostic(
                 AMBIGUOUS_NAME,
                 f"name {head!r} is ambiguous: matches {where}", (path,)))
@@ -376,13 +375,13 @@ def resolve_names(tree: Element) -> tuple[NameTable, list[Diagnostic]]:
             if not matches:
                 diags.append(Diagnostic(
                     UNRESOLVED_NAME,
-                    f"no element named {segment!r} inside {table.paths[current]} "
+                    f"no element named {segment!r} inside {order[current][1]} "
                     f"(selector {'/'.join(selector)!r})",
                     (path,)))
                 failed = True
                 break
             if len(matches) > 1:
-                where = ", ".join(table.paths[m] for m in matches)
+                where = ", ".join(order[m][1] for m in matches)
                 diags.append(Diagnostic(
                     AMBIGUOUS_NAME, f"name {segment!r} is ambiguous within scope: {where}", (path,)))
                 failed = True
@@ -393,9 +392,9 @@ def resolve_names(tree: Element) -> tuple[NameTable, list[Diagnostic]]:
         if current >= i:
             diags.append(Diagnostic(
                 FORWARD_REFERENCE,
-                f"selector {'/'.join(selector)!r} points forward to {table.paths[current]}; "
+                f"selector {'/'.join(selector)!r} points forward to {order[current][1]}; "
                 f"referents must appear before the ref",
-                (path, table.paths[current])))
+                (path, order[current][1])))
             continue
         table.refs[i] = current
     return table, diags

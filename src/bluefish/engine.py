@@ -178,35 +178,27 @@ class LayoutRuntime:
         self.warnings.append(diag)
 
 
-def _path(graph: Scenegraph, node_id: str | None) -> str:
-    if node_id is None:
-        return "?"
-    node = graph.nodes.get(node_id)
-    return node.path if node is not None else node_id
-
-
 def _layout_error_diagnostic(graph: Scenegraph, exc: BluefishError) -> Diagnostic:
+    if not isinstance(exc, (DimensionConflict, UndefinedExtentError, InvalidExtent, GeometryOverflow)):
+        raise exc
+    nodes = graph.nodes
+    path = nodes[exc.node].path
     if isinstance(exc, DimensionConflict):
+        owner, writer = nodes[exc.existing_owner].path, nodes[exc.writer].path
         return Diagnostic(
             DIMENSION_CONFLICT,
-            f"conflicting writes to {exc.field!r} of {_path(graph, exc.node)}: "
-            f"owned by {_path(graph, exc.existing_owner)}, "
-            f"also written by {_path(graph, exc.writer)}",
-            (_path(graph, exc.existing_owner), _path(graph, exc.writer)))
+            f"conflicting writes to {exc.field!r} of {path}: "
+            f"owned by {owner}, also written by {writer}",
+            (owner, writer))
     if isinstance(exc, UndefinedExtentError):
         return Diagnostic(
-            UNDEFINED_EXTENT,
-            f"{_path(graph, exc.node)} cannot report {exc.field!r} where a relation needs it",
-            (_path(graph, exc.node),))
+            UNDEFINED_EXTENT, f"{path} cannot report {exc.field!r} where a relation needs it", (path,))
     if isinstance(exc, InvalidExtent):
-        return Diagnostic(INVALID_EXTENT, str(exc), (_path(graph, exc.node),))
-    if isinstance(exc, GeometryOverflow):
-        return Diagnostic(
-            GEOMETRY_OVERFLOW,
-            f"geometry overflows the float range: {exc.field!r} of "
-            f"{_path(graph, exc.node)} would be {exc.value!r}",
-            (_path(graph, exc.node),))
-    raise exc
+        return Diagnostic(INVALID_EXTENT, str(exc), (path,))
+    return Diagnostic(
+        GEOMETRY_OVERFLOW,
+        f"geometry overflows the float range: {exc.field!r} of {path} would be {exc.value!r}",
+        (path,))
 
 
 def layout_document(graph: Scenegraph) -> tuple[ResolvedScene | None, list[Diagnostic]]:
@@ -223,12 +215,9 @@ def layout_document(graph: Scenegraph) -> tuple[ResolvedScene | None, list[Diagn
         graph.finalize()
         scene = graph.resolve()
     except UnsizedNodes as exc:
-        diags = [
-            Diagnostic(UNSIZED_NODE,
-                       f"{_path(graph, nid)} has no derivable extent after layout",
-                       (_path(graph, nid),))
-            for nid in exc.node_ids
-        ]
+        paths = [graph.nodes[nid].path for nid in exc.node_ids]
+        diags = [Diagnostic(UNSIZED_NODE, f"{path} has no derivable extent after layout", (path,))
+                 for path in paths]
         return None, rt.warnings + diags
     except BluefishError as exc:
         return None, rt.warnings + [_layout_error_diagnostic(graph, exc)]

@@ -55,11 +55,7 @@ class BluefishError(Exception):
 # --- geometry ---------------------------------------------------------------
 
 
-class GeometryError(BluefishError):
-    pass
-
-
-class DimensionConflict(GeometryError):
+class DimensionConflict(BluefishError):
     """A second writer tried to set an already-owned dimension.
 
     ``existing_owner`` and ``writer`` are node ids; ``node`` is the node
@@ -81,15 +77,15 @@ class DimensionConflict(GeometryError):
         )
 
 
-class InvalidExtent(GeometryError):
-    def __init__(self, field_name: str, value: float, node: str | None = None):
+class InvalidExtent(BluefishError):
+    def __init__(self, field_name: str, value: float, node: str):
         self.field = field_name
         self.value = value
         self.node = node
         super().__init__(f"extent {field_name!r} must be non-negative, got {value!r}")
 
 
-class GeometryOverflow(GeometryError):
+class GeometryOverflow(BluefishError):
     """A derived box field, translation or origin left the float range.
 
     Props are finite once parsed, so this comes from arithmetic on them,
@@ -98,7 +94,7 @@ class GeometryOverflow(GeometryError):
     node's absolute origin.
     """
 
-    def __init__(self, node: str | None, field_name: str, value: float):
+    def __init__(self, node: str, field_name: str, value: float):
         self.node = node
         self.field = field_name
         self.value = value
@@ -108,11 +104,7 @@ class GeometryOverflow(GeometryError):
 # --- scenegraph -------------------------------------------------------------
 
 
-class ScenegraphError(BluefishError):
-    pass
-
-
-class SelfReference(ScenegraphError):
+class SelfReference(BluefishError):
     """A ref points at the relation that holds it or at an ancestor of it.
 
     ``node`` is the ref's parent and ``referent`` its target. ``ref``
@@ -130,7 +122,7 @@ class SelfReference(ScenegraphError):
         )
 
 
-class DisconnectedNodes(ScenegraphError):
+class DisconnectedNodes(BluefishError):
     """A second parentless node: a graph has exactly one root."""
 
     def __init__(self, root: str):
@@ -138,7 +130,7 @@ class DisconnectedNodes(ScenegraphError):
         super().__init__(f"the graph already has root {root!r}; every other node needs a parent")
 
 
-class UndefinedExtentError(ScenegraphError):
+class UndefinedExtentError(BluefishError):
     """A relation needed a box dimension that no layout has produced."""
 
     def __init__(self, node: str, field_name: str):
@@ -147,7 +139,7 @@ class UndefinedExtentError(ScenegraphError):
         super().__init__(f"node {node!r} cannot report {field_name!r}")
 
 
-class UnsizedNodes(ScenegraphError):
+class UnsizedNodes(BluefishError):
     def __init__(self, node_ids: tuple[str, ...]):
         self.node_ids = node_ids
         super().__init__(f"{len(node_ids)} node(s) have no derivable extent")
@@ -156,18 +148,14 @@ class UnsizedNodes(ScenegraphError):
 # --- document format --------------------------------------------------------
 
 
-class DocumentError(BluefishError):
-    pass
-
-
-class DocumentSyntaxError(DocumentError):
+class DocumentSyntaxError(BluefishError):
     def __init__(self, line: int, column: int, detail: str):
         self.line = line
         self.column = column
         super().__init__(f"invalid JSON at line {line}, column {column}: {detail}")
 
 
-class SchemaError(DocumentError):
+class SchemaError(BluefishError):
     def __init__(self, path: str, detail: str):
         self.path = path
         self.detail = detail

@@ -1,4 +1,4 @@
-"""Partial bounding boxes, translations, and per-dimension ownership.
+"""Partial bounding boxes, translations, and the two axes they live on.
 
 A bounding box here is deliberately partial: every field is optional,
 and layout fills them in one dimension at a time. The two axes never
@@ -11,13 +11,8 @@ follow from them,
 
 and are computed on read, never stored. Relations that place a centre
 or end from another frame write a translation instead (see
-``Scenegraph.set_dim_in_frame``).
-
-Ownership is the immutability mechanism: each field is written at most
-once, by exactly one owner, and a second writer is a conflict rather
-than a silent overwrite. ``bbox_set`` checks a write before making it,
-then stores the field and its owner in place; a rejected write leaves
-the box and its owners as they were.
+``Scenegraph.set_dim_in_frame``). Who may write a field, and when, is
+the scenegraph's rule (``Scenegraph.decide``).
 
 Field names use the document format's dimension vocabulary (``centerX``
 not ``center_x``) so the same spelling works in documents, owner maps,
@@ -29,12 +24,9 @@ path draws in; the document checks and path layout both use it.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from enum import Enum
-
-from .errors import DimensionConflict, GeometryOverflow, InvalidExtent
 
 #: Absolute tolerance for geometric comparisons. Values closer than this
 #: are the same dimension; disagreements beyond it are conflicts.
@@ -48,7 +40,8 @@ class Axis(Enum):
     ``right`` horizontally), also available one by one as
     ``start_field``/``center_field``/``end_field``; ``fields`` adds the
     ``extent_field``; ``component`` is the translation component the
-    axis moves along and ``other`` the perpendicular axis. They are set
+    axis moves along, ``transform_field`` its name in owner errors and
+    ``write_log`` (``transform.x``), and ``other`` the perpendicular axis. They are set
     once when the class is created, because layout reads them on every
     frame conversion.
     """
@@ -60,6 +53,7 @@ class Axis(Enum):
     extent_field: str
     fields: tuple[str, str, str, str]
     component: str
+    transform_field: str
     other: "Axis"
 
     HORIZONTAL = ("horizontal", ("left", "centerX", "right"), "width", "x")
@@ -74,6 +68,7 @@ class Axis(Enum):
         axis.extent_field = extent_field
         axis.fields = position_fields + (extent_field,)
         axis.component = component
+        axis.transform_field = f"transform.{component}"
         return axis
 
     def offset(self, field_name: str, extent: float) -> float:
@@ -89,8 +84,6 @@ Axis.HORIZONTAL.other = Axis.VERTICAL
 Axis.VERTICAL.other = Axis.HORIZONTAL
 
 _FIELD_AXIS = {f: axis for axis in Axis for f in axis.fields}
-_START_FIELDS = (Axis.HORIZONTAL.start_field, Axis.VERTICAL.start_field)
-_EXTENT_FIELDS = (Axis.HORIZONTAL.extent_field, Axis.VERTICAL.extent_field)
 
 
 def axis_of(field_name: str) -> Axis:
@@ -132,42 +125,6 @@ def bbox_get(bbox: PartialBBox, field_name: str) -> float | None:
     if start is None or extent is None:
         return None
     return start + axis.offset(field_name, extent)
-
-
-def bbox_set(
-    bbox: PartialBBox,
-    owners: dict[str, str],
-    field_name: str,
-    value: float,
-    writer: str,
-    node: str | None = None,
-) -> None:
-    """Write one start or extent and its owner in place, enforcing single ownership.
-
-    A repeated write by the same owner with the same value (within
-    TOLERANCE) is a no-op; the same owner with a different value, or any
-    other writer, raises DimensionConflict carrying both owners. A NaN
-    or infinite value raises GeometryOverflow and a negative extent
-    InvalidExtent, both naming ``node``. A centre, end or unknown field
-    raises ValueError: a box stores only starts and extents.
-    Every check runs before the write, so a rejected write changes
-    nothing.
-    """
-    if not math.isfinite(value):
-        raise GeometryOverflow(node, field_name, value)
-    if field_name in _EXTENT_FIELDS:
-        if value < 0:
-            raise InvalidExtent(field_name, value, node)
-    elif field_name not in _START_FIELDS:
-        raise ValueError(f"bbox field {field_name!r} is not a start or an extent")
-    existing = getattr(bbox, field_name)
-    if field_name in owners:
-        if owners[field_name] == writer and existing is not None and abs(existing - value) <= TOLERANCE:
-            return
-        raise DimensionConflict(node or "?", field_name, owners[field_name], writer,
-                                existing_value=existing, value=value)
-    setattr(bbox, field_name, value)
-    owners[field_name] = writer
 
 
 # --- path data ----------------------------------------------------------------

@@ -112,7 +112,7 @@ def measure_text(content: str, font_size: float) -> tuple[float, float]:
 
 def _set_own(rt: "LayoutRuntime", node: LayoutNode, **fields: float) -> None:
     for f, v in fields.items():
-        rt.graph.set_dim_in_frame(node, node, f, v)
+        rt.graph.decide(node, f, v, node)
 
 
 def layout_rect(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:

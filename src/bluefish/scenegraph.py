@@ -13,8 +13,15 @@ owns what it decides or defaults: each dimension it writes, and each
 undecided translation component on the path, lazily materialized to 0.
 Asking "where is X relative to me?" is only answerable once the
 undecided offsets in between are pinned down, and pinning them is itself
-a layout decision that must be owned. Once materialized, a component
-never changes (same single-write rule as bbox fields).
+a layout decision that must be owned.
+
+Ownership is the immutability mechanism: each box start and extent and
+each translation component is written at most once, by exactly one
+owner, and a second writer is a conflict rather than a silent overwrite.
+``Scenegraph.decide`` is the one place that keeps this rule. It checks a
+write before making it, then stores the value and its owner in place and
+logs the write; a rejected write leaves the node, its owners and the log
+as they were.
 
 The methods below take and return node records (``LayoutNode`` and
 ``RefNode``), never ids, so a relation reaches a node it does not own
@@ -25,8 +32,8 @@ pointing both ways would form reference cycles, which would keep a
 finished graph alive until the cyclic garbage collector runs.
 
 Nothing here is shared or global: each Scenegraph instance is confined
-to its creating pipeline run, and every layout decision goes through the
-methods below, which record each write in ``write_log``. ``resolve`` then
+to its creating pipeline run, and every layout decision goes through
+``decide``, which records each write in ``write_log``. ``resolve`` then
 stores the absolute origins those decisions imply on the same node
 records, which the resolved scene reads.
 """
@@ -42,22 +49,22 @@ from .errors import (
     DimensionConflict,
     DisconnectedNodes,
     GeometryOverflow,
+    InvalidExtent,
     SelfReference,
     UndefinedExtentError,
     UnsizedNodes,
 )
-from .geometry import (
-    TOLERANCE,
-    Axis,
-    PartialBBox,
-    Translate,
-    axis_of,
-    bbox_get,
-    bbox_set,
-)
+from .geometry import TOLERANCE, Axis, PartialBBox, Translate, axis_of, bbox_get
 
 if TYPE_CHECKING:
     from .engine import Registry
+
+#: Each field a node stores: (record attribute, owner-map attribute, key in both).
+_STORED = {
+    **{f: ("bbox", "bbox_owners", f) for axis in Axis for f in (axis.start_field, axis.extent_field)},
+    **{axis.transform_field: ("transform", "transform_owners", axis.component) for axis in Axis},
+}
+_EXTENTS = frozenset(axis.extent_field for axis in Axis)
 
 
 @dataclass
@@ -225,14 +232,42 @@ class Scenegraph:
         """Extent on an axis. Frame-independent, so no materialization."""
         return getattr(node.bbox, axis.extent_field)
 
-    # --- transforms -----------------------------------------------------------
+    # --- decisions ------------------------------------------------------------
 
-    def _set_component(self, node: LayoutNode, axis: Axis, value: float, owner: str) -> None:
+    def decide(self, node: LayoutNode, field_name: str, value: float, owner: LayoutNode) -> None:
+        """Store one box start or extent, or one translation component, owned by ``owner``.
+
+        ``field_name`` is ``left``, ``width``, ``top``, ``height``,
+        ``transform.x`` or ``transform.y``; any other name raises
+        ValueError (a box stores no centre or end). A NaN or infinite
+        value raises GeometryOverflow and a negative extent
+        InvalidExtent. The same owner repeating the value within
+        TOLERANCE changes nothing; any other second write raises
+        DimensionConflict naming both owners. Every check runs before
+        the write, and only a write that happens is logged.
+        """
+        try:
+            record, owner_map, key = _STORED[field_name]
+        except KeyError:
+            raise ValueError(
+                f"{field_name!r} is not a box start or extent or a translation component") from None
         if not math.isfinite(value):
-            raise GeometryOverflow(node.id, f"transform.{axis.component}", value)
-        setattr(node.transform, axis.component, value)
-        node.transform_owners[axis.component] = owner
-        self.write_log.append((node.id, f"transform.{axis.component}", owner))
+            raise GeometryOverflow(node.id, field_name, value)
+        if value < 0 and field_name in _EXTENTS:
+            raise InvalidExtent(field_name, value, node.id)
+        store, owners = getattr(node, record), getattr(node, owner_map)
+        existing_owner = owners.get(key)
+        if existing_owner is not None:
+            existing = getattr(store, key)
+            if existing_owner == owner.id and abs(existing - value) <= TOLERANCE:
+                return
+            raise DimensionConflict(node.id, field_name, existing_owner, owner.id,
+                                    existing_value=existing, value=value)
+        setattr(store, key, value)
+        owners[key] = owner.id
+        self.write_log.append((node.id, field_name, owner.id))
+
+    # --- transforms -----------------------------------------------------------
 
     def materialize(self, node: LayoutNode, axis: Axis, requester: LayoutNode) -> float:
         """Read a translation component, defaulting it to 0 if undecided.
@@ -242,7 +277,7 @@ class Scenegraph:
         """
         value = getattr(node.transform, axis.component)
         if value is None:
-            self._set_component(node, axis, 0.0, requester.id)
+            self.decide(node, axis.transform_field, 0.0, requester)
             return 0.0
         return value
 
@@ -302,27 +337,21 @@ class Scenegraph:
                          value: float) -> None:
         """Write one dimension of target, with value given in frame coordinates.
 
-        The frame owns what it decides or defaults. Extents are
-        frame-independent and go straight into the target's bbox, as
-        does a start written in the target's own frame: both define what
-        the node *is* (the box stores nothing else, so a centre or end
-        in the own frame raises ValueError). A position written from any
-        other frame decides where the node *sits* and becomes its
-        translation on the axis (relations move nodes, they do not
-        reshape them). When the target stores no start on the axis its
-        content sits at the local origin by default (the same default
-        finalize applies), so the local value is the field's offset from
-        that origin. Either way the written dimension gets ``frame`` as
-        its owner, and writing over a differently-owned dimension raises
-        DimensionConflict naming both owners. Only a write that happens
-        is logged: the same frame repeating a value changes nothing.
+        The frame owns what it decides or defaults; ``decide`` stores
+        each write under that rule. Extents are frame-independent and go
+        straight into the target's bbox, as does a start written in the
+        target's own frame: both define what the node *is* (the box
+        stores nothing else, so a centre or end in the own frame raises
+        ValueError). A position written from any other frame decides
+        where the node *sits* and becomes its translation on the axis
+        (relations move nodes, they do not reshape them). When the
+        target stores no start on the axis its content sits at the local
+        origin by default (the same default finalize applies), so the
+        local value is the field's offset from that origin.
         """
         axis = axis_of(field_name)
         if field_name == axis.extent_field or target is frame:
-            fresh = field_name not in target.bbox_owners  # else bbox_set no-ops or raises
-            bbox_set(target.bbox, target.bbox_owners, field_name, value, frame.id, target.id)
-            if fresh:
-                self.write_log.append((target.id, field_name, frame.id))
+            self.decide(target, field_name, value, frame)
             return
         up, down = self._legs(target, frame)
         rest = 0.0
@@ -338,14 +367,7 @@ class Scenegraph:
                 # a centre or end with no extent is unrelatable to the content
                 raise UndefinedExtentError(target.id, field_name)
             local = axis.offset(field_name, extent)
-        implied = ((value - local) - rest) + back
-        current = getattr(target.transform, axis.component)
-        if current is None:
-            self._set_component(target, axis, implied, frame.id)
-        elif abs(current - implied) > TOLERANCE or target.transform_owners[axis.component] != frame.id:
-            raise DimensionConflict(
-                target.id, field_name, target.transform_owners[axis.component], frame.id,
-                existing_value=current, value=implied)
+        self.decide(target, axis.transform_field, ((value - local) - rest) + back, frame)
 
     # --- finalization --------------------------------------------------------
 

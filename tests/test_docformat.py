@@ -67,6 +67,23 @@ def test_malformed_json_reports_position():
     assert excinfo.value.column > 0
 
 
+@pytest.mark.parametrize("raw, line, column", [
+    (b"\xff{}", 1, 1),  # a bad first byte
+    (b'{\n\n  "bluefish": 1, "x": "\xff"}', 3, 24),  # after newlines
+    (b'{"bluefish": 1, "x": "' + "\u65e5\u672c".encode("utf-8") + b'\xff"}', 1, 25),
+])
+def test_invalid_utf8_reports_the_position_json_would(raw, line, column):
+    # 1-based line and column over the decoded prefix; the third document's
+    # bad byte follows two three-byte characters, so bytes and characters differ
+    with pytest.raises(DocumentSyntaxError) as excinfo:
+        parse_document(raw)
+    assert (excinfo.value.line, excinfo.value.column) == (line, column)
+    _, diagnostics = compile_source(raw)
+    assert [d.render() for d in diagnostics] == [
+        f"error[BF006]: invalid JSON at line {line}, column {column}: "
+        "document is not valid UTF-8\n  at document"]
+
+
 @pytest.mark.parametrize("raw", [
     b"[]",
     b'{"root": {"kind": "rect"}}',

@@ -8,7 +8,7 @@ import json
 import pytest
 
 from bluefish import dump_scene, paint
-from bluefish.docformat import Element, parse_document, resolve_names
+from bluefish.docformat import Element, parse_document, resolve_names, walk
 from bluefish.engine import (
     Registry,
     build_scenegraph,
@@ -338,7 +338,8 @@ def test_scopes_follow_each_placement_of_a_shared_element():
     tree = expand_tree(parse_document(json.dumps(doc)), registry)
     table, diags = resolve_names(tree)
     assert diags == []
-    assert [table.paths[i] for i in table.refs.values()] == [
+    paths = [path for _, path, _ in walk(tree)]
+    assert [paths[i] for i in table.refs.values()] == [
         "group/stackH[0]/group[0]:a/group[0]:cell/rect[0]:box",
         "group/stackH[0]/group[1]:b/group[0]:cell/rect[0]:box",
     ]

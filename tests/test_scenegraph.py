@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
+import json
+import math
+import random
 import sys
 import weakref
 
@@ -11,19 +15,25 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bluefish import (
+    TOLERANCE,
     Axis,
+    PartialBBox,
     Scenegraph,
+    Translate,
     build_scenegraph,
     compile_source,
     expand_tree,
+    layout_document,
     parse_document,
     resolve_names,
     standard_registry,
+    validate,
 )
 from bluefish.errors import (
     DimensionConflict,
     DisconnectedNodes,
     GeometryOverflow,
+    InvalidExtent,
     SelfReference,
     UndefinedExtentError,
     UnsizedNodes,
@@ -31,6 +41,9 @@ from bluefish.errors import (
 from bluefish.scenegraph import LayoutNode
 
 from conftest import FIXTURES
+from generators import random_ref_free_doc, random_stack_triplet
+
+extents = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
 
 
 def _rect(g: Scenegraph, parent: LayoutNode | None, w: float, h: float) -> LayoutNode:
@@ -107,6 +120,158 @@ def test_ref_check_matches_the_whole_ancestor_chain():
                 assert g.target_of(ref.id) is referent and len(g.nodes) == before + 1
 
 
+# --- the single-write rule ------------------------------------------------------------
+
+
+def _leaf() -> tuple[Scenegraph, LayoutNode, LayoutNode]:
+    g = Scenegraph(standard_registry())
+    root = g.create_node("group", None)
+    return g, root, g.create_node("rect", root)
+
+
+def _state(g: Scenegraph, node: LayoutNode) -> tuple:
+    return (dataclasses.replace(node.bbox), dataclasses.replace(node.transform),
+            dict(node.bbox_owners), dict(node.transform_owners), list(g.write_log))
+
+
+def test_decide_records_the_value_its_owner_and_one_log_entry():
+    g, root, a = _leaf()
+    assert g.decide(a, "width", 10.0, root) is None
+    assert a.bbox == PartialBBox(width=10.0)
+    assert a.bbox_owners == {"width": root.id}
+    assert g.write_log == [(a.id, "width", root.id)]
+
+
+def test_same_owner_same_value_is_a_noop():
+    g, _, a = _leaf()
+    g.decide(a, "left", 4.0, a)
+    g.decide(a, "left", 4.0 + TOLERANCE / 2, a)
+    assert a.bbox == PartialBBox(left=4.0)
+    assert a.bbox_owners == {"left": a.id}
+    assert g.write_log == [(a.id, "left", a.id)]
+
+
+def test_same_owner_different_value_conflicts():
+    g, _, a = _leaf()
+    g.decide(a, "left", 4.0, a)
+    with pytest.raises(DimensionConflict):
+        g.decide(a, "left", 5.0, a)
+
+
+def test_second_owner_conflicts_and_is_named_with_the_first():
+    g, root, a = _leaf()
+    g.decide(a, "top", 0.0, a)
+    with pytest.raises(DimensionConflict) as excinfo:
+        g.decide(a, "top", 0.0, root)
+    conflict = excinfo.value
+    assert (conflict.node, conflict.field, conflict.existing_owner, conflict.writer) == (
+        a.id, "top", a.id, root.id)
+
+
+def test_negative_extent_rejected():
+    g, _, a = _leaf()
+    with pytest.raises(InvalidExtent) as excinfo:
+        g.decide(a, "width", -1.0, a)
+    assert (excinfo.value.node, excinfo.value.field) == (a.id, "width")
+
+
+def test_non_finite_value_rejected():
+    g, _, a = _leaf()
+    with pytest.raises(GeometryOverflow):
+        g.decide(a, "left", math.nan, a)
+    with pytest.raises(GeometryOverflow) as excinfo:
+        g.decide(a, "width", math.inf, a)
+    assert (excinfo.value.node, excinfo.value.field, excinfo.value.value) == (a.id, "width", math.inf)
+
+
+def test_translations_obey_the_same_rule():
+    g, root, a = _leaf()
+    g.decide(a, "transform.x", -5.0, root)  # unlike an extent, a translation may be negative
+    g.decide(a, "transform.x", -5.0 + TOLERANCE / 2, root)
+    assert a.transform == Translate(x=-5.0)
+    assert a.transform_owners == {"x": root.id}
+    assert g.is_fixed(a, Axis.HORIZONTAL)
+    with pytest.raises(DimensionConflict) as excinfo:
+        g.decide(a, "transform.x", -5.0, a)
+    assert (excinfo.value.field, excinfo.value.existing_owner, excinfo.value.writer) == (
+        "transform.x", root.id, a.id)
+    with pytest.raises(GeometryOverflow) as excinfo:
+        g.decide(a, "transform.y", math.inf, root)
+    assert excinfo.value.field == "transform.y"
+    assert g.write_log == [(a.id, "transform.x", root.id)]
+
+
+@given(field_name=st.sampled_from(("left", "width", "top", "height", "transform.x", "transform.y")),
+       value=extents, other=extents)
+def test_every_stored_field_is_write_once(field_name, value, other):
+    g, root, a = _leaf()
+    g.decide(a, field_name, value, a)
+    with pytest.raises(DimensionConflict):
+        g.decide(a, field_name, other, root)
+
+
+@pytest.mark.parametrize("field_name, value, by_root, error", [
+    ("width", math.nan, False, GeometryOverflow),
+    ("height", -1.0, False, InvalidExtent),
+    ("left", 0.0, True, DimensionConflict),
+    ("transform.x", math.inf, False, GeometryOverflow),
+    ("transform.y", 1.0, True, DimensionConflict),
+    ("centerX", 10.0, False, ValueError),  # a box stores no centre or end
+    ("right", 25.0, False, ValueError),
+])
+def test_rejected_write_changes_nothing(field_name, value, by_root, error):
+    g, root, a = _leaf()
+    for f, v in (("left", 0.0), ("width", 20.0), ("top", 5.0), ("transform.y", 1.0)):
+        g.decide(a, f, v, a)
+    before = _state(g, a)
+    with pytest.raises(error):
+        g.decide(a, field_name, value, root if by_root else a)
+    assert _state(g, a) == before
+
+
+def _laid_out_graph(data: bytes) -> Scenegraph | None:
+    """The graph after layout, up to its first layout error; None if it is never built."""
+    registry = standard_registry()
+    tree = expand_tree(parse_document(data), registry)
+    table, name_diags = resolve_names(tree)
+    if any(d.severity == "error" for d in validate(tree, registry) + name_diags):
+        return None
+    graph = build_scenegraph(tree, table, registry)
+    layout_document(graph)
+    return graph
+
+
+def _invariant_documents() -> list[tuple[str, bytes]]:
+    docs = [(p.stem, p.read_bytes()) for p in sorted(FIXTURES.glob("*.json"))]
+    for seed in range(50):
+        rng = random.Random(seed)
+        for i, doc in enumerate(random_stack_triplet(rng)):
+            docs.append((f"triplet-{seed}-{i}", json.dumps(doc).encode()))
+        docs.append((f"ref-free-{seed}", json.dumps(random_ref_free_doc(rng)).encode()))
+    return docs
+
+
+def test_write_log_holds_one_entry_per_owned_field_and_nothing_else():
+    # every decision, laid out or rejected, has one owner-map entry and one
+    # log entry with the same owner; a second route into the maps would break this
+    checked = 0
+    for name, data in _invariant_documents():
+        graph = _laid_out_graph(data)
+        if graph is None:
+            continue
+        logged = {(nid, f): owner for nid, f, owner in graph.write_log}
+        assert len(logged) == len(graph.write_log), name
+        owned = {}
+        for node in graph.nodes.values():
+            if node.is_ref:
+                continue
+            owned.update(((node.id, f), owner) for f, owner in node.bbox_owners.items())
+            owned.update(((node.id, f"transform.{c}"), owner) for c, owner in node.transform_owners.items())
+        assert logged == owned, name
+        checked += 1
+    assert checked == 210
+
+
 # --- write semantics ---------------------------------------------------------------
 
 
@@ -176,6 +341,7 @@ def test_double_placement_conflicts_with_both_owners():
         g.set_dim_in_frame(a, second, "top", 30.0)
     assert excinfo.value.existing_owner == first.id
     assert excinfo.value.writer == second.id
+    assert excinfo.value.field == "transform.y"  # what the position decides
 
 
 def test_same_writer_same_value_is_idempotent():
