@@ -6,7 +6,7 @@ out in a single pass over a compound scenegraph and renders
 deterministic SVG. See the README for the document format.
 """
 
-from .docformat import Element, NameTable, parse_document, print_document, resolve_names, validate
+from .docformat import Element, parse_document, print_document, resolve_names, validate
 from .engine import (
     LayoutRuntime,
     Registry,
@@ -20,7 +20,7 @@ from .errors import BluefishError, Diagnostic
 from .geometry import TOLERANCE, Axis, PartialBBox, Translate, bbox_get
 from .relations import ALIGNMENT_FIELDS, ElementKindSpec, measure_text
 from .renderer import dump_scene, paint
-from .scenegraph import ResolvedScene, Scenegraph
+from .scenegraph import Scenegraph
 
 __version__ = "0.1.0"
 
@@ -32,10 +32,8 @@ __all__ = [
     "Element",
     "ElementKindSpec",
     "LayoutRuntime",
-    "NameTable",
     "PartialBBox",
     "Registry",
-    "ResolvedScene",
     "Scenegraph",
     "TOLERANCE",
     "Translate",

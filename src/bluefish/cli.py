@@ -15,7 +15,7 @@ from pathlib import Path
 from .engine import compile_source
 from .errors import ERROR, Diagnostic
 from .renderer import dump_scene, paint
-from .scenegraph import ResolvedScene
+from .scenegraph import Scenegraph
 
 _SEVERITY_COLORS = {"error": "\x1b[31m", "warning": "\x1b[33m"}
 _RESET = "\x1b[0m"
@@ -38,7 +38,7 @@ def _report(diagnostics: list[Diagnostic], stream=None) -> None:
         print(text, file=stream)
 
 
-def _compile(source: Path) -> tuple[ResolvedScene | None, int]:
+def _compile(source: Path) -> tuple[Scenegraph | None, int]:
     """Read and compile a document, reporting its diagnostics.
 
     Returns the scene and exit code 0, or None and 2 when the file

@@ -309,22 +309,16 @@ def validate(tree: Element, registry) -> list[Diagnostic]:
 # --- name resolution ----------------------------------------------------------
 
 
-@dataclass
-class NameTable:
-    """Resolution results, keyed by pre-order element index."""
-
-    refs: dict[int, int] = dc_field(default_factory=dict)  # ref index -> referent index
-
-
-def resolve_names(tree: Element) -> tuple[NameTable, list[Diagnostic]]:
+def resolve_names(tree: Element) -> tuple[dict[int, int], list[Diagnostic]]:
     """Resolve every ref's selector to a referent element.
 
-    Returns the table and any diagnostics (unresolved, ambiguous,
+    Returns the resolved refs, keyed by pre-order element index (ref
+    index -> referent index), and any diagnostics (unresolved, ambiguous,
     duplicate, or forward references). Resolution always runs to the end
     so all problems surface together.
     """
     order: list[tuple[Element, str, int | None]] = list(walk(tree))
-    table = NameTable()
+    refs: dict[int, int] = {}
     diags: list[Diagnostic] = []
 
     # scope owner of an element = nearest named ancestor (root scope: -1)
@@ -396,5 +390,5 @@ def resolve_names(tree: Element) -> tuple[NameTable, list[Diagnostic]]:
                 f"referents must appear before the ref",
                 (path, order[current][1])))
             continue
-        table.refs[i] = current
-    return table, diags
+        refs[i] = current
+    return refs, diags

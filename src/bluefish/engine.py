@@ -1,7 +1,7 @@
 """Pipeline orchestration: registry, graph construction, and the layout pass.
 
 The pipeline is parse -> expand -> validate -> resolve names -> build
-scenegraph -> layout -> finalize -> resolve scene. Static problems are
+scenegraph -> layout -> finalize -> resolve origins. Static problems are
 collected and reported together before any layout runs; layout itself
 stops at the first conflict, because a conflicting scene has no
 well-defined geometry to keep going with.
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from . import docformat
-from .docformat import Element, NameTable
+from .docformat import Element
 from .errors import (
     DIMENSION_CONFLICT,
     ERROR,
@@ -43,7 +43,7 @@ from .errors import (
     UnsizedNodes,
 )
 from .relations import ElementKindSpec, standard_kind_specs
-from .scenegraph import LayoutNode, RefNode, ResolvedScene, Scenegraph
+from .scenegraph import LayoutNode, RefNode, Scenegraph
 
 _MAX_EXPANSIONS = 32
 
@@ -72,9 +72,13 @@ def standard_registry() -> Registry:
 
 
 def expand_tree(tree: Element, registry: Registry) -> Element:
-    """Replace composite kinds by their expansions, outer name preserved."""
+    """Replace composite kinds by their expansions, outer name preserved.
 
-    def expand(el: Element) -> Element:
+    An expansion error names the element's place as parsing does
+    (``root.children[1]``, ``root.props.background``).
+    """
+
+    def expand(el: Element, path: str) -> Element:
         rounds = 0
         while True:
             spec = registry.kinds.get(el.kind)
@@ -82,21 +86,21 @@ def expand_tree(tree: Element, registry: Registry) -> Element:
                 break
             rounds += 1
             if rounds > _MAX_EXPANSIONS:
-                raise SchemaError(el.kind, f"composite kind {el.kind!r} expands without terminating")
+                raise SchemaError(path, f"composite kind {el.kind!r} expands without terminating")
             name = el.name
             expanded = spec.expand(dict(el.props), list(el.children))
             if not isinstance(expanded, Element):
-                raise SchemaError(el.kind, f"expansion of {el.kind!r} must return an element")
+                raise SchemaError(path, f"expansion of {el.kind!r} must return an element")
             el = expanded
             if name is not None:
                 el.name = name
-        el.children = [expand(c) for c in el.children]
+        el.children = [expand(c, f"{path}.children[{i}]") for i, c in enumerate(el.children)]
         for key, value in el.props.items():
             if isinstance(value, Element):
-                el.props[key] = expand(value)
+                el.props[key] = expand(value, f"{path}.props.{key}")
         return el
 
-    return expand(tree)
+    return expand(tree, "root")
 
 
 # --- scenegraph construction ----------------------------------------------------
@@ -105,7 +109,7 @@ def _normalized_props(el: Element, spec: ElementKindSpec) -> dict:
     return {**spec.defaults(), **el.props}
 
 
-def build_scenegraph(tree: Element, names: NameTable, registry: Registry) -> Scenegraph:
+def build_scenegraph(tree: Element, refs: dict[int, int], registry: Registry) -> Scenegraph:
     """Create layout and ref nodes for every element, in document pre-order.
 
     An element-valued prop (the document's or the spec's default) is a
@@ -118,7 +122,7 @@ def build_scenegraph(tree: Element, names: NameTable, registry: Registry) -> Sce
     for index, (el, path, parent_index) in enumerate(docformat.walk(tree)):
         parent = None if parent_index is None else node_of_element[parent_index]
         if el.kind == "ref":
-            referent_index = names.refs.get(index)
+            referent_index = refs.get(index)
             assert referent_index is not None, "unresolved ref survived static checks"
             assert parent is not None, "a ref cannot be the document root"
             referent = node_of_element[referent_index]
@@ -201,19 +205,19 @@ def _layout_error_diagnostic(graph: Scenegraph, exc: BluefishError) -> Diagnosti
         (path,))
 
 
-def layout_document(graph: Scenegraph) -> tuple[ResolvedScene | None, list[Diagnostic]]:
-    """Run the single layout pass with the graph's registry, and finalize.
+def layout_document(graph: Scenegraph) -> tuple[Scenegraph | None, list[Diagnostic]]:
+    """Run the single layout pass with the graph's registry, finalize and resolve.
 
-    Returns (scene, diagnostics). The scene is None when layout aborted;
-    the diagnostics then explain why. Warnings may accompany a
-    successful scene.
+    Returns (scene, diagnostics): the resolved graph itself, or None when
+    layout aborted; the diagnostics then explain why. Warnings may
+    accompany a successful scene.
     """
     rt = LayoutRuntime(graph=graph, registry=graph.registry)
     assert graph.root is not None
     try:
         rt.layout_node(graph.root)
         graph.finalize()
-        scene = graph.resolve()
+        graph.resolve()
     except UnsizedNodes as exc:
         paths = [graph.nodes[nid].path for nid in exc.node_ids]
         diags = [Diagnostic(UNSIZED_NODE, f"{path} has no derivable extent after layout", (path,))
@@ -221,15 +225,15 @@ def layout_document(graph: Scenegraph) -> tuple[ResolvedScene | None, list[Diagn
         return None, rt.warnings + diags
     except BluefishError as exc:
         return None, rt.warnings + [_layout_error_diagnostic(graph, exc)]
-    scene.layout_calls = dict(rt.calls)
-    return scene, rt.warnings
+    graph.layout_calls = rt.calls
+    return graph, rt.warnings
 
 
 # --- full pipeline ----------------------------------------------------------------
 
 
-def compile_source(data: bytes | str, registry: Registry | None = None) -> tuple[ResolvedScene | None, list[Diagnostic]]:
-    """Document bytes in, resolved scene (or diagnostics) out."""
+def compile_source(data: bytes | str, registry: Registry | None = None) -> tuple[Scenegraph | None, list[Diagnostic]]:
+    """Document bytes in, resolved scenegraph (or diagnostics) out."""
     registry = registry or standard_registry()
     try:
         tree = docformat.parse_document(data)
@@ -239,12 +243,12 @@ def compile_source(data: bytes | str, registry: Registry | None = None) -> tuple
     except SchemaError as exc:
         return None, [Diagnostic(SCHEMA_ERROR, str(exc), (exc.path,))]
     diags = docformat.validate(tree, registry)
-    table, name_diags = docformat.resolve_names(tree)
+    refs, name_diags = docformat.resolve_names(tree)
     diags.extend(name_diags)
     if any(d.severity == ERROR for d in diags):
         return None, diags
     try:
-        graph = build_scenegraph(tree, table, registry)
+        graph = build_scenegraph(tree, refs, registry)
     except SelfReference as exc:
         return None, diags + [Diagnostic(SELF_REFERENCE, str(exc), (exc.ref, exc.referent))]
     scene, layout_diags = layout_document(graph)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from decimal import ROUND_CEILING, ROUND_HALF_EVEN, Context, Decimal
 
-from .scenegraph import ResolvedScene
+from .scenegraph import Scenegraph
 
 SVG_NS = "http://www.w3.org/2000/svg"
 
@@ -74,7 +74,7 @@ def esc(text: str) -> str:
             .replace(">", "&gt;").replace('"', "&quot;"))
 
 
-def paint(scene: ResolvedScene) -> bytes:
+def paint(scene: Scenegraph) -> bytes:
     """Serialize a finalized scene as SVG.
 
     The root's content box is shifted to start at (0, 0) and sets the
@@ -88,7 +88,8 @@ def paint(scene: ResolvedScene) -> bytes:
     does the call stack. Paint functions add the arrowhead colors they
     meet to ``markers``; their ``<defs>`` go in front once the walk is done.
     """
-    root = scene[scene.root]
+    nodes = scene.nodes
+    root = nodes[scene.root]
     markers: dict[str, str] = {}
     lines = [f'<svg viewBox="0 0 {_ceil2(root.width)} {_ceil2(root.height)}" xmlns="{SVG_NS}">']
     # the root has no parent, so replacing its translation pins the
@@ -101,7 +102,7 @@ def paint(scene: ResolvedScene) -> bytes:
         if nid is None:
             lines.append("</g>")
             continue
-        node = scene[nid]
+        node = nodes[nid]
         if node.is_ref:
             continue
         tx, ty = shift if node is root else (node.transform.x, node.transform.y)
@@ -124,7 +125,7 @@ def paint(scene: ResolvedScene) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def dump_scene(scene: ResolvedScene) -> bytes:
+def dump_scene(scene: Scenegraph) -> bytes:
     """Canonical JSON form of a resolved scene.
 
     ``nodes`` lists every node in scene order with absolute frame origin,

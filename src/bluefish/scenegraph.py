@@ -35,7 +35,8 @@ Nothing here is shared or global: each Scenegraph instance is confined
 to its creating pipeline run, and every layout decision goes through
 ``decide``, which records each write in ``write_log``. ``resolve`` then
 stores the absolute origins those decisions imply on the same node
-records, which the resolved scene reads.
+records, and the resolved graph is the scene that output reads, with
+``write_log`` and the owner maps as the provenance of every dimension.
 """
 
 from __future__ import annotations
@@ -137,46 +138,20 @@ class RefNode:
     paint_props = MappingProxyType({})
 
 
-@dataclass
-class ResolvedScene:
-    """A finalized graph read as a scene: the graph's own node records.
+class Scenegraph:
+    """The compound graph; once resolved, also the scene that output reads.
 
-    ``nodes`` is the graph's dict, in creation order, which puts every
-    parent before its children; ``build_scenegraph`` creates nodes in
-    document pre-order, so for a built document ``order`` is pre-order.
-    ``registry`` is the one the graph was built with; output reads each
-    node's kind facts (is it a mark, how it paints) from it.
+    ``nodes`` is in creation order, parents before children (document
+    pre-order for a built document). Output reads each node's kind facts
+    from ``registry``, the one the graph was built with.
     """
 
-    root: str
-    nodes: dict[str, LayoutNode | RefNode]
-    registry: Registry
-    layout_calls: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def order(self) -> tuple[str, ...]:
-        return tuple(self.nodes)
-
-    def __getitem__(self, node_id: str) -> LayoutNode | RefNode:
-        return self.nodes[node_id]
-
-    def by_name(self, name: str) -> LayoutNode:
-        for node in self.nodes.values():
-            if node.name == name:  # refs have no name
-                return node
-        raise KeyError(name)
-
-    def marks(self) -> list[LayoutNode]:
-        kinds = self.registry.kinds
-        return [node for node in self.nodes.values() if kinds[node.kind].is_mark]
-
-
-class Scenegraph:
     def __init__(self, registry: Registry) -> None:
         self.registry = registry
         self.nodes: dict[str, LayoutNode | RefNode] = {}
         self.root: str | None = None
         self.write_log: list[tuple[str, str, str]] = []  # (node, field, writer)
+        self.layout_calls: dict[str, int] = {}  # node -> layout calls, set by layout_document
 
     # --- construction -------------------------------------------------------
 
@@ -231,6 +206,10 @@ class Scenegraph:
     def extent_of(self, node: LayoutNode, axis: Axis) -> float | None:
         """Extent on an axis. Frame-independent, so no materialization."""
         return getattr(node.bbox, axis.extent_field)
+
+    def marks(self) -> list[LayoutNode]:
+        kinds = self.registry.kinds
+        return [node for node in self.nodes.values() if kinds[node.kind].is_mark]
 
     # --- decisions ------------------------------------------------------------
 
@@ -390,8 +369,8 @@ class Scenegraph:
         if unsized:
             raise UnsizedNodes(unsized)
 
-    def resolve(self) -> ResolvedScene:
-        """Store each layout node's absolute origin; the scene reads the nodes.
+    def resolve(self) -> Scenegraph:
+        """Store each layout node's absolute origin and return the graph as the scene.
 
         Creation order puts a parent before its children, so one pass in
         that order finds every parent's origin already stored.
@@ -410,4 +389,4 @@ class Scenegraph:
                 if not math.isfinite(y):
                     raise GeometryOverflow(node.id, "y", y)
             node.x, node.y = x, y
-        return ResolvedScene(root=self.root, nodes=nodes, registry=self.registry)
+        return self

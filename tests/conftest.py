@@ -28,3 +28,9 @@ def stack_chain(levels: int) -> bytes:
 
 def errors_of(diagnostics):
     return [d for d in diagnostics if d.severity == "error"]
+
+
+def node_named(scene, name: str):
+    """The one node of a scene that carries ``name``."""
+    (node,) = [node for node in scene.nodes.values() if node.name == name]
+    return node

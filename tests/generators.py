@@ -208,6 +208,6 @@ def time_nested_stacks(sizes: list[int], reps: int) -> list[tuple[int, float]]:
             assert scene is not None, [d.render() for d in diagnostics]
             paint(scene)
             times.append((time.perf_counter() - started) * 1000.0)
-            count = len(scene.order)
+            count = len(scene.nodes)
         rows.append((count, statistics.median(times)))
     return rows

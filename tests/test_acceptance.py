@@ -19,7 +19,7 @@ import pytest
 from bluefish import compile_source, dump_scene, paint
 from bluefish.cli import main
 
-from conftest import FIXTURES, compile_doc, compile_fixture, errors_of
+from conftest import FIXTURES, compile_doc, compile_fixture, errors_of, node_named
 from generators import (
     random_ref_free_doc,
     random_stack_tree,
@@ -65,12 +65,11 @@ def test_criterion_1_ref_stack_trace(criterion):
         scene, diags = compile_fixture("ref_stack")
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         assert errors_of(diags) == []
-        a = scene.by_name("a")
-        b = scene.by_name("b")
+        a = node_named(scene, "a")
+        b = node_named(scene, "b")
         assert a.content_box() == pytest.approx((-5.0, 0.0, 10.0, 20.0), abs=TOL)
         assert b.content_box() == pytest.approx((-15.0, 50.0, 30.0, 10.0), abs=TOL)
-        (stack_id,) = [n for n in scene.order if scene[n].kind == "stackV"]
-        stack = scene[stack_id]
+        (stack,) = [n for n in scene.nodes.values() if n.kind == "stackV"]
         assert (stack.transform.x, stack.transform.y) == pytest.approx((0.0, 0.0), abs=TOL)
         dump = json.loads(dump_scene(scene))
         placed = {n.get("name"): n for n in dump["nodes"] if n["kind"] == "rect"}
@@ -109,7 +108,7 @@ def test_criterion_3_pure_stacks_match_the_cursor_walk(criterion):
             scene, diags = compile_doc(stack_tree_to_doc(tree))
             assert errors_of(diags) == []
             assert _mark_boxes(scene) == stack_marks(oracle)
-            root = scene[scene.root]
+            root = scene.nodes[scene.root]
             assert (root.width, root.height) == (oracle.width, oracle.height)
 
 
@@ -144,11 +143,11 @@ def test_criterion_5_planets_scene(criterion):
 
         (text,) = [m for m in scene.marks() if m.kind == "text"]
         tx, ty, tw, th = text.content_box()
-        mx, my, mw, mh = scene.by_name("mercury").content_box()
+        mx, my, mw, mh = node_named(scene, "mercury").content_box()
         assert tx + tw / 2.0 == pytest.approx(mx + mw / 2.0, abs=TOL)
         assert my - (ty + th) == pytest.approx(30.0, abs=TOL)
 
-        label_bg = [scene[n] for n in scene.order if scene[n].kind == "background"][1]
+        label_bg = [n for n in scene.nodes.values() if n.kind == "background"][1]
         bx, by, bw, bh = label_bg.content_box()
         for ex, ey, ew, eh in ((tx, ty, tw, th), (mx, my, mw, mh)):
             assert bx <= ex + TOL and ey >= by - TOL
@@ -165,7 +164,7 @@ def test_criterion_6_ref_free_documents_match_a_tree_walk(criterion):
             walked = tree_walk(doc["root"])
             got = [(m.kind, *m.content_box()) for m in scene.marks()]
             assert got == walk_marks(walked)
-            root = scene[scene.root]
+            root = scene.nodes[scene.root]
             assert (root.width, root.height) == (walked.x[1], walked.y[1])
 
 

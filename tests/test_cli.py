@@ -146,7 +146,7 @@ def test_warnings_do_not_fail_the_run(tmp_path, capsys):
 
 def test_generators_hit_their_node_budgets():
     scene, _ = compile_source(generate_nested_stacks(1000))
-    assert len(scene.order) == 1 + 17 * round(999 / 17)
+    assert len(scene.nodes) == 1 + 17 * round(999 / 17)
 
 
 # --- color gating ----------------------------------------------------------------

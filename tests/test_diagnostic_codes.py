@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from bluefish import ElementKindSpec, Registry, compile_source, errors, standard_registry
+from bluefish import Element, ElementKindSpec, Registry, compile_source, errors, standard_registry
 
 RESERVED = {"BF010", "BF014", "BF015"}  # no longer emitted; codes are never reused
 
@@ -75,9 +75,10 @@ def test_every_code_is_reached_or_reserved(code):
     assert [d.code for d in diags] == [code]
 
 
-def _bad_expansion() -> Registry:
+def _broken_composites() -> Registry:
     registry = standard_registry()
     registry.register(ElementKindSpec(kind="bad", expand=lambda props, children: 3))
+    registry.register(ElementKindSpec(kind="loop", expand=lambda props, children: Element("loop")))
     return registry
 
 
@@ -115,9 +116,42 @@ _SCOPE_A = "group/group[0]:a"
         "BF012", "background/group[0] cannot report 'left' where a relation needs it",
         ("background/group[0]",))],
         id="background-over-an-empty-group"),
-    pytest.param(_doc({"kind": "bad"}), _bad_expansion(), [(
-        "BF007", "expansion of 'bad' must return an element (at bad)", ("bad",))],
+    pytest.param(_doc({"kind": "bad"}), _broken_composites(), [(
+        "BF007", "expansion of 'bad' must return an element (at root)", ("root",))],
         id="expansion-not-an-element"),
+    pytest.param(_doc({"kind": "group", "children": [_rect(), {"kind": "bad"}]}),
+                 _broken_composites(), [(
+        "BF007", "expansion of 'bad' must return an element (at root.children[1])",
+        ("root.children[1]",))],
+        id="nested-expansion-not-an-element"),
+    pytest.param(_doc({"kind": "stackV", "children": [
+        {"kind": "group", "children": [{"kind": "loop"}]},
+    ]}), _broken_composites(), [(
+        "BF007",
+        "composite kind 'loop' expands without terminating (at root.children[0].children[0])",
+        ("root.children[0].children[0]",))],
+        id="nested-expansion-without-end"),
+    pytest.param(_doc({"kind": "background", "props": {"background": {"kind": "bad"}},
+                       "children": [_rect()]}), _broken_composites(), [(
+        "BF007", "expansion of 'bad' must return an element (at root.props.background)",
+        ("root.props.background",))],
+        id="element-prop-expansion-not-an-element"),
+    pytest.param(_doc({"kind": "stackV", "children": [
+        {"kind": "group", "children": [
+            {"kind": "align", "name": "a", "props": {"alignment": "top"},
+             "children": [_rect(), _rect(width=30, height=5)]},
+        ]},
+        {"kind": "stackV", "children": [_ref("a"), _rect(width=4, height=4)]},
+    ]}), None, [(
+        "BF012", "stackV/group[0]/align[0]:a cannot report 'centerX' where a relation needs it",
+        ("stackV/group[0]/align[0]:a",))],
+        id="stack-guideline-over-a-one-axis-align"),
+    pytest.param(_doc({"kind": "align", "props": {"alignment": "left"}, "children": [
+        {"kind": "group"}, _rect(width=5, height=5),
+    ]}), None, [
+        ("BF004", "align has no derivable extent after layout", ("align",)),
+        ("BF004", "align/group[0] has no derivable extent after layout", ("align/group[0]",)),
+    ], id="align-over-an-empty-group"),
 ])
 def test_branch_diagnostics_keep_code_message_and_path(data, registry, expected):
     _, diags = compile_source(data, registry)

@@ -338,7 +338,7 @@ def test_ref_resolves_to_the_named_element():
     assert diags == []
     order = [el for el, _, _ in walk(tree)]
     (ref_index,) = [i for i, el in enumerate(order) if el.kind == "ref"]
-    assert order[table.refs[ref_index]].name == "a"
+    assert order[table[ref_index]].name == "a"
 
 
 def test_selector_paths_disambiguate_through_scopes():
@@ -356,7 +356,7 @@ def test_selector_paths_disambiguate_through_scopes():
     assert errors_of(diags) == []
     order = [(el, path) for el, path, _ in walk(tree)]
     (ref_index,) = [i for i, (el, _) in enumerate(order) if el.kind == "ref"]
-    assert "left" in order[table.refs[ref_index]][1]
+    assert "left" in order[table[ref_index]][1]
 
 
 def test_bare_ambiguous_name_is_reported():

@@ -9,38 +9,26 @@ import pytest
 
 from bluefish import dump_scene, paint
 from bluefish.docformat import Element, parse_document, resolve_names, walk
-from bluefish.engine import (
-    Registry,
-    build_scenegraph,
-    compile_source,
-    expand_tree,
-    layout_document,
-    standard_registry,
-)
+from bluefish.engine import Registry, compile_source, expand_tree, standard_registry
 from bluefish.errors import DuplicateKind
 from bluefish.relations import ElementKindSpec, layout_group, layout_rect
 from bluefish.scenegraph import LayoutNode
 
-from conftest import FIXTURES, compile_doc, compile_fixture, errors_of, stack_chain
+from conftest import compile_doc, compile_fixture, errors_of, node_named, stack_chain
 
 
 def test_layout_runs_exactly_once_per_node():
     scene, diags = compile_fixture("planets")
     assert errors_of(diags) == []
-    layout_nodes = {n for n in scene.order if scene[n].kind != "ref"}
+    layout_nodes = {nid for nid, n in scene.nodes.items() if n.kind != "ref"}
     assert set(scene.layout_calls) == layout_nodes
     assert set(scene.layout_calls.values()) == {1}
 
 
 def _write_log(fixture: str) -> list[tuple[str, str, str]]:
-    registry = standard_registry()
-    tree = expand_tree(parse_document((FIXTURES / f"{fixture}.json").read_bytes()), registry)
-    table, diags = resolve_names(tree)
-    assert diags == []
-    graph = build_scenegraph(tree, table, registry)
-    scene, diags = layout_document(graph)
+    scene, diags = compile_fixture(fixture)
     assert scene is not None and diags == []
-    return graph.write_log
+    return scene.write_log
 
 
 def _own_box(nid: str, *fields: str) -> list[tuple[str, str, str]]:
@@ -100,8 +88,8 @@ def test_refs_share_nodes_instead_of_copying():
     scene, diags = compile_fixture("ref_stack")
     assert errors_of(diags) == []
     # two rects, two refs: still only two rect nodes in the scene
-    assert sum(1 for n in scene.order if scene[n].kind == "rect") == 2
-    assert sum(1 for n in scene.order if scene[n].kind == "ref") == 2
+    assert sum(1 for n in scene.nodes.values() if n.kind == "rect") == 2
+    assert sum(1 for n in scene.nodes.values() if n.kind == "ref") == 2
 
 
 def test_empty_group_has_no_size():
@@ -154,10 +142,10 @@ def test_custom_layouts_receive_node_records():
     assert errors_of(diags) == []
     ((node, targets),) = seen
     assert isinstance(node, LayoutNode) and node.kind == "probe"
-    assert node is scene[node.id]
+    assert node is scene.nodes[node.id]
     # a child is its own target; a ref's target is its referent's record
-    assert targets[0] is scene.by_name("c")
-    assert targets[1] is scene.by_name("a")
+    assert targets[0] is node_named(scene, "c")
+    assert targets[1] is node_named(scene, "a")
 
 
 def test_custom_marks_are_painted_and_dumped_with_the_compiling_registry():
@@ -282,7 +270,7 @@ def test_composite_kinds_expand_before_layout():
     }}
     scene, diags = compile_doc(doc, registry=_planet_registry())
     assert errors_of(diags) == []
-    planet = scene.by_name("p")  # the outer name survives expansion
+    planet = node_named(scene, "p")  # the outer name survives expansion
     assert planet.kind == "circle"
     assert planet.content_box()[2:] == (30.0, 30.0)
     assert planet.paint_props["fill"] == "goldenrod"
@@ -339,7 +327,7 @@ def test_scopes_follow_each_placement_of_a_shared_element():
     table, diags = resolve_names(tree)
     assert diags == []
     paths = [path for _, path, _ in walk(tree)]
-    assert [paths[i] for i in table.refs.values()] == [
+    assert [paths[i] for i in table.values()] == [
         "group/stackH[0]/group[0]:a/group[0]:cell/rect[0]:box",
         "group/stackH[0]/group[1]:b/group[0]:cell/rect[0]:box",
     ]

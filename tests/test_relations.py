@@ -108,14 +108,14 @@ def test_stack_v_centers_and_spaces():
     scene, boxes = _marks_of({"kind": "stackV", "props": {"spacing": 30},
                               "children": [dict(_TALL), dict(_WIDE)]})
     assert boxes == [(-5.0, 0.0, 10.0, 20.0), (-15.0, 50.0, 30.0, 10.0)]
-    assert scene[scene.root].content_box() == (-15.0, 0.0, 30.0, 60.0)
+    assert scene.nodes[scene.root].content_box() == (-15.0, 0.0, 30.0, 60.0)
 
 
 def test_stack_h_centers_and_spaces():
     scene, boxes = _marks_of({"kind": "stackH", "props": {"spacing": 5},
                               "children": [dict(_TALL), dict(_WIDE)]})
     assert boxes == [(0.0, -10.0, 10.0, 20.0), (15.0, -5.0, 30.0, 10.0)]
-    assert scene[scene.root].content_box() == (0.0, -10.0, 45.0, 20.0)
+    assert scene.nodes[scene.root].content_box() == (0.0, -10.0, 45.0, 20.0)
 
 
 def test_stack_edge_alignments():
@@ -225,7 +225,7 @@ def test_background_pads_and_sizes_its_mark():
     assert mark.kind == "rect"
     assert mark.content_box() == (0.0, 0.0, 46.0, 46.0)
     assert circle.content_box() == (8.0, 8.0, 30.0, 30.0)
-    assert scene[scene.root].content_box() == (0.0, 0.0, 46.0, 46.0)
+    assert scene.nodes[scene.root].content_box() == (0.0, 0.0, 46.0, 46.0)
 
 
 def test_background_default_mark_is_an_outlined_rect():
@@ -262,8 +262,8 @@ def _connector_scene(kind: str, props: dict):
 
 
 def _by_kind(scene, kind: str):
-    (nid,) = [n for n in scene.order if scene[n].kind == kind]
-    return scene[nid]
+    (node,) = [n for n in scene.nodes.values() if n.kind == kind]
+    return node
 
 
 def test_line_clips_to_the_box_edges():

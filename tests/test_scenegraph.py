@@ -487,9 +487,9 @@ def test_resolve_accumulates_origins_down_the_tree():
         g.set_dim_in_frame(node, node, "height", 20.0)
     g.finalize()
     scene = g.resolve()
-    assert scene[a.id] is a and a.x == 7.0
+    assert scene is g and scene.nodes[a.id] is a and a.x == 7.0
     assert a.content_box() == (7.0, 0.0, 10.0, 10.0)
-    assert scene.order[0] == root.id
+    assert tuple(scene.nodes)[0] == root.id
 
 
 def test_a_translation_beyond_the_float_range_is_not_written():
@@ -547,7 +547,7 @@ def test_built_graphs_and_scenes_are_in_preorder(fixture):
     if fixture == "conflict_two_aligns":
         assert scene is None
     else:
-        assert scene.order == _preorder(scene.nodes, scene.root)
+        assert tuple(scene.nodes) == _preorder(scene.nodes, scene.root)
 
 
 @pytest.mark.parametrize("fixture", sorted(
