@@ -17,7 +17,7 @@ from .engine import (
     standard_registry,
 )
 from .errors import BluefishError, Diagnostic
-from .geometry import TOLERANCE, Axis, PartialBBox, Translate, bbox_get
+from .geometry import TOLERANCE, Axis
 from .relations import ALIGNMENT_FIELDS, ElementKindSpec, measure_text
 from .renderer import dump_scene, paint
 from .scenegraph import Scenegraph
@@ -32,12 +32,9 @@ __all__ = [
     "Element",
     "ElementKindSpec",
     "LayoutRuntime",
-    "PartialBBox",
     "Registry",
     "Scenegraph",
     "TOLERANCE",
-    "Translate",
-    "bbox_get",
     "build_scenegraph",
     "compile_source",
     "dump_scene",

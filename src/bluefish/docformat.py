@@ -40,6 +40,9 @@ FORMAT_VERSION = 1
 _DOCUMENT_KEYS = {"bluefish", "root"}
 _ELEMENT_KEYS = {"kind", "name", "props", "children", "select"}
 _TOO_DEEP = "document nests too deeply"
+#: The deepest an element may sit: the root is at depth 1, and each child
+#: or prop mark one deeper than its holder.
+MAX_DEPTH = 256
 _MAX_NUMBER = sys.float_info.max
 # What XML, and so SVG, cannot carry: C0 controls other than tab, LF and
 # CR, lone surrogates (UTF-8 cannot encode them) and U+FFFE/U+FFFF.
@@ -55,7 +58,9 @@ class Element:
     select: list[str] | None = None
 
 
-def _parse_element(raw: object, path: str) -> Element:
+def _parse_element(raw: object, path: str, depth: int) -> Element:
+    if depth > MAX_DEPTH:
+        raise SchemaError("document", _TOO_DEEP)
     if not isinstance(raw, dict):
         raise SchemaError(path, f"element must be an object, got {type(raw).__name__}")
     unknown = set(raw) - _ELEMENT_KEYS
@@ -82,7 +87,7 @@ def _parse_element(raw: object, path: str) -> Element:
     for key, value in props_raw.items():
         if isinstance(value, dict):
             # element-valued prop: a mark the holder sizes
-            props[key] = _parse_element(value, f"{path}.props.{key}")
+            props[key] = _parse_element(value, f"{path}.props.{key}", depth + 1)
         elif isinstance(value, bool) or value is None or isinstance(value, list):
             raise SchemaError(f"{path}.props.{key}", "prop values must be numbers, strings, or elements")
         elif isinstance(value, (int, float)):
@@ -98,7 +103,7 @@ def _parse_element(raw: object, path: str) -> Element:
     if not isinstance(children_raw, list):
         raise SchemaError(path, "'children' must be a list")
     children = [
-        _parse_element(c, f"{path}.children[{i}]") for i, c in enumerate(children_raw)
+        _parse_element(c, f"{path}.children[{i}]", depth + 1) for i, c in enumerate(children_raw)
     ]
     return Element(kind=kind, name=name, props=props, children=children, select=select)
 
@@ -108,8 +113,9 @@ def parse_document(data: bytes | str) -> Element:
 
     Raises DocumentSyntaxError (with line and column) for malformed
     JSON, SchemaError (with a document path) for structural problems,
-    including nesting deeper than the parser's recursion allows, and
-    for string props holding characters SVG cannot carry.
+    including elements nested deeper than ``MAX_DEPTH`` or than the
+    caller's remaining stack lets ``json.loads`` recurse, and for string
+    props holding characters SVG cannot carry.
     """
     if isinstance(data, bytes):
         try:
@@ -135,7 +141,7 @@ def parse_document(data: bytes | str) -> Element:
     if "root" not in raw:
         raise SchemaError("document", "document requires a 'root' element")
     try:
-        return _parse_element(raw["root"], "root")
+        return _parse_element(raw["root"], "root", 1)
     except RecursionError:
         raise SchemaError("document", _TOO_DEEP) from None
 

@@ -1,18 +1,15 @@
-"""Partial bounding boxes, translations, and the two axes they live on.
+"""The two axes a box lives on, and the points SVG path data draws through.
 
-A bounding box here is deliberately partial: every field is optional,
-and layout fills them in one dimension at a time. The two axes never
-interact. On one axis a box stores a start and an extent (horizontal:
-``left`` and ``width``); its centre and end (``centerX``, ``right``)
-follow from them,
+The axes never interact. On one axis a box has a start and an extent
+(horizontal: ``left`` and ``width``), and its centre and end
+(``centerX``, ``right``) sit at ``Axis.offset`` from the start:
 
     right = left + width
     centerX = left + width / 2
 
-and are computed on read, never stored. Relations that place a centre
-or end from another frame write a translation instead (see
-``Scenegraph.set_dim_in_frame``). Who may write a field, and when, is
-the scenegraph's rule (``Scenegraph.decide``).
+``Axis`` names these fields as plain data. Which of them a node stores,
+and who may write them, is the scenegraph's business (``LayoutNode``
+and ``Scenegraph.decide``); this module holds no box of its own.
 
 Field names use the document format's dimension vocabulary (``centerX``
 not ``center_x``) so the same spelling works in documents, owner maps,
@@ -25,7 +22,6 @@ path draws in; the document checks and path layout both use it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 
 #: Absolute tolerance for geometric comparisons. Values closer than this
@@ -91,40 +87,6 @@ def axis_of(field_name: str) -> Axis:
         return _FIELD_AXIS[field_name]
     except KeyError:
         raise ValueError(f"unknown bbox field {field_name!r}") from None
-
-
-@dataclass(slots=True)
-class PartialBBox:
-    """A bounding box storing an optional start and extent per axis."""
-
-    left: float | None = None
-    width: float | None = None
-    top: float | None = None
-    height: float | None = None
-
-
-@dataclass(slots=True)
-class Translate:
-    """A translation; either component may be undefined (not yet decided)."""
-
-    x: float | None = None
-    y: float | None = None
-
-
-def bbox_get(bbox: PartialBBox, field_name: str) -> float | None:
-    """Return a stored or derived field value, or None if underdetermined.
-
-    A start or extent is returned as stored. A centre or end is derived
-    from the start and extent on its axis, and is None while either is.
-    """
-    axis = axis_of(field_name)
-    if field_name == axis.start_field or field_name == axis.extent_field:
-        return getattr(bbox, field_name)
-    start = getattr(bbox, axis.start_field)
-    extent = getattr(bbox, axis.extent_field)
-    if start is None or extent is None:
-        return None
-    return start + axis.offset(field_name, extent)
 
 
 # --- path data ----------------------------------------------------------------

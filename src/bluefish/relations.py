@@ -155,8 +155,8 @@ def layout_path(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
 # --- relation helpers -----------------------------------------------------------
 
 
-def _require_extent(rt: "LayoutRuntime", target: LayoutNode, axis: Axis) -> float:
-    value = rt.graph.extent_of(target, axis)
+def _require_extent(target: LayoutNode, axis: Axis) -> float:
+    value = getattr(target, axis.extent_field)
     if value is None:
         raise UndefinedExtentError(target.id, axis.extent_field)
     return value
@@ -174,7 +174,7 @@ def _guideline_value(rt: "LayoutRuntime", target: LayoutNode, node: LayoutNode, 
 def _packed_slots(rt: "LayoutRuntime", targets: list[LayoutNode], axis: Axis,
                   spacing: float) -> tuple[list[float], float]:
     """Start offsets of targets packed with equal gaps (0, e0+spacing, ...), and the run's extent."""
-    extents = [_require_extent(rt, t, axis) for t in targets]
+    extents = [_require_extent(t, axis) for t in targets]
     slots = [0.0]
     for e in extents[:-1]:
         slots.append(slots[-1] + (e + spacing))
@@ -240,7 +240,7 @@ def _stack_layout_for(main: Axis):
     def layout_stack(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
         targets = [rt.graph.target_of(c) for c in node.children]
         cross = main.other
-        cross_extents = [_require_extent(rt, t, cross) for t in targets]
+        cross_extents = [_require_extent(t, cross) for t in targets]
         field_name = props["alignment"]
         guideline = _place(rt, node, targets, cross, field_name, [0.0] * len(targets))
         slots, total = _packed_slots(rt, targets, main, props["spacing"])
@@ -261,7 +261,7 @@ def layout_align(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
     for axis, field_name in ((Axis.VERTICAL, v_field), (Axis.HORIZONTAL, h_field)):
         if field_name is None:
             # untouched axis: extent recorded for the node's own box only
-            extents = [rt.graph.extent_of(t, axis) for t in targets]
+            extents = [getattr(t, axis.extent_field) for t in targets]
             if all(e is not None for e in extents):
                 _set_own(rt, node, **{axis.extent_field: max(extents)})
             continue
@@ -294,7 +294,7 @@ def layout_distribute(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> Non
     origin = _place(rt, node, targets, main, main.start_field, slots)
     _set_own(rt, node, **{main.start_field: origin, main.extent_field: total})
     cross = main.other
-    extents = [rt.graph.extent_of(t, cross) for t in targets]
+    extents = [getattr(t, cross.extent_field) for t in targets]
     if all(e is not None for e in extents):
         _set_own(rt, node, **{cross.extent_field: max(extents)})
 
@@ -311,7 +311,7 @@ def layout_group(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
             _set_own(rt, node, **{axis.start_field: span[0],
                                   axis.extent_field: span[1] - span[0]})
         else:
-            extents = [rt.graph.extent_of(t, axis) for t in targets]
+            extents = [getattr(t, axis.extent_field) for t in targets]
             known = [e for e in extents if e is not None]
             if known:
                 _set_own(rt, node, **{axis.extent_field: max(known)})
@@ -418,7 +418,7 @@ def _stroke_attrs(props: dict) -> dict[str, object]:
 
 
 def paint_rect(node, fmt, esc, markers) -> str:
-    attrs = {"x": node.local_left, "y": node.local_top,
+    attrs = {"x": node.left, "y": node.top,
              "width": node.width, "height": node.height}
     attrs.update(_style_attrs(node.paint_props, "fill"))
     attrs.update(_stroke_attrs(node.paint_props))
@@ -428,8 +428,8 @@ def paint_rect(node, fmt, esc, markers) -> str:
 
 
 def paint_circle(node, fmt, esc, markers) -> str:
-    attrs = {"cx": node.local_left + node.width / 2.0,
-             "cy": node.local_top + node.height / 2.0,
+    attrs = {"cx": node.left + node.width / 2.0,
+             "cy": node.top + node.height / 2.0,
              "r": min(node.width, node.height) / 2.0}
     attrs.update(_style_attrs(node.paint_props, "fill"))
     attrs.update(_stroke_attrs(node.paint_props))
@@ -437,8 +437,8 @@ def paint_circle(node, fmt, esc, markers) -> str:
 
 
 def paint_ellipse(node, fmt, esc, markers) -> str:
-    attrs = {"cx": node.local_left + node.width / 2.0,
-             "cy": node.local_top + node.height / 2.0,
+    attrs = {"cx": node.left + node.width / 2.0,
+             "cy": node.top + node.height / 2.0,
              "rx": node.width / 2.0, "ry": node.height / 2.0}
     attrs.update(_style_attrs(node.paint_props, "fill"))
     attrs.update(_stroke_attrs(node.paint_props))
@@ -453,7 +453,7 @@ def paint_path(node, fmt, esc, markers) -> str:
 
 
 def paint_text(node, fmt, esc, markers) -> str:
-    attrs = {"x": node.local_left, "y": node.local_top,
+    attrs = {"x": node.left, "y": node.top,
              "dominant-baseline": "text-before-edge"}
     attrs.update(_style_attrs(node.paint_props, "fill", "fontSize", "fontFamily"))
     body = esc(node.paint_props["content"])

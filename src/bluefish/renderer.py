@@ -94,7 +94,7 @@ def paint(scene: Scenegraph) -> bytes:
     lines = [f'<svg viewBox="0 0 {_ceil2(root.width)} {_ceil2(root.height)}" xmlns="{SVG_NS}">']
     # the root has no parent, so replacing its translation pins the
     # content box's top-left corner to the viewBox origin
-    shift = (-(root.local_left or 0.0), -(root.local_top or 0.0))
+    shift = (-(root.left or 0.0), -(root.top or 0.0))
     kinds = scene.registry.kinds
     stack: list[str | None] = [scene.root]  # None closes a group
     while stack:
@@ -105,7 +105,7 @@ def paint(scene: Scenegraph) -> bytes:
         node = nodes[nid]
         if node.is_ref:
             continue
-        tx, ty = shift if node is root else (node.transform.x, node.transform.y)
+        tx, ty = shift if node is root else (node.tx, node.ty)
         sx, sy = fmt_num(tx), fmt_num(ty)
         if sx != "0" or sy != "0":
             lines.append(f'<g transform="translate({sx} {sy})">')
@@ -147,7 +147,7 @@ def dump_scene(scene: Scenegraph) -> bytes:
             "y": _round2(node.y),
             "width": _round2(node.width),
             "height": _round2(node.height),
-            "transform": {"x": _round2(node.transform.x), "y": _round2(node.transform.y)},
+            "transform": {"x": _round2(node.tx), "y": _round2(node.ty)},
             "bboxOwners": node.bbox_owners,
             "transformOwners": node.transform_owners,
             "children": node.children,

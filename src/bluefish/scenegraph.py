@@ -5,23 +5,28 @@ points at an earlier layout node, turning the tree into a DAG-shaped
 view: a relation can lay out elements it does not own by reading and
 writing them *through* the tree, in its own coordinate frame.
 
-Coordinates are strictly local. A node's bbox lives in its own frame and
-its translation maps that frame into the parent's. Converting between
-frames composes translations along the paths to the least common
-ancestor. A relation reads and writes in its own frame, and the frame
-owns what it decides or defaults: each dimension it writes, and each
-undecided translation component on the path, lazily materialized to 0.
-Asking "where is X relative to me?" is only answerable once the
-undecided offsets in between are pinned down, and pinning them is itself
-a layout decision that must be owned.
+Each layout node stores what layout decides for it as its own fields: a
+box start and extent per axis (``left``/``width``, ``top``/``height``)
+and a translation (``tx``/``ty``), each None until decided. A centre or
+end is never stored: a read derives it as ``start + extent / 2.0`` or
+``start + extent``. Coordinates are strictly local. A node's box lives
+in its own frame and its translation maps that frame into the parent's.
+Converting between frames composes translations along the paths to the
+least common ancestor. A relation reads and writes in its own frame, and
+the frame owns what it decides or defaults: each dimension it writes,
+and each undecided translation component on the path, lazily
+materialized to 0. Asking "where is X relative to me?" is only
+answerable once the undecided offsets in between are pinned down, and
+pinning them is itself a layout decision that must be owned.
 
 Ownership is the immutability mechanism: each box start and extent and
 each translation component is written at most once, by exactly one
 owner, and a second writer is a conflict rather than a silent overwrite.
-``Scenegraph.decide`` is the one place that keeps this rule. It checks a
-write before making it, then stores the value and its owner in place and
-logs the write; a rejected write leaves the node, its owners and the log
-as they were.
+The owner sits on the same record as the value, in ``bbox_owners`` or
+``transform_owners``. ``Scenegraph.decide`` is the one place that keeps
+this rule. It checks a write before making it, then stores the value and
+its owner on the node and logs the write; a rejected write leaves the
+node, its owners and the log as they were.
 
 The methods below take and return node records (``LayoutNode`` and
 ``RefNode``), never ids, so a relation reaches a node it does not own
@@ -55,16 +60,18 @@ from .errors import (
     UndefinedExtentError,
     UnsizedNodes,
 )
-from .geometry import TOLERANCE, Axis, PartialBBox, Translate, axis_of, bbox_get
+from .geometry import TOLERANCE, Axis, axis_of
 
 if TYPE_CHECKING:
     from .engine import Registry
 
-#: Each field a node stores: (record attribute, owner-map attribute, key in both).
+#: Each field a node stores: (node attribute, owner-map attribute, owner-map key).
 _STORED = {
-    **{f: ("bbox", "bbox_owners", f) for axis in Axis for f in (axis.start_field, axis.extent_field)},
-    **{axis.transform_field: ("transform", "transform_owners", axis.component) for axis in Axis},
+    **{f: (f, "bbox_owners", f) for axis in Axis for f in (axis.start_field, axis.extent_field)},
+    **{axis.transform_field: (f"t{axis.component}", "transform_owners", axis.component)
+       for axis in Axis},
 }
+_TRANSLATION = {axis: _STORED[axis.transform_field][0] for axis in Axis}
 _EXTENTS = frozenset(axis.extent_field for axis in Axis)
 
 
@@ -72,20 +79,26 @@ _EXTENTS = frozenset(axis.extent_field for axis in Axis)
 class LayoutNode:
     """One layout node, the same record from build through layout to output.
 
-    ``x``/``y`` are the node's frame origin in root coordinates (the sum
-    of translations from the root down to and including this node), set
-    by ``Scenegraph.resolve``. Extents and the local box start are read
-    from the box; the local start may differ from the origin for
-    relations whose content does not begin at 0. ``segment`` is the
-    ``(x1, y1, x2, y2)`` a connector's layout clipped, None when nothing
-    of it is visible or the node is no connector.
+    ``left``/``width``/``top``/``height`` are the box in the node's own
+    frame and ``tx``/``ty`` its translation into the parent's, each None
+    until ``Scenegraph.decide`` stores it. ``x``/``y`` are the node's
+    frame origin in root coordinates (the sum of translations from the
+    root down to and including this node), set by ``Scenegraph.resolve``;
+    the box start may differ from the origin for relations whose content
+    does not begin at 0. ``segment`` is the ``(x1, y1, x2, y2)`` a
+    connector's layout clipped, None when nothing of it is visible or the
+    node is no connector.
     """
 
     id: str
     kind: str
-    bbox: PartialBBox = field(default_factory=PartialBBox)
+    left: float | None = None
+    width: float | None = None
+    top: float | None = None
+    height: float | None = None
     bbox_owners: dict[str, str] = field(default_factory=dict)
-    transform: Translate = field(default_factory=Translate)
+    tx: float | None = None
+    ty: float | None = None
     transform_owners: dict[str, str] = field(default_factory=dict)
     children: list[str] = field(default_factory=list)
     parent: str | None = None
@@ -99,27 +112,10 @@ class LayoutNode:
 
     is_ref = False
 
-    @property
-    def width(self) -> float | None:
-        return self.bbox.width
-
-    @property
-    def height(self) -> float | None:
-        return self.bbox.height
-
-    @property
-    def local_left(self) -> float | None:
-        return self.bbox.left
-
-    @property
-    def local_top(self) -> float | None:
-        return self.bbox.top
-
     def content_box(self) -> tuple[float, float, float, float]:
         """Absolute (left, top, width, height) of the node's content."""
-        left, top = self.local_left, self.local_top
-        return (self.x + (left if left is not None else 0.0),
-                self.y + (top if top is not None else 0.0), self.width, self.height)
+        return (self.x + (0.0 if self.left is None else self.left),
+                self.y + (0.0 if self.top is None else self.top), self.width, self.height)
 
 
 @dataclass
@@ -164,7 +160,7 @@ class Scenegraph:
         path: str = "",
     ) -> LayoutNode:
         nid = f"n{len(self.nodes)}"
-        node = LayoutNode(id=nid, kind=kind, paint_props=dict(paint_props or {}),
+        node = LayoutNode(id=nid, kind=kind, paint_props={} if paint_props is None else paint_props,
                           name=name, path=path or nid)
         if parent is None:
             # one root, so any two layout nodes share an ancestor (see _legs)
@@ -203,10 +199,6 @@ class Scenegraph:
         """Has this node's translation on the axis already been decided?"""
         return axis.component in node.transform_owners
 
-    def extent_of(self, node: LayoutNode, axis: Axis) -> float | None:
-        """Extent on an axis. Frame-independent, so no materialization."""
-        return getattr(node.bbox, axis.extent_field)
-
     def marks(self) -> list[LayoutNode]:
         kinds = self.registry.kinds
         return [node for node in self.nodes.values() if kinds[node.kind].is_mark]
@@ -226,7 +218,7 @@ class Scenegraph:
         the write, and only a write that happens is logged.
         """
         try:
-            record, owner_map, key = _STORED[field_name]
+            attr, owner_map, key = _STORED[field_name]
         except KeyError:
             raise ValueError(
                 f"{field_name!r} is not a box start or extent or a translation component") from None
@@ -234,15 +226,15 @@ class Scenegraph:
             raise GeometryOverflow(node.id, field_name, value)
         if value < 0 and field_name in _EXTENTS:
             raise InvalidExtent(field_name, value, node.id)
-        store, owners = getattr(node, record), getattr(node, owner_map)
+        owners = getattr(node, owner_map)
         existing_owner = owners.get(key)
         if existing_owner is not None:
-            existing = getattr(store, key)
+            existing = getattr(node, attr)
             if existing_owner == owner.id and abs(existing - value) <= TOLERANCE:
                 return
             raise DimensionConflict(node.id, field_name, existing_owner, owner.id,
                                     existing_value=existing, value=value)
-        setattr(store, key, value)
+        setattr(node, attr, value)
         owners[key] = owner.id
         self.write_log.append((node.id, field_name, owner.id))
 
@@ -254,7 +246,7 @@ class Scenegraph:
         The default is a real layout decision: the requester becomes the
         owner, and later relations see the node as fixed on this axis.
         """
-        value = getattr(node.transform, axis.component)
+        value = getattr(node, _TRANSLATION[axis])
         if value is None:
             self.decide(node, axis.transform_field, 0.0, requester)
             return 0.0
@@ -299,17 +291,18 @@ class Scenegraph:
         back = 0.0
         for n in down:
             back += self.materialize(n, axis, frame)
+        start = getattr(target, axis.start_field)
+        extent = getattr(target, axis.extent_field)
+        local = ((start, None, None) if start is None or extent is None
+                 else (start, start + extent / 2.0, start + extent))
         out: dict[str, float | None] = {}
-        for f in axis.position_fields:
-            local = bbox_get(target.bbox, f)
-            if local is None:
-                out[f] = None
-            else:
-                v = local
+        for f, v in zip(axis.position_fields, local):
+            if v is not None:
                 for t in chain:
                     v += t
-                out[f] = v - back
-        out[axis.extent_field] = bbox_get(target.bbox, axis.extent_field)
+                v -= back
+            out[f] = v
+        out[axis.extent_field] = extent
         return out
 
     def set_dim_in_frame(self, target: LayoutNode, frame: LayoutNode, field_name: str,
@@ -318,7 +311,7 @@ class Scenegraph:
 
         The frame owns what it decides or defaults; ``decide`` stores
         each write under that rule. Extents are frame-independent and go
-        straight into the target's bbox, as does a start written in the
+        straight into the target's box, as does a start written in the
         target's own frame: both define what the node *is* (the box
         stores nothing else, so a centre or end in the own frame raises
         ValueError). A position written from any other frame decides
@@ -339,13 +332,16 @@ class Scenegraph:
         back = 0.0
         for n in down:
             back += self.materialize(n, axis, frame)
-        local = bbox_get(target.bbox, field_name)  # None unless the box stores what it needs
-        if local is None:
-            extent = getattr(target.bbox, axis.extent_field)
-            if extent is None and field_name != axis.start_field:
+        start = getattr(target, axis.start_field)
+        if field_name == axis.start_field:
+            local = 0.0 if start is None else start
+        else:
+            extent = getattr(target, axis.extent_field)
+            if extent is None:
                 # a centre or end with no extent is unrelatable to the content
                 raise UndefinedExtentError(target.id, field_name)
-            local = axis.offset(field_name, extent)
+            offset = axis.offset(field_name, extent)
+            local = offset if start is None else start + offset
         self.decide(target, axis.transform_field, ((value - local) - rest) + back, frame)
 
     # --- finalization --------------------------------------------------------
@@ -365,7 +361,7 @@ class Scenegraph:
                 self.materialize(node, axis, root)
         unsized = tuple(
             node.id for node in layout_nodes
-            if node.bbox.width is None or node.bbox.height is None)
+            if node.width is None or node.height is None)
         if unsized:
             raise UnsizedNodes(unsized)
 
@@ -380,7 +376,7 @@ class Scenegraph:
         for node in nodes.values():
             if isinstance(node, RefNode):
                 continue
-            x, y = node.transform.x, node.transform.y
+            x, y = node.tx, node.ty
             if node.parent is not None:
                 parent = nodes[node.parent]
                 x, y = parent.x + x, parent.y + y

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 from bluefish import compile_source
@@ -20,10 +21,25 @@ def compile_fixture(name: str):
 
 
 def stack_chain(levels: int) -> bytes:
-    """A rect nested ``levels`` stackV elements deep, built without json.dumps."""
+    """A document ``levels`` elements deep: a rect inside ``levels - 1`` nested stackVs.
+
+    Built without json.dumps, which would recurse once per level.
+    """
     leaf = '{"kind": "rect", "props": {"width": 4, "height": 3}}'
-    root = '{"kind": "stackV", "children": [' * levels + leaf + "]}" * levels
+    root = '{"kind": "stackV", "children": [' * (levels - 1) + leaf + "]}" * (levels - 1)
     return ('{"bluefish": 1, "root": ' + root + "}").encode("utf-8")
+
+
+def call_at_depth(frames: int, fn):
+    """Return ``fn()``, called with about ``frames`` frames on the stack below it."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+
+    def down(n: int):
+        return fn() if n <= 0 else down(n - 1)
+
+    return down(frames - depth)
 
 
 def errors_of(diagnostics):

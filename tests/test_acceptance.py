@@ -70,7 +70,7 @@ def test_criterion_1_ref_stack_trace(criterion):
         assert a.content_box() == pytest.approx((-5.0, 0.0, 10.0, 20.0), abs=TOL)
         assert b.content_box() == pytest.approx((-15.0, 50.0, 30.0, 10.0), abs=TOL)
         (stack,) = [n for n in scene.nodes.values() if n.kind == "stackV"]
-        assert (stack.transform.x, stack.transform.y) == pytest.approx((0.0, 0.0), abs=TOL)
+        assert (stack.tx, stack.ty) == pytest.approx((0.0, 0.0), abs=TOL)
         dump = json.loads(dump_scene(scene))
         placed = {n.get("name"): n for n in dump["nodes"] if n["kind"] == "rect"}
         assert (placed["a"]["x"], placed["a"]["y"]) == (-5, 0)

@@ -8,13 +8,13 @@ import json
 import pytest
 
 from bluefish import dump_scene, paint
-from bluefish.docformat import Element, parse_document, resolve_names, walk
+from bluefish.docformat import MAX_DEPTH, Element, parse_document, resolve_names, walk
 from bluefish.engine import Registry, compile_source, expand_tree, standard_registry
 from bluefish.errors import DuplicateKind
 from bluefish.relations import ElementKindSpec, layout_group, layout_rect
 from bluefish.scenegraph import LayoutNode
 
-from conftest import compile_doc, compile_fixture, errors_of, node_named, stack_chain
+from conftest import call_at_depth, compile_doc, compile_fixture, errors_of, node_named, stack_chain
 
 
 def test_layout_runs_exactly_once_per_node():
@@ -205,7 +205,7 @@ def test_renamed_standard_kinds_behave_like_the_originals(mark):
 
 def test_a_custom_mark_sized_by_its_holder_can_be_a_background_mark():
     def paint_diamond(node, fmt, esc, markers):
-        x, y, w, h = node.local_left, node.local_top, node.width, node.height
+        x, y, w, h = node.left, node.top, node.width, node.height
         corners = [(x + w / 2, y), (x + w, y + h / 2), (x + w / 2, y + h), (x, y + h / 2)]
         return '<polygon points="%s"/>' % " ".join(f"{fmt(a)},{fmt(b)}" for a, b in corners)
 
@@ -338,10 +338,39 @@ def test_scopes_follow_each_placement_of_a_shared_element():
 
 
 def test_documents_nested_hundreds_deep_compile():
-    scene, diags = compile_source(stack_chain(400))
+    scene, diags = compile_source(stack_chain(256))
     assert diags == []
     assert paint(scene).startswith(b"<svg ")
     assert [n["kind"] for n in json.loads(dump_scene(scene))["geometry"]] == ["rect"]
+
+
+@pytest.mark.parametrize("frames", [0, 400], ids=["from the test", "from 400 frames deep"])
+def test_the_nesting_limit_does_not_depend_on_the_callers_stack(frames):
+    # the root is at depth 1, so stack_chain(n) nests n elements deep
+    assert MAX_DEPTH == 256
+    scene, diags = call_at_depth(frames, lambda: compile_source(stack_chain(MAX_DEPTH)))
+    assert scene is not None and diags == []
+    scene, diags = call_at_depth(frames, lambda: compile_source(stack_chain(MAX_DEPTH + 1)))
+    assert scene is None
+    (diag,) = diags
+    assert (diag.code, diag.message, diag.node_paths) == (
+        "BF007", "document nests too deeply (at document)", ("document",))
+
+
+def _groups_around_a_background(levels: int) -> bytes:
+    """``levels - 1`` nested groups around a background, whose mark and child sit one deeper."""
+    inner = ('{"kind": "background", "props": {"background": {"kind": "rect"}},'
+             ' "children": [{"kind": "rect", "props": {"width": 1, "height": 1}}]}')
+    root = '{"kind": "group", "children": [' * (levels - 1) + inner + "]}" * (levels - 1)
+    return ('{"bluefish": 1, "root": ' + root + "}").encode("utf-8")
+
+
+def test_a_prop_mark_sits_one_level_deeper_than_its_holder():
+    scene, diags = compile_source(_groups_around_a_background(MAX_DEPTH - 1))
+    assert scene is not None and diags == []
+    scene, diags = compile_source(_groups_around_a_background(MAX_DEPTH))
+    assert scene is None
+    assert [(d.code, d.message) for d in diags] == [("BF007", "document nests too deeply (at document)")]
 
 
 def test_documents_nested_too_deeply_are_one_schema_error():

@@ -188,8 +188,8 @@ def test_distribute_fills_backward_from_a_fixed_participant():
     rt.layout_node(dist.id)
     # slot for b starts at 20 + 30, so the whole run shifts up to meet it
     assert g.bbox_in_frame(a, root, Axis.VERTICAL)["top"] == 50.0
-    assert dist.bbox.top == 50.0
-    assert dist.bbox.height == 60.0
+    assert dist.top == 50.0
+    assert dist.height == 60.0
 
 
 @pytest.mark.parametrize("kind,props,implied", [

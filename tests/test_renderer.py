@@ -5,7 +5,6 @@ from __future__ import annotations
 import copy
 import json
 import sys
-import threading
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 
 import pytest
@@ -25,7 +24,7 @@ from bluefish import (
 from bluefish.docformat import walk
 from bluefish.renderer import _round2, esc, fmt_num
 
-from conftest import FIXTURES, compile_doc, compile_fixture, errors_of, stack_chain
+from conftest import FIXTURES, call_at_depth, compile_doc, compile_fixture, errors_of, stack_chain
 
 GOLDEN_RECT = (
     b'<svg viewBox="0 0 10 20" xmlns="http://www.w3.org/2000/svg">\n'
@@ -110,23 +109,11 @@ def test_single_rect_golden_bytes():
 
 
 def test_painting_does_not_recurse_with_depth():
-    # Parsing still recurses (ROADMAP item 3): below the test runner's own
-    # frames a 490-level chain is past the limit, so compile it on the
-    # fresh stack of a new thread.
-    compiled = []
-    worker = threading.Thread(target=lambda: compiled.append(compile_source(stack_chain(490))))
-    worker.start()
-    worker.join()
-    ((scene, diags),) = compiled
+    scene, diags = compile_source(stack_chain(256))
     assert diags == []
-
-    def at_depth(frames: int) -> bytes:
-        return paint(scene) if frames <= 0 else at_depth(frames - 1)
-
-    depth, frame = 0, sys._getframe()
-    while frame is not None:
-        depth, frame = depth + 1, frame.f_back
-    svg = at_depth(520 - depth)
+    # a painter recursing once per level would need 256 frames more than
+    # the recursion limit of 1000 leaves from here
+    svg = call_at_depth(900, lambda: paint(scene))
     assert svg.count(b"<rect") == 1
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import json
 import math
@@ -17,9 +16,7 @@ from hypothesis import strategies as st
 from bluefish import (
     TOLERANCE,
     Axis,
-    PartialBBox,
     Scenegraph,
-    Translate,
     build_scenegraph,
     compile_source,
     expand_tree,
@@ -130,14 +127,14 @@ def _leaf() -> tuple[Scenegraph, LayoutNode, LayoutNode]:
 
 
 def _state(g: Scenegraph, node: LayoutNode) -> tuple:
-    return (dataclasses.replace(node.bbox), dataclasses.replace(node.transform),
+    return (node.left, node.width, node.top, node.height, node.tx, node.ty,
             dict(node.bbox_owners), dict(node.transform_owners), list(g.write_log))
 
 
 def test_decide_records_the_value_its_owner_and_one_log_entry():
     g, root, a = _leaf()
     assert g.decide(a, "width", 10.0, root) is None
-    assert a.bbox == PartialBBox(width=10.0)
+    assert (a.left, a.width, a.top, a.height) == (None, 10.0, None, None)
     assert a.bbox_owners == {"width": root.id}
     assert g.write_log == [(a.id, "width", root.id)]
 
@@ -146,7 +143,7 @@ def test_same_owner_same_value_is_a_noop():
     g, _, a = _leaf()
     g.decide(a, "left", 4.0, a)
     g.decide(a, "left", 4.0 + TOLERANCE / 2, a)
-    assert a.bbox == PartialBBox(left=4.0)
+    assert (a.left, a.width, a.top, a.height) == (4.0, None, None, None)
     assert a.bbox_owners == {"left": a.id}
     assert g.write_log == [(a.id, "left", a.id)]
 
@@ -188,7 +185,7 @@ def test_translations_obey_the_same_rule():
     g, root, a = _leaf()
     g.decide(a, "transform.x", -5.0, root)  # unlike an extent, a translation may be negative
     g.decide(a, "transform.x", -5.0 + TOLERANCE / 2, root)
-    assert a.transform == Translate(x=-5.0)
+    assert (a.tx, a.ty) == (-5.0, None)
     assert a.transform_owners == {"x": root.id}
     assert g.is_fixed(a, Axis.HORIZONTAL)
     with pytest.raises(DimensionConflict) as excinfo:
@@ -251,9 +248,17 @@ def _invariant_documents() -> list[tuple[str, bytes]]:
     return docs
 
 
+_FIELD_OWNER_KEYS = (  # (node field, owner map, key): the six values a node stores
+    ("left", "bbox_owners", "left"), ("width", "bbox_owners", "width"),
+    ("top", "bbox_owners", "top"), ("height", "bbox_owners", "height"),
+    ("tx", "transform_owners", "x"), ("ty", "transform_owners", "y"),
+)
+
+
 def test_write_log_holds_one_entry_per_owned_field_and_nothing_else():
     # every decision, laid out or rejected, has one owner-map entry and one
-    # log entry with the same owner; a second route into the maps would break this
+    # log entry with the same owner, and a node holds a value exactly where
+    # it has an owner; a second route into the fields or maps would break this
     checked = 0
     for name, data in _invariant_documents():
         graph = _laid_out_graph(data)
@@ -267,6 +272,9 @@ def test_write_log_holds_one_entry_per_owned_field_and_nothing_else():
                 continue
             owned.update(((node.id, f), owner) for f, owner in node.bbox_owners.items())
             owned.update(((node.id, f"transform.{c}"), owner) for c, owner in node.transform_owners.items())
+            for field, owner_map, key in _FIELD_OWNER_KEYS:
+                assert (getattr(node, field) is not None) == (key in getattr(node, owner_map)), (
+                    name, node.id, field)
         assert logged == owned, name
         checked += 1
     assert checked == 210
@@ -279,8 +287,8 @@ def test_own_frame_write_defines_the_local_box_only():
     g = Scenegraph(standard_registry())
     root = g.create_node("group", None)
     a = _rect(g, root, 10.0, 20.0)
-    assert a.bbox.left == 0.0 and a.bbox.width == 10.0
-    assert a.transform.x is None
+    assert a.left == 0.0 and a.width == 10.0
+    assert a.tx is None
     assert not g.is_fixed(a, Axis.HORIZONTAL)
 
 
@@ -289,9 +297,9 @@ def test_cross_frame_write_moves_without_reshaping():
     root = g.create_node("group", None)
     a = _rect(g, root, 10.0, 20.0)
     g.set_dim_in_frame(a, root, "left", 25.0)
-    assert a.transform.x == 25.0
+    assert a.tx == 25.0
     assert a.transform_owners["x"] == root.id
-    assert a.bbox.left == 0.0  # the local box is untouched
+    assert a.left == 0.0  # the local box is untouched
     assert g.is_fixed(a, Axis.HORIZONTAL)
     assert not g.is_fixed(a, Axis.VERTICAL)
 
@@ -302,7 +310,7 @@ def test_cross_frame_write_derives_local_position_from_extent():
     a = g.create_node("rect", root)
     g.set_dim_in_frame(a, a, "width", 10.0)
     g.set_dim_in_frame(a, root, "centerX", 0.0)
-    assert a.transform.x == -5.0
+    assert a.tx == -5.0
 
 
 def test_start_write_needs_no_extent():
@@ -310,7 +318,7 @@ def test_start_write_needs_no_extent():
     root = g.create_node("group", None)
     a = g.create_node("rect", root)
     g.set_dim_in_frame(a, root, "left", 7.0)
-    assert a.transform.x == 7.0
+    assert a.tx == 7.0
 
 
 def test_center_write_with_no_extent_is_underivable():
@@ -350,10 +358,10 @@ def test_same_writer_same_value_is_idempotent():
     a = _rect(g, root, 10.0, 10.0)
     g.set_dim_in_frame(a, root, "top", 12.0)
     g.set_dim_in_frame(a, root, "top", 12.0)
-    assert a.transform.y == 12.0
+    assert a.ty == 12.0
     # a box field repeated by its owner is no write either, so it is logged once
     g.set_dim_in_frame(a, a, "width", 10.0)
-    assert a.bbox.width == 10.0
+    assert a.width == 10.0
     assert g.write_log.count((a.id, "width", a.id)) == 1
     assert g.write_log.count((a.id, "transform.y", root.id)) == 1
 
@@ -378,12 +386,12 @@ def test_read_through_frames_materializes_undecided_transforms():
     frame = g.create_node("align", root)
     box = g.bbox_in_frame(a, frame, Axis.HORIZONTAL)
     assert box["left"] == 0.0
-    assert inner.transform.x == 0.0
+    assert inner.tx == 0.0
     # the reading frame owns every translation it defaulted on both legs
     assert inner.transform_owners["x"] == frame.id
     assert a.transform_owners["x"] == frame.id
     assert frame.transform_owners["x"] == frame.id
-    assert root.transform.x is None
+    assert root.tx is None
 
 
 def test_materialize_keeps_decided_values():
@@ -406,8 +414,8 @@ def test_write_into_a_sibling_frame_composes_both_legs():
     box = g.bbox_in_frame(a, g2, Axis.HORIZONTAL)
     assert box["left"] == 40.0
     # both legs got pinned on the way, owned by the writing frame
-    assert g1.transform.x == 0.0
-    assert g2.transform.x == 0.0
+    assert g1.tx == 0.0
+    assert g2.tx == 0.0
     assert a.transform_owners["x"] == g1.transform_owners["x"] == g2.transform_owners["x"] == g2.id
 
 
@@ -436,7 +444,7 @@ def test_read_from_a_deeper_frame_subtracts_the_frame_leg():
     box = g.bbox_in_frame(a, inner, Axis.HORIZONTAL)
     assert box["left"] == 25.0
     assert inner.transform_owners["x"] == inner.id  # frame leg pinned by the frame
-    assert root.transform.x is None  # the lca's own translation is untouched
+    assert root.tx is None  # the lca's own translation is untouched
 
 
 def test_frames_of_parentless_nodes_are_disconnected():
@@ -458,7 +466,7 @@ def test_finalize_defaults_transforms_to_zero_owned_by_root():
     g.set_dim_in_frame(root, root, "width", 10.0)
     g.set_dim_in_frame(root, root, "height", 10.0)
     g.finalize()
-    assert a.transform.x == 0.0
+    assert a.tx == 0.0
     assert a.transform_owners["x"] == root.id
 
 
@@ -502,7 +510,7 @@ def test_a_translation_beyond_the_float_range_is_not_written():
     with pytest.raises(GeometryOverflow) as excinfo:
         g.set_dim_in_frame(a, root, "left", sys.float_info.max)
     assert (excinfo.value.node, excinfo.value.field) == (a.id, "transform.x")
-    assert a.transform.x is None and g.write_log == log
+    assert a.tx is None and g.write_log == log
 
 
 def test_origins_beyond_the_float_range_overflow_in_resolve():
