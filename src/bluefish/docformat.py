@@ -39,7 +39,7 @@ from .geometry import path_control_points
 FORMAT_VERSION = 1
 _DOCUMENT_KEYS = {"bluefish", "root"}
 _ELEMENT_KEYS = {"kind", "name", "props", "children", "select"}
-_TOO_DEEP = "document nests too deeply"
+TOO_DEEP = "document nests too deeply"
 #: The deepest an element may sit: the root is at depth 1, and each child
 #: or prop mark one deeper than its holder.
 MAX_DEPTH = 256
@@ -60,7 +60,7 @@ class Element:
 
 def _parse_element(raw: object, path: str, depth: int) -> Element:
     if depth > MAX_DEPTH:
-        raise SchemaError("document", _TOO_DEEP)
+        raise SchemaError("document", TOO_DEEP)
     if not isinstance(raw, dict):
         raise SchemaError(path, f"element must be an object, got {type(raw).__name__}")
     unknown = set(raw) - _ELEMENT_KEYS
@@ -130,7 +130,7 @@ def parse_document(data: bytes | str) -> Element:
     except json.JSONDecodeError as exc:
         raise DocumentSyntaxError(exc.lineno, exc.colno, exc.msg) from exc
     except RecursionError:
-        raise SchemaError("document", _TOO_DEEP) from None
+        raise SchemaError("document", TOO_DEEP) from None
     if not isinstance(raw, dict):
         raise SchemaError("document", "document must be a JSON object")
     unknown = set(raw) - _DOCUMENT_KEYS
@@ -143,7 +143,7 @@ def parse_document(data: bytes | str) -> Element:
     try:
         return _parse_element(raw["root"], "root", 1)
     except RecursionError:
-        raise SchemaError("document", _TOO_DEEP) from None
+        raise SchemaError("document", TOO_DEEP) from None
 
 
 def _element_to_json(el: Element) -> dict:

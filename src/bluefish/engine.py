@@ -75,13 +75,25 @@ def expand_tree(tree: Element, registry: Registry) -> Element:
     """Replace composite kinds by their expansions, outer name preserved.
 
     An expansion error names the element's place as parsing does
-    (``root.children[1]``, ``root.props.background``).
+    (``root.children[1]``, ``root.props.background``). The walk keeps its
+    own stack and counts depth as parsing does, the root at 1 and each
+    child or prop mark one deeper than its holder, so an expansion that
+    nests deeper than ``docformat.MAX_DEPTH`` is the same SchemaError as
+    a document that does.
     """
-
-    def expand(el: Element, path: str) -> Element:
+    kinds = registry.kinds
+    top = [tree]
+    # (holder, key, path, depth): the element sits at holder[key], where
+    # holder is a children list or a props dict
+    stack: list[tuple[list | dict, int | str, str, int]] = [(top, 0, "root", 1)]
+    while stack:
+        holder, key, path, depth = stack.pop()
+        if depth > docformat.MAX_DEPTH:
+            raise SchemaError("document", docformat.TOO_DEEP)
+        el = holder[key]
         rounds = 0
         while True:
-            spec = registry.kinds.get(el.kind)
+            spec = kinds.get(el.kind)
             if spec is None or spec.expand is None:
                 break
             rounds += 1
@@ -94,13 +106,17 @@ def expand_tree(tree: Element, registry: Registry) -> Element:
             el = expanded
             if name is not None:
                 el.name = name
-        el.children = [expand(c, f"{path}.children[{i}]") for i, c in enumerate(el.children)]
-        for key, value in el.props.items():
-            if isinstance(value, Element):
-                el.props[key] = expand(value, f"{path}.props.{key}")
-        return el
-
-    return expand(tree, "root")
+        holder[key] = el
+        # pushed props first and both in reverse, so children pop first
+        # and in order, as a recursive walk would visit them
+        props = el.props
+        for prop in reversed(props):
+            if isinstance(props[prop], Element):
+                stack.append((props, prop, f"{path}.props.{prop}", depth + 1))
+        children = el.children = list(el.children)
+        for i in range(len(children) - 1, -1, -1):
+            stack.append((children, i, f"{path}.children[{i}]", depth + 1))
+    return top[0]
 
 
 # --- scenegraph construction ----------------------------------------------------

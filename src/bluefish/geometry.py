@@ -36,10 +36,12 @@ class Axis(Enum):
     ``right`` horizontally), also available one by one as
     ``start_field``/``center_field``/``end_field``; ``fields`` adds the
     ``extent_field``; ``component`` is the translation component the
-    axis moves along, ``transform_field`` its name in owner errors and
-    ``write_log`` (``transform.x``), and ``other`` the perpendicular axis. They are set
-    once when the class is created, because layout reads them on every
-    frame conversion.
+    axis moves along, ``translation`` the node field that stores it
+    (``tx``), ``transform_field`` its name in owner errors and
+    ``write_log`` (``transform.x``), and ``other`` the perpendicular axis.
+    They are set once when the class is created, because layout reads
+    them on every frame conversion, and a plain attribute read costs a
+    fraction of a member lookup or an Enum-keyed dict lookup.
     """
 
     position_fields: tuple[str, str, str]
@@ -49,6 +51,7 @@ class Axis(Enum):
     extent_field: str
     fields: tuple[str, str, str, str]
     component: str
+    translation: str
     transform_field: str
     other: "Axis"
 
@@ -64,6 +67,7 @@ class Axis(Enum):
         axis.extent_field = extent_field
         axis.fields = position_fields + (extent_field,)
         axis.component = component
+        axis.translation = f"t{component}"
         axis.transform_field = f"transform.{component}"
         return axis
 
@@ -78,6 +82,8 @@ class Axis(Enum):
 
 Axis.HORIZONTAL.other = Axis.VERTICAL
 Axis.VERTICAL.other = Axis.HORIZONTAL
+#: Both axes, horizontal first, for loops that visit each.
+AXES = (Axis.HORIZONTAL, Axis.VERTICAL)
 
 _FIELD_AXIS = {f: axis for axis in Axis for f in axis.fields}
 

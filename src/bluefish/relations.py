@@ -33,7 +33,7 @@ from .errors import (
     DimensionConflict,
     UndefinedExtentError,
 )
-from .geometry import TOLERANCE, Axis, path_control_points
+from .geometry import AXES, TOLERANCE, Axis, path_control_points
 
 if TYPE_CHECKING:
     from .engine import LayoutRuntime
@@ -303,9 +303,9 @@ def layout_group(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
     del props
     targets = [rt.graph.target_of(c) for c in node.children]
     for t in targets:
-        for axis in (Axis.HORIZONTAL, Axis.VERTICAL):
+        for axis in AXES:
             rt.graph.materialize(t, axis, node)  # unplaced children stay put
-    for axis in (Axis.HORIZONTAL, Axis.VERTICAL):
+    for axis in AXES:
         span = _union_boxes(rt, node, targets, axis)
         if span is not None:
             _set_own(rt, node, **{axis.start_field: span[0],
@@ -322,7 +322,7 @@ def layout_background(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> Non
     mark = rt.graph.nodes[mark_id]
     targets = [rt.graph.target_of(c) for c in rest]
     padding = props["padding"]
-    for axis in (Axis.HORIZONTAL, Axis.VERTICAL):
+    for axis in AXES:
         for t in targets:
             if not rt.graph.is_fixed(t, axis):
                 rt.graph.set_dim_in_frame(t, node, axis.start_field, padding)
@@ -338,7 +338,7 @@ def layout_background(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> Non
 def layout_connector(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
     targets = [rt.graph.target_of(c) for c in node.children]
     for t in targets:
-        for axis in (Axis.HORIZONTAL, Axis.VERTICAL):
+        for axis in AXES:
             rt.graph.materialize(t, axis, node)
     boxes = []
     for t in targets:

@@ -30,29 +30,39 @@ def _strip(text: str) -> str:
     return "0" if text in ("-0", "") else text
 
 
-def _cents(value: float) -> float | Decimal:
-    """``repr(value)`` rounded half even to two fractional digits.
+def _cent_count(value: float) -> int | None:
+    """``repr(value)`` in whole cents, rounded half even, or None near a tie.
 
-    Decimal decides only exponent forms and exact ties such as ``2.675``.
-    Elsewhere a repr with at most two fractional digits is already the
-    answer, and a longer one rounds as ``round`` rounds the float itself:
-    a cents boundary between the float and its repr would be a shorter or
-    closer round-tripping string, so repr would have printed it.
+    ``value * 100.0`` differs from the cents ``repr(value)`` spells by
+    at most about 2.2e-16 of itself (half an ulp of ``value``, scaled,
+    plus the product's own rounding). Where it lies more than a
+    billionth of itself from a half-cent, both round to the same whole
+    ``k``, and ``k / 100.0`` is the float ``round(value, 2)`` gives.
+    The margin alone sends every value from about 5e6 up to the
+    caller's Decimal quantize; the cut keeps the product finite.
     """
-    text = repr(value)
-    if "e" not in text:
-        digits = len(text) - text.index(".") - 1
-        if digits <= 2:
-            return value
-        if digits > 3 or text[-1] != "5":
-            return round(value, 2)
-    return Decimal(text).quantize(_CENTS, ROUND_HALF_EVEN, _QUANTIZE)
+    if -1e13 < value < 1e13:
+        cents = value * 100.0
+        k = round(cents)
+        if 0.5 - abs(cents - k) > 1e-9 * (1.0 + abs(cents)):
+            return k
+    return None
+
+
+def _quantize(value: float) -> Decimal:
+    """The definition: ``repr(value)`` rounded half even to two fractional digits."""
+    return Decimal(repr(value)).quantize(_CENTS, ROUND_HALF_EVEN, _QUANTIZE)
 
 
 def fmt_num(value: float) -> str:
     """Fixed-point decimal for SVG attributes: 12.345 -> '12.34'."""
-    q = _cents(float(value))
-    return _strip(repr(q) if type(q) is float else format(q, "f"))
+    value = float(value)
+    k = _cent_count(value)
+    if k is None:
+        return _strip(format(_quantize(value), "f"))
+    if k % 100 == 0:
+        return str(k // 100)
+    return ("%.2f" % value).rstrip("0")
 
 
 def _ceil2(value: float) -> str:
@@ -62,7 +72,11 @@ def _ceil2(value: float) -> str:
 
 
 def _round2(value: float) -> float | int:
-    q = _cents(float(value))
+    value = float(value)
+    k = _cent_count(value)
+    if k is not None:
+        return k // 100 if k % 100 == 0 else k / 100.0
+    q = _quantize(value)
     f = float(q)
     # a whole value keeps the digits the SVG writes: int(1e30) would be
     # the float's binary value, 1000000000000000019884624838656

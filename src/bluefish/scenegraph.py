@@ -60,7 +60,7 @@ from .errors import (
     UndefinedExtentError,
     UnsizedNodes,
 )
-from .geometry import TOLERANCE, Axis, axis_of
+from .geometry import AXES, TOLERANCE, Axis, axis_of
 
 if TYPE_CHECKING:
     from .engine import Registry
@@ -68,10 +68,9 @@ if TYPE_CHECKING:
 #: Each field a node stores: (node attribute, owner-map attribute, owner-map key).
 _STORED = {
     **{f: (f, "bbox_owners", f) for axis in Axis for f in (axis.start_field, axis.extent_field)},
-    **{axis.transform_field: (f"t{axis.component}", "transform_owners", axis.component)
+    **{axis.transform_field: (axis.translation, "transform_owners", axis.component)
        for axis in Axis},
 }
-_TRANSLATION = {axis: _STORED[axis.transform_field][0] for axis in Axis}
 _EXTENTS = frozenset(axis.extent_field for axis in Axis)
 
 
@@ -246,7 +245,7 @@ class Scenegraph:
         The default is a real layout decision: the requester becomes the
         owner, and later relations see the node as fixed on this axis.
         """
-        value = getattr(node, _TRANSLATION[axis])
+        value = getattr(node, axis.translation)
         if value is None:
             self.decide(node, axis.transform_field, 0.0, requester)
             return 0.0
@@ -357,7 +356,7 @@ class Scenegraph:
         root = self.nodes[self.root]
         layout_nodes = [node for node in self.nodes.values() if isinstance(node, LayoutNode)]
         for node in layout_nodes:
-            for axis in (Axis.HORIZONTAL, Axis.VERTICAL):
+            for axis in AXES:
                 self.materialize(node, axis, root)
         unsized = tuple(
             node.id for node in layout_nodes

@@ -357,6 +357,38 @@ def test_the_nesting_limit_does_not_depend_on_the_callers_stack(frames):
         "BF007", "document nests too deeply (at document)", ("document",))
 
 
+def _tower_registry() -> Registry:
+    def expand_tower(props: dict, children: list) -> Element:
+        # built by a loop, so the expansion itself never recurses
+        el = Element(kind="rect", props={"width": 4.0, "height": 3.0})
+        for _ in range(int(props["n"])):
+            el = Element(kind="group", children=[el])
+        return el
+
+    registry = standard_registry()
+    registry.register(ElementKindSpec(kind="tower", expand=expand_tower))
+    return registry
+
+
+@pytest.mark.parametrize("frames", [0, 900], ids=["from the test", "from 900 frames deep"])
+def test_expansions_obey_the_nesting_limit(frames):
+    # a tower at the root expands to n groups around a rect, n + 1 deep
+    registry = _tower_registry()
+
+    def compile_tower(n: int):
+        doc = {"bluefish": 1, "root": {"kind": "tower", "props": {"n": n}}}
+        return call_at_depth(frames, lambda: compile_source(json.dumps(doc), registry))
+
+    scene, diags = compile_tower(MAX_DEPTH - 1)
+    assert scene is not None and diags == []
+    assert len(scene.nodes) == MAX_DEPTH
+    for n in (MAX_DEPTH, 2000):
+        scene, diags = compile_tower(n)
+        assert scene is None
+        assert [(d.code, d.message, d.node_paths) for d in diags] == [
+            ("BF007", "document nests too deeply (at document)", ("document",))]
+
+
 def _groups_around_a_background(levels: int) -> bytes:
     """``levels - 1`` nested groups around a background, whose mark and child sit one deeper."""
     inner = ('{"kind": "background", "props": {"background": {"kind": "rect"}},'

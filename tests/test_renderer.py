@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import sys
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 
@@ -78,11 +79,32 @@ def _reference_cents(value: float) -> tuple[str, str]:
     return ("0" if text == "-0" else text), repr(int(q) if f.is_integer() else f)
 
 
-@settings(max_examples=1000)
+def _nudged(n: int, ulps: int) -> float:
+    value = n / 1000
+    for _ in range(abs(ulps)):
+        value = math.nextafter(value, math.copysign(math.inf, ulps))
+    return value
+
+
+_SIGN = st.sampled_from([1.0, -1.0])
+
+
+@settings(max_examples=2000)
 @given(st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     # thousandths: three-digit reprs, among them every exact tie
     st.integers(-10**12, 10**12).map(lambda n: n / 1000),
+    # thousandths a few ulps off, just beside a tie or a cents boundary
+    st.builds(_nudged, st.integers(-10**12, 10**12), st.integers(-3, 3)),
+    # magnitudes on both sides of the 1e13 cut
+    st.builds(lambda v, s: s * v, st.floats(1e12, 1e17), _SIGN),
+    # what layout computes: text widths, halves of odd cents, centres
+    st.builds(lambda size, n: 0.6 * size * n,
+              st.integers(1, 400).map(lambda n: n / 4), st.integers(0, 500)),
+    st.integers(-10**9, 10**9).map(lambda n: (2 * n + 1) / 100 / 2),
+    st.builds(lambda start, extent: start + extent / 2.0,
+              st.integers(-10**7, 10**7).map(lambda n: n / 100),
+              st.integers(0, 10**7).map(lambda n: n / 100)),
 ))
 @example(0.125)
 @example(2.675)
@@ -90,6 +112,9 @@ def _reference_cents(value: float) -> tuple[str, str]:
 @example(0.005)
 @example(1e-9)
 @example(1e16)
+@example(1e13)
+@example(math.nextafter(1e13, 0.0))
+@example(math.nextafter(0.125, 1.0))
 @example(sys.float_info.max)
 @example(-sys.float_info.max)
 def test_numbers_match_a_decimal_quantize_of_their_repr(value):
