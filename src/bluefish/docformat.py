@@ -22,6 +22,7 @@ import json
 import re
 import sys
 from dataclasses import dataclass, field as dc_field
+from itertools import repeat
 
 from .errors import (
     AMBIGUOUS_NAME,
@@ -38,7 +39,7 @@ from .geometry import path_control_points
 
 FORMAT_VERSION = 1
 _DOCUMENT_KEYS = {"bluefish", "root"}
-_ELEMENT_KEYS = {"kind", "name", "props", "children", "select"}
+_ELEMENT_KEYS = frozenset({"kind", "name", "props", "children", "select"})
 TOO_DEEP = "document nests too deeply"
 #: The deepest an element may sit: the root is at depth 1, and each child
 #: or prop mark one deeper than its holder.
@@ -58,54 +59,95 @@ class Element:
     select: list[str] | None = None
 
 
-def _parse_element(raw: object, path: str, depth: int) -> Element:
-    if depth > MAX_DEPTH:
-        raise SchemaError("document", TOO_DEEP)
-    if not isinstance(raw, dict):
-        raise SchemaError(path, f"element must be an object, got {type(raw).__name__}")
-    unknown = set(raw) - _ELEMENT_KEYS
-    if unknown:
-        raise SchemaError(path, f"unknown element key(s): {', '.join(sorted(unknown))}")
-    kind = raw.get("kind")
-    if not isinstance(kind, str) or not kind:
-        raise SchemaError(path, "element requires a non-empty string 'kind'")
-    name = raw.get("name")
-    if name is not None and (not isinstance(name, str) or not name):
-        raise SchemaError(path, "'name' must be a non-empty string")
-    select = raw.get("select")
+def place_path(place) -> str:
+    """Spell an element's place as parse errors print it: ``root.children[1].props.background``.
+
+    A place is None for the root, else a (holder's place, segment) pair
+    whose segment is a child index or a prop key. Parsing and expansion
+    carry places, so a path is spelled only for an error that prints it.
+    """
+    segments = []
+    while place is not None:
+        place, segment = place
+        segments.append(f".children[{segment}]" if segment.__class__ is int else f".props.{segment}")
+    segments.append("root")
+    return "".join(reversed(segments))
+
+
+def _element(kind, name, select, props_raw, children, place, depth: int, nested) -> Element:
+    """One element checked by the rules every element meets, parsed or expanded.
+
+    Numbers become floats and a bare-string ``select`` a one-name
+    selector. ``nested(value, place, depth)`` turns a prop mark or a
+    child into an element: ``_parse_element`` for a JSON object, and for
+    an expansion's output a check that it is an ``Element``. A JSON value
+    is told by its class, so a bool is not a number.
+    """
+    if kind.__class__ is not str or not kind:
+        raise SchemaError(place_path(place), "element requires a non-empty string 'kind'")
+    if name is not None and (name.__class__ is not str or not name):
+        raise SchemaError(place_path(place), "'name' must be a non-empty string")
     if select is not None:
-        if isinstance(select, str):
+        if select.__class__ is str:
             select = [select]
-        elif isinstance(select, list) and select and all(isinstance(s, str) and s for s in select):
+        elif select.__class__ is list and select and all(s.__class__ is str and s for s in select):
             select = list(select)
         else:
-            raise SchemaError(path, "'select' must be a string or a non-empty list of strings")
-    props_raw = raw.get("props", {})
-    if not isinstance(props_raw, dict):
-        raise SchemaError(path, "'props' must be an object")
+            raise SchemaError(place_path(place), "'select' must be a string or a non-empty list of strings")
+    if props_raw.__class__ is not dict:
+        raise SchemaError(place_path(place), "'props' must be an object")
     props: dict[str, object] = {}
     for key, value in props_raw.items():
-        if isinstance(value, dict):
-            # element-valued prop: a mark the holder sizes
-            props[key] = _parse_element(value, f"{path}.props.{key}", depth + 1)
-        elif isinstance(value, bool) or value is None or isinstance(value, list):
-            raise SchemaError(f"{path}.props.{key}", "prop values must be numbers, strings, or elements")
-        elif isinstance(value, (int, float)):
+        cls = value.__class__
+        if cls is float or cls is int:
             if not -_MAX_NUMBER <= value <= _MAX_NUMBER:  # NaN, infinities, huge integers
-                raise SchemaError(f"{path}.props.{key}", "prop values must be finite numbers")
+                raise SchemaError(place_path((place, key)), "prop values must be finite numbers")
             props[key] = float(value)
-        else:  # a string: json.loads yields no other value
+        elif cls is str:
             bad = _NOT_XML_CHAR.search(value)
             if bad is not None:
-                raise SchemaError(f"{path}.props.{key}", f"SVG cannot carry {bad.group()!r} in a string")
+                raise SchemaError(place_path((place, key)), f"SVG cannot carry {bad.group()!r} in a string")
             props[key] = value
-    children_raw = raw.get("children", [])
-    if not isinstance(children_raw, list):
-        raise SchemaError(path, "'children' must be a list")
-    children = [
-        _parse_element(c, f"{path}.children[{i}]", depth + 1) for i, c in enumerate(children_raw)
-    ]
-    return Element(kind=kind, name=name, props=props, children=children, select=select)
+        elif cls is dict or cls is Element:
+            # element-valued prop: a mark the holder sizes
+            props[key] = nested(value, (place, key), depth + 1)
+        else:
+            raise SchemaError(place_path((place, key)), "prop values must be numbers, strings, or elements")
+    if children.__class__ is not list:
+        raise SchemaError(place_path(place), "'children' must be a list")
+    # a loop, not a comprehension, whose frame would count against the stack
+    elements = []
+    for i, child in enumerate(children):
+        elements.append(nested(child, (place, i), depth + 1))
+    return Element(kind, name, props, elements, select)
+
+
+def _parse_element(raw: object, place, depth: int) -> Element:
+    if depth > MAX_DEPTH:
+        raise SchemaError("document", TOO_DEEP)
+    if raw.__class__ is not dict:
+        raise SchemaError(place_path(place), f"element must be an object, got {type(raw).__name__}")
+    if not _ELEMENT_KEYS.issuperset(raw):
+        unknown = set(raw) - _ELEMENT_KEYS
+        raise SchemaError(place_path(place), f"unknown element key(s): {', '.join(sorted(unknown))}")
+    return _element(raw.get("kind"), raw.get("name"), raw.get("select"), raw.get("props", {}),
+                    raw.get("children", []), place, depth, _parse_element)
+
+
+def _built_element(value: object, place, depth: int) -> Element:
+    if value.__class__ is not Element:
+        raise SchemaError(place_path(place), f"element must be an Element, got {type(value).__name__}")
+    return value
+
+
+def check_expansion(el: Element, name: str | None, place, depth: int) -> Element:
+    """A composite's expansion, checked as a parsed element is, named ``name``.
+
+    The result is a new element; its children and prop marks are the
+    expansion's own, each checked only to be an ``Element``, so the
+    caller checks each of them in turn when it reaches it.
+    """
+    return _element(el.kind, name, el.select, el.props, el.children, place, depth, _built_element)
 
 
 def parse_document(data: bytes | str) -> Element:
@@ -141,7 +183,7 @@ def parse_document(data: bytes | str) -> Element:
     if "root" not in raw:
         raise SchemaError("document", "document requires a 'root' element")
     try:
-        return _parse_element(raw["root"], "root", 1)
+        return _parse_element(raw["root"], None, 1)
     except RecursionError:
         raise SchemaError("document", TOO_DEEP) from None
 
@@ -185,130 +227,148 @@ def walk(tree: Element):
     parent's position in this same pre-order, None for the root, so a
     caller can derive any per-ancestor fact from its parent's entry.
     """
-    stack: list[tuple[Element, str, int | None]] = [
-        (tree, f"{tree.kind}:{tree.name}" if tree.name else tree.kind, None)]
-    index = 0
-    while stack:
-        el, path, parent = stack.pop()
+    paths: list[str] = []
+    for el, parent, i in _preorder(tree):
+        segment = _segment(el, parent, i)
+        path = segment if parent is None else f"{paths[parent]}/{segment}"
+        paths.append(path)
         yield el, path, parent
-        for i in range(len(el.children) - 1, -1, -1):
-            child = el.children[i]
-            seg = f"{path}/{child.kind}[{i}]"
-            stack.append((child, f"{seg}:{child.name}" if child.name else seg, index))
-        index += 1
+
+
+def _preorder(tree: Element) -> list[tuple[Element, int | None, int]]:
+    """Every element as (element, parent index, child index), in pre-order.
+
+    The parent index is a position in this same list, None for the root,
+    whose child index is 0. No path is spelled: ``_walk_path`` spells
+    ``walk``'s path for one entry where a diagnostic prints it.
+    """
+    order: list[tuple[Element, int | None, int]] = []
+    stack: list[tuple[Element, int | None, int]] = [(tree, None, 0)]
+    while stack:
+        entry = stack.pop()
+        children = entry[0].children
+        if children:
+            n = len(children)
+            stack.extend(zip(reversed(children), repeat(len(order), n), range(n - 1, -1, -1)))
+        order.append(entry)
+    return order
+
+
+def _segment(el: Element, parent: int | None, i: int) -> str:
+    segment = el.kind if parent is None else f"{el.kind}[{i}]"
+    return f"{segment}:{el.name}" if el.name else segment
+
+
+def _walk_path(order: list[tuple[Element, int | None, int]], index: int) -> str:
+    """The path ``walk`` gives the element at ``index`` of ``_preorder``'s list."""
+    segments = []
+    while index is not None:
+        el, parent, i = order[index]
+        segments.append(_segment(el, parent, i))
+        index = parent
+    return "/".join(reversed(segments))
 
 
 # --- validation ---------------------------------------------------------------
 
 
-def _check_props(el: Element, path: str, spec, kinds: dict, diags: list[Diagnostic],
-                 require: bool = True) -> None:
-    allowed = set(spec.required_props) | set(spec.optional_props)
-    for prop in spec.required_props:
-        if require and prop not in el.props:
-            diags.append(Diagnostic(
-                SCHEMA_ERROR, f"{el.kind} requires prop {prop!r} (MissingProp)", (path,)))
-    for prop, value in el.props.items():
-        if prop not in allowed:
-            diags.append(Diagnostic(
-                SCHEMA_ERROR, f"{el.kind} does not accept prop {prop!r}", (path,)))
+def _check_props(el: Element, spec, kinds: dict, problems: list[tuple[str, str]],
+                 require: bool = True, suffix: str = "") -> None:
+    """Add (path suffix, message) to ``problems`` for each prop fault of ``el``."""
+    props = el.props
+    if require:
+        for prop in spec.required_props:
+            if prop not in props:
+                problems.append((suffix, f"{el.kind} requires prop {prop!r} (MissingProp)"))
+    checks = spec.prop_checks
+    for prop, value in props.items():
+        check = checks.get(prop)
+        if check is None:
+            problems.append((suffix, f"{el.kind} does not accept prop {prop!r}"))
             continue
-        expected = spec.prop_types.get(prop, "number")
+        expected, options, nonnegative, positive = check
+        cls = value.__class__
         if expected == "number":
-            if not isinstance(value, float):
-                diags.append(Diagnostic(
-                    SCHEMA_ERROR, f"prop {prop!r} of {el.kind} must be a number", (path,)))
-        elif expected == "string" or expected == "path":
-            if not isinstance(value, str):
-                diags.append(Diagnostic(
-                    SCHEMA_ERROR, f"prop {prop!r} of {el.kind} must be a string", (path,)))
-            elif expected == "path":
-                try:
-                    path_control_points(value)
-                except ValueError as exc:
-                    diags.append(Diagnostic(SCHEMA_ERROR, f"invalid path data: {exc}", (path,)))
+            if cls is not float:
+                problems.append((suffix, f"prop {prop!r} of {el.kind} must be a number"))
         elif expected == "element":
-            if isinstance(value, Element):
-                _check_sized_mark(value, f"{path}.props.{prop}", prop, kinds, diags)
+            if cls is Element:
+                _check_sized_mark(value, f"{suffix}.props.{prop}", prop, kinds, problems)
             else:
-                diags.append(Diagnostic(
-                    SCHEMA_ERROR, f"prop {prop!r} of {el.kind} must be an element", (path,)))
-        if prop in spec.enum_props and isinstance(value, str) and value not in spec.enum_props[prop]:
-            options = ", ".join(spec.enum_props[prop])
-            diags.append(Diagnostic(
-                SCHEMA_ERROR,
-                f"prop {prop!r} of {el.kind} must be one of {options}; got {value!r} (BadEnumValue)",
-                (path,)))
-        if prop in spec.nonnegative_props and isinstance(value, float) and value < 0:
-            diags.append(Diagnostic(
-                SCHEMA_ERROR, f"prop {prop!r} of {el.kind} must be non-negative", (path,)))
-        if prop in spec.positive_props and isinstance(value, float) and value <= 0:
-            diags.append(Diagnostic(
-                SCHEMA_ERROR, f"prop {prop!r} of {el.kind} must be positive", (path,)))
+                problems.append((suffix, f"prop {prop!r} of {el.kind} must be an element"))
+        elif cls is not str:
+            problems.append((suffix, f"prop {prop!r} of {el.kind} must be a string"))
+        elif expected == "path":
+            try:
+                path_control_points(value)
+            except ValueError as exc:
+                problems.append((suffix, f"invalid path data: {exc}"))
+        if cls is str:
+            if options is not None and value not in options:
+                problems.append((
+                    suffix,
+                    f"prop {prop!r} of {el.kind} must be one of {', '.join(options)}; "
+                    f"got {value!r} (BadEnumValue)"))
+        elif cls is float:
+            if nonnegative and value < 0:
+                problems.append((suffix, f"prop {prop!r} of {el.kind} must be non-negative"))
+            if positive and value <= 0:
+                problems.append((suffix, f"prop {prop!r} of {el.kind} must be positive"))
 
 
-def _sized_by_holder(spec) -> bool:
-    """A mark whose required props are all numbers: sizes its holder supplies."""
-    return spec.is_mark and all(
-        spec.prop_types.get(prop, "number") == "number" for prop in spec.required_props)
-
-
-def _check_sized_mark(mark: Element, path: str, prop: str, kinds: dict,
-                      diags: list[Diagnostic]) -> None:
+def _check_sized_mark(mark: Element, suffix: str, prop: str, kinds: dict,
+                      problems: list[tuple[str, str]]) -> None:
     """Check the mark an element-valued prop holds; the holder supplies its sizes."""
     spec = kinds.get(mark.kind)
-    if spec is None or not _sized_by_holder(spec):
-        options = ", ".join(sorted(k for k, s in kinds.items() if _sized_by_holder(s)))
-        diags.append(Diagnostic(
-            SCHEMA_ERROR, f"{prop} mark must be one of {options}; got {mark.kind!r}", (path,)))
+    if spec is None or not spec.sized_by_holder:
+        options = ", ".join(sorted(k for k, s in kinds.items() if s.sized_by_holder))
+        problems.append((suffix, f"{prop} mark must be one of {options}; got {mark.kind!r}"))
         return
     if mark.children or mark.name or mark.select:
-        diags.append(Diagnostic(SCHEMA_ERROR, f"{prop} mark must be a bare mark element", (path,)))
-    _check_props(mark, path, spec, kinds, diags, require=False)
+        problems.append((suffix, f"{prop} mark must be a bare mark element"))
+    _check_props(mark, spec, kinds, problems, require=False, suffix=suffix)
 
 
 def validate(tree: Element, registry) -> list[Diagnostic]:
     """Check the tree against a kind registry. Returns all problems found."""
     diags: list[Diagnostic] = []
-    for el, path, _ in walk(tree):
-        spec = registry.kinds.get(el.kind)
+    kinds = registry.kinds
+    order = _preorder(tree)
+    problems: list[tuple[str, str]] = []  # (path suffix, message) for the element in hand
+    for index, (el, _, _) in enumerate(order):
+        spec = kinds.get(el.kind)
         if spec is None:
-            diags.append(Diagnostic(
-                SCHEMA_ERROR, f"unknown element kind {el.kind!r} (UnknownKind)", (path,)))
-            continue
-        if el.kind == "ref":
+            problems.append(("", f"unknown element kind {el.kind!r} (UnknownKind)"))
+        elif el.kind == "ref":
             if el.children:
-                diags.append(Diagnostic(
-                    SCHEMA_ERROR, "ref elements cannot have children (RefWithChildren)", (path,)))
+                problems.append(("", "ref elements cannot have children (RefWithChildren)"))
             if el.name is not None:
-                diags.append(Diagnostic(SCHEMA_ERROR, "ref elements cannot be named", (path,)))
+                problems.append(("", "ref elements cannot be named"))
             if el.select is None:
-                diags.append(Diagnostic(
-                    SCHEMA_ERROR, "ref requires 'select' (MissingProp)", (path,)))
+                problems.append(("", "ref requires 'select' (MissingProp)"))
             if el.props:
-                diags.append(Diagnostic(SCHEMA_ERROR, "ref elements take no props", (path,)))
-            continue
-        if el.select is not None:
-            diags.append(Diagnostic(
-                SCHEMA_ERROR, f"'select' is only valid on ref elements, not {el.kind}", (path,)))
-        if spec.expand is not None:
-            continue  # composite kinds are checked after expansion
-        _check_props(el, path, spec, registry.kinds, diags)
-        if spec.is_mark and el.children:
-            diags.append(Diagnostic(
-                SCHEMA_ERROR, f"mark kind {el.kind!r} cannot have children", (path,)))
-        if spec.min_children is not None and len(el.children) < spec.min_children:
-            want = "child" if spec.min_children == 1 else "children"
-            diags.append(Diagnostic(
-                SCHEMA_ERROR,
-                f"{el.kind} requires at least {spec.min_children} {want}, got {len(el.children)}",
-                (path,)))
-        if spec.exact_children is not None and len(el.children) != spec.exact_children:
-            want = "child" if spec.exact_children == 1 else "children"
-            diags.append(Diagnostic(
-                SCHEMA_ERROR,
-                f"{el.kind} requires exactly {spec.exact_children} {want}, got {len(el.children)}",
-                (path,)))
+                problems.append(("", "ref elements take no props"))
+        else:
+            if el.select is not None:
+                problems.append(("", f"'select' is only valid on ref elements, not {el.kind}"))
+            if spec.expand is None:  # composite kinds are checked after expansion
+                _check_props(el, spec, kinds, problems)
+                count = len(el.children)
+                if spec.is_mark and count:
+                    problems.append(("", f"mark kind {el.kind!r} cannot have children"))
+                if spec.min_children is not None and count < spec.min_children:
+                    want = "child" if spec.min_children == 1 else "children"
+                    problems.append((
+                        "", f"{el.kind} requires at least {spec.min_children} {want}, got {count}"))
+                if spec.exact_children is not None and count != spec.exact_children:
+                    want = "child" if spec.exact_children == 1 else "children"
+                    problems.append((
+                        "", f"{el.kind} requires exactly {spec.exact_children} {want}, got {count}"))
+        if problems:
+            path = _walk_path(order, index)
+            diags.extend(Diagnostic(SCHEMA_ERROR, message, (path + suffix,))
+                         for suffix, message in problems)
+            problems.clear()
     return diags
 
 
@@ -323,50 +383,55 @@ def resolve_names(tree: Element) -> tuple[dict[int, int], list[Diagnostic]]:
     duplicate, or forward references). Resolution always runs to the end
     so all problems surface together.
     """
-    order: list[tuple[Element, str, int | None]] = list(walk(tree))
+    order = _preorder(tree)
     refs: dict[int, int] = {}
     diags: list[Diagnostic] = []
 
+    def path(index: int) -> str:
+        return _walk_path(order, index)
+
     # scope owner of an element = nearest named ancestor (root scope: -1)
     scope_of: list[int] = []
-    named: list[tuple[int, str, int, str]] = []  # (index, name, scope, path)
-    for i, (el, path, parent) in enumerate(order):
+    by_scope: dict[tuple[int, str], list[int]] = {}
+    by_name: dict[str, list[int]] = {}
+    ref_indices: list[int] = []
+    for i, (el, parent, _) in enumerate(order):
         if parent is None:
             owner = -1
         else:
             owner = parent if order[parent][0].name else scope_of[parent]
         scope_of.append(owner)
-        if el.name and el.kind != "ref":
-            named.append((i, el.name, owner, path))
+        name = el.name
+        if el.kind == "ref":
+            if el.select:
+                ref_indices.append(i)
+        elif name:
+            key = (owner, name)
+            same = by_scope.get(key)
+            if same is None:
+                by_scope[key] = [i]
+            else:
+                diags.append(Diagnostic(
+                    DUPLICATE_NAME,
+                    f"name {name!r} is already used in this scope (DuplicateNameInScope)",
+                    (path(i), path(same[0]))))
+                same.append(i)
+            by_name.setdefault(name, []).append(i)
 
-    by_scope: dict[tuple[int, str], list[int]] = {}
-    by_name: dict[str, list[int]] = {}
-    for i, name, scope, path in named:
-        key = (scope, name)
-        if key in by_scope:
-            first = by_scope[key][0]
-            diags.append(Diagnostic(
-                DUPLICATE_NAME,
-                f"name {name!r} is already used in this scope (DuplicateNameInScope)",
-                (path, order[first][1])))
-        by_scope.setdefault(key, []).append(i)
-        by_name.setdefault(name, []).append(i)
-
-    for i, (el, path, _) in enumerate(order):
-        if el.kind != "ref" or not el.select:
-            continue
-        selector = el.select
+    for i in ref_indices:
+        selector = order[i][0].select
         head = selector[0]
         candidates = by_name.get(head, [])
         if not candidates:
             diags.append(Diagnostic(
-                UNRESOLVED_NAME, f"no element named {head!r} (selector {'/'.join(selector)!r})", (path,)))
+                UNRESOLVED_NAME, f"no element named {head!r} (selector {'/'.join(selector)!r})",
+                (path(i),)))
             continue
         if len(candidates) > 1:
-            where = ", ".join(order[c][1] for c in candidates)
+            where = ", ".join(path(c) for c in candidates)
             diags.append(Diagnostic(
                 AMBIGUOUS_NAME,
-                f"name {head!r} is ambiguous: matches {where}", (path,)))
+                f"name {head!r} is ambiguous: matches {where}", (path(i),)))
             continue
         current = candidates[0]
         failed = False
@@ -375,15 +440,16 @@ def resolve_names(tree: Element) -> tuple[dict[int, int], list[Diagnostic]]:
             if not matches:
                 diags.append(Diagnostic(
                     UNRESOLVED_NAME,
-                    f"no element named {segment!r} inside {order[current][1]} "
+                    f"no element named {segment!r} inside {path(current)} "
                     f"(selector {'/'.join(selector)!r})",
-                    (path,)))
+                    (path(i),)))
                 failed = True
                 break
             if len(matches) > 1:
-                where = ", ".join(order[m][1] for m in matches)
+                where = ", ".join(path(m) for m in matches)
                 diags.append(Diagnostic(
-                    AMBIGUOUS_NAME, f"name {segment!r} is ambiguous within scope: {where}", (path,)))
+                    AMBIGUOUS_NAME, f"name {segment!r} is ambiguous within scope: {where}",
+                    (path(i),)))
                 failed = True
                 break
             current = matches[0]
@@ -392,9 +458,9 @@ def resolve_names(tree: Element) -> tuple[dict[int, int], list[Diagnostic]]:
         if current >= i:
             diags.append(Diagnostic(
                 FORWARD_REFERENCE,
-                f"selector {'/'.join(selector)!r} points forward to {order[current][1]}; "
+                f"selector {'/'.join(selector)!r} points forward to {path(current)}; "
                 f"referents must appear before the ref",
-                (path, order[current][1])))
+                (path(i), path(current))))
             continue
         refs[i] = current
     return refs, diags

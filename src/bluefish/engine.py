@@ -55,8 +55,10 @@ class Registry:
         self.kinds: dict[str, ElementKindSpec] = {}
 
     def register(self, spec: ElementKindSpec) -> None:
+        """Add a kind. Raises DuplicateKind for a known name, InvalidKindSpec for a bad spec."""
         if spec.kind in self.kinds:
             raise DuplicateKind(spec.kind)
+        spec.check_facts()
         self.kinds[spec.kind] = spec
 
 
@@ -74,23 +76,32 @@ def standard_registry() -> Registry:
 def expand_tree(tree: Element, registry: Registry) -> Element:
     """Replace composite kinds by their expansions, outer name preserved.
 
-    An expansion error names the element's place as parsing does
-    (``root.children[1]``, ``root.props.background``). The walk keeps its
-    own stack and counts depth as parsing does, the root at 1 and each
-    child or prop mark one deeper than its holder, so an expansion that
-    nests deeper than ``docformat.MAX_DEPTH`` is the same SchemaError as
-    a document that does.
+    ``tree`` is what ``docformat.parse_document`` returns: its elements
+    are checked and it nests no deeper than ``docformat.MAX_DEPTH``. So
+    when no registered kind has ``expand``, the tree is returned as it
+    is. Otherwise each expansion, and each element inside one, is checked
+    by the rules parsing applies, and an error names the element's place
+    as parsing does (``root.children[1]``, ``root.props.background``).
+    The walk keeps its own stack and counts depth as parsing does, the
+    root at 1 and each child or prop mark one deeper than its holder, so
+    an expansion that nests deeper than ``docformat.MAX_DEPTH`` is the
+    same SchemaError as a document that does.
     """
     kinds = registry.kinds
+    if all(spec.expand is None for spec in kinds.values()):
+        return tree
     top = [tree]
-    # (holder, key, path, depth): the element sits at holder[key], where
-    # holder is a children list or a props dict
-    stack: list[tuple[list | dict, int | str, str, int]] = [(top, 0, "root", 1)]
+    # (holder, key, place, depth, built): the element sits at holder[key],
+    # where holder is a children list or a props dict; built is true inside
+    # an expansion's output, whose elements are not yet checked
+    stack: list[tuple[list | dict, int | str, object, int, bool]] = [(top, 0, None, 1, False)]
     while stack:
-        holder, key, path, depth = stack.pop()
+        holder, key, place, depth, built = stack.pop()
         if depth > docformat.MAX_DEPTH:
             raise SchemaError("document", docformat.TOO_DEEP)
         el = holder[key]
+        if built:
+            el = docformat.check_expansion(el, el.name, place, depth)
         rounds = 0
         while True:
             spec = kinds.get(el.kind)
@@ -98,31 +109,32 @@ def expand_tree(tree: Element, registry: Registry) -> Element:
                 break
             rounds += 1
             if rounds > _MAX_EXPANSIONS:
-                raise SchemaError(path, f"composite kind {el.kind!r} expands without terminating")
-            name = el.name
+                raise SchemaError(docformat.place_path(place),
+                                  f"composite kind {el.kind!r} expands without terminating")
             expanded = spec.expand(dict(el.props), list(el.children))
-            if not isinstance(expanded, Element):
-                raise SchemaError(path, f"expansion of {el.kind!r} must return an element")
-            el = expanded
-            if name is not None:
-                el.name = name
+            if expanded.__class__ is not Element:
+                raise SchemaError(docformat.place_path(place),
+                                  f"expansion of {el.kind!r} must return an element")
+            el = docformat.check_expansion(
+                expanded, expanded.name if el.name is None else el.name, place, depth)
+            built = True
         holder[key] = el
         # pushed props first and both in reverse, so children pop first
         # and in order, as a recursive walk would visit them
         props = el.props
         for prop in reversed(props):
-            if isinstance(props[prop], Element):
-                stack.append((props, prop, f"{path}.props.{prop}", depth + 1))
-        children = el.children = list(el.children)
+            if props[prop].__class__ is Element:
+                stack.append((props, prop, (place, prop), depth + 1, built))
+        children = el.children
         for i in range(len(children) - 1, -1, -1):
-            stack.append((children, i, f"{path}.children[{i}]", depth + 1))
+            stack.append((children, i, (place, i), depth + 1, built))
     return top[0]
 
 
 # --- scenegraph construction ----------------------------------------------------
 
 def _normalized_props(el: Element, spec: ElementKindSpec) -> dict:
-    return {**spec.defaults(), **el.props}
+    return {**spec.default_props, **el.props}
 
 
 def build_scenegraph(tree: Element, refs: dict[int, int], registry: Registry) -> Scenegraph:
@@ -151,8 +163,8 @@ def build_scenegraph(tree: Element, refs: dict[int, int], registry: Registry) ->
         props = _normalized_props(el, spec)
         node = graph.create_node(el.kind, parent, paint_props=props, name=el.name, path=path)
         node_of_element[index] = node
-        for prop, prop_type in spec.prop_types.items():
-            if prop_type == "element" and prop in props:
+        for prop in spec.element_props:
+            if prop in props:
                 mark = props[prop]
                 graph.create_node(
                     mark.kind, node, paint_props=_normalized_props(mark, registry.kinds[mark.kind]),

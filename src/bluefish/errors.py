@@ -169,3 +169,11 @@ class DuplicateKind(BluefishError):
     def __init__(self, kind: str):
         self.kind = kind
         super().__init__(f"element kind {kind!r} is already registered")
+
+
+class InvalidKindSpec(BluefishError):
+    """A spec's own facts disagree: a prop type that does not exist, or a fact about an undeclared prop."""
+
+    def __init__(self, kind: str, detail: str):
+        self.kind = kind
+        super().__init__(f"element kind {kind!r}: {detail}")

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable
 
 from .docformat import Element
@@ -31,6 +32,7 @@ from .errors import (
     WARNING,
     Diagnostic,
     DimensionConflict,
+    InvalidKindSpec,
     UndefinedExtentError,
 )
 from .geometry import AXES, TOLERANCE, Axis, path_control_points
@@ -60,6 +62,10 @@ ALIGNMENT_FIELDS: dict[str, tuple[str | None, str | None]] = {
 }
 
 
+#: The types a prop may have.
+PROP_TYPE_NAMES = ("number", "string", "path", "element")
+
+
 @dataclass(frozen=True)
 class ElementKindSpec:
     """Registry entry for one element kind."""
@@ -87,8 +93,48 @@ class ElementKindSpec:
     paint: Callable[..., str] | None = None
     expand: Callable[[dict, list], object] | None = None
 
-    def defaults(self) -> dict[str, object]:
+    def check_facts(self) -> None:
+        """Raise InvalidKindSpec where the spec's prop facts disagree.
+
+        That is a type not in ``PROP_TYPE_NAMES``, or a typed, enum or
+        signed prop that is neither required nor optional.
+        """
+        declared = {*self.required_props, *self.optional_props}
+        for facts in ("prop_types", "enum_props", "nonnegative_props", "positive_props"):
+            stray = set(getattr(self, facts)) - declared
+            if stray:
+                raise InvalidKindSpec(
+                    self.kind, f"{facts} names undeclared prop(s) {', '.join(sorted(map(repr, stray)))}")
+        for prop, prop_type in self.prop_types.items():
+            if prop_type not in PROP_TYPE_NAMES:
+                raise InvalidKindSpec(
+                    self.kind, f"prop {prop!r} has type {prop_type!r}, not one of {', '.join(PROP_TYPE_NAMES)}")
+
+    # Facts derived from the fields above, each computed on first use.
+
+    @cached_property
+    def prop_checks(self) -> dict[str, tuple[str, tuple[str, ...] | None, bool, bool]]:
+        """Each prop the kind takes -> (type, enum options or None, non-negative, positive)."""
+        types, enums = self.prop_types, self.enum_props
+        nonnegative, positive = self.nonnegative_props, self.positive_props
+        return {prop: (types.get(prop, "number"), enums.get(prop), prop in nonnegative, prop in positive)
+                for prop in (*self.required_props, *self.optional_props)}
+
+    @cached_property
+    def default_props(self) -> dict[str, object]:
+        """The optional props that have a default. Read it, never change it."""
         return {k: v for k, v in self.optional_props.items() if v is not None}
+
+    @cached_property
+    def element_props(self) -> tuple[str, ...]:
+        """The element-valued props: marks the node sizes, built as its first child."""
+        return tuple(prop for prop, prop_type in self.prop_types.items() if prop_type == "element")
+
+    @cached_property
+    def sized_by_holder(self) -> bool:
+        """A mark whose required props are all numbers: sizes its holder supplies."""
+        return self.is_mark and all(
+            self.prop_types.get(prop, "number") == "number" for prop in self.required_props)
 
 
 # --- text metrics -------------------------------------------------------------

@@ -153,6 +153,70 @@ def test_unrepresentable_prop_values_are_one_schema_error(source, prop_path):
     assert [(d.code, d.node_paths) for d in diagnostics] == [("BF007", (prop_path,))]
 
 
+# The expected strings below are literal, written down from the output of
+# an implementation that spelled every element's path as it went, so they
+# pin both the spelling and which error comes first.
+
+
+@pytest.mark.parametrize("source, expected", [
+    # the prop mark's own error comes before the holder's later bad prop
+    ('{"bluefish":1,"root":{"kind":"background","props":{"background":{"kind":5},'
+     '"padding":true},"children":[]}}',
+     "element requires a non-empty string 'kind' (at root.props.background)"),
+    # a prop mark's bad prop comes before the holder's bad children
+    ('{"bluefish":1,"root":{"kind":"group","props":{"background":{"kind":"rect",'
+     '"props":{"fill":[1]}}},"children":7}}',
+     "prop values must be numbers, strings, or elements (at root.props.background.props.fill)"),
+])
+def test_the_first_parse_error_is_the_one_a_recursive_reading_meets(source, expected):
+    scene, diagnostics = compile_source(source)
+    assert scene is None
+    assert [(d.code, d.message) for d in diagnostics] == [("BF007", expected)]
+
+
+def _nested_groups(levels: int, innermost: list) -> dict:
+    el = {"kind": "group", "children": innermost}
+    for _ in range(levels - 1):
+        el = {"kind": "group", "children": [el]}
+    return el
+
+
+def test_a_parse_error_200_levels_deep_names_its_full_path():
+    # 198 groups, a background at depth 199 and its mark at depth 200
+    mark = {"kind": "rect", "props": {"fill": True}}
+    root = _nested_groups(198, [{"kind": "background", "props": {"background": mark},
+                                 "children": [dict(_RECT)]}])
+    scene, diagnostics = compile_source(_doc(root))
+    path = "root" + ".children[0]" * 198 + ".props.background.props.fill"
+    assert scene is None
+    assert [(d.code, d.message, d.node_paths) for d in diagnostics] == [
+        ("BF007", f"prop values must be numbers, strings, or elements (at {path})", (path,))]
+
+
+def test_validation_and_name_errors_200_levels_deep_name_their_full_paths():
+    rect = {"kind": "rect", "props": {"width": 4, "height": 4}}
+    root = _nested_groups(198, [
+        {"kind": "background", "props": {"background": {"kind": "rect", "props": {"fill": 5}}},
+         "children": [dict(rect, name="dup")]},
+        dict(rect, name="dup"),
+        {"kind": "group", "name": "p", "children": [dict(rect, name="x")]},
+        {"kind": "group", "name": "q", "children": [dict(rect, name="x")]},
+        {"kind": "stackV", "children": [{"kind": "ref", "select": "x"}]},
+    ])
+    scene, diagnostics = compile_source(_doc(root))
+    deep = "group" + "/group[0]" * 197
+    assert scene is None
+    assert [(d.code, d.message, d.node_paths) for d in diagnostics] == [
+        ("BF007", "prop 'fill' of rect must be a string",
+         (f"{deep}/background[0].props.background",)),
+        ("BF011", "name 'dup' is already used in this scope (DuplicateNameInScope)",
+         (f"{deep}/rect[1]:dup", f"{deep}/background[0]/rect[0]:dup")),
+        ("BF005",
+         f"name 'x' is ambiguous: matches {deep}/group[2]:p/rect[0]:x, {deep}/group[3]:q/rect[0]:x",
+         (f"{deep}/stackV[4]/ref[0]",)),
+    ]
+
+
 def test_the_largest_finite_numbers_are_accepted():
     tree = parse_document(_RECT_WIDTH % "1.7976931348623157e308")
     assert tree.props["width"] == sys.float_info.max

@@ -10,8 +10,8 @@ import pytest
 from bluefish import dump_scene, paint
 from bluefish.docformat import MAX_DEPTH, Element, parse_document, resolve_names, walk
 from bluefish.engine import Registry, compile_source, expand_tree, standard_registry
-from bluefish.errors import DuplicateKind
-from bluefish.relations import ElementKindSpec, layout_group, layout_rect
+from bluefish.errors import DuplicateKind, InvalidKindSpec
+from bluefish.relations import ElementKindSpec, layout_group, layout_rect, standard_kind_specs
 from bluefish.scenegraph import LayoutNode
 
 from conftest import call_at_depth, compile_doc, compile_fixture, errors_of, node_named, stack_chain
@@ -300,6 +300,73 @@ def test_runaway_expansion_is_cut_off():
     (diag,) = errors_of(diags)
     assert diag.code == "BF007"
     assert "without terminating" in diag.message
+
+
+def _compile_comp(expansion: Element) -> tuple:
+    """Compile a group whose second child is a composite expanding to ``expansion``."""
+    registry = standard_registry()
+    registry.register(ElementKindSpec(kind="comp", expand=lambda props, children: expansion))
+    return compile_doc({"bluefish": 1, "root": {"kind": "group", "children": [
+        {"kind": "rect", "name": "ab", "props": {"width": 5, "height": 5}},
+        {"kind": "comp"},
+    ]}}, registry=registry)
+
+
+@pytest.mark.parametrize("expansion, expected", [
+    (Element("group", children=["x"]),
+     "element must be an Element, got str (at root.children[1].children[0])"),
+    (Element("text", props={"content": "a\x00b"}),
+     "SVG cannot carry '\\x00' in a string (at root.children[1].props.content)"),
+    (Element("group", children=[Element("text", props={"content": "a\x00b"})]),
+     "SVG cannot carry '\\x00' in a string (at root.children[1].children[0].props.content)"),
+    (Element("rect", name=5, props={"width": 1.0, "height": 1.0}),
+     "'name' must be a non-empty string (at root.children[1])"),
+    (Element("rect", props={"width": True, "height": 1.0}),
+     "prop values must be numbers, strings, or elements (at root.children[1].props.width)"),
+    (Element("background", props={"background": {"kind": "rect"}}, children=[]),
+     "element must be an Element, got dict (at root.children[1].props.background)"),
+])
+def test_an_expansion_is_checked_as_a_parsed_element_is(expansion, expected):
+    scene, diags = _compile_comp(expansion)
+    assert scene is None
+    assert [(d.code, d.message) for d in diags] == [("BF007", expected)]
+
+
+def test_an_expansion_reads_a_bare_string_select_as_one_name():
+    scene, diags = _compile_comp(Element("ref", select="ab"))
+    assert diags == []
+    assert len(scene.marks()) == 1
+
+
+def test_an_expansion_may_give_a_number_as_an_int():
+    scene, diags = _compile_comp(Element("rect", name="r", props={"width": 2, "height": 3}))
+    assert diags == []
+    assert node_named(scene, "r").content_box()[2:] == (2.0, 3.0)
+
+
+@pytest.mark.parametrize("facts, detail", [
+    ({"prop_types": {"width": "numbr"}},
+     "prop 'width' has type 'numbr', not one of number, string, path, element"),
+    ({"prop_types": {"widht": "number"}}, "prop_types names undeclared prop(s) 'widht'"),
+    ({"enum_props": {"mode": ("a", "b")}}, "enum_props names undeclared prop(s) 'mode'"),
+    ({"nonnegative_props": frozenset({"widht"})}, "nonnegative_props names undeclared prop(s) 'widht'"),
+    ({"positive_props": frozenset({"size"})}, "positive_props names undeclared prop(s) 'size'"),
+])
+def test_a_spec_whose_facts_disagree_is_refused_when_registered(facts, detail):
+    registry = standard_registry()
+    spec = ElementKindSpec(kind="tile", is_mark=True, required_props=("width",),
+                           optional_props={"height": 1.0}, layout=layout_rect, **facts)
+    with pytest.raises(InvalidKindSpec) as excinfo:
+        registry.register(spec)
+    assert str(excinfo.value) == f"element kind 'tile': {detail}"
+    assert "tile" not in registry.kinds
+
+
+def test_every_standard_spec_registers():
+    registry = Registry()
+    for spec in standard_kind_specs():
+        registry.register(spec)
+    assert list(registry.kinds) == list(standard_registry().kinds)
 
 
 def test_scopes_follow_each_placement_of_a_shared_element():

@@ -153,7 +153,7 @@ def _fresh(kinds=()):
 
 def _node(rt: LayoutRuntime, kind: str, parent: LayoutNode | None, **props) -> LayoutNode:
     spec = rt.registry.kinds[kind]
-    paint = dict(spec.defaults())
+    paint = dict(spec.default_props)
     for key, value in props.items():
         paint[key] = float(value) if isinstance(value, (int, float)) else value
     return rt.graph.create_node(kind, parent, paint_props=paint)
@@ -271,7 +271,7 @@ def test_line_clips_to_the_box_edges():
     assert errors_of(diags) == []
     line = _by_kind(scene, "line")
     assert line.segment == pytest.approx((10.0, 5.0, 40.0, 5.0))
-    assert line.paint_props == scene.registry.kinds["line"].defaults()  # no arrow flag
+    assert line.paint_props == scene.registry.kinds["line"].default_props  # no arrow flag
 
 
 def test_arrow_insets_by_the_gap():
@@ -279,7 +279,7 @@ def test_arrow_insets_by_the_gap():
     assert errors_of(diags) == []
     arrow = _by_kind(scene, "arrow")
     assert arrow.segment == pytest.approx((15.0, 5.0, 35.0, 5.0))
-    assert arrow.paint_props == {**scene.registry.kinds["arrow"].defaults(), "gap": 5.0}
+    assert arrow.paint_props == {**scene.registry.kinds["arrow"].default_props, "gap": 5.0}
 
 
 def test_overlapping_endpoints_warn_and_draw_nothing():

@@ -179,9 +179,9 @@ def test_paint_props_are_the_element_props_over_the_spec_defaults(fixture):
     data = (FIXTURES / f"{fixture}.json").read_bytes()
     expected: list[dict] = []
     for el, _, _ in walk(expand_tree(parse_document(data), registry)):
-        props = {} if el.kind == "ref" else {**registry.kinds[el.kind].defaults(), **el.props}
+        props = {} if el.kind == "ref" else {**registry.kinds[el.kind].default_props, **el.props}
         expected.append(props)
-        expected.extend({**registry.kinds[v.kind].defaults(), **v.props}
+        expected.extend({**registry.kinds[v.kind].default_props, **v.props}
                         for v in props.values() if isinstance(v, Element))
     scene, diags = compile_fixture(fixture)
     assert errors_of(diags) == []
