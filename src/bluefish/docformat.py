@@ -35,7 +35,7 @@ from .errors import (
     DocumentSyntaxError,
     SchemaError,
 )
-from .geometry import path_control_points
+from .geometry import PathData
 
 FORMAT_VERSION = 1
 _DOCUMENT_KEYS = {"bluefish", "root"}
@@ -219,28 +219,13 @@ def print_document(tree: Element) -> bytes:
 # --- paths and traversal ------------------------------------------------------
 
 
-def walk(tree: Element):
-    """Yield (element, path, parent_index) in pre-order.
-
-    The path is readable, ``kind[index]`` per level with ``:name`` where
-    present, and each one extends its parent's. ``parent_index`` is the
-    parent's position in this same pre-order, None for the root, so a
-    caller can derive any per-ancestor fact from its parent's entry.
-    """
-    paths: list[str] = []
-    for el, parent, i in _preorder(tree):
-        segment = _segment(el, parent, i)
-        path = segment if parent is None else f"{paths[parent]}/{segment}"
-        paths.append(path)
-        yield el, path, parent
-
-
-def _preorder(tree: Element) -> list[tuple[Element, int | None, int]]:
+def preorder(tree: Element) -> list[tuple[Element, int | None, int]]:
     """Every element as (element, parent index, child index), in pre-order.
 
     The parent index is a position in this same list, None for the root,
-    whose child index is 0. No path is spelled: ``_walk_path`` spells
-    ``walk``'s path for one entry where a diagnostic prints it.
+    whose child index is 0. No path is spelled: a walk path is readable,
+    ``group/stackV[1]:a/rect[0]``, one ``walk_step`` per level, and
+    ``_walk_path`` spells one where a diagnostic prints it.
     """
     order: list[tuple[Element, int | None, int]] = []
     stack: list[tuple[Element, int | None, int]] = [(tree, None, 0)]
@@ -254,17 +239,18 @@ def _preorder(tree: Element) -> list[tuple[Element, int | None, int]]:
     return order
 
 
-def _segment(el: Element, parent: int | None, i: int) -> str:
+def walk_step(el: Element, parent: int | None, i: int) -> str:
+    """The element's own segment of its walk path: ``kind[index]``, with ``:name`` where named."""
     segment = el.kind if parent is None else f"{el.kind}[{i}]"
     return f"{segment}:{el.name}" if el.name else segment
 
 
 def _walk_path(order: list[tuple[Element, int | None, int]], index: int) -> str:
-    """The path ``walk`` gives the element at ``index`` of ``_preorder``'s list."""
+    """The walk path of the element at ``index`` of ``preorder``'s list."""
     segments = []
     while index is not None:
         el, parent, i = order[index]
-        segments.append(_segment(el, parent, i))
+        segments.append(walk_step(el, parent, i))
         index = parent
     return "/".join(reversed(segments))
 
@@ -296,11 +282,14 @@ def _check_props(el: Element, spec, kinds: dict, problems: list[tuple[str, str]]
                 _check_sized_mark(value, f"{suffix}.props.{prop}", prop, kinds, problems)
             else:
                 problems.append((suffix, f"prop {prop!r} of {el.kind} must be an element"))
+        elif cls is PathData:
+            cls = str  # read by an earlier validation of this tree
         elif cls is not str:
             problems.append((suffix, f"prop {prop!r} of {el.kind} must be a string"))
         elif expected == "path":
+            # kept in the tree, so layout reads the points and not the data again
             try:
-                path_control_points(value)
+                props[prop] = PathData.read(value)
             except ValueError as exc:
                 problems.append((suffix, f"invalid path data: {exc}"))
         if cls is str:
@@ -333,7 +322,7 @@ def validate(tree: Element, registry) -> list[Diagnostic]:
     """Check the tree against a kind registry. Returns all problems found."""
     diags: list[Diagnostic] = []
     kinds = registry.kinds
-    order = _preorder(tree)
+    order = preorder(tree)
     problems: list[tuple[str, str]] = []  # (path suffix, message) for the element in hand
     for index, (el, _, _) in enumerate(order):
         spec = kinds.get(el.kind)
@@ -383,7 +372,7 @@ def resolve_names(tree: Element) -> tuple[dict[int, int], list[Diagnostic]]:
     duplicate, or forward references). Resolution always runs to the end
     so all problems surface together.
     """
-    order = _preorder(tree)
+    order = preorder(tree)
     refs: dict[int, int] = {}
     diags: list[Diagnostic] = []
 

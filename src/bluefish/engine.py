@@ -143,32 +143,37 @@ def build_scenegraph(tree: Element, refs: dict[int, int], registry: Registry) ->
     An element-valued prop (the document's or the spec's default) is a
     mark the element sizes: it becomes the node's first child, created
     right after the node, so creation order stays pre-order and paint
-    order falls out of plain pre-order traversal.
+    order falls out of plain pre-order traversal. Each node stores its
+    own walk step (``stackV[1]:a``, ``rect(background mark)``), from
+    which ``Scenegraph.path`` spells a path for a diagnostic.
     """
     graph = Scenegraph(registry)
     node_of_element: dict[int, LayoutNode] = {}
-    for index, (el, path, parent_index) in enumerate(docformat.walk(tree)):
+    for index, (el, parent_index, i) in enumerate(docformat.preorder(tree)):
         parent = None if parent_index is None else node_of_element[parent_index]
+        step = docformat.walk_step(el, parent_index, i)
         if el.kind == "ref":
             referent_index = refs.get(index)
             assert referent_index is not None, "unresolved ref survived static checks"
             assert parent is not None, "a ref cannot be the document root"
             referent = node_of_element[referent_index]
             try:
-                graph.create_ref(parent, referent, path=path)
+                graph.create_ref(parent, referent, step=step)
             except SelfReference:
-                raise SelfReference(parent.path, referent.path, ref=path) from None
+                parent_path = graph.path(parent.id)
+                raise SelfReference(parent_path, graph.path(referent.id),
+                                    ref=f"{parent_path}/{step}") from None
             continue
         spec = registry.kinds[el.kind]
         props = _normalized_props(el, spec)
-        node = graph.create_node(el.kind, parent, paint_props=props, name=el.name, path=path)
+        node = graph.create_node(el.kind, parent, paint_props=props, name=el.name, step=step)
         node_of_element[index] = node
         for prop in spec.element_props:
             if prop in props:
                 mark = props[prop]
                 graph.create_node(
                     mark.kind, node, paint_props=_normalized_props(mark, registry.kinds[mark.kind]),
-                    path=f"{path}/{mark.kind}({prop} mark)")
+                    step=f"{mark.kind}({prop} mark)")
     return graph
 
 
@@ -213,10 +218,9 @@ class LayoutRuntime:
 def _layout_error_diagnostic(graph: Scenegraph, exc: BluefishError) -> Diagnostic:
     if not isinstance(exc, (DimensionConflict, UndefinedExtentError, InvalidExtent, GeometryOverflow)):
         raise exc
-    nodes = graph.nodes
-    path = nodes[exc.node].path
+    path = graph.path(exc.node)
     if isinstance(exc, DimensionConflict):
-        owner, writer = nodes[exc.existing_owner].path, nodes[exc.writer].path
+        owner, writer = graph.path(exc.existing_owner), graph.path(exc.writer)
         return Diagnostic(
             DIMENSION_CONFLICT,
             f"conflicting writes to {exc.field!r} of {path}: "
@@ -247,7 +251,7 @@ def layout_document(graph: Scenegraph) -> tuple[Scenegraph | None, list[Diagnost
         graph.finalize()
         graph.resolve()
     except UnsizedNodes as exc:
-        paths = [graph.nodes[nid].path for nid in exc.node_ids]
+        paths = [graph.path(nid) for nid in exc.node_ids]
         diags = [Diagnostic(UNSIZED_NODE, f"{path} has no derivable extent after layout", (path,))
                  for path in paths]
         return None, rt.warnings + diags

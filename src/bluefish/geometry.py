@@ -16,7 +16,8 @@ not ``center_x``) so the same spelling works in documents, owner maps,
 and dumps.
 
 ``path_control_points`` reads SVG path data into the points whose box a
-path draws in; the document checks and path layout both use it.
+path draws in. Validation reads each path prop once, into ``PathData``,
+and path layout takes the points from there.
 """
 
 from __future__ import annotations
@@ -161,3 +162,21 @@ def path_control_points(d: str) -> list[tuple[float, float]]:
             if upper == "M":
                 start = cur
     return points
+
+
+class PathData(str):
+    """Path data that validation read: the document's string, carrying its points.
+
+    It equals the string it was made from, so paint and a custom kind's
+    layout see the document's data; ``points`` is what
+    ``path_control_points`` returned for it.
+    """
+
+    points: list[tuple[float, float]]
+
+    @classmethod
+    def read(cls, d: str) -> "PathData":
+        """``d`` with its control points; raises ValueError as ``path_control_points`` does."""
+        data = cls(d)
+        data.points = path_control_points(d)
+        return data

@@ -35,7 +35,7 @@ from .errors import (
     InvalidKindSpec,
     UndefinedExtentError,
 )
-from .geometry import AXES, TOLERANCE, Axis, path_control_points
+from .geometry import AXES, TOLERANCE, Axis, PathData, path_control_points
 
 if TYPE_CHECKING:
     from .engine import LayoutRuntime
@@ -156,46 +156,62 @@ def measure_text(content: str, font_size: float) -> tuple[float, float]:
 # --- mark layout ----------------------------------------------------------------
 
 
-def _set_own(rt: "LayoutRuntime", node: LayoutNode, **fields: float) -> None:
-    for f, v in fields.items():
-        rt.graph.decide(node, f, v, node)
+# A kind decides its own box through ``Scenegraph.decide``, one call per
+# field, the node owning what it records of itself.
 
 
 def layout_rect(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
-    _set_own(rt, node, left=0.0, top=0.0)
+    decide = rt.graph.decide
+    decide(node, "left", 0.0, node)
+    decide(node, "top", 0.0, node)
     # a background-sized rect has no width/height of its own
     if "width" in props:
-        _set_own(rt, node, width=props["width"])
+        decide(node, "width", props["width"], node)
     if "height" in props:
-        _set_own(rt, node, height=props["height"])
+        decide(node, "height", props["height"], node)
 
 
 def layout_circle(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
-    _set_own(rt, node, left=0.0, top=0.0)
+    decide = rt.graph.decide
+    decide(node, "left", 0.0, node)
+    decide(node, "top", 0.0, node)
     if "r" in props:
-        _set_own(rt, node, width=2.0 * props["r"], height=2.0 * props["r"])
+        decide(node, "width", 2.0 * props["r"], node)
+        decide(node, "height", 2.0 * props["r"], node)
 
 
 def layout_ellipse(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
-    _set_own(rt, node, left=0.0, top=0.0)
+    decide = rt.graph.decide
+    decide(node, "left", 0.0, node)
+    decide(node, "top", 0.0, node)
     if "rx" in props:
-        _set_own(rt, node, width=2.0 * props["rx"])
+        decide(node, "width", 2.0 * props["rx"], node)
     if "ry" in props:
-        _set_own(rt, node, height=2.0 * props["ry"])
+        decide(node, "height", 2.0 * props["ry"], node)
 
 
 def layout_text(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
     w, h = measure_text(props["content"], props["fontSize"])
-    _set_own(rt, node, left=0.0, top=0.0, width=w, height=h)
+    decide = rt.graph.decide
+    decide(node, "left", 0.0, node)
+    decide(node, "top", 0.0, node)
+    decide(node, "width", w, node)
+    decide(node, "height", h, node)
 
 
 def layout_path(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
-    # the box tracks the drawn geometry, so it need not start at 0
-    pts = path_control_points(props["d"])
+    # the box tracks the drawn geometry, so it need not start at 0; data
+    # that validation parsed carries its points, and data it never saw (a
+    # spec's default, a graph built by hand) is parsed here
+    d = props["d"]
+    pts = d.points if d.__class__ is PathData else path_control_points(d)
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
-    _set_own(rt, node, left=min(xs), top=min(ys),
-             width=max(xs) - min(xs), height=max(ys) - min(ys))
+    decide = rt.graph.decide
+    decide(node, "left", min(xs), node)
+    decide(node, "top", min(ys), node)
+    decide(node, "width", max(xs) - min(xs), node)
+    decide(node, "height", max(ys) - min(ys), node)
 
 
 # --- relation helpers -----------------------------------------------------------
@@ -210,8 +226,7 @@ def _require_extent(target: LayoutNode, axis: Axis) -> float:
 
 def _guideline_value(rt: "LayoutRuntime", target: LayoutNode, node: LayoutNode, axis: Axis,
                      field_name: str) -> float:
-    box = rt.graph.bbox_in_frame(target, node, axis)
-    value = box[field_name]
+    (value,) = rt.graph.bbox_in_frame(target, node, axis, field_name)
     if value is None:
         raise UndefinedExtentError(target.id, field_name)
     return value
@@ -238,18 +253,21 @@ def _place(rt: "LayoutRuntime", node: LayoutNode, targets: list[LayoutNode], axi
     guideline as the shift. Every fixed target, the anchor included,
     must sit at its implied value, or its owner and the relation conflict.
     """
-    fixed = [i for i, t in enumerate(targets) if rt.graph.is_fixed(t, axis)]
+    component = axis.component
     shift = 0.0
-    if fixed:
-        anchor = fixed[0]
-        shift = _guideline_value(rt, targets[anchor], node, axis, field_name) - slots[anchor]
+    for i, t in enumerate(targets):
+        if component in t.transform_owners:
+            shift = _guideline_value(rt, t, node, axis, field_name) - slots[i]
+            break
     for i, t in enumerate(targets):
         implied = slots[i] + shift
-        if rt.graph.is_fixed(t, axis):
+        # tested again: placing an earlier target fixes each ancestor on its
+        # leg, and a later target may be one of them
+        if component in t.transform_owners:
             actual = _guideline_value(rt, t, node, axis, field_name)
             if abs(actual - implied) > TOLERANCE:
                 raise DimensionConflict(
-                    t.id, field_name, t.transform_owners[axis.component], node.id,
+                    t.id, field_name, t.transform_owners[component], node.id,
                     existing_value=actual, value=implied)
         else:
             rt.graph.set_dim_in_frame(t, node, field_name, implied)
@@ -267,9 +285,7 @@ def _union_boxes(rt: "LayoutRuntime", node: LayoutNode, targets: list[LayoutNode
     lo = math.inf
     hi = -math.inf
     for t in targets:
-        box = rt.graph.bbox_in_frame(t, node, axis)
-        start = box[axis.start_field]
-        end = box[axis.end_field]
+        start, end = rt.graph.bbox_in_frame(t, node, axis, axis.start_field, axis.end_field)
         if start is None or end is None:
             if strict:
                 raise UndefinedExtentError(t.id, axis.start_field if start is None else axis.end_field)
@@ -293,10 +309,11 @@ def _stack_layout_for(main: Axis):
         origin = _place(rt, node, targets, main, main.start_field, slots)
         cross_extent = max(cross_extents)
         cross_origin = guideline - cross.offset(field_name, cross_extent)
-        _set_own(rt, node, **{
-            main.start_field: origin, main.extent_field: total,
-            cross.start_field: cross_origin, cross.extent_field: cross_extent,
-        })
+        decide = rt.graph.decide
+        decide(node, main.start_field, origin, node)
+        decide(node, main.extent_field, total, node)
+        decide(node, cross.start_field, cross_origin, node)
+        decide(node, cross.extent_field, cross_extent, node)
 
     return layout_stack
 
@@ -309,17 +326,15 @@ def layout_align(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
             # untouched axis: extent recorded for the node's own box only
             extents = [getattr(t, axis.extent_field) for t in targets]
             if all(e is not None for e in extents):
-                _set_own(rt, node, **{axis.extent_field: max(extents)})
+                rt.graph.decide(node, axis.extent_field, max(extents), node)
             continue
         guideline = _place(rt, node, targets, axis, field_name, [0.0] * len(targets))
         lo = math.inf
         hi = -math.inf
         for t in targets:
-            box = rt.graph.bbox_in_frame(t, node, axis)
-            start = box[axis.start_field]
-            end = box[axis.end_field]
+            start, end, extent = rt.graph.bbox_in_frame(
+                t, node, axis, axis.start_field, axis.end_field, axis.extent_field)
             if start is None or end is None:
-                extent = box[axis.extent_field]
                 if extent is None:
                     continue
                 # a target without its own box position was just placed on
@@ -329,8 +344,8 @@ def layout_align(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
             lo = min(lo, start)
             hi = max(hi, end)
         if lo is not math.inf:
-            _set_own(rt, node, **{axis.start_field: lo,
-                                  axis.extent_field: hi - lo})
+            rt.graph.decide(node, axis.start_field, lo, node)
+            rt.graph.decide(node, axis.extent_field, hi - lo, node)
 
 
 def layout_distribute(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
@@ -338,11 +353,12 @@ def layout_distribute(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> Non
     main = Axis.VERTICAL if props["direction"] == "vertical" else Axis.HORIZONTAL
     slots, total = _packed_slots(rt, targets, main, props["spacing"])
     origin = _place(rt, node, targets, main, main.start_field, slots)
-    _set_own(rt, node, **{main.start_field: origin, main.extent_field: total})
+    rt.graph.decide(node, main.start_field, origin, node)
+    rt.graph.decide(node, main.extent_field, total, node)
     cross = main.other
     extents = [getattr(t, cross.extent_field) for t in targets]
     if all(e is not None for e in extents):
-        _set_own(rt, node, **{cross.extent_field: max(extents)})
+        rt.graph.decide(node, cross.extent_field, max(extents), node)
 
 
 def layout_group(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
@@ -354,13 +370,13 @@ def layout_group(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
     for axis in AXES:
         span = _union_boxes(rt, node, targets, axis)
         if span is not None:
-            _set_own(rt, node, **{axis.start_field: span[0],
-                                  axis.extent_field: span[1] - span[0]})
+            rt.graph.decide(node, axis.start_field, span[0], node)
+            rt.graph.decide(node, axis.extent_field, span[1] - span[0], node)
         else:
             extents = [getattr(t, axis.extent_field) for t in targets]
             known = [e for e in extents if e is not None]
             if known:
-                _set_own(rt, node, **{axis.extent_field: max(known)})
+                rt.graph.decide(node, axis.extent_field, max(known), node)
 
 
 def layout_background(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
@@ -378,7 +394,8 @@ def layout_background(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> Non
         extent = (hi - lo) + 2.0 * padding
         rt.graph.set_dim_in_frame(mark, node, axis.extent_field, extent)
         rt.graph.set_dim_in_frame(mark, node, axis.start_field, lo - padding)
-        _set_own(rt, node, **{axis.start_field: lo - padding, axis.extent_field: extent})
+        rt.graph.decide(node, axis.start_field, lo - padding, node)
+        rt.graph.decide(node, axis.extent_field, extent, node)
 
 
 def layout_connector(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
@@ -388,26 +405,25 @@ def layout_connector(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None
             rt.graph.materialize(t, axis, node)
     boxes = []
     for t in targets:
-        h = rt.graph.bbox_in_frame(t, node, Axis.HORIZONTAL)
-        v = rt.graph.bbox_in_frame(t, node, Axis.VERTICAL)
-        if None in (h["centerX"], h["width"], v["centerY"], v["height"]):
-            raise UndefinedExtentError(t.id, "width" if h["width"] is None else "height")
-        boxes.append((h, v))
-    (h1, v1), (h2, v2) = boxes
-    lo_x = min(h1["left"], h2["left"])
-    hi_x = max(h1["right"], h2["right"])
-    lo_y = min(v1["top"], v2["top"])
-    hi_y = max(v1["bottom"], v2["bottom"])
-    _set_own(rt, node, left=lo_x, width=hi_x - lo_x, top=lo_y, height=hi_y - lo_y)
-    node.segment = _clip_segment(
-        (h1["centerX"], v1["centerY"]), (h1["width"], v1["height"]),
-        (h2["centerX"], v2["centerY"]), (h2["width"], v2["height"]),
-        props["gap"])
+        left, cx, right, w = rt.graph.bbox_in_frame(t, node, Axis.HORIZONTAL, *Axis.HORIZONTAL.fields)
+        top, cy, bottom, h = rt.graph.bbox_in_frame(t, node, Axis.VERTICAL, *Axis.VERTICAL.fields)
+        if None in (cx, w, cy, h):
+            raise UndefinedExtentError(t.id, "width" if w is None else "height")
+        boxes.append((left, right, top, bottom, (cx, cy), (w, h)))
+    (l1, r1, t1, b1, c1, e1), (l2, r2, t2, b2, c2, e2) = boxes
+    lo_x, hi_x = min(l1, l2), max(r1, r2)
+    lo_y, hi_y = min(t1, t2), max(b1, b2)
+    decide = rt.graph.decide
+    decide(node, "left", lo_x, node)
+    decide(node, "width", hi_x - lo_x, node)
+    decide(node, "top", lo_y, node)
+    decide(node, "height", hi_y - lo_y, node)
+    node.segment = _clip_segment(c1, e1, c2, e2, props["gap"])
     if node.segment is None:
         rt.warn(Diagnostic(
             DEGENERATE_CONNECTOR,
             "connector endpoints leave no visible segment",
-            (node.path,), severity=WARNING))
+            (rt.graph.path(node.id),), severity=WARNING))
 
 
 def _clip_segment(c1: tuple[float, float], e1: tuple[float, float],
@@ -444,11 +460,11 @@ def _clip_segment(c1: tuple[float, float], e1: tuple[float, float],
 # --- paint --------------------------------------------------------------------
 
 
+_SVG_NAMES = {"fill": "fill", "fontSize": "font-size", "fontFamily": "font-family"}
+
+
 def _style_attrs(props: dict, *names: str) -> dict[str, object]:
-    svg_names = {
-        "fill": "fill", "fontSize": "font-size", "fontFamily": "font-family",
-    }
-    return {svg_names[n]: props[n] for n in names if props.get(n) is not None}
+    return {_SVG_NAMES[n]: props[n] for n in names if props.get(n) is not None}
 
 
 def _stroke_attrs(props: dict) -> dict[str, object]:

@@ -10,8 +10,8 @@ platform.
 
 from __future__ import annotations
 
-import json
 from decimal import ROUND_CEILING, ROUND_HALF_EVEN, Context, Decimal
+from json.encoder import encode_basestring_ascii
 
 from .scenegraph import Scenegraph
 
@@ -56,7 +56,8 @@ def _quantize(value: float) -> Decimal:
 
 def fmt_num(value: float) -> str:
     """Fixed-point decimal for SVG attributes: 12.345 -> '12.34'."""
-    value = float(value)
+    if value.__class__ is not float:
+        value = float(value)
     k = _cent_count(value)
     if k is None:
         return _strip(format(_quantize(value), "f"))
@@ -72,7 +73,8 @@ def _ceil2(value: float) -> str:
 
 
 def _round2(value: float) -> float | int:
-    value = float(value)
+    if value.__class__ is not float:
+        value = float(value)
     k = _cent_count(value)
     if k is not None:
         return k // 100 if k % 100 == 0 else k / 100.0
@@ -120,7 +122,8 @@ def paint(scene: Scenegraph) -> bytes:
         if node.is_ref:
             continue
         tx, ty = shift if node is root else (node.tx, node.ty)
-        sx, sy = fmt_num(tx), fmt_num(ty)
+        sx = fmt_num(tx) if tx else "0"
+        sy = fmt_num(ty) if ty else "0"
         if sx != "0" or sy != "0":
             lines.append(f'<g transform="translate({sx} {sy})">')
             stack.append(None)
@@ -146,38 +149,44 @@ def dump_scene(scene: Scenegraph) -> bytes:
     extents, translation, and owner maps; refs appear as edges. The
     ``geometry`` section repeats just the marks' absolute content boxes,
     which is the part equivalent documents must agree on byte for byte.
-    The form is compact (sorted keys, no whitespace, one line), which
-    json's C encoder writes; any indent would send it to the Python one.
+    The form is compact: sorted keys, no whitespace, one line, the bytes
+    ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` gives.
+
+    It is written as text in one pass, each object's keys in that sorted
+    order. Ids and owners are generated (``n<k>``) and need no escaping,
+    and a resolved scene has a width, a height and both translation
+    owners on every layout node. Kinds and names are spelled by json's
+    own string encoder, and a number is the ``repr`` of ``_round2``'s
+    result, which is what json writes for that int or float.
     """
-    nodes: list[dict] = []
+    text = encode_basestring_ascii
+    num = _round2
+    out: list[str] = []
     for node in scene.nodes.values():
         if node.is_ref:
-            nodes.append({"id": node.id, "kind": "ref", "refId": node.ref_id})
+            out.append(f'{{"id":"{node.id}","kind":"ref","refId":"{node.ref_id}"}}')
             continue
-        entry: dict[str, object] = {
-            "id": node.id,
-            "kind": node.kind,
-            "x": _round2(node.x),
-            "y": _round2(node.y),
-            "width": _round2(node.width),
-            "height": _round2(node.height),
-            "transform": {"x": _round2(node.tx), "y": _round2(node.ty)},
-            "bboxOwners": node.bbox_owners,
-            "transformOwners": node.transform_owners,
-            "children": node.children,
-        }
-        if node.name is not None:
-            entry["name"] = node.name
-        nodes.append(entry)
+        owners = node.bbox_owners
+        left, top = owners.get("left"), owners.get("top")
+        box_owners = "".join((
+            f'"height":"{owners["height"]}"',
+            "" if left is None else f',"left":"{left}"',
+            "" if top is None else f',"top":"{top}"',
+            f',"width":"{owners["width"]}"'))
+        children = '"' + '","'.join(node.children) + '"' if node.children else ""
+        name = "" if node.name is None else f',"name":{text(node.name)}'
+        moved_by = node.transform_owners
+        out.append(
+            f'{{"bboxOwners":{{{box_owners}}},"children":[{children}],'
+            f'"height":{num(node.height)!r},"id":"{node.id}","kind":{text(node.kind)}{name},'
+            f'"transform":{{"x":{num(node.tx)!r},"y":{num(node.ty)!r}}},'
+            f'"transformOwners":{{"x":"{moved_by["x"]}","y":"{moved_by["y"]}"}},'
+            f'"width":{num(node.width)!r},"x":{num(node.x)!r},"y":{num(node.y)!r}}}')
     geometry = []
     for mark in scene.marks():
         left, top, width, height = mark.content_box()
-        geometry.append({
-            "kind": mark.kind,
-            "x": _round2(left),
-            "y": _round2(top),
-            "width": _round2(width),
-            "height": _round2(height),
-        })
-    doc = {"root": scene.root, "geometry": geometry, "nodes": nodes}
-    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+        geometry.append(
+            f'{{"height":{num(height)!r},"kind":{text(mark.kind)},'
+            f'"width":{num(width)!r},"x":{num(left)!r},"y":{num(top)!r}}}')
+    return (f'{{"geometry":[{",".join(geometry)}],"nodes":[{",".join(out)}],'
+            f'"root":"{scene.root}"}}\n').encode("utf-8")

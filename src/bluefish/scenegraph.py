@@ -65,13 +65,12 @@ from .geometry import AXES, TOLERANCE, Axis, axis_of
 if TYPE_CHECKING:
     from .engine import Registry
 
-#: Each field a node stores: (node attribute, owner-map attribute, owner-map key).
+#: Each field a node stores: (node attribute, owner-map key, is a translation, is an extent).
 _STORED = {
-    **{f: (f, "bbox_owners", f) for axis in Axis for f in (axis.start_field, axis.extent_field)},
-    **{axis.transform_field: (axis.translation, "transform_owners", axis.component)
-       for axis in Axis},
+    **{f: (f, f, False, f == axis.extent_field)
+       for axis in Axis for f in (axis.start_field, axis.extent_field)},
+    **{axis.transform_field: (axis.translation, axis.component, True, False) for axis in Axis},
 }
-_EXTENTS = frozenset(axis.extent_field for axis in Axis)
 
 
 @dataclass
@@ -86,7 +85,9 @@ class LayoutNode:
     the box start may differ from the origin for relations whose content
     does not begin at 0. ``segment`` is the ``(x1, y1, x2, y2)`` a
     connector's layout clipped, None when nothing of it is visible or the
-    node is no connector.
+    node is no connector. ``step`` is the node's own segment of its walk
+    path (``stackV[1]:a``, ``rect(background mark)``); ``Scenegraph.path``
+    spells the whole path from the steps.
     """
 
     id: str
@@ -103,7 +104,7 @@ class LayoutNode:
     parent: str | None = None
     paint_props: dict = field(default_factory=dict)
     name: str | None = None
-    path: str = ""
+    step: str = ""
     depth: int = 0  # edges from the root; frame conversion climbs by it
     x: float = 0.0
     y: float = 0.0
@@ -124,7 +125,7 @@ class RefNode:
     id: str
     ref_id: str
     parent: str | None = None
-    path: str = ""
+    step: str = ""
 
     kind = "ref"
     is_ref = True
@@ -156,13 +157,13 @@ class Scenegraph:
         parent: LayoutNode | None,
         paint_props: dict | None = None,
         name: str | None = None,
-        path: str = "",
+        step: str = "",
     ) -> LayoutNode:
         nid = f"n{len(self.nodes)}"
         node = LayoutNode(id=nid, kind=kind, paint_props={} if paint_props is None else paint_props,
-                          name=name, path=path or nid)
+                          name=name, step=step or nid)
         if parent is None:
-            # one root, so any two layout nodes share an ancestor (see _legs)
+            # one root, so any two layout nodes share an ancestor (see _leg_translations)
             if self.root is not None:
                 raise DisconnectedNodes(self.root)
             self.root = nid
@@ -172,7 +173,7 @@ class Scenegraph:
         self.nodes[nid] = node
         return node
 
-    def create_ref(self, parent: LayoutNode, referent: LayoutNode, path: str = "") -> RefNode:
+    def create_ref(self, parent: LayoutNode, referent: LayoutNode, step: str = "") -> RefNode:
         # A ref may not point at the relation that holds it or any ancestor
         # of it: the relation would contain itself through the edge. Only an
         # ancestor as deep as the referent can be the referent.
@@ -182,7 +183,7 @@ class Scenegraph:
         if walk is referent:
             raise SelfReference(parent.id, referent.id)
         nid = f"n{len(self.nodes)}"
-        ref = RefNode(id=nid, ref_id=referent.id, parent=parent.id, path=path or nid)
+        ref = RefNode(id=nid, ref_id=referent.id, parent=parent.id, step=step or nid)
         self.nodes[nid] = ref
         parent.children.append(nid)
         return ref
@@ -193,6 +194,20 @@ class Scenegraph:
         """Follow a ref to its referent; layout nodes are their own target."""
         node = self.nodes[child_id]
         return self.nodes[node.ref_id] if node.is_ref else node
+
+    def path(self, nid: str) -> str:
+        """The node's walk path, ``group/stackV[1]:a/rect[0]``, for a diagnostic to print.
+
+        A node stores only its own step (its id, when created without
+        one), so the path is spelled here, by climbing to the root.
+        """
+        nodes = self.nodes
+        node = nodes[nid]
+        steps = [node.step]
+        while node.parent is not None:
+            node = nodes[node.parent]
+            steps.append(node.step)
+        return "/".join(reversed(steps))
 
     def is_fixed(self, node: LayoutNode, axis: Axis) -> bool:
         """Has this node's translation on the axis already been decided?"""
@@ -217,15 +232,15 @@ class Scenegraph:
         the write, and only a write that happens is logged.
         """
         try:
-            attr, owner_map, key = _STORED[field_name]
+            attr, key, translation, extent = _STORED[field_name]
         except KeyError:
             raise ValueError(
                 f"{field_name!r} is not a box start or extent or a translation component") from None
         if not math.isfinite(value):
             raise GeometryOverflow(node.id, field_name, value)
-        if value < 0 and field_name in _EXTENTS:
+        if extent and value < 0:
             raise InvalidExtent(field_name, value, node.id)
-        owners = getattr(node, owner_map)
+        owners = node.transform_owners if translation else node.bbox_owners
         existing_owner = owners.get(key)
         if existing_owner is not None:
             existing = getattr(node, attr)
@@ -253,55 +268,88 @@ class Scenegraph:
 
     # --- frame conversion -------------------------------------------------------
 
-    def _legs(self, target: LayoutNode, frame: LayoutNode) -> tuple[list[LayoutNode], list[LayoutNode]]:
-        """Nodes whose translations map target->lca and frame->lca.
+    def _leg_translations(self, target: LayoutNode, frame: LayoutNode, axis: Axis,
+                          own: bool = True) -> tuple[list[float], float]:
+        """Translations on ``axis`` that map target->lca, and the sum of those mapping frame->lca.
 
-        The target leg includes the target itself; the frame leg includes
-        the frame itself; the lca's own translation belongs to neither
-        (it maps the lca out of the frame both sides share). Both layout
-        nodes climb to the lca by depth, the deeper side first; the graph
-        has one root, so the climbs meet before either side runs out.
+        The target leg lists the target's own translation (left out when
+        not ``own``) and then each ancestor's up to the lca; the frame leg
+        sums the frame's and its ancestors' upward from 0.0. The lca's own
+        translation belongs to neither (it maps the lca out of the frame
+        both sides share). Both layout nodes climb to the lca by depth,
+        the deeper side first; the graph has one root, so the climbs meet
+        before either side runs out. A decided component is read as it
+        is. An undecided one reads 0, a default the frame owns: once the
+        climb is done, ``decide`` stores each, the target leg's upward and
+        then the frame leg's.
         """
         nodes = self.nodes
-        up: list[LayoutNode] = []
-        down: list[LayoutNode] = []
+        horizontal = axis is Axis.HORIZONTAL
+        chain: list[float] = []
+        back = 0.0
+        defaulted: list[LayoutNode] = []
+        frame_defaulted: list[LayoutNode] = []
+        skip = not own
         a, b = target, frame
         while a is not b:
             if a.depth >= b.depth:
-                up.append(a)
+                if skip:
+                    skip = False
+                else:
+                    t = a.tx if horizontal else a.ty
+                    if t is None:
+                        t = 0.0
+                        defaulted.append(a)
+                    chain.append(t)
                 a = nodes[a.parent]
             else:
-                down.append(b)
+                t = b.tx if horizontal else b.ty
+                if t is None:
+                    t = 0.0
+                    frame_defaulted.append(b)
+                back += t
                 b = nodes[b.parent]
-        return up, down
+        if defaulted or frame_defaulted:
+            field_name = axis.transform_field
+            for n in defaulted + frame_defaulted:
+                self.decide(n, field_name, 0.0, frame)
+        return chain, back
 
-    def bbox_in_frame(self, target: LayoutNode, frame: LayoutNode,
-                      axis: Axis) -> dict[str, float | None]:
-        """Target's box fields on one axis, expressed in frame coordinates.
+    def bbox_in_frame(self, target: LayoutNode, frame: LayoutNode, axis: Axis,
+                      *fields: str) -> list[float | None]:
+        """The named box fields of target on one axis, expressed in frame coordinates.
 
-        Walks target -> lca -> frame, materializing every undecided
-        translation component on the way (the frame owns what it
-        defaults), then offsets the target's local values by the
-        composed translations. Returns a dict over the axis's three
-        position fields and extent; underdetermined fields are None.
+        ``fields`` are any of the axis's start, centre, end and extent,
+        and the values come back in the order named, None where the box
+        leaves one underdetermined. The frame owns each translation the
+        read defaults on the way (see ``_leg_translations``). A position
+        is the local value plus the target leg's translations, one add
+        per node upward, minus the frame leg's sum; an extent is the same
+        in every frame. Only the named fields are computed.
         """
-        up, down = self._legs(target, frame)
-        chain = [self.materialize(n, axis, frame) for n in up]
-        back = 0.0
-        for n in down:
-            back += self.materialize(n, axis, frame)
-        start = getattr(target, axis.start_field)
-        extent = getattr(target, axis.extent_field)
-        local = ((start, None, None) if start is None or extent is None
-                 else (start, start + extent / 2.0, start + extent))
-        out: dict[str, float | None] = {}
-        for f, v in zip(axis.position_fields, local):
+        chain, back = self._leg_translations(target, frame, axis)
+        if axis is Axis.HORIZONTAL:
+            start, extent = target.left, target.width
+        else:
+            start, extent = target.top, target.height
+        out: list[float | None] = []
+        for f in fields:
+            if f == axis.extent_field:
+                out.append(extent)
+                continue
+            if f == axis.start_field:
+                v = start
+            elif f != axis.center_field and f != axis.end_field:
+                raise ValueError(f"{f!r} is not a field of the {axis.value} axis")
+            elif start is None or extent is None:
+                v = None
+            else:
+                v = start + (extent / 2.0 if f == axis.center_field else extent)
             if v is not None:
                 for t in chain:
                     v += t
                 v -= back
-            out[f] = v
-        out[axis.extent_field] = extent
+            out.append(v)
         return out
 
     def set_dim_in_frame(self, target: LayoutNode, frame: LayoutNode, field_name: str,
@@ -324,13 +372,10 @@ class Scenegraph:
         if field_name == axis.extent_field or target is frame:
             self.decide(target, field_name, value, frame)
             return
-        up, down = self._legs(target, frame)
+        chain, back = self._leg_translations(target, frame, axis, own=False)
         rest = 0.0
-        for n in up[1:]:  # exclude the target's own translation
-            rest += self.materialize(n, axis, frame)
-        back = 0.0
-        for n in down:
-            back += self.materialize(n, axis, frame)
+        for t in chain:
+            rest += t
         start = getattr(target, axis.start_field)
         if field_name == axis.start_field:
             local = 0.0 if start is None else start

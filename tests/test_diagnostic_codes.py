@@ -152,7 +152,74 @@ _SCOPE_A = "group/group[0]:a"
         ("BF004", "align has no derivable extent after layout", ("align",)),
         ("BF004", "align/group[0] has no derivable extent after layout", ("align/group[0]",)),
     ], id="align-over-an-empty-group"),
+    pytest.param(_doc({"kind": "group", "children": [
+        {"kind": "group", "name": "g", "children": [_rect("r")]},
+        {"kind": "stackV", "props": {"spacing": 5}, "children": [_ref("r"), _ref("g")]},
+    ]}), None, [(
+        "BF001", "conflicting writes to 'top' of group/group[0]:g: "
+                 "owned by group/stackV[1], also written by group/stackV[1]",
+        ("group/stackV[1]", "group/stackV[1]"))],
+        id="stack-over-a-mark-and-its-group"),
 ])
 def test_branch_diagnostics_keep_code_message_and_path(data, registry, expected):
     _, diags = compile_source(data, registry)
     assert [(d.code, d.message, d.node_paths) for d in diags] == expected
+
+
+def _nested_groups(levels: int, innermost: list) -> dict:
+    el = {"kind": "group", "children": innermost}
+    for _ in range(levels - 1):
+        el = {"kind": "group", "children": [el]}
+    return el
+
+
+_DEEP = "group" + "/group[0]" * 197  # the innermost of 198 nested groups
+
+
+@pytest.mark.parametrize("innermost, expected", [
+    pytest.param([
+        _rect("a"), _rect("b"),
+        {"kind": "stackH", "children": [_ref("a"), _ref("b")]},
+        {"kind": "stackV", "children": [_ref("a"), _ref("b")]},
+    ], [("BF001", f"conflicting writes to 'centerX' of {_DEEP}/rect[1]:b: "
+                  f"owned by {_DEEP}/stackH[2], also written by {_DEEP}/stackV[3]",
+         (f"{_DEEP}/stackH[2]", f"{_DEEP}/stackV[3]"))], id="BF001"),
+    pytest.param([
+        _rect("a"), _rect("b"),
+        {"kind": "align", "props": {"alignment": "center"}, "children": [_ref("a"), _ref("b")]},
+        {"kind": "line", "children": [_ref("a"), _ref("b")]},
+    ], [("BF008", "connector endpoints leave no visible segment", (f"{_DEEP}/line[3]",))],
+        id="BF008"),
+    pytest.param([{"kind": "stackV", "name": "s", "children": [_rect(), _ref("s")]}], [(
+        "BF009", f"ref under '{_DEEP}/stackV[0]:s' points at '{_DEEP}/stackV[0]:s', "
+                 "which would make the relation contain itself",
+        (f"{_DEEP}/stackV[0]:s/ref[1]", f"{_DEEP}/stackV[0]:s"))], id="BF009"),
+    pytest.param([
+        {"kind": "group", "name": "a"}, _rect("b"),
+        {"kind": "line", "children": [_ref("a"), _ref("b")]},
+    ], [("BF012", f"{_DEEP}/group[0]:a cannot report 'width' where a relation needs it",
+         (f"{_DEEP}/group[0]:a",))], id="BF012"),
+    pytest.param([{"kind": "stackV", "props": {"spacing": -100}, "children": [_rect(), _rect()]}], [
+        ("BF013", "extent 'height' must be non-negative, got -80.0", (f"{_DEEP}/stackV[0]",))],
+        id="BF013"),
+    pytest.param([{"kind": "stackV", "children": [_rect(height=1e308), _rect(height=1e308)]}], [(
+        "BF016", f"geometry overflows the float range: 'height' of {_DEEP}/stackV[0] would be inf",
+        (f"{_DEEP}/stackV[0]",))], id="BF016"),
+    pytest.param([{"kind": "background", "props": {"padding": 1e308}, "children": [_rect()]}], [(
+        "BF016", "geometry overflows the float range: "
+                 f"'width' of {_DEEP}/background[0]/rect(background mark) would be inf",
+        (f"{_DEEP}/background[0]/rect(background mark)",))], id="BF016-background-mark"),
+])
+def test_scene_diagnostics_200_levels_deep_name_their_full_paths(innermost, expected):
+    _, diags = compile_source(_doc(_nested_groups(198, innermost)))
+    assert [(d.code, d.message, d.node_paths) for d in diags] == expected
+
+
+def test_unsized_nodes_200_levels_deep_name_their_full_paths():
+    _, diags = compile_source(_doc(_nested_groups(198, [
+        {"kind": "align", "props": {"alignment": "left"}, "children": [{"kind": "group"}, _rect()]},
+    ])))
+    paths = ["group" + "/group[0]" * i for i in range(198)]
+    paths += [f"{_DEEP}/align[0]", f"{_DEEP}/align[0]/group[0]"]
+    assert [(d.code, d.message, d.node_paths) for d in diags] == [
+        ("BF004", f"{path} has no derivable extent after layout", (path,)) for path in paths]

@@ -12,12 +12,13 @@ from bluefish import paint
 from bluefish.docformat import (
     Element,
     parse_document,
+    preorder,
     print_document,
     resolve_names,
     validate,
-    walk,
+    walk_step,
 )
-from bluefish.engine import compile_source, standard_registry
+from bluefish.engine import build_scenegraph, compile_source, standard_registry
 from bluefish.errors import DocumentSyntaxError, SchemaError
 
 from conftest import errors_of
@@ -242,15 +243,33 @@ def test_select_accepts_string_or_path():
     assert tree.children[2].select == ["outer", "a"]
 
 
+def walk(tree: Element):
+    """Yield (element, path, parent_index) in pre-order, each path extending its parent's."""
+    paths: list[str] = []
+    for el, parent, i in preorder(tree):
+        segment = walk_step(el, parent, i)
+        path = segment if parent is None else f"{paths[parent]}/{segment}"
+        paths.append(path)
+        yield el, path, parent
+
+
 def test_walk_paths_use_kind_index_and_name():
     tree = parse_document(_doc({
         "kind": "group",
         "children": [
             {"kind": "stackV", "name": "s", "children": [dict(_RECT)]},
+            {"kind": "background", "children": [{"kind": "ref", "select": "s"}]},
         ],
     }))
     paths = [path for _, path, _ in walk(tree)]
-    assert paths == ["group", "group/stackV[0]:s", "group/stackV[0]:s/rect[0]"]
+    assert paths == ["group", "group/stackV[0]:s", "group/stackV[0]:s/rect[0]",
+                     "group/background[1]", "group/background[1]/ref[0]"]
+    # the scene spells the same paths from each node's own step; a prop's
+    # mark is one step below its holder
+    refs, _ = resolve_names(tree)
+    graph = build_scenegraph(tree, refs, standard_registry())
+    assert [graph.path(nid) for nid in graph.nodes] == [
+        *paths[:4], "group/background[1]/rect(background mark)", paths[4]]
 
 
 # --- validation --------------------------------------------------------------------
@@ -381,6 +400,21 @@ def test_background_mark_prop_is_checked():
 def test_invalid_path_data_is_reported():
     diags = _validate({"kind": "path", "props": {"d": "M 0 Q"}})
     assert any("invalid path data" in d.message for d in diags)
+
+
+def test_validating_a_tree_twice_gives_the_same_diagnostics():
+    # validation keeps each path's points in the tree; a second run reads
+    # them there and must still report every problem, and only those
+    tree = parse_document(_doc({"kind": "group", "children": [
+        {"kind": "path", "props": {"d": "M 0 0 L 4 4"}},
+        {"kind": "path", "props": {"d": "M 0 Q"}},
+        {"kind": "path", "props": {"d": 5}},
+        {"kind": "text", "props": {"content": "x", "fontSize": -1}},
+    ]}))
+    first = validate(tree, standard_registry())
+    assert [d.node_paths for d in first] == [("group/path[1]",), ("group/path[2]",), ("group/text[3]",)]
+    assert validate(tree, standard_registry()) == first
+    assert tree.children[0].props["d"] == "M 0 0 L 4 4"
 
 
 # --- name resolution ---------------------------------------------------------------

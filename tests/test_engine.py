@@ -8,7 +8,7 @@ import json
 import pytest
 
 from bluefish import dump_scene, paint
-from bluefish.docformat import MAX_DEPTH, Element, parse_document, resolve_names, walk
+from bluefish.docformat import MAX_DEPTH, Element, _walk_path, parse_document, preorder, resolve_names
 from bluefish.engine import Registry, compile_source, expand_tree, standard_registry
 from bluefish.errors import DuplicateKind, InvalidKindSpec
 from bluefish.relations import ElementKindSpec, layout_group, layout_rect, standard_kind_specs
@@ -203,6 +203,36 @@ def test_renamed_standard_kinds_behave_like_the_originals(mark):
     assert [d.node_paths for d in curve_diags] == [("curve",)]
 
 
+def test_path_data_reaches_layout_and_paint_as_the_document_spells_it():
+    d = "M10,20 l 5e1 -3.0 Q 1 2 3 4z"
+    seen = []
+
+    def layout_tick(rt, node, props):
+        seen.append(props["d"])
+        layout_rect(rt, node, {"width": 1.0, "height": 1.0})
+
+    registry = standard_registry()
+    registry.register(ElementKindSpec(
+        kind="tick", is_mark=True, required_props=("d",), prop_types={"d": "path"},
+        layout=layout_tick, paint=registry.kinds["path"].paint))
+    scene, diags = compile_doc({"bluefish": 1, "root": {"kind": "stackH", "children": [
+        {"kind": "path", "props": {"d": d}}, {"kind": "tick", "props": {"d": d}},
+    ]}}, registry=registry)
+    assert errors_of(diags) == []
+    assert seen == [d] and isinstance(seen[0], str)
+    assert paint(scene).count(f' d="{d}"'.encode()) == 2
+
+
+def test_a_path_default_that_validation_never_saw_is_laid_out():
+    registry = standard_registry()
+    registry.register(dataclasses.replace(
+        registry.kinds["path"], kind="tick", required_props=(),
+        optional_props={**registry.kinds["path"].optional_props, "d": "M 1 2 L 3 7"}))
+    scene, diags = compile_doc({"bluefish": 1, "root": {"kind": "tick"}}, registry=registry)
+    assert errors_of(diags) == []
+    assert scene.marks()[0].content_box() == (1.0, 2.0, 2.0, 5.0)
+
+
 def test_a_custom_mark_sized_by_its_holder_can_be_a_background_mark():
     def paint_diamond(node, fmt, esc, markers):
         x, y, w, h = node.left, node.top, node.width, node.height
@@ -393,8 +423,8 @@ def test_scopes_follow_each_placement_of_a_shared_element():
     tree = expand_tree(parse_document(json.dumps(doc)), registry)
     table, diags = resolve_names(tree)
     assert diags == []
-    paths = [path for _, path, _ in walk(tree)]
-    assert [paths[i] for i in table.values()] == [
+    order = preorder(tree)
+    assert [_walk_path(order, i) for i in table.values()] == [
         "group/stackH[0]/group[0]:a/group[0]:cell/rect[0]:box",
         "group/stackH[0]/group[1]:b/group[0]:cell/rect[0]:box",
     ]

@@ -28,7 +28,7 @@ def _node(**fields: float) -> tuple[Scenegraph, LayoutNode]:
 
 
 def _own_box(g: Scenegraph, node: LayoutNode, axis: Axis) -> dict[str, float | None]:
-    return g.bbox_in_frame(node, node, axis)
+    return dict(zip(axis.fields, g.bbox_in_frame(node, node, axis, *axis.fields)))
 
 
 # --- derivation -------------------------------------------------------------------
@@ -62,6 +62,13 @@ def test_derived_values_are_not_stored():
     assert (node.left, node.width, node.top, node.height) == (10.0, 20.0, None, None)
     assert not hasattr(node, "centerX")
     assert g.write_log == [(node.id, "left", node.id), (node.id, "width", node.id)]
+
+
+def test_a_frame_read_gives_the_fields_named_in_that_order():
+    g, node = _node(left=10.0, width=20.0)
+    assert g.bbox_in_frame(node, node, Axis.HORIZONTAL, "width", "right", "left") == [20.0, 30.0, 10.0]
+    with pytest.raises(ValueError):
+        g.bbox_in_frame(node, node, Axis.HORIZONTAL, "top")
 
 
 def test_unknown_field_rejected():

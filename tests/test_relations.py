@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from bluefish import Axis, Scenegraph
-from bluefish.engine import LayoutRuntime, standard_registry
+from bluefish.docformat import parse_document, resolve_names, validate
+from bluefish.engine import LayoutRuntime, build_scenegraph, layout_document, standard_registry
 from bluefish.errors import DimensionConflict
 from bluefish.geometry import path_control_points
 from bluefish.relations import _clip_segment, measure_text
@@ -127,6 +130,56 @@ def test_stack_edge_alignments():
     assert [b[0] for b in right] == [-10.0, -30.0]
 
 
+def _layout_write_log(root: dict) -> tuple[list[tuple[str, str, tuple[str, ...]]], list]:
+    """The diagnostics and write_log of one document's layout, kept when layout aborts."""
+    registry = standard_registry()
+    tree = parse_document(json.dumps({"bluefish": 1, "root": root}))
+    assert validate(tree, registry) == []
+    refs, diags = resolve_names(tree)
+    assert diags == []
+    graph = build_scenegraph(tree, refs, registry)
+    _, diags = layout_document(graph)
+    return [(d.code, d.message, d.node_paths) for d in diags], graph.write_log
+
+
+_OWN_BOX_LOG = [(f"n{i}", f, f"n{i}") for i in (1, 2) for f in ("left", "top", "width", "height")]
+
+
+@pytest.mark.parametrize("root, diagnostic, log", [
+    pytest.param(
+        {"kind": "stackV", "children": [
+            {"kind": "rect", "props": {"width": 10, "height": 1e308}},
+            {"kind": "rect", "props": {"width": 10, "height": 1e308}}]},
+        ("BF016", "geometry overflows the float range: 'height' of stackV would be inf", ("stackV",)),
+        [*_OWN_BOX_LOG, ("n1", "transform.x", "n0"), ("n2", "transform.x", "n0"),
+         ("n1", "transform.y", "n0"), ("n2", "transform.y", "n0"), ("n0", "top", "n0")],
+        id="stackV"),
+    pytest.param(
+        {"kind": "stackH", "children": [
+            {"kind": "rect", "props": {"width": 1e308, "height": 10}},
+            {"kind": "rect", "props": {"width": 1e308, "height": 10}}]},
+        ("BF016", "geometry overflows the float range: 'width' of stackH would be inf", ("stackH",)),
+        [*_OWN_BOX_LOG, ("n1", "transform.y", "n0"), ("n2", "transform.y", "n0"),
+         ("n1", "transform.x", "n0"), ("n2", "transform.x", "n0"), ("n0", "left", "n0")],
+        id="stackH"),
+    pytest.param(
+        {"kind": "distribute", "props": {"direction": "vertical", "spacing": 1e308}, "children": [
+            {"kind": "rect", "props": {"width": 10, "height": 10}},
+            {"kind": "rect", "props": {"width": 10, "height": 1e308}}]},
+        ("BF016", "geometry overflows the float range: 'height' of distribute would be inf",
+         ("distribute",)),
+        [*_OWN_BOX_LOG, ("n1", "transform.y", "n0"), ("n2", "transform.y", "n0"),
+         ("n0", "top", "n0")],
+        id="distribute"),
+])
+def test_a_relation_whose_own_box_overflows_is_one_bf016(root, diagnostic, log):
+    # the relation decides its own box one field at a time: the fields
+    # before the overflowing one are logged, and nothing after it
+    diagnostics, write_log = _layout_write_log(root)
+    assert diagnostics == [diagnostic]
+    assert write_log == log
+
+
 # --- align and distribute ----------------------------------------------------------
 
 
@@ -171,7 +224,7 @@ def test_align_adopts_a_fixed_participant():
     rt.layout_node(b.id)
     g.set_dim_in_frame(a, root, "left", 100.0)
     rt.layout_node(align.id)
-    assert g.bbox_in_frame(b, root, Axis.HORIZONTAL)["left"] == 100.0
+    assert g.bbox_in_frame(b, root, Axis.HORIZONTAL, "left") == [100.0]
 
 
 def test_distribute_fills_backward_from_a_fixed_participant():
@@ -187,7 +240,7 @@ def test_distribute_fills_backward_from_a_fixed_participant():
     g.set_dim_in_frame(b, root, "top", 100.0)
     rt.layout_node(dist.id)
     # slot for b starts at 20 + 30, so the whole run shifts up to meet it
-    assert g.bbox_in_frame(a, root, Axis.VERTICAL)["top"] == 50.0
+    assert g.bbox_in_frame(a, root, Axis.VERTICAL, "top") == [50.0]
     assert dist.top == 50.0
     assert dist.height == 60.0
 

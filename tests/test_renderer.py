@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import math
+import random
 import sys
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 
@@ -22,10 +24,12 @@ from bluefish import (
     print_document,
     standard_registry,
 )
-from bluefish.docformat import walk
+from bluefish.docformat import preorder
+from bluefish.scenegraph import Scenegraph
 from bluefish.renderer import _round2, esc, fmt_num
 
 from conftest import FIXTURES, call_at_depth, compile_doc, compile_fixture, errors_of, stack_chain
+from generators import random_ref_free_doc, random_stack_triplet
 
 GOLDEN_RECT = (
     b'<svg viewBox="0 0 10 20" xmlns="http://www.w3.org/2000/svg">\n'
@@ -178,7 +182,7 @@ def test_paint_props_are_the_element_props_over_the_spec_defaults(fixture):
     registry = standard_registry()
     data = (FIXTURES / f"{fixture}.json").read_bytes()
     expected: list[dict] = []
-    for el, _, _ in walk(expand_tree(parse_document(data), registry)):
+    for el, _, _ in preorder(expand_tree(parse_document(data), registry)):
         props = {} if el.kind == "ref" else {**registry.kinds[el.kind].default_props, **el.props}
         expected.append(props)
         expected.extend({**registry.kinds[v.kind].default_props, **v.props}
@@ -335,6 +339,86 @@ def test_dump_names_every_owner(fixture):
             continue
         assert set(node["transformOwners"]) == {"x", "y"}
         assert set(node["bboxOwners"]) <= {"left", "top", "width", "height"}
+
+
+def _reference_dump(scene) -> bytes:
+    """The dump as a dict tree encoded by json: the form ``dump_scene`` must match byte for byte."""
+    nodes: list[dict] = []
+    for node in scene.nodes.values():
+        if node.is_ref:
+            nodes.append({"id": node.id, "kind": "ref", "refId": node.ref_id})
+            continue
+        entry: dict[str, object] = {
+            "id": node.id,
+            "kind": node.kind,
+            "x": _round2(node.x),
+            "y": _round2(node.y),
+            "width": _round2(node.width),
+            "height": _round2(node.height),
+            "transform": {"x": _round2(node.tx), "y": _round2(node.ty)},
+            "bboxOwners": node.bbox_owners,
+            "transformOwners": node.transform_owners,
+            "children": node.children,
+        }
+        if node.name is not None:
+            entry["name"] = node.name
+        nodes.append(entry)
+    geometry = []
+    for mark in scene.marks():
+        left, top, width, height = mark.content_box()
+        geometry.append({"kind": mark.kind, "x": _round2(left), "y": _round2(top),
+                         "width": _round2(width), "height": _round2(height)})
+    doc = {"root": scene.root, "geometry": geometry, "nodes": nodes}
+    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+
+
+def _generated_documents() -> list[dict]:
+    rng = random.Random(17)
+    docs = [random_ref_free_doc(rng) for _ in range(150)]
+    docs.extend(random_stack_triplet(rng)[2] for _ in range(50))  # the form over refs
+    return docs
+
+
+@pytest.mark.parametrize("fixture", COMPILING_FIXTURES)
+def test_dump_matches_the_json_encoding_of_fixtures(fixture):
+    scene, diags = compile_fixture(fixture)
+    assert errors_of(diags) == []
+    assert dump_scene(scene) == _reference_dump(scene)
+
+
+def test_dump_matches_the_json_encoding_of_generated_documents():
+    for doc in _generated_documents():
+        scene, diags = compile_doc(doc)
+        assert errors_of(diags) == []
+        assert dump_scene(scene) == _reference_dump(scene)
+
+
+def test_dump_spells_kinds_and_names_as_json_does():
+    odd = 'q"b\\s\x01\u00e9\U0001F600'
+    registry = standard_registry()
+    registry.register(dataclasses.replace(registry.kinds["rect"], kind="k" + odd))
+    scene, diags = compile_doc({"bluefish": 1, "root": {"kind": "group", "name": "n" + odd, "children": [
+        {"kind": "k" + odd, "name": odd, "props": {"width": 3, "height": 4}},
+    ]}}, registry)
+    assert errors_of(diags) == []
+    dump = dump_scene(scene)
+    assert dump == _reference_dump(scene)
+    assert json.loads(dump)["nodes"][1]["name"] == odd
+
+
+@pytest.mark.parametrize("value", [1e13 + 0.25, 3.5e15, 1e16, 2.5e17, 1e300, -0.0, 2.675, 0.125, -7.125])
+def test_dump_spells_numbers_as_json_does(value):
+    # a lone childless group with every number the dump writes set to value
+    scene = Scenegraph(standard_registry())
+    root = scene.create_node("group", None)
+    for field_name in ("left", "top", "transform.x", "transform.y"):
+        scene.decide(root, field_name, value, root)
+    for field_name in ("width", "height"):
+        scene.decide(root, field_name, abs(value), root)
+    scene.finalize()
+    scene.resolve()
+    assert root.children == []
+    assert dump_scene(scene) == _reference_dump(scene)
 
 
 def test_canonical_printing_preserves_the_dump():

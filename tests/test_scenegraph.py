@@ -384,8 +384,7 @@ def test_read_through_frames_materializes_undecided_transforms():
     inner = g.create_node("group", root)
     a = _rect(g, inner, 10.0, 10.0)
     frame = g.create_node("align", root)
-    box = g.bbox_in_frame(a, frame, Axis.HORIZONTAL)
-    assert box["left"] == 0.0
+    assert g.bbox_in_frame(a, frame, Axis.HORIZONTAL, "left") == [0.0]
     assert inner.tx == 0.0
     # the reading frame owns every translation it defaulted on both legs
     assert inner.transform_owners["x"] == frame.id
@@ -411,8 +410,7 @@ def test_write_into_a_sibling_frame_composes_both_legs():
     g2 = g.create_node("group", root)
     a = _rect(g, g1, 10.0, 10.0)
     g.set_dim_in_frame(a, g2, "left", 40.0)
-    box = g.bbox_in_frame(a, g2, Axis.HORIZONTAL)
-    assert box["left"] == 40.0
+    assert g.bbox_in_frame(a, g2, Axis.HORIZONTAL, "left") == [40.0]
     # both legs got pinned on the way, owned by the writing frame
     assert g1.tx == 0.0
     assert g2.tx == 0.0
@@ -429,8 +427,8 @@ def test_frame_coherence_after_a_write(depth, value):
         parent = g.create_node("group", parent)
     a = _rect(g, parent, 10.0, 10.0)
     g.set_dim_in_frame(a, root, "left", value)
-    box = g.bbox_in_frame(a, root, Axis.HORIZONTAL)
-    assert box["left"] == pytest.approx(value, abs=1e-9)
+    (left,) = g.bbox_in_frame(a, root, Axis.HORIZONTAL, "left")
+    assert left == pytest.approx(value, abs=1e-9)
 
 
 def test_read_from_a_deeper_frame_subtracts_the_frame_leg():
@@ -441,8 +439,7 @@ def test_read_from_a_deeper_frame_subtracts_the_frame_leg():
     inner = g.create_node("group", outer)
     g.set_dim_in_frame(a, root, "left", 30.0)
     g.set_dim_in_frame(outer, root, "left", 5.0)
-    box = g.bbox_in_frame(a, inner, Axis.HORIZONTAL)
-    assert box["left"] == 25.0
+    assert g.bbox_in_frame(a, inner, Axis.HORIZONTAL, "left") == [25.0]
     assert inner.transform_owners["x"] == inner.id  # frame leg pinned by the frame
     assert root.tx is None  # the lca's own translation is untouched
 
