@@ -6,7 +6,7 @@ out in a single pass over a compound scenegraph and renders
 deterministic SVG. See the README for the document format.
 """
 
-from .docformat import Element, parse_document, print_document, resolve_names, validate
+from .docformat import Element, parse_document, resolve_names, validate
 from .engine import (
     LayoutRuntime,
     Registry,
@@ -43,7 +43,6 @@ __all__ = [
     "measure_text",
     "paint",
     "parse_document",
-    "print_document",
     "resolve_names",
     "standard_registry",
     "validate",

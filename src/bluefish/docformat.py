@@ -188,34 +188,6 @@ def parse_document(data: bytes | str) -> Element:
         raise SchemaError("document", TOO_DEEP) from None
 
 
-def _element_to_json(el: Element) -> dict:
-    out: dict[str, object] = {"kind": el.kind}
-    if el.name is not None:
-        out["name"] = el.name
-    if el.select is not None:
-        out["select"] = el.select[0] if len(el.select) == 1 else list(el.select)
-    if el.props:
-        props: dict[str, object] = {}
-        for key in sorted(el.props):
-            value = el.props[key]
-            if isinstance(value, Element):
-                props[key] = _element_to_json(value)
-            elif isinstance(value, float) and value.is_integer():
-                props[key] = int(value)
-            else:
-                props[key] = value
-        out["props"] = props
-    if el.children:
-        out["children"] = [_element_to_json(c) for c in el.children]
-    return out
-
-
-def print_document(tree: Element) -> bytes:
-    """Canonical serialization; parse(print(parse(x))) == parse(x)."""
-    doc = {"bluefish": FORMAT_VERSION, "root": _element_to_json(tree)}
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
-
-
 # --- paths and traversal ------------------------------------------------------
 
 

@@ -137,8 +137,6 @@ def path_control_points(d: str) -> list[tuple[float, float]]:
         upper = command.upper()
         rel = command.islower()
         n = _ARGS_PER_COMMAND[upper]
-        if n == 0:
-            continue
         args = tokens[i:i + n]
         if len(args) < n or any(a.isalpha() for a in args):
             raise ValueError(f"command {command!r} needs {n} numbers")

@@ -156,47 +156,37 @@ def measure_text(content: str, font_size: float) -> tuple[float, float]:
 # --- mark layout ----------------------------------------------------------------
 
 
-# A kind decides its own box through ``Scenegraph.decide``, one call per
-# field, the node owning what it records of itself.
+def _mark_box(rt: "LayoutRuntime", node: LayoutNode, left: float, top: float,
+              width: float | None, height: float | None) -> None:
+    """Decide a mark's own box, one ``decide`` per field, the node owning each.
+
+    A size of None stays undecided: a background's mark has no size props.
+    """
+    decide = rt.graph.decide
+    decide(node, "left", left, node)
+    decide(node, "top", top, node)
+    if width is not None:
+        decide(node, "width", width, node)
+    if height is not None:
+        decide(node, "height", height, node)
 
 
 def layout_rect(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
-    decide = rt.graph.decide
-    decide(node, "left", 0.0, node)
-    decide(node, "top", 0.0, node)
-    # a background-sized rect has no width/height of its own
-    if "width" in props:
-        decide(node, "width", props["width"], node)
-    if "height" in props:
-        decide(node, "height", props["height"], node)
+    _mark_box(rt, node, 0.0, 0.0, props.get("width"), props.get("height"))
 
 
 def layout_circle(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
-    decide = rt.graph.decide
-    decide(node, "left", 0.0, node)
-    decide(node, "top", 0.0, node)
-    if "r" in props:
-        decide(node, "width", 2.0 * props["r"], node)
-        decide(node, "height", 2.0 * props["r"], node)
+    side = 2.0 * props["r"] if "r" in props else None
+    _mark_box(rt, node, 0.0, 0.0, side, side)
 
 
 def layout_ellipse(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
-    decide = rt.graph.decide
-    decide(node, "left", 0.0, node)
-    decide(node, "top", 0.0, node)
-    if "rx" in props:
-        decide(node, "width", 2.0 * props["rx"], node)
-    if "ry" in props:
-        decide(node, "height", 2.0 * props["ry"], node)
+    _mark_box(rt, node, 0.0, 0.0, 2.0 * props["rx"] if "rx" in props else None,
+              2.0 * props["ry"] if "ry" in props else None)
 
 
 def layout_text(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
-    w, h = measure_text(props["content"], props["fontSize"])
-    decide = rt.graph.decide
-    decide(node, "left", 0.0, node)
-    decide(node, "top", 0.0, node)
-    decide(node, "width", w, node)
-    decide(node, "height", h, node)
+    _mark_box(rt, node, 0.0, 0.0, *measure_text(props["content"], props["fontSize"]))
 
 
 def layout_path(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
@@ -207,11 +197,7 @@ def layout_path(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
     pts = d.points if d.__class__ is PathData else path_control_points(d)
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
-    decide = rt.graph.decide
-    decide(node, "left", min(xs), node)
-    decide(node, "top", min(ys), node)
-    decide(node, "width", max(xs) - min(xs), node)
-    decide(node, "height", max(ys) - min(ys), node)
+    _mark_box(rt, node, min(xs), min(ys), max(xs) - min(xs), max(ys) - min(ys))
 
 
 # --- relation helpers -----------------------------------------------------------
@@ -386,7 +372,7 @@ def layout_background(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> Non
     padding = props["padding"]
     for axis in AXES:
         for t in targets:
-            if not rt.graph.is_fixed(t, axis):
+            if axis.component not in t.transform_owners:
                 rt.graph.set_dim_in_frame(t, node, axis.start_field, padding)
         span = _union_boxes(rt, node, targets, axis, strict=True)
         assert span is not None  # strict union either returns or raises

@@ -72,19 +72,6 @@ def _ceil2(value: float) -> str:
     return _strip(format(q, "f"))
 
 
-def _round2(value: float) -> float | int:
-    if value.__class__ is not float:
-        value = float(value)
-    k = _cent_count(value)
-    if k is not None:
-        return k // 100 if k % 100 == 0 else k / 100.0
-    q = _quantize(value)
-    f = float(q)
-    # a whole value keeps the digits the SVG writes: int(1e30) would be
-    # the float's binary value, 1000000000000000019884624838656
-    return int(q) if f.is_integer() else f
-
-
 def esc(text: str) -> str:
     return (text.replace("&", "&amp;").replace("<", "&lt;")
             .replace(">", "&gt;").replace('"', "&quot;"))
@@ -156,11 +143,12 @@ def dump_scene(scene: Scenegraph) -> bytes:
     order. Ids and owners are generated (``n<k>``) and need no escaping,
     and a resolved scene has a width, a height and both translation
     owners on every layout node. Kinds and names are spelled by json's
-    own string encoder, and a number is the ``repr`` of ``_round2``'s
-    result, which is what json writes for that int or float.
+    own string encoder, and every number by ``fmt_num``, the function
+    that spells the SVG's numbers: its fixed-point text is what json
+    writes for the rounded value, an int when it is whole.
     """
     text = encode_basestring_ascii
-    num = _round2
+    num = fmt_num
     out: list[str] = []
     for node in scene.nodes.values():
         if node.is_ref:
@@ -178,15 +166,15 @@ def dump_scene(scene: Scenegraph) -> bytes:
         moved_by = node.transform_owners
         out.append(
             f'{{"bboxOwners":{{{box_owners}}},"children":[{children}],'
-            f'"height":{num(node.height)!r},"id":"{node.id}","kind":{text(node.kind)}{name},'
-            f'"transform":{{"x":{num(node.tx)!r},"y":{num(node.ty)!r}}},'
+            f'"height":{num(node.height)},"id":"{node.id}","kind":{text(node.kind)}{name},'
+            f'"transform":{{"x":{num(node.tx)},"y":{num(node.ty)}}},'
             f'"transformOwners":{{"x":"{moved_by["x"]}","y":"{moved_by["y"]}"}},'
-            f'"width":{num(node.width)!r},"x":{num(node.x)!r},"y":{num(node.y)!r}}}')
+            f'"width":{num(node.width)},"x":{num(node.x)},"y":{num(node.y)}}}')
     geometry = []
     for mark in scene.marks():
         left, top, width, height = mark.content_box()
         geometry.append(
-            f'{{"height":{num(height)!r},"kind":{text(mark.kind)},'
-            f'"width":{num(width)!r},"x":{num(left)!r},"y":{num(top)!r}}}')
+            f'{{"height":{num(height)},"kind":{text(mark.kind)},'
+            f'"width":{num(width)},"x":{num(left)},"y":{num(top)}}}')
     return (f'{{"geometry":[{",".join(geometry)}],"nodes":[{",".join(out)}],'
             f'"root":"{scene.root}"}}\n').encode("utf-8")

@@ -209,10 +209,6 @@ class Scenegraph:
             steps.append(node.step)
         return "/".join(reversed(steps))
 
-    def is_fixed(self, node: LayoutNode, axis: Axis) -> bool:
-        """Has this node's translation on the axis already been decided?"""
-        return axis.component in node.transform_owners
-
     def marks(self) -> list[LayoutNode]:
         kinds = self.registry.kinds
         return [node for node in self.nodes.values() if kinds[node.kind].is_mark]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import shutil
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from bluefish import compile_source
-from bluefish.cli import _use_color, main
+from bluefish.cli import _report, _use_color, main
 
 from conftest import FIXTURES, stack_chain
 from generators import generate_nested_stacks
@@ -126,6 +127,14 @@ def test_missing_input_is_an_io_error(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_an_unwritable_output_is_an_io_error(tmp_path, capsys):
+    source = _write_doc(tmp_path)
+    out = tmp_path / "absent" / "d.svg"
+    assert main(["render", str(source), "--out", str(out)]) == 2
+    assert f"cannot write {out}" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
 def test_warnings_do_not_fail_the_run(tmp_path, capsys):
     doc = {"bluefish": 1, "root": {
         "kind": "group",
@@ -152,7 +161,7 @@ def test_generators_hit_their_node_budgets():
 # --- color gating ----------------------------------------------------------------
 
 
-class _FakeTty:
+class _FakeTty(io.StringIO):
     def isatty(self) -> bool:
         return True
 
@@ -162,3 +171,18 @@ def test_color_respects_the_environment(monkeypatch):
     assert _use_color(_FakeTty()) is True
     monkeypatch.setenv("BLUEFISH_NO_COLOR", "1")
     assert _use_color(_FakeTty()) is False
+
+
+def test_a_terminal_sees_colored_severities(monkeypatch):
+    _, diagnostics = compile_source(b'{"bluefish": 1, "root": {"kind": "rect", "props": {"width": 1}}}')
+    (diagnostic,) = diagnostics
+    plain = diagnostic.render()
+    assert plain.startswith("error[BF007]")
+    monkeypatch.delenv("BLUEFISH_NO_COLOR", raising=False)
+    tty = _FakeTty()
+    _report(diagnostics, tty)
+    assert tty.getvalue() == "\x1b[31merror[BF007]\x1b[0m" + plain[len("error[BF007]"):] + "\n"
+    monkeypatch.setenv("BLUEFISH_NO_COLOR", "1")
+    tty = _FakeTty()
+    _report(diagnostics, tty)
+    assert tty.getvalue() == plain + "\n"

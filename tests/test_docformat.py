@@ -13,7 +13,6 @@ from bluefish.docformat import (
     Element,
     parse_document,
     preorder,
-    print_document,
     resolve_names,
     validate,
     walk_step,
@@ -31,28 +30,7 @@ def _doc(root: dict) -> bytes:
 _RECT = {"kind": "rect", "props": {"width": 10, "height": 20}}
 
 
-# --- parse and print ---------------------------------------------------------------
-
-
-def test_parse_print_parse_is_stable():
-    raw = _doc({
-        "kind": "group",
-        "children": [
-            {"kind": "rect", "name": "a", "props": {"width": 10, "height": 20.5}},
-            {"kind": "stackV", "props": {"spacing": 3}, "children": [{"kind": "ref", "select": "a"}]},
-        ],
-    })
-    tree = parse_document(raw)
-    assert parse_document(print_document(tree)) == tree
-
-
-def test_print_document_is_canonical():
-    shuffled = _doc({"kind": "rect", "props": {"height": 20, "width": 10.0}})
-    sorted_props = _doc({"kind": "rect", "props": {"width": 10, "height": 20}})
-    assert print_document(parse_document(shuffled)) == print_document(parse_document(sorted_props))
-    out = print_document(parse_document(shuffled)).decode("utf-8")
-    assert '"width": 10' in out  # integral floats print as ints
-    assert out.index('"height"') < out.index('"width"')
+# --- parse ---------------------------------------------------------------------
 
 
 def test_numeric_props_become_floats():
@@ -377,6 +355,15 @@ def test_marks_cannot_have_children():
 def test_select_is_only_valid_on_refs():
     diags = _validate(dict(_RECT, select="a"))
     assert any("'select' is only valid on ref" in d.message for d in diags)
+
+
+def test_a_named_ref_is_one_error():
+    scene, diagnostics = compile_source(_doc({"kind": "group", "children": [
+        dict(_RECT, name="a"),
+        {"kind": "stackV", "children": [{"kind": "ref", "name": "r", "select": "a"}]}]}))
+    assert scene is None
+    assert [(d.code, d.message, d.node_paths) for d in diagnostics] == [
+        ("BF007", "ref elements cannot be named", ("group/stackV[1]/ref[0]:r",))]
 
 
 def test_background_mark_prop_is_checked():

@@ -180,6 +180,38 @@ def test_a_relation_whose_own_box_overflows_is_one_bf016(root, diagnostic, log):
     assert write_log == log
 
 
+_ROOT_TRANSLATION_LOG = [("n0", "transform.x", "n0"), ("n0", "transform.y", "n0")]
+_MARK_LOG = [*(("n0", f, "n0") for f in ("left", "top", "width", "height")), *_ROOT_TRANSLATION_LOG]
+
+
+@pytest.mark.parametrize("mark", [
+    {"kind": "rect", "props": {"width": 10, "height": 20}},
+    {"kind": "circle", "props": {"r": 5}},
+    {"kind": "ellipse", "props": {"rx": 3, "ry": 4}},
+    {"kind": "text", "props": {"content": "hi"}},
+    {"kind": "path", "props": {"d": "M 2 3 L 12 -4"}},
+], ids=lambda mark: mark["kind"])
+def test_a_mark_decides_its_own_box_in_order(mark):
+    assert _layout_write_log(mark) == ([], _MARK_LOG)
+
+
+@pytest.mark.parametrize("kind", ["rect", "circle"])
+def test_a_background_mark_decides_only_its_start(kind):
+    # the mark has no size props: it decides left and top, and the
+    # background decides its size and translation
+    diagnostics, write_log = _layout_write_log({
+        "kind": "background", "props": {"background": {"kind": kind}},
+        "children": [{"kind": "rect", "props": {"width": 10, "height": 20}}]})
+    assert diagnostics == []
+    assert write_log == [
+        ("n1", "left", "n1"), ("n1", "top", "n1"),
+        ("n2", "left", "n2"), ("n2", "top", "n2"), ("n2", "width", "n2"), ("n2", "height", "n2"),
+        ("n2", "transform.x", "n0"), ("n1", "width", "n0"), ("n1", "transform.x", "n0"),
+        ("n0", "left", "n0"), ("n0", "width", "n0"),
+        ("n2", "transform.y", "n0"), ("n1", "height", "n0"), ("n1", "transform.y", "n0"),
+        ("n0", "top", "n0"), ("n0", "height", "n0"), *_ROOT_TRANSLATION_LOG]
+
+
 # --- align and distribute ----------------------------------------------------------
 
 

@@ -21,12 +21,12 @@ from bluefish import (
     expand_tree,
     paint,
     parse_document,
-    print_document,
     standard_registry,
 )
 from bluefish.docformat import preorder
+from bluefish.relations import ElementKindSpec, paint_rect
 from bluefish.scenegraph import Scenegraph
-from bluefish.renderer import _round2, esc, fmt_num
+from bluefish.renderer import esc, fmt_num
 
 from conftest import FIXTURES, call_at_depth, compile_doc, compile_fixture, errors_of, stack_chain
 from generators import random_ref_free_doc, random_stack_triplet
@@ -71,16 +71,28 @@ def test_numbers_round_half_even_to_two_digits():
     }
     for value, expected in cases.items():
         assert fmt_num(value) == expected, value
+    assert fmt_num(3) == "3"  # an int a custom layout decided
+
+
+def _reference_quantize(value: float) -> Decimal:
+    """repr(value) rounded half even to two fractional digits, exactly."""
+    return Decimal(repr(float(value))).quantize(Decimal("0.01"), ROUND_HALF_EVEN, Context(prec=320))
+
+
+def _reference_number(value: float) -> int | float:
+    """The rounded value as the int or float whose json.dumps spelling the dump must write."""
+    q = _reference_quantize(value)
+    # a whole value keeps its decimal digits: int(1e30) would be the
+    # float's binary value, 1000000000000000019884624838656
+    return int(q) if float(q).is_integer() else float(q)
 
 
 def _reference_cents(value: float) -> tuple[str, str]:
-    """fmt_num and repr(_round2) as one Decimal quantize of repr(value) gives them."""
-    q = Decimal(repr(value)).quantize(Decimal("0.01"), ROUND_HALF_EVEN, Context(prec=320))
-    text = format(q, "f")
+    """The fixed-point text and the JSON spelling of one Decimal quantize of repr(value)."""
+    text = format(_reference_quantize(value), "f")
     if "." in text:
         text = text.rstrip("0").rstrip(".")
-    f = float(q)
-    return ("0" if text == "-0" else text), repr(int(q) if f.is_integer() else f)
+    return ("0" if text == "-0" else text), repr(_reference_number(value))
 
 
 def _nudged(n: int, ulps: int) -> float:
@@ -122,7 +134,9 @@ _SIGN = st.sampled_from([1.0, -1.0])
 @example(sys.float_info.max)
 @example(-sys.float_info.max)
 def test_numbers_match_a_decimal_quantize_of_their_repr(value):
-    assert (fmt_num(value), repr(_round2(value))) == _reference_cents(value)
+    # one rule spells every number: the SVG's fixed point and the dump's JSON
+    text, json_text = _reference_cents(value)
+    assert text == json_text == fmt_num(value)
 
 
 def test_markup_characters_are_escaped():
@@ -351,11 +365,11 @@ def _reference_dump(scene) -> bytes:
         entry: dict[str, object] = {
             "id": node.id,
             "kind": node.kind,
-            "x": _round2(node.x),
-            "y": _round2(node.y),
-            "width": _round2(node.width),
-            "height": _round2(node.height),
-            "transform": {"x": _round2(node.tx), "y": _round2(node.ty)},
+            "x": _reference_number(node.x),
+            "y": _reference_number(node.y),
+            "width": _reference_number(node.width),
+            "height": _reference_number(node.height),
+            "transform": {"x": _reference_number(node.tx), "y": _reference_number(node.ty)},
             "bboxOwners": node.bbox_owners,
             "transformOwners": node.transform_owners,
             "children": node.children,
@@ -366,8 +380,8 @@ def _reference_dump(scene) -> bytes:
     geometry = []
     for mark in scene.marks():
         left, top, width, height = mark.content_box()
-        geometry.append({"kind": mark.kind, "x": _round2(left), "y": _round2(top),
-                         "width": _round2(width), "height": _round2(height)})
+        geometry.append({"kind": mark.kind, "x": _reference_number(left), "y": _reference_number(top),
+                         "width": _reference_number(width), "height": _reference_number(height)})
     doc = {"root": scene.root, "geometry": geometry, "nodes": nodes}
     return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
 
@@ -421,17 +435,26 @@ def test_dump_spells_numbers_as_json_does(value):
     assert dump_scene(scene) == _reference_dump(scene)
 
 
-def test_canonical_printing_preserves_the_dump():
-    raw = (json.dumps({"bluefish": 1, "root": {
-        "kind": "stackH", "props": {"spacing": 12.0},
-        "children": [
-            {"kind": "circle", "name": "c", "props": {"r": 9}},
-            {"kind": "text", "props": {"content": "hi"}},
-        ],
-    }})).encode("utf-8")
-    direct, diags = compile_source(raw)
-    assert errors_of(diags) == []
-    reprinted, diags2 = compile_source(print_document(parse_document(raw)))
-    assert errors_of(diags2) == []
-    assert dump_scene(direct) == dump_scene(reprinted)
-    assert paint(direct) == paint(reprinted)
+def _box_registry(side: float):
+    """The standard registry plus a ``box`` mark that decides ``side`` for its width and height."""
+    def layout_box(rt, node, props):
+        del props
+        for field_name, value in (("left", 0), ("top", 0), ("width", side), ("height", side)):
+            rt.graph.decide(node, field_name, value, node)
+
+    registry = standard_registry()
+    registry.register(ElementKindSpec(
+        kind="box", optional_props={"fill": "black"}, is_mark=True, layout=layout_box, paint=paint_rect))
+    return registry
+
+
+def test_integer_sizes_paint_and_dump_as_their_floats():
+    doc = {"bluefish": 1, "root": {"kind": "stackH", "props": {"spacing": 3}, "children": [
+        {"kind": "box"}, {"kind": "background", "children": [{"kind": "box"}]}]}}
+    outputs = []
+    for side in (8, 8.0):
+        scene, diags = compile_doc(doc, _box_registry(side))
+        assert errors_of(diags) == []
+        outputs.append((paint(scene), dump_scene(scene)))
+    assert outputs[0] == outputs[1]
+    assert b'width="8"' in outputs[0][0] and b'"width":8,' in outputs[0][1]

@@ -187,7 +187,6 @@ def test_translations_obey_the_same_rule():
     g.decide(a, "transform.x", -5.0 + TOLERANCE / 2, root)
     assert (a.tx, a.ty) == (-5.0, None)
     assert a.transform_owners == {"x": root.id}
-    assert g.is_fixed(a, Axis.HORIZONTAL)
     with pytest.raises(DimensionConflict) as excinfo:
         g.decide(a, "transform.x", -5.0, a)
     assert (excinfo.value.field, excinfo.value.existing_owner, excinfo.value.writer) == (
@@ -289,7 +288,7 @@ def test_own_frame_write_defines_the_local_box_only():
     a = _rect(g, root, 10.0, 20.0)
     assert a.left == 0.0 and a.width == 10.0
     assert a.tx is None
-    assert not g.is_fixed(a, Axis.HORIZONTAL)
+    assert a.transform_owners == {}
 
 
 def test_cross_frame_write_moves_without_reshaping():
@@ -300,8 +299,7 @@ def test_cross_frame_write_moves_without_reshaping():
     assert a.tx == 25.0
     assert a.transform_owners["x"] == root.id
     assert a.left == 0.0  # the local box is untouched
-    assert g.is_fixed(a, Axis.HORIZONTAL)
-    assert not g.is_fixed(a, Axis.VERTICAL)
+    assert a.transform_owners == {"x": root.id}
 
 
 def test_cross_frame_write_derives_local_position_from_extent():
@@ -510,7 +508,8 @@ def test_a_translation_beyond_the_float_range_is_not_written():
     assert a.tx is None and g.write_log == log
 
 
-def test_origins_beyond_the_float_range_overflow_in_resolve():
+@pytest.mark.parametrize("start, origin", [("left", "x"), ("top", "y")])
+def test_origins_beyond_the_float_range_overflow_in_resolve(start, origin):
     g = Scenegraph(standard_registry())
     root = g.create_node("group", None)
     outer = g.create_node("group", root)
@@ -518,12 +517,12 @@ def test_origins_beyond_the_float_range_overflow_in_resolve():
     for node in (root, outer):
         g.set_dim_in_frame(node, node, "width", 1.0)
         g.set_dim_in_frame(node, node, "height", 1.0)
-    g.set_dim_in_frame(outer, root, "left", 1e308)
-    g.set_dim_in_frame(inner, outer, "left", 1e308)
+    g.set_dim_in_frame(outer, root, start, 1e308)
+    g.set_dim_in_frame(inner, outer, start, 1e308)
     g.finalize()
     with pytest.raises(GeometryOverflow) as excinfo:
         g.resolve()
-    assert (excinfo.value.node, excinfo.value.field) == (inner.id, "x")
+    assert (excinfo.value.node, excinfo.value.field) == (inner.id, origin)
 
 
 # --- creation order -------------------------------------------------------------
