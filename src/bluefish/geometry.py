@@ -36,10 +36,10 @@ class Axis(Enum):
     ``position_fields`` are start, center and end (``left``/``centerX``/
     ``right`` horizontally), also available one by one as
     ``start_field``/``center_field``/``end_field``; ``fields`` adds the
-    ``extent_field``; ``component`` is the translation component the
-    axis moves along, ``translation`` the node field that stores it
-    (``tx``), ``transform_field`` its name in owner errors and
-    ``write_log`` (``transform.x``), and ``other`` the perpendicular axis.
+    ``extent_field``; ``translation`` is the node field that stores the
+    translation component the axis moves along (``tx``),
+    ``transform_field`` its name in owner maps, errors and ``write_log``
+    (``transform.x``), and ``other`` the perpendicular axis.
     They are set once when the class is created, because layout reads
     them on every frame conversion, and a plain attribute read costs a
     fraction of a member lookup or an Enum-keyed dict lookup.
@@ -51,7 +51,6 @@ class Axis(Enum):
     end_field: str
     extent_field: str
     fields: tuple[str, str, str, str]
-    component: str
     translation: str
     transform_field: str
     other: "Axis"
@@ -67,7 +66,6 @@ class Axis(Enum):
         axis.start_field, axis.center_field, axis.end_field = position_fields
         axis.extent_field = extent_field
         axis.fields = position_fields + (extent_field,)
-        axis.component = component
         axis.translation = f"t{component}"
         axis.transform_field = f"transform.{component}"
         return axis

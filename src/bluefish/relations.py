@@ -239,25 +239,36 @@ def _place(rt: "LayoutRuntime", node: LayoutNode, targets: list[LayoutNode], axi
     guideline as the shift. Every fixed target, the anchor included,
     must sit at its implied value, or its owner and the relation conflict.
     """
-    component = axis.component
+    fixed = axis.transform_field
     shift = 0.0
     for i, t in enumerate(targets):
-        if component in t.transform_owners:
+        if fixed in t.owners:
             shift = _guideline_value(rt, t, node, axis, field_name) - slots[i]
             break
     for i, t in enumerate(targets):
         implied = slots[i] + shift
         # tested again: placing an earlier target fixes each ancestor on its
         # leg, and a later target may be one of them
-        if component in t.transform_owners:
+        if fixed in t.owners:
             actual = _guideline_value(rt, t, node, axis, field_name)
             if abs(actual - implied) > TOLERANCE:
                 raise DimensionConflict(
-                    t.id, field_name, t.transform_owners[component], node.id,
+                    t.id, field_name, t.owners[fixed], node.id,
                     existing_value=actual, value=implied)
         else:
             rt.graph.set_dim_in_frame(t, node, field_name, implied)
     return shift
+
+
+def _untouched_extent(rt: "LayoutRuntime", node: LayoutNode, targets: list[LayoutNode],
+                      axis: Axis) -> None:
+    """Decide node's extent on an axis it places nothing on: the largest target extent.
+
+    Only the extent is recorded, and only once every target's is known.
+    """
+    extents = [getattr(t, axis.extent_field) for t in targets]
+    if all(e is not None for e in extents):
+        rt.graph.decide(node, axis.extent_field, max(extents), node)
 
 
 def _union_boxes(rt: "LayoutRuntime", node: LayoutNode, targets: list[LayoutNode],
@@ -309,10 +320,7 @@ def layout_align(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
     v_field, h_field = ALIGNMENT_FIELDS[props["alignment"]]
     for axis, field_name in ((Axis.VERTICAL, v_field), (Axis.HORIZONTAL, h_field)):
         if field_name is None:
-            # untouched axis: extent recorded for the node's own box only
-            extents = [getattr(t, axis.extent_field) for t in targets]
-            if all(e is not None for e in extents):
-                rt.graph.decide(node, axis.extent_field, max(extents), node)
+            _untouched_extent(rt, node, targets, axis)
             continue
         guideline = _place(rt, node, targets, axis, field_name, [0.0] * len(targets))
         lo = math.inf
@@ -341,18 +349,13 @@ def layout_distribute(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> Non
     origin = _place(rt, node, targets, main, main.start_field, slots)
     rt.graph.decide(node, main.start_field, origin, node)
     rt.graph.decide(node, main.extent_field, total, node)
-    cross = main.other
-    extents = [getattr(t, cross.extent_field) for t in targets]
-    if all(e is not None for e in extents):
-        rt.graph.decide(node, cross.extent_field, max(extents), node)
+    _untouched_extent(rt, node, targets, main.other)
 
 
 def layout_group(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
+    # unplaced children stay put: the union's frame reads default them to 0
     del props
     targets = [rt.graph.target_of(c) for c in node.children]
-    for t in targets:
-        for axis in AXES:
-            rt.graph.materialize(t, axis, node)  # unplaced children stay put
     for axis in AXES:
         span = _union_boxes(rt, node, targets, axis)
         if span is not None:
@@ -372,7 +375,7 @@ def layout_background(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> Non
     padding = props["padding"]
     for axis in AXES:
         for t in targets:
-            if axis.component not in t.transform_owners:
+            if axis.transform_field not in t.owners:
                 rt.graph.set_dim_in_frame(t, node, axis.start_field, padding)
         span = _union_boxes(rt, node, targets, axis, strict=True)
         assert span is not None  # strict union either returns or raises
@@ -386,9 +389,6 @@ def layout_background(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> Non
 
 def layout_connector(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
     targets = [rt.graph.target_of(c) for c in node.children]
-    for t in targets:
-        for axis in AXES:
-            rt.graph.materialize(t, axis, node)
     boxes = []
     for t in targets:
         left, cx, right, w = rt.graph.bbox_in_frame(t, node, Axis.HORIZONTAL, *Axis.HORIZONTAL.fields)

@@ -154,7 +154,7 @@ def dump_scene(scene: Scenegraph) -> bytes:
         if node.is_ref:
             out.append(f'{{"id":"{node.id}","kind":"ref","refId":"{node.ref_id}"}}')
             continue
-        owners = node.bbox_owners
+        owners = node.owners
         left, top = owners.get("left"), owners.get("top")
         box_owners = "".join((
             f'"height":"{owners["height"]}"',
@@ -163,12 +163,11 @@ def dump_scene(scene: Scenegraph) -> bytes:
             f',"width":"{owners["width"]}"'))
         children = '"' + '","'.join(node.children) + '"' if node.children else ""
         name = "" if node.name is None else f',"name":{text(node.name)}'
-        moved_by = node.transform_owners
         out.append(
             f'{{"bboxOwners":{{{box_owners}}},"children":[{children}],'
             f'"height":{num(node.height)},"id":"{node.id}","kind":{text(node.kind)}{name},'
             f'"transform":{{"x":{num(node.tx)},"y":{num(node.ty)}}},'
-            f'"transformOwners":{{"x":"{moved_by["x"]}","y":"{moved_by["y"]}"}},'
+            f'"transformOwners":{{"x":"{owners["transform.x"]}","y":"{owners["transform.y"]}"}},'
             f'"width":{num(node.width)},"x":{num(node.x)},"y":{num(node.y)}}}')
     geometry = []
     for mark in scene.marks():

@@ -14,34 +14,36 @@ in its own frame and its translation maps that frame into the parent's.
 Converting between frames composes translations along the paths to the
 least common ancestor. A relation reads and writes in its own frame, and
 the frame owns what it decides or defaults: each dimension it writes,
-and each undecided translation component on the path, lazily
-materialized to 0. Asking "where is X relative to me?" is only
-answerable once the undecided offsets in between are pinned down, and
-pinning them is itself a layout decision that must be owned.
+and each undecided translation component on the path, which the read
+defaults to 0. Asking "where is X relative to me?" is only answerable
+once the undecided offsets in between are pinned down, and pinning them
+is itself a layout decision that must be owned. ``finalize`` defaults
+what no relation reached, owned by the root.
 
 Ownership is the immutability mechanism: each box start and extent and
 each translation component is written at most once, by exactly one
 owner, and a second writer is a conflict rather than a silent overwrite.
-The owner sits on the same record as the value, in ``bbox_owners`` or
-``transform_owners``. ``Scenegraph.decide`` is the one place that keeps
-this rule. It checks a write before making it, then stores the value and
-its owner on the node and logs the write; a rejected write leaves the
-node, its owners and the log as they were.
+The owner sits on the same record as the value, in the node's one
+``owners`` map, keyed by field name in write order.
+``Scenegraph.decide`` is the one place that keeps this rule. It checks a
+write before making it, then stores the value and its owner on the node
+and notes which node was written; a rejected write leaves the node, its
+owners and ``write_log`` as they were.
 
 The methods below take and return node records (``LayoutNode`` and
 ``RefNode``), never ids, so a relation reaches a node it does not own
 without a lookup. Ids remain where a node is recorded or printed: the
 ``nodes`` table, the stored ``parent``/``children``/``ref_id`` links, the
-owner maps, ``write_log`` and errors. The links stay ids because records
+owner map, ``write_log`` and errors. The links stay ids because records
 pointing both ways would form reference cycles, which would keep a
 finished graph alive until the cyclic garbage collector runs.
 
 Nothing here is shared or global: each Scenegraph instance is confined
 to its creating pipeline run, and every layout decision goes through
-``decide``, which records each write in ``write_log``. ``resolve`` then
+``decide``, so ``write_log`` lists each write in order. ``resolve`` then
 stores the absolute origins those decisions imply on the same node
 records, and the resolved graph is the scene that output reads, with
-``write_log`` and the owner maps as the provenance of every dimension.
+the owner maps and ``write_log`` as the provenance of every dimension.
 """
 
 from __future__ import annotations
@@ -65,11 +67,10 @@ from .geometry import AXES, TOLERANCE, Axis, axis_of
 if TYPE_CHECKING:
     from .engine import Registry
 
-#: Each field a node stores: (node attribute, owner-map key, is a translation, is an extent).
+#: Each field a node stores, by its owner-map key: (node attribute, is an extent).
 _STORED = {
-    **{f: (f, f, False, f == axis.extent_field)
-       for axis in Axis for f in (axis.start_field, axis.extent_field)},
-    **{axis.transform_field: (axis.translation, axis.component, True, False) for axis in Axis},
+    **{f: (f, f == axis.extent_field) for axis in Axis for f in (axis.start_field, axis.extent_field)},
+    **{axis.transform_field: (axis.translation, False) for axis in Axis},
 }
 
 
@@ -79,15 +80,17 @@ class LayoutNode:
 
     ``left``/``width``/``top``/``height`` are the box in the node's own
     frame and ``tx``/``ty`` its translation into the parent's, each None
-    until ``Scenegraph.decide`` stores it. ``x``/``y`` are the node's
-    frame origin in root coordinates (the sum of translations from the
-    root down to and including this node), set by ``Scenegraph.resolve``;
-    the box start may differ from the origin for relations whose content
-    does not begin at 0. ``segment`` is the ``(x1, y1, x2, y2)`` a
-    connector's layout clipped, None when nothing of it is visible or the
-    node is no connector. ``step`` is the node's own segment of its walk
-    path (``stackV[1]:a``, ``rect(background mark)``); ``Scenegraph.path``
-    spells the whole path from the steps.
+    until ``Scenegraph.decide`` stores it, and ``owners`` maps each
+    decided field (``left``, ``width``, ``top``, ``height``,
+    ``transform.x``, ``transform.y``) to its owner's id, in write order.
+    ``x``/``y`` are the node's frame origin in root coordinates (the sum
+    of translations from the root down to and including this node), set
+    by ``Scenegraph.resolve``; the box start may differ from the origin
+    for relations whose content does not begin at 0. ``segment`` is the
+    ``(x1, y1, x2, y2)`` a connector's layout clipped, None when nothing
+    of it is visible or the node is no connector. ``step`` is the node's
+    own segment of its walk path (``stackV[1]:a``, ``rect(background
+    mark)``); ``Scenegraph.path`` spells the whole path from the steps.
     """
 
     id: str
@@ -96,10 +99,9 @@ class LayoutNode:
     width: float | None = None
     top: float | None = None
     height: float | None = None
-    bbox_owners: dict[str, str] = field(default_factory=dict)
     tx: float | None = None
     ty: float | None = None
-    transform_owners: dict[str, str] = field(default_factory=dict)
+    owners: dict[str, str] = field(default_factory=dict)
     children: list[str] = field(default_factory=list)
     parent: str | None = None
     paint_props: dict = field(default_factory=dict)
@@ -146,7 +148,7 @@ class Scenegraph:
         self.registry = registry
         self.nodes: dict[str, LayoutNode | RefNode] = {}
         self.root: str | None = None
-        self.write_log: list[tuple[str, str, str]] = []  # (node, field, writer)
+        self._written: list[str] = []  # the id of each node written, one per write
         self.layout_calls: dict[str, int] = {}  # node -> layout calls, set by layout_document
 
     # --- construction -------------------------------------------------------
@@ -213,6 +215,16 @@ class Scenegraph:
         kinds = self.registry.kinds
         return [node for node in self.nodes.values() if kinds[node.kind].is_mark]
 
+    @property
+    def write_log(self) -> list[tuple[str, str, str]]:
+        """Every write so far as ``(node, field, owner)``, in write order.
+
+        ``decide`` writes a field once, so the k-th write to a node is the
+        k-th entry of its ``owners``.
+        """
+        entries = {nid: iter(self.nodes[nid].owners.items()) for nid in set(self._written)}
+        return [(nid, *next(entries[nid])) for nid in self._written]
+
     # --- decisions ------------------------------------------------------------
 
     def decide(self, node: LayoutNode, field_name: str, value: float, owner: LayoutNode) -> None:
@@ -228,7 +240,7 @@ class Scenegraph:
         the write, and only a write that happens is logged.
         """
         try:
-            attr, key, translation, extent = _STORED[field_name]
+            attr, extent = _STORED[field_name]
         except KeyError:
             raise ValueError(
                 f"{field_name!r} is not a box start or extent or a translation component") from None
@@ -236,8 +248,8 @@ class Scenegraph:
             raise GeometryOverflow(node.id, field_name, value)
         if extent and value < 0:
             raise InvalidExtent(field_name, value, node.id)
-        owners = node.transform_owners if translation else node.bbox_owners
-        existing_owner = owners.get(key)
+        owners = node.owners
+        existing_owner = owners.get(field_name)
         if existing_owner is not None:
             existing = getattr(node, attr)
             if existing_owner == owner.id and abs(existing - value) <= TOLERANCE:
@@ -245,39 +257,24 @@ class Scenegraph:
             raise DimensionConflict(node.id, field_name, existing_owner, owner.id,
                                     existing_value=existing, value=value)
         setattr(node, attr, value)
-        owners[key] = owner.id
-        self.write_log.append((node.id, field_name, owner.id))
-
-    # --- transforms -----------------------------------------------------------
-
-    def materialize(self, node: LayoutNode, axis: Axis, requester: LayoutNode) -> float:
-        """Read a translation component, defaulting it to 0 if undecided.
-
-        The default is a real layout decision: the requester becomes the
-        owner, and later relations see the node as fixed on this axis.
-        """
-        value = getattr(node, axis.translation)
-        if value is None:
-            self.decide(node, axis.transform_field, 0.0, requester)
-            return 0.0
-        return value
+        owners[field_name] = owner.id
+        self._written.append(node.id)
 
     # --- frame conversion -------------------------------------------------------
 
-    def _leg_translations(self, target: LayoutNode, frame: LayoutNode, axis: Axis,
-                          own: bool = True) -> tuple[list[float], float]:
+    def _leg_translations(self, target: LayoutNode, frame: LayoutNode,
+                          axis: Axis) -> tuple[list[float], float]:
         """Translations on ``axis`` that map target->lca, and the sum of those mapping frame->lca.
 
-        The target leg lists the target's own translation (left out when
-        not ``own``) and then each ancestor's up to the lca; the frame leg
-        sums the frame's and its ancestors' upward from 0.0. The lca's own
-        translation belongs to neither (it maps the lca out of the frame
-        both sides share). Both layout nodes climb to the lca by depth,
-        the deeper side first; the graph has one root, so the climbs meet
-        before either side runs out. A decided component is read as it
-        is. An undecided one reads 0, a default the frame owns: once the
-        climb is done, ``decide`` stores each, the target leg's upward and
-        then the frame leg's.
+        The target leg lists the target's own translation and then each
+        ancestor's up to the lca; the frame leg sums the frame's and its
+        ancestors' upward from 0.0. The lca's own translation belongs to
+        neither (it maps the lca out of the frame both sides share). Both
+        layout nodes climb to the lca by depth, the deeper side first; the
+        graph has one root, so the climbs meet before either side runs
+        out. A decided component is read as it is. An undecided one reads
+        0, a default the frame owns: once the climb is done, ``decide``
+        stores each, the target leg's upward and then the frame leg's.
         """
         nodes = self.nodes
         horizontal = axis is Axis.HORIZONTAL
@@ -285,18 +282,14 @@ class Scenegraph:
         back = 0.0
         defaulted: list[LayoutNode] = []
         frame_defaulted: list[LayoutNode] = []
-        skip = not own
         a, b = target, frame
         while a is not b:
             if a.depth >= b.depth:
-                if skip:
-                    skip = False
-                else:
-                    t = a.tx if horizontal else a.ty
-                    if t is None:
-                        t = 0.0
-                        defaulted.append(a)
-                    chain.append(t)
+                t = a.tx if horizontal else a.ty
+                if t is None:
+                    t = 0.0
+                    defaulted.append(a)
+                chain.append(t)
                 a = nodes[a.parent]
             else:
                 t = b.tx if horizontal else b.ty
@@ -362,13 +355,15 @@ class Scenegraph:
         (relations move nodes, they do not reshape them). When the
         target stores no start on the axis its content sits at the local
         origin by default (the same default finalize applies), so the
-        local value is the field's offset from that origin.
+        local value is the field's offset from that origin. The legs
+        climb from the target's parent: a relation writes its children
+        and their referents, never the root.
         """
         axis = axis_of(field_name)
         if field_name == axis.extent_field or target is frame:
             self.decide(target, field_name, value, frame)
             return
-        chain, back = self._leg_translations(target, frame, axis, own=False)
+        chain, back = self._leg_translations(self.nodes[target.parent], frame, axis)
         rest = 0.0
         for t in chain:
             rest += t
@@ -398,7 +393,8 @@ class Scenegraph:
         layout_nodes = [node for node in self.nodes.values() if isinstance(node, LayoutNode)]
         for node in layout_nodes:
             for axis in AXES:
-                self.materialize(node, axis, root)
+                if getattr(node, axis.translation) is None:
+                    self.decide(node, axis.transform_field, 0.0, root)
         unsized = tuple(
             node.id for node in layout_nodes
             if node.width is None or node.height is None)

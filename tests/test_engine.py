@@ -57,8 +57,8 @@ def test_write_order_through_refs_is_pinned():
 
 def test_write_order_of_connectors_is_pinned():
     # the stackH (n1) owns its rects' translations, cross axis first; each
-    # connector (n5 arrow, n8 line) materializes the legs between its
-    # frame and its referents before sizing itself
+    # connector (n5 arrow, n8 line) reads its referents' boxes, which
+    # defaults the legs between its frame and them, before sizing itself
     assert _write_log("connectors") == [
         *_own_box("n2", "left", "top", "width", "height"),
         *_own_box("n3", "left", "top", "width", "height"),

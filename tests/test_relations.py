@@ -195,6 +195,17 @@ def test_a_mark_decides_its_own_box_in_order(mark):
     assert _layout_write_log(mark) == ([], _MARK_LOG)
 
 
+def test_a_group_defaults_and_spans_one_axis_at_a_time():
+    # the union's frame reads default each unplaced child's translation,
+    # owned by the group, just before the group decides its box on that axis
+    rect = {"kind": "rect", "props": {"width": 10, "height": 20}}
+    assert _layout_write_log({"kind": "group", "children": [rect, dict(rect)]}) == ([], [
+        *_OWN_BOX_LOG,
+        ("n1", "transform.x", "n0"), ("n2", "transform.x", "n0"), ("n0", "left", "n0"), ("n0", "width", "n0"),
+        ("n1", "transform.y", "n0"), ("n2", "transform.y", "n0"), ("n0", "top", "n0"), ("n0", "height", "n0"),
+        *_ROOT_TRANSLATION_LOG])
+
+
 @pytest.mark.parametrize("kind", ["rect", "circle"])
 def test_a_background_mark_decides_only_its_start(kind):
     # the mark has no size props: it decides left and top, and the

@@ -370,8 +370,9 @@ def _reference_dump(scene) -> bytes:
             "width": _reference_number(node.width),
             "height": _reference_number(node.height),
             "transform": {"x": _reference_number(node.tx), "y": _reference_number(node.ty)},
-            "bboxOwners": node.bbox_owners,
-            "transformOwners": node.transform_owners,
+            "bboxOwners": {f: o for f, o in node.owners.items() if not f.startswith("transform.")},
+            "transformOwners": {f.removeprefix("transform."): o for f, o in node.owners.items()
+                                if f.startswith("transform.")},
             "children": node.children,
         }
         if node.name is not None:

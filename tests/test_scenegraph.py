@@ -128,14 +128,14 @@ def _leaf() -> tuple[Scenegraph, LayoutNode, LayoutNode]:
 
 def _state(g: Scenegraph, node: LayoutNode) -> tuple:
     return (node.left, node.width, node.top, node.height, node.tx, node.ty,
-            dict(node.bbox_owners), dict(node.transform_owners), list(g.write_log))
+            dict(node.owners), list(g.write_log))
 
 
 def test_decide_records_the_value_its_owner_and_one_log_entry():
     g, root, a = _leaf()
     assert g.decide(a, "width", 10.0, root) is None
     assert (a.left, a.width, a.top, a.height) == (None, 10.0, None, None)
-    assert a.bbox_owners == {"width": root.id}
+    assert a.owners == {"width": root.id}
     assert g.write_log == [(a.id, "width", root.id)]
 
 
@@ -144,7 +144,7 @@ def test_same_owner_same_value_is_a_noop():
     g.decide(a, "left", 4.0, a)
     g.decide(a, "left", 4.0 + TOLERANCE / 2, a)
     assert (a.left, a.width, a.top, a.height) == (4.0, None, None, None)
-    assert a.bbox_owners == {"left": a.id}
+    assert a.owners == {"left": a.id}
     assert g.write_log == [(a.id, "left", a.id)]
 
 
@@ -186,7 +186,7 @@ def test_translations_obey_the_same_rule():
     g.decide(a, "transform.x", -5.0, root)  # unlike an extent, a translation may be negative
     g.decide(a, "transform.x", -5.0 + TOLERANCE / 2, root)
     assert (a.tx, a.ty) == (-5.0, None)
-    assert a.transform_owners == {"x": root.id}
+    assert a.owners == {"transform.x": root.id}
     with pytest.raises(DimensionConflict) as excinfo:
         g.decide(a, "transform.x", -5.0, a)
     assert (excinfo.value.field, excinfo.value.existing_owner, excinfo.value.writer) == (
@@ -247,17 +247,16 @@ def _invariant_documents() -> list[tuple[str, bytes]]:
     return docs
 
 
-_FIELD_OWNER_KEYS = (  # (node field, owner map, key): the six values a node stores
-    ("left", "bbox_owners", "left"), ("width", "bbox_owners", "width"),
-    ("top", "bbox_owners", "top"), ("height", "bbox_owners", "height"),
-    ("tx", "transform_owners", "x"), ("ty", "transform_owners", "y"),
+_FIELD_OWNER_KEYS = (  # (node field, owner-map key): the six values a node stores
+    ("left", "left"), ("width", "width"), ("top", "top"), ("height", "height"),
+    ("tx", "transform.x"), ("ty", "transform.y"),
 )
 
 
 def test_write_log_holds_one_entry_per_owned_field_and_nothing_else():
     # every decision, laid out or rejected, has one owner-map entry and one
     # log entry with the same owner, and a node holds a value exactly where
-    # it has an owner; a second route into the fields or maps would break this
+    # it has an owner; a second route into the fields or the map would break this
     checked = 0
     for name, data in _invariant_documents():
         graph = _laid_out_graph(data)
@@ -269,10 +268,10 @@ def test_write_log_holds_one_entry_per_owned_field_and_nothing_else():
         for node in graph.nodes.values():
             if node.is_ref:
                 continue
-            owned.update(((node.id, f), owner) for f, owner in node.bbox_owners.items())
-            owned.update(((node.id, f"transform.{c}"), owner) for c, owner in node.transform_owners.items())
-            for field, owner_map, key in _FIELD_OWNER_KEYS:
-                assert (getattr(node, field) is not None) == (key in getattr(node, owner_map)), (
+            owned.update(((node.id, f), owner) for f, owner in node.owners.items())
+            assert set(node.owners) <= {key for _, key in _FIELD_OWNER_KEYS}, (name, node.id)
+            for field, key in _FIELD_OWNER_KEYS:
+                assert (getattr(node, field) is not None) == (key in node.owners), (
                     name, node.id, field)
         assert logged == owned, name
         checked += 1
@@ -288,7 +287,7 @@ def test_own_frame_write_defines_the_local_box_only():
     a = _rect(g, root, 10.0, 20.0)
     assert a.left == 0.0 and a.width == 10.0
     assert a.tx is None
-    assert a.transform_owners == {}
+    assert "transform.x" not in a.owners and "transform.y" not in a.owners
 
 
 def test_cross_frame_write_moves_without_reshaping():
@@ -297,9 +296,9 @@ def test_cross_frame_write_moves_without_reshaping():
     a = _rect(g, root, 10.0, 20.0)
     g.set_dim_in_frame(a, root, "left", 25.0)
     assert a.tx == 25.0
-    assert a.transform_owners["x"] == root.id
+    assert a.owners["transform.x"] == root.id
     assert a.left == 0.0  # the local box is untouched
-    assert a.transform_owners == {"x": root.id}
+    assert "transform.y" not in a.owners
 
 
 def test_cross_frame_write_derives_local_position_from_extent():
@@ -373,10 +372,10 @@ def test_writes_are_logged():
     assert len(g.write_log) == before + 1
 
 
-# --- lazy materialization ----------------------------------------------------------
+# --- defaults of frame reads ----------------------------------------------------------
 
 
-def test_read_through_frames_materializes_undecided_transforms():
+def test_read_through_frames_defaults_undecided_transforms():
     g = Scenegraph(standard_registry())
     root = g.create_node("group", None)
     inner = g.create_node("group", root)
@@ -385,20 +384,22 @@ def test_read_through_frames_materializes_undecided_transforms():
     assert g.bbox_in_frame(a, frame, Axis.HORIZONTAL, "left") == [0.0]
     assert inner.tx == 0.0
     # the reading frame owns every translation it defaulted on both legs
-    assert inner.transform_owners["x"] == frame.id
-    assert a.transform_owners["x"] == frame.id
-    assert frame.transform_owners["x"] == frame.id
+    assert inner.owners["transform.x"] == frame.id
+    assert a.owners["transform.x"] == frame.id
+    assert frame.owners["transform.x"] == frame.id
     assert root.tx is None
 
 
-def test_materialize_keeps_decided_values():
+def test_frame_read_keeps_decided_translations():
     g = Scenegraph(standard_registry())
     root = g.create_node("group", None)
     a = _rect(g, root, 10.0, 10.0)
     other = g.create_node("align", root)
     g.set_dim_in_frame(a, root, "left", 40.0)
-    assert g.materialize(a, Axis.HORIZONTAL, other) == 40.0
-    assert a.transform_owners["x"] == root.id
+    assert g.bbox_in_frame(a, other, Axis.HORIZONTAL, "left") == [40.0]
+    assert a.tx == 40.0
+    assert a.owners["transform.x"] == root.id
+    assert other.owners["transform.x"] == other.id  # only the undecided leg is defaulted
 
 
 def test_write_into_a_sibling_frame_composes_both_legs():
@@ -412,7 +413,7 @@ def test_write_into_a_sibling_frame_composes_both_legs():
     # both legs got pinned on the way, owned by the writing frame
     assert g1.tx == 0.0
     assert g2.tx == 0.0
-    assert a.transform_owners["x"] == g1.transform_owners["x"] == g2.transform_owners["x"] == g2.id
+    assert a.owners["transform.x"] == g1.owners["transform.x"] == g2.owners["transform.x"] == g2.id
 
 
 @given(depth=st.integers(min_value=1, max_value=4),
@@ -438,7 +439,7 @@ def test_read_from_a_deeper_frame_subtracts_the_frame_leg():
     g.set_dim_in_frame(a, root, "left", 30.0)
     g.set_dim_in_frame(outer, root, "left", 5.0)
     assert g.bbox_in_frame(a, inner, Axis.HORIZONTAL, "left") == [25.0]
-    assert inner.transform_owners["x"] == inner.id  # frame leg pinned by the frame
+    assert inner.owners["transform.x"] == inner.id  # frame leg pinned by the frame
     assert root.tx is None  # the lca's own translation is untouched
 
 
@@ -462,7 +463,7 @@ def test_finalize_defaults_transforms_to_zero_owned_by_root():
     g.set_dim_in_frame(root, root, "height", 10.0)
     g.finalize()
     assert a.tx == 0.0
-    assert a.transform_owners["x"] == root.id
+    assert a.owners["transform.x"] == root.id
 
 
 def test_finalize_reports_unsized_nodes():
