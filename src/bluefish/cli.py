@@ -61,13 +61,14 @@ def cmd_render(args: argparse.Namespace) -> int:
     scene, code = _compile(source)
     if scene is None:
         return code
-    out = Path(args.out) if args.out else source.with_suffix(".svg")
+    target = out = Path(args.out) if args.out else source.with_suffix(".svg")
     try:
         out.write_bytes(paint(scene))
         if args.dump:
-            out.with_suffix(".scene.json").write_bytes(dump_scene(scene))
+            target = out.with_suffix(".scene.json")
+            target.write_bytes(dump_scene(scene))
     except OSError as exc:
-        print(f"cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
+        print(f"cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     return 0
 

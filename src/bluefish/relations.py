@@ -446,105 +446,81 @@ def _clip_segment(c1: tuple[float, float], e1: tuple[float, float],
 # --- paint --------------------------------------------------------------------
 
 
-_SVG_NAMES = {"fill": "fill", "fontSize": "font-size", "fontFamily": "font-family"}
+# Each mark writes its attributes in alphabetical order, a style
+# attribute only when its prop is set.
 
 
-def _style_attrs(props: dict, *names: str) -> dict[str, object]:
-    return {_SVG_NAMES[n]: props[n] for n in names if props.get(n) is not None}
+def _attr(name: str, value: object, fmt, esc) -> str:
+    """`` name="value"``, nothing for an unset prop; a float is spelled by ``fmt``, anything else escaped."""
+    if value is None:
+        return ""
+    return f' {name}="{fmt(value) if isinstance(value, float) else esc(str(value))}"'
 
 
-def _stroke_attrs(props: dict) -> dict[str, object]:
+def _stroke(props: dict, fmt, esc) -> str:
     # stroke-width and dash pattern are noise without a stroke
-    if props.get("stroke") is None:
-        return {}
-    attrs: dict[str, object] = {"stroke": props["stroke"]}
-    if props.get("strokeWidth") is not None:
-        attrs["stroke-width"] = props["strokeWidth"]
-    if props.get("strokeDasharray") is not None:
-        attrs["stroke-dasharray"] = props["strokeDasharray"]
-    return attrs
+    stroke = props.get("stroke")
+    if stroke is None:
+        return ""
+    return (_attr("stroke", stroke, fmt, esc)
+            + _attr("stroke-dasharray", props.get("strokeDasharray"), fmt, esc)
+            + _attr("stroke-width", props.get("strokeWidth"), fmt, esc))
 
 
 def paint_rect(node, fmt, esc, markers) -> str:
-    attrs = {"x": node.left, "y": node.top,
-             "width": node.width, "height": node.height}
-    attrs.update(_style_attrs(node.paint_props, "fill"))
-    attrs.update(_stroke_attrs(node.paint_props))
-    if node.paint_props.get("rx", 0):
-        attrs["rx"] = node.paint_props["rx"]
-    return _tag("rect", attrs, fmt, esc)
+    props = node.paint_props
+    return (f'<rect{_attr("fill", props.get("fill"), fmt, esc)} height="{fmt(node.height)}"'
+            f'{_attr("rx", props.get("rx", 0) or None, fmt, esc)}{_stroke(props, fmt, esc)}'
+            f' width="{fmt(node.width)}" x="{fmt(node.left)}" y="{fmt(node.top)}"/>')
 
 
 def paint_circle(node, fmt, esc, markers) -> str:
-    attrs = {"cx": node.left + node.width / 2.0,
-             "cy": node.top + node.height / 2.0,
-             "r": min(node.width, node.height) / 2.0}
-    attrs.update(_style_attrs(node.paint_props, "fill"))
-    attrs.update(_stroke_attrs(node.paint_props))
-    return _tag("circle", attrs, fmt, esc)
+    props = node.paint_props
+    return (f'<circle cx="{fmt(node.left + node.width / 2.0)}" cy="{fmt(node.top + node.height / 2.0)}"'
+            f'{_attr("fill", props.get("fill"), fmt, esc)} r="{fmt(min(node.width, node.height) / 2.0)}"'
+            f'{_stroke(props, fmt, esc)}/>')
 
 
 def paint_ellipse(node, fmt, esc, markers) -> str:
-    attrs = {"cx": node.left + node.width / 2.0,
-             "cy": node.top + node.height / 2.0,
-             "rx": node.width / 2.0, "ry": node.height / 2.0}
-    attrs.update(_style_attrs(node.paint_props, "fill"))
-    attrs.update(_stroke_attrs(node.paint_props))
-    return _tag("ellipse", attrs, fmt, esc)
+    props = node.paint_props
+    return (f'<ellipse cx="{fmt(node.left + node.width / 2.0)}" cy="{fmt(node.top + node.height / 2.0)}"'
+            f'{_attr("fill", props.get("fill"), fmt, esc)}'
+            f' rx="{fmt(node.width / 2.0)}" ry="{fmt(node.height / 2.0)}"{_stroke(props, fmt, esc)}/>')
 
 
 def paint_path(node, fmt, esc, markers) -> str:
-    attrs = {"d": node.paint_props["d"]}
-    attrs.update(_style_attrs(node.paint_props, "fill"))
-    attrs.update(_stroke_attrs(node.paint_props))
-    return _tag("path", attrs, fmt, esc)
+    props = node.paint_props
+    return (f'<path{_attr("d", props["d"], fmt, esc)}{_attr("fill", props.get("fill"), fmt, esc)}'
+            f'{_stroke(props, fmt, esc)}/>')
 
 
 def paint_text(node, fmt, esc, markers) -> str:
-    attrs = {"x": node.left, "y": node.top,
-             "dominant-baseline": "text-before-edge"}
-    attrs.update(_style_attrs(node.paint_props, "fill", "fontSize", "fontFamily"))
-    body = esc(node.paint_props["content"])
-    return _tag("text", attrs, fmt, esc, body=body)
+    props = node.paint_props
+    return (f'<text dominant-baseline="text-before-edge"{_attr("fill", props.get("fill"), fmt, esc)}'
+            f'{_attr("font-family", props.get("fontFamily"), fmt, esc)}'
+            f'{_attr("font-size", props.get("fontSize"), fmt, esc)}'
+            f' x="{fmt(node.left)}" y="{fmt(node.top)}">{esc(props["content"])}</text>')
 
 
-def _segment_attrs(node, fmt) -> dict[str, object]:
+def _segment_data(node, fmt) -> str:
     x1, y1, x2, y2 = node.segment
-    attrs: dict[str, object] = {
-        "d": f"M {fmt(x1)} {fmt(y1)} L {fmt(x2)} {fmt(y2)}",
-        "fill": "none",
-    }
-    attrs.update(_stroke_attrs(node.paint_props))
-    return attrs
+    return f"M {fmt(x1)} {fmt(y1)} L {fmt(x2)} {fmt(y2)}"
 
 
 def paint_line(node, fmt, esc, markers) -> str:
     if node.segment is None:
         return ""  # degenerate: reported during layout, painted as nothing
-    return _tag("path", _segment_attrs(node, fmt), fmt, esc)
+    return f'<path d="{_segment_data(node, fmt)}" fill="none"{_stroke(node.paint_props, fmt, esc)}/>'
 
 
 def paint_arrow(node, fmt, esc, markers) -> str:
     if node.segment is None:
         return ""  # degenerate: no head either, so no marker
-    attrs = _segment_attrs(node, fmt)
     # the head is filled with the stroke color; one marker per color
     color = str(node.paint_props.get("stroke") or "black")
     marker = markers.setdefault(color, f"arrowhead-{len(markers)}")
-    attrs["marker-end"] = f"url(#{marker})"
-    return _tag("path", attrs, fmt, esc)
-
-
-def _tag(name: str, attrs: dict[str, object], fmt, esc, body: str | None = None) -> str:
-    parts = [name]
-    for key in sorted(attrs):
-        value = attrs[key]
-        text = fmt(value) if isinstance(value, float) else esc(str(value))
-        parts.append(f'{key}="{text}"')
-    open_tag = " ".join(parts)
-    if body is None:
-        return f"<{open_tag}/>"
-    return f"<{open_tag}>{body}</{name}>"
+    return (f'<path d="{_segment_data(node, fmt)}" fill="none" marker-end="url(#{marker})"'
+            f'{_stroke(node.paint_props, fmt, esc)}/>')
 
 
 # --- registry ------------------------------------------------------------------

@@ -25,28 +25,9 @@ _CENTS = Decimal("0.01")
 
 
 def _strip(text: str) -> str:
-    if "." in text:
-        text = text.rstrip("0").rstrip(".")
-    return "0" if text in ("-0", "") else text
-
-
-def _cent_count(value: float) -> int | None:
-    """``repr(value)`` in whole cents, rounded half even, or None near a tie.
-
-    ``value * 100.0`` differs from the cents ``repr(value)`` spells by
-    at most about 2.2e-16 of itself (half an ulp of ``value``, scaled,
-    plus the product's own rounding). Where it lies more than a
-    billionth of itself from a half-cent, both round to the same whole
-    ``k``, and ``k / 100.0`` is the float ``round(value, 2)`` gives.
-    The margin alone sends every value from about 5e6 up to the
-    caller's Decimal quantize; the cut keeps the product finite.
-    """
-    if -1e13 < value < 1e13:
-        cents = value * 100.0
-        k = round(cents)
-        if 0.5 - abs(cents - k) > 1e-9 * (1.0 + abs(cents)):
-            return k
-    return None
+    # drop a trailing ".00" or "0"; "-0.00" is "0"
+    text = text.rstrip("0").rstrip(".")
+    return "0" if text == "-0" else text
 
 
 def _quantize(value: float) -> Decimal:
@@ -55,15 +36,37 @@ def _quantize(value: float) -> Decimal:
 
 
 def fmt_num(value: float) -> str:
-    """Fixed-point decimal for SVG attributes: 12.345 -> '12.34'."""
+    """Fixed-point decimal for SVG attributes: 12.345 -> '12.34'.
+
+    ``value * 100.0`` differs from the cents ``repr(value)`` spells by
+    at most about 2.2e-16 of itself (half an ulp of ``value``, scaled,
+    plus the product's own rounding). Where its fraction lies more than
+    a billionth of itself from one half, both round to the same whole
+    cents, and ``"%.2f"``, which rounds ``value`` exactly, writes them.
+    Every other value, near a tie or from 1e13 up, takes the Decimal
+    quantize of ``repr``.
+    """
     if value.__class__ is not float:
         value = float(value)
-    k = _cent_count(value)
-    if k is None:
-        return _strip(format(_quantize(value), "f"))
-    if k % 100 == 0:
-        return str(k // 100)
-    return ("%.2f" % value).rstrip("0")
+    cents = value * 100.0
+    if -1e15 < cents < 1e15 and abs(cents % 1.0 - 0.5) > 1e-9 * (1.0 + abs(cents)):
+        return _strip("%.2f" % value)
+    return _strip(format(_quantize(value), "f"))
+
+
+class _Spelling(dict):
+    """One writer's spelling of each number it meets: value -> ``fmt_num(value)``.
+
+    A number is spelled on first use, so a repeat is one dict lookup.
+    Equal numbers share an entry (``8`` and ``8.0``, ``0.0`` and
+    ``-0.0``), and ``fmt_num`` spells them alike.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, value: float) -> str:
+        text = self[value] = fmt_num(value)
+        return text
 
 
 def _ceil2(value: float) -> str:
@@ -90,9 +93,12 @@ def paint(scene: Scenegraph) -> bytes:
     not grow with depth, and the walk keeps its own stack, so neither
     does the call stack. Paint functions add the arrowhead colors they
     meet to ``markers``; their ``<defs>`` go in front once the walk is done.
+    Each paint function gets the walk's own spelling of numbers as ``fmt``,
+    so each distinct number is spelled by ``fmt_num`` once per call.
     """
     nodes = scene.nodes
     root = nodes[scene.root]
+    fmt = _Spelling().__getitem__
     markers: dict[str, str] = {}
     lines = [f'<svg viewBox="0 0 {_ceil2(root.width)} {_ceil2(root.height)}" xmlns="{SVG_NS}">']
     # the root has no parent, so replacing its translation pins the
@@ -109,13 +115,12 @@ def paint(scene: Scenegraph) -> bytes:
         if node.is_ref:
             continue
         tx, ty = shift if node is root else (node.tx, node.ty)
-        sx = fmt_num(tx) if tx else "0"
-        sy = fmt_num(ty) if ty else "0"
+        sx, sy = fmt(tx), fmt(ty)
         if sx != "0" or sy != "0":
             lines.append(f'<g transform="translate({sx} {sy})">')
             stack.append(None)
         spec = kinds[node.kind]
-        own = spec.paint(node, fmt_num, esc, markers) if spec.paint is not None else ""
+        own = spec.paint(node, fmt, esc, markers) if spec.paint is not None else ""
         if own:
             lines.append(own)
         stack.extend(reversed(node.children))
@@ -143,13 +148,17 @@ def dump_scene(scene: Scenegraph) -> bytes:
     order. Ids and owners are generated (``n<k>``) and need no escaping,
     and a resolved scene has a width, a height and both translation
     owners on every layout node. Kinds and names are spelled by json's
-    own string encoder, and every number by ``fmt_num``, the function
-    that spells the SVG's numbers: its fixed-point text is what json
-    writes for the rounded value, an int when it is whole.
+    own string encoder, and every number by the dump's own spelling from
+    ``fmt_num``, the function that spells the SVG's numbers: its
+    fixed-point text is what json writes for the rounded value, an int
+    when it is whole. A mark's ``geometry`` entry is written as the node
+    pass meets it, since marks are listed in scene order.
     """
     text = encode_basestring_ascii
-    num = fmt_num
+    num = _Spelling().__getitem__
+    kinds = scene.registry.kinds
     out: list[str] = []
+    geometry: list[str] = []
     for node in scene.nodes.values():
         if node.is_ref:
             out.append(f'{{"id":"{node.id}","kind":"ref","refId":"{node.ref_id}"}}')
@@ -163,17 +172,17 @@ def dump_scene(scene: Scenegraph) -> bytes:
             f',"width":"{owners["width"]}"'))
         children = '"' + '","'.join(node.children) + '"' if node.children else ""
         name = "" if node.name is None else f',"name":{text(node.name)}'
+        kind = text(node.kind)
+        width, height = num(node.width), num(node.height)
         out.append(
             f'{{"bboxOwners":{{{box_owners}}},"children":[{children}],'
-            f'"height":{num(node.height)},"id":"{node.id}","kind":{text(node.kind)}{name},'
+            f'"height":{height},"id":"{node.id}","kind":{kind}{name},'
             f'"transform":{{"x":{num(node.tx)},"y":{num(node.ty)}}},'
             f'"transformOwners":{{"x":"{owners["transform.x"]}","y":"{owners["transform.y"]}"}},'
-            f'"width":{num(node.width)},"x":{num(node.x)},"y":{num(node.y)}}}')
-    geometry = []
-    for mark in scene.marks():
-        left, top, width, height = mark.content_box()
-        geometry.append(
-            f'{{"height":{num(height)},"kind":{text(mark.kind)},'
-            f'"width":{num(width)},"x":{num(left)},"y":{num(top)}}}')
+            f'"width":{width},"x":{num(node.x)},"y":{num(node.y)}}}')
+        if kinds[node.kind].is_mark:
+            x, y, _, _ = node.content_box()
+            geometry.append(
+                f'{{"height":{height},"kind":{kind},"width":{width},"x":{num(x)},"y":{num(y)}}}')
     return (f'{{"geometry":[{",".join(geometry)}],"nodes":[{",".join(out)}],'
             f'"root":"{scene.root}"}}\n').encode("utf-8")

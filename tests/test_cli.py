@@ -133,6 +133,12 @@ def test_an_unwritable_output_is_an_io_error(tmp_path, capsys):
     assert main(["render", str(source), "--out", str(out)]) == 2
     assert f"cannot write {out}" in capsys.readouterr().err
     assert not out.parent.exists()
+    # a dump that cannot be written is the file named, after the SVG is written
+    dump = source.with_suffix(".scene.json")
+    dump.mkdir()
+    assert main(["render", str(source), "--dump"]) == 2
+    assert capsys.readouterr().err.startswith(f"cannot write {dump}: ")
+    assert source.with_suffix(".svg").read_bytes().startswith(b"<svg ")
 
 
 def test_warnings_do_not_fail_the_run(tmp_path, capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import itertools
 import json
 import math
 import random
@@ -24,7 +25,16 @@ from bluefish import (
     standard_registry,
 )
 from bluefish.docformat import preorder
-from bluefish.relations import ElementKindSpec, paint_rect
+from bluefish.relations import (
+    ElementKindSpec,
+    layout_rect,
+    paint_arrow,
+    paint_circle,
+    paint_ellipse,
+    paint_path,
+    paint_rect,
+    paint_text,
+)
 from bluefish.scenegraph import Scenegraph
 from bluefish.renderer import esc, fmt_num
 
@@ -133,6 +143,12 @@ _SIGN = st.sampled_from([1.0, -1.0])
 @example(math.nextafter(0.125, 1.0))
 @example(sys.float_info.max)
 @example(-sys.float_info.max)
+@example(-0.004)
+@example(-0.0)
+@example(0.1 + 0.2)
+@example(9999999999999.99)
+@example(math.nextafter(-1e13, 0.0))
+@example(-2.675)
 def test_numbers_match_a_decimal_quantize_of_their_repr(value):
     # one rule spells every number: the SVG's fixed point and the dump's JSON
     text, json_text = _reference_cents(value)
@@ -311,6 +327,139 @@ def test_degenerate_connector_paints_nothing():
     assert b"marker-end" not in svg
 
 
+def _reference_tag(name: str, attrs: dict, body: str | None = None) -> str:
+    """Markup from an attribute dict, sorted: the order the mark writers keep by hand.
+
+    An unset (None) attribute is left out; a float is spelled by
+    ``fmt_num``, anything else escaped.
+    """
+    parts = [name]
+    for key in sorted(attrs):
+        value = attrs[key]
+        if value is not None:
+            parts.append(f'{key}="{fmt_num(value) if isinstance(value, float) else esc(str(value))}"')
+    open_tag = " ".join(parts)
+    return f"<{open_tag}/>" if body is None else f"<{open_tag}>{body}</{name}>"
+
+
+def _reference_stroke(props) -> dict:
+    if props.get("stroke") is None:
+        return {}
+    return {"stroke": props["stroke"], "stroke-width": props.get("strokeWidth"),
+            "stroke-dasharray": props.get("strokeDasharray")}
+
+
+def _reference_mark(paint_fn, node, markers: dict) -> str:
+    """What the standard ``paint_fn`` writes for ``node``, built as a dict and sorted."""
+    props = node.paint_props
+    x, y, w, h = node.left, node.top, node.width, node.height
+    fill = {"fill": props.get("fill")}
+    if paint_fn is paint_rect:
+        return _reference_tag("rect", {"x": x, "y": y, "width": w, "height": h, **fill,
+                                       "rx": props.get("rx", 0) or None, **_reference_stroke(props)})
+    if paint_fn is paint_circle:
+        return _reference_tag("circle", {"cx": x + w / 2.0, "cy": y + h / 2.0, "r": min(w, h) / 2.0,
+                                         **fill, **_reference_stroke(props)})
+    if paint_fn is paint_ellipse:
+        return _reference_tag("ellipse", {"cx": x + w / 2.0, "cy": y + h / 2.0, "rx": w / 2.0,
+                                          "ry": h / 2.0, **fill, **_reference_stroke(props)})
+    if paint_fn is paint_path:
+        return _reference_tag("path", {"d": props["d"], **fill, **_reference_stroke(props)})
+    if paint_fn is paint_text:
+        return _reference_tag("text", {"x": x, "y": y, "dominant-baseline": "text-before-edge", **fill,
+                                       "font-family": props.get("fontFamily"),
+                                       "font-size": props.get("fontSize")}, esc(props["content"]))
+    if node.segment is None:
+        return ""
+    x1, y1, x2, y2 = node.segment
+    attrs = {"d": f"M {fmt_num(x1)} {fmt_num(y1)} L {fmt_num(x2)} {fmt_num(y2)}", "fill": "none",
+             **_reference_stroke(props)}
+    if paint_fn is paint_arrow:
+        color = str(props.get("stroke") or "black")
+        attrs["marker-end"] = f"url(#{markers.setdefault(color, f'arrowhead-{len(markers)}')})"
+    return _reference_tag("path", attrs)
+
+
+def _assert_marks_match_the_reference(scene) -> None:
+    kinds = scene.registry.kinds
+    markers: dict[str, str] = {}
+    reference_markers: dict[str, str] = {}
+    for node in scene.nodes.values():
+        paint_fn = None if node.is_ref else kinds[node.kind].paint
+        if paint_fn is None:
+            continue
+        assert paint_fn(node, fmt_num, esc, markers) == _reference_mark(paint_fn, node, reference_markers)
+    assert markers == reference_markers
+
+
+_STROKES = [{}, {"stroke": "red"}, {"stroke": "red", "strokeWidth": 2.675},
+            {"stroke": "#0a0", "strokeDasharray": "4 2"},
+            {"stroke": 'a"<b>&', "strokeWidth": 0.125, "strokeDasharray": "1,1"}]
+
+
+def _mark_table(registry) -> dict:
+    """Every standard mark over fill, stroke and its own style props, plus connectors.
+
+    Each mark keeps the props its kind takes.
+    """
+    def el(kind: str, props: dict, **rest) -> dict:
+        spec = registry.kinds[kind]
+        taken = {*spec.required_props, *spec.optional_props}
+        return {"kind": kind, "props": {k: v for k, v in props.items() if k in taken}, **rest}
+
+    fills = [{}, {"fill": "none"}, {"fill": "a&b"}]
+    marks = []
+    for fill, stroke in itertools.product(fills, _STROKES):
+        style = {**fill, **stroke}
+        marks.extend([
+            el("rect", {"width": 10.005, "height": 4, **style}),
+            el("rect", {"width": 3, "height": 7.5, "rx": 2.5, **style}),
+            el("circle", {"r": 4.125, **style}),
+            el("ellipse", {"rx": 3, "ry": 1.335, **style}),
+            el("path", {"d": "M 0 0 L 10 5 Q 3 3 1 1", **style}),
+        ])
+    for font in ({}, {"fontFamily": 'Ser"if & <co>'}, {"fontSize": 12.5}, {"fontFamily": "mono", "fontSize": 7}):
+        marks.append(el("text", {"content": "a<b", **font}))
+        marks.append(el("text", {"content": "x", "fill": "blue", **font}))
+    # a custom mark with a number-typed fill: a float is spelled as a number
+    marks.append(el("swatch", {"width": 2, "height": 2, "fill": 1e20}))
+    marks.append(el("swatch", {"width": 2, "height": 2}))
+    named = [el("rect", {"width": 5 + i, "height": 3}, name=f"m{i}") for i in range(4)]
+    connectors = []
+    for i, (kind, stroke) in enumerate(itertools.product(("line", "arrow"), _STROKES[1:])):
+        connectors.append(el(kind, {"gap": 0.5 * i, **stroke}, children=[
+            {"kind": "ref", "select": f"m{i % 4}"}, {"kind": "ref", "select": f"m{(i + 1) % 4}"}]))
+    for kind in ("line", "arrow"):  # the second stroke colour and a degenerate one
+        connectors.append(el(kind, {"stroke": "green"}, children=[
+            {"kind": "ref", "select": "m0"}, {"kind": "ref", "select": "m2"}]))
+        connectors.append(el(kind, {}, children=[
+            {"kind": "ref", "select": "m1"}, {"kind": "ref", "select": "m1"}]))
+    return {"bluefish": 1, "root": {"kind": "group", "children": [
+        {"kind": "stackV", "props": {"spacing": 2.5}, "children": marks},
+        {"kind": "stackH", "props": {"spacing": 30}, "children": named}, *connectors]}}
+
+
+def test_marks_write_their_attributes_in_alphabetical_order():
+    registry = standard_registry()
+    registry.register(ElementKindSpec(
+        kind="swatch", required_props=("width", "height"), optional_props={"fill": "teal"},
+        is_mark=True, layout=layout_rect, paint=paint_rect))
+    scene, diags = compile_doc(_mark_table(registry), registry)
+    assert errors_of(diags) == []
+    assert {d.code for d in diags} == {"BF008"}
+    _assert_marks_match_the_reference(scene)
+    svg = paint(scene)
+    assert b'fill="100000000000000000000"' in svg and b'fill="teal"' in svg
+    assert b'<marker id="arrowhead-1"' in svg
+
+
+def test_marks_of_generated_documents_match_the_reference():
+    for doc in _generated_documents():
+        scene, diags = compile_doc(doc)
+        assert errors_of(diags) == []
+        _assert_marks_match_the_reference(scene)
+
+
 # --- scene dump ----------------------------------------------------------------
 
 
@@ -449,13 +598,32 @@ def _box_registry(side: float):
     return registry
 
 
+# what a custom paint function hands to fmt: equal int and float, signed
+# zero, values on both sides of a cent tie, a repeat, a huge one
+_PROBED = (8, 8.0, -0.0, 0.0, -0.004, 2.675, -2.675, 2.675, 1e30)
+
+
+def _paint_probe(node, fmt, esc, markers) -> str:
+    return "<desc>%s</desc>" % " ".join(fmt(value) for value in _PROBED)
+
+
 def test_integer_sizes_paint_and_dump_as_their_floats():
+    # the probe's own 8.0 wide box sits in one scene with boxes of side 8 and 8.0
     doc = {"bluefish": 1, "root": {"kind": "stackH", "props": {"spacing": 3}, "children": [
-        {"kind": "box"}, {"kind": "background", "children": [{"kind": "box"}]}]}}
+        {"kind": "box"}, {"kind": "background", "children": [{"kind": "box"}]},
+        {"kind": "probe", "props": {"width": 8, "height": 1}}]}}
     outputs = []
     for side in (8, 8.0):
-        scene, diags = compile_doc(doc, _box_registry(side))
+        registry = _box_registry(side)
+        registry.register(ElementKindSpec(
+            kind="probe", required_props=("width", "height"), is_mark=True,
+            layout=layout_rect, paint=_paint_probe))
+        scene, diags = compile_doc(doc, registry)
         assert errors_of(diags) == []
         outputs.append((paint(scene), dump_scene(scene)))
     assert outputs[0] == outputs[1]
     assert b'width="8"' in outputs[0][0] and b'"width":8,' in outputs[0][1]
+    # the fmt a paint function receives spells every number as fmt_num does
+    spelled = " ".join(fmt_num(value) for value in _PROBED)
+    assert spelled == "8 8 0 0 0 2.68 -2.68 2.68 1" + "0" * 30
+    assert f"<desc>{spelled}</desc>".encode() in outputs[0][0]
