@@ -13,20 +13,16 @@ from .engine import (
     build_scenegraph,
     compile_source,
     expand_tree,
-    layout_document,
     standard_registry,
 )
 from .errors import BluefishError, Diagnostic
-from .geometry import TOLERANCE, Axis
-from .relations import ALIGNMENT_FIELDS, ElementKindSpec, measure_text
+from .relations import ElementKindSpec
 from .renderer import dump_scene, paint
 from .scenegraph import Scenegraph
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALIGNMENT_FIELDS",
-    "Axis",
     "BluefishError",
     "Diagnostic",
     "Element",
@@ -34,13 +30,10 @@ __all__ = [
     "LayoutRuntime",
     "Registry",
     "Scenegraph",
-    "TOLERANCE",
     "build_scenegraph",
     "compile_source",
     "dump_scene",
     "expand_tree",
-    "layout_document",
-    "measure_text",
     "paint",
     "parse_document",
     "resolve_names",

@@ -230,14 +230,9 @@ def _walk_path(order: list[tuple[Element, int | None, int]], index: int) -> str:
 # --- validation ---------------------------------------------------------------
 
 
-def _check_props(el: Element, spec, kinds: dict, problems: list[tuple[str, str]],
-                 require: bool = True, suffix: str = "") -> None:
-    """Add (path suffix, message) to ``problems`` for each prop fault of ``el``."""
+def _check_props(el: Element, spec, kinds: dict, problems: list[tuple[str, str]], suffix: str) -> None:
+    """Add (path suffix, message) to ``problems`` for each prop ``el`` gives that its kind rejects."""
     props = el.props
-    if require:
-        for prop in spec.required_props:
-            if prop not in props:
-                problems.append((suffix, f"{el.kind} requires prop {prop!r} (MissingProp)"))
     checks = spec.prop_checks
     for prop, value in props.items():
         check = checks.get(prop)
@@ -287,11 +282,20 @@ def _check_sized_mark(mark: Element, suffix: str, prop: str, kinds: dict,
         return
     if mark.children or mark.name or mark.select:
         problems.append((suffix, f"{prop} mark must be a bare mark element"))
-    _check_props(mark, spec, kinds, problems, require=False, suffix=suffix)
+    _check_props(mark, spec, kinds, problems, suffix)
+
+
+def _arity(kind: str, relation: str, want: int, count: int) -> str:
+    """The message for a kind given the wrong number of children."""
+    return f"{kind} requires {relation} {want} {'child' if want == 1 else 'children'}, got {count}"
 
 
 def validate(tree: Element, registry) -> list[Diagnostic]:
-    """Check the tree against a kind registry. Returns all problems found."""
+    """Check the tree against a kind registry. Returns all problems found.
+
+    The tree is one ``expand_tree`` returned, so every kind in it is
+    checked as it stands: a composite kind has already been replaced.
+    """
     diags: list[Diagnostic] = []
     kinds = registry.kinds
     order = preorder(tree)
@@ -312,19 +316,17 @@ def validate(tree: Element, registry) -> list[Diagnostic]:
         else:
             if el.select is not None:
                 problems.append(("", f"'select' is only valid on ref elements, not {el.kind}"))
-            if spec.expand is None:  # composite kinds are checked after expansion
-                _check_props(el, spec, kinds, problems)
-                count = len(el.children)
-                if spec.is_mark and count:
-                    problems.append(("", f"mark kind {el.kind!r} cannot have children"))
-                if spec.min_children is not None and count < spec.min_children:
-                    want = "child" if spec.min_children == 1 else "children"
-                    problems.append((
-                        "", f"{el.kind} requires at least {spec.min_children} {want}, got {count}"))
-                if spec.exact_children is not None and count != spec.exact_children:
-                    want = "child" if spec.exact_children == 1 else "children"
-                    problems.append((
-                        "", f"{el.kind} requires exactly {spec.exact_children} {want}, got {count}"))
+            for prop in spec.required_props:
+                if prop not in el.props:
+                    problems.append(("", f"{el.kind} requires prop {prop!r} (MissingProp)"))
+            _check_props(el, spec, kinds, problems, "")
+            count = len(el.children)
+            if spec.is_mark and count:
+                problems.append(("", f"mark kind {el.kind!r} cannot have children"))
+            if spec.min_children is not None and count < spec.min_children:
+                problems.append(("", _arity(el.kind, "at least", spec.min_children, count)))
+            if spec.exact_children is not None and count != spec.exact_children:
+                problems.append(("", _arity(el.kind, "exactly", spec.exact_children, count)))
         if problems:
             path = _walk_path(order, index)
             diags.extend(Diagnostic(SCHEMA_ERROR, message, (path + suffix,))
@@ -334,6 +336,19 @@ def validate(tree: Element, registry) -> list[Diagnostic]:
 
 
 # --- name resolution ----------------------------------------------------------
+
+
+def _selector_fault(order, ref: int, selector: list[str], segment: str, scope: int | None,
+                    matches) -> Diagnostic:
+    """Why ``segment``, looked up in ``scope`` (None: the whole document), matched no one element."""
+    inside = "" if scope is None else f" inside {_walk_path(order, scope)}"
+    if not matches:
+        return Diagnostic(UNRESOLVED_NAME, f"no element named {segment!r}{inside} "
+                          f"(selector {'/'.join(selector)!r})", (_walk_path(order, ref),))
+    where = ", ".join(_walk_path(order, m) for m in matches)
+    return Diagnostic(AMBIGUOUS_NAME, f"name {segment!r} is ambiguous"
+                      f"{': matches' if scope is None else ' within scope:'} {where}",
+                      (_walk_path(order, ref),))
 
 
 def resolve_names(tree: Element) -> tuple[dict[int, int], list[Diagnostic]]:
@@ -381,47 +396,20 @@ def resolve_names(tree: Element) -> tuple[dict[int, int], list[Diagnostic]]:
 
     for i in ref_indices:
         selector = order[i][0].select
-        head = selector[0]
-        candidates = by_name.get(head, [])
-        if not candidates:
-            diags.append(Diagnostic(
-                UNRESOLVED_NAME, f"no element named {head!r} (selector {'/'.join(selector)!r})",
-                (path(i),)))
-            continue
-        if len(candidates) > 1:
-            where = ", ".join(path(c) for c in candidates)
-            diags.append(Diagnostic(
-                AMBIGUOUS_NAME,
-                f"name {head!r} is ambiguous: matches {where}", (path(i),)))
-            continue
-        current = candidates[0]
-        failed = False
-        for segment in selector[1:]:
-            matches = by_scope.get((current, segment), [])
-            if not matches:
-                diags.append(Diagnostic(
-                    UNRESOLVED_NAME,
-                    f"no element named {segment!r} inside {path(current)} "
-                    f"(selector {'/'.join(selector)!r})",
-                    (path(i),)))
-                failed = True
-                break
-            if len(matches) > 1:
-                where = ", ".join(path(m) for m in matches)
-                diags.append(Diagnostic(
-                    AMBIGUOUS_NAME, f"name {segment!r} is ambiguous within scope: {where}",
-                    (path(i),)))
-                failed = True
+        current = None  # the first segment is looked up document-wide, each later one in its scope
+        for segment in selector:
+            matches = by_name.get(segment, ()) if current is None else by_scope.get((current, segment), ())
+            if len(matches) != 1:
+                diags.append(_selector_fault(order, i, selector, segment, current, matches))
                 break
             current = matches[0]
-        if failed:
-            continue
-        if current >= i:
-            diags.append(Diagnostic(
-                FORWARD_REFERENCE,
-                f"selector {'/'.join(selector)!r} points forward to {path(current)}; "
-                f"referents must appear before the ref",
-                (path(i), path(current))))
-            continue
-        refs[i] = current
+        else:
+            if current >= i:
+                diags.append(Diagnostic(
+                    FORWARD_REFERENCE,
+                    f"selector {'/'.join(selector)!r} points forward to {path(current)}; "
+                    f"referents must appear before the ref",
+                    (path(i), path(current))))
+            else:
+                refs[i] = current
     return refs, diags

@@ -133,10 +133,6 @@ def expand_tree(tree: Element, registry: Registry) -> Element:
 
 # --- scenegraph construction ----------------------------------------------------
 
-def _normalized_props(el: Element, spec: ElementKindSpec) -> dict:
-    return {**spec.default_props, **el.props}
-
-
 def build_scenegraph(tree: Element, refs: dict[int, int], registry: Registry) -> Scenegraph:
     """Create layout and ref nodes for every element, in document pre-order.
 
@@ -165,14 +161,14 @@ def build_scenegraph(tree: Element, refs: dict[int, int], registry: Registry) ->
                                     ref=f"{parent_path}/{step}") from None
             continue
         spec = registry.kinds[el.kind]
-        props = _normalized_props(el, spec)
+        props = {**spec.default_props, **el.props}
         node = graph.create_node(el.kind, parent, paint_props=props, name=el.name, step=step)
         node_of_element[index] = node
         for prop in spec.element_props:
             if prop in props:
                 mark = props[prop]
                 graph.create_node(
-                    mark.kind, node, paint_props=_normalized_props(mark, registry.kinds[mark.kind]),
+                    mark.kind, node, paint_props={**registry.kinds[mark.kind].default_props, **mark.props},
                     step=f"{mark.kind}({prop} mark)")
     return graph
 
@@ -210,9 +206,6 @@ class LayoutRuntime:
             spec = self.registry.kinds[node.kind]
             if spec.layout is not None:
                 spec.layout(self, node, node.paint_props)
-
-    def warn(self, diag: Diagnostic) -> None:
-        self.warnings.append(diag)
 
 
 def _layout_error_diagnostic(graph: Scenegraph, exc: BluefishError) -> Diagnostic:

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 # Stable diagnostic codes. Codes are append-only: new failure modes get
-# new codes, existing codes never change meaning.
+# new codes, existing codes never change meaning. BF010, BF014 and BF015
+# are no longer emitted and stay reserved, so no constant spells them.
 DIMENSION_CONFLICT = "BF001"
 UNRESOLVED_NAME = "BF002"
 FORWARD_REFERENCE = "BF003"
@@ -21,12 +22,9 @@ SYNTAX_ERROR = "BF006"
 SCHEMA_ERROR = "BF007"
 DEGENERATE_CONNECTOR = "BF008"
 SELF_REFERENCE = "BF009"
-REF_TO_REF = "BF010"  # reserved, no longer emitted
 DUPLICATE_NAME = "BF011"
 UNDEFINED_EXTENT = "BF012"
 INVALID_EXTENT = "BF013"
-INCONSISTENT_BBOX = "BF014"  # reserved, no longer emitted
-UNDEFINED_TRANSFORM = "BF015"  # reserved, no longer emitted
 GEOMETRY_OVERFLOW = "BF016"
 
 ERROR = "error"

@@ -96,7 +96,12 @@ def axis_of(field_name: str) -> Axis:
 
 # --- path data ----------------------------------------------------------------
 
-_NUM = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+_NUM = re.compile(r"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
+_COMMANDS = "MmLlHhVvCcSsQqTtAaZz"
+#: A command letter, a number, or else the first character that is neither
+#: nor a separator (space, tab, LF, CR, comma), taken with the rest of the
+#: data so that it is the last token.
+_TOKEN = re.compile(rf"[{_COMMANDS}]|{_NUM.pattern}|[^ \t\n\r,].*", re.DOTALL)
 _ARGS_PER_COMMAND = {
     "M": 2, "L": 2, "T": 2, "H": 1, "V": 1, "C": 6, "S": 4, "Q": 4, "A": 7, "Z": 0,
 }
@@ -107,11 +112,15 @@ def path_control_points(d: str) -> list[tuple[float, float]]:
 
     The control polygon bounds the curve for line and Bezier segments;
     arcs contribute their endpoints only. Raises ValueError on malformed
-    data.
+    data, such as a character that is no command letter, number or
+    separator.
     """
-    tokens = re.findall(r"[MmLlHhVvCcSsQqTtAaZz]|" + _NUM.pattern, d)
+    tokens = _TOKEN.findall(d)
     if not tokens:
         raise ValueError("empty path data")
+    stray = tokens[-1]
+    if stray[0] not in _COMMANDS and _NUM.fullmatch(stray) is None:
+        raise ValueError(f"unexpected {stray[0]!r}")
     points: list[tuple[float, float]] = []
     cur = (0.0, 0.0)
     start = (0.0, 0.0)

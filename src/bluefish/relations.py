@@ -218,14 +218,19 @@ def _guideline_value(rt: "LayoutRuntime", target: LayoutNode, node: LayoutNode, 
     return value
 
 
-def _packed_slots(rt: "LayoutRuntime", targets: list[LayoutNode], axis: Axis,
-                  spacing: float) -> tuple[list[float], float]:
-    """Start offsets of targets packed with equal gaps (0, e0+spacing, ...), and the run's extent."""
+def _distribute(rt: "LayoutRuntime", node: LayoutNode, targets: list[LayoutNode], axis: Axis,
+                spacing: float) -> None:
+    """Pack targets along an axis with equal gaps, place them, and decide node's run there.
+
+    The slots are 0, e0+spacing, ...; the run starts at ``_place``'s shift.
+    """
     extents = [_require_extent(t, axis) for t in targets]
     slots = [0.0]
     for e in extents[:-1]:
         slots.append(slots[-1] + (e + spacing))
-    return slots, sum(extents) + spacing * (len(extents) - 1)
+    origin = _place(rt, node, targets, axis, axis.start_field, slots)
+    rt.graph.decide(node, axis.start_field, origin, node)
+    rt.graph.decide(node, axis.extent_field, sum(extents) + spacing * (len(extents) - 1), node)
 
 
 def _place(rt: "LayoutRuntime", node: LayoutNode, targets: list[LayoutNode], axis: Axis,
@@ -302,15 +307,10 @@ def _stack_layout_for(main: Axis):
         cross_extents = [_require_extent(t, cross) for t in targets]
         field_name = props["alignment"]
         guideline = _place(rt, node, targets, cross, field_name, [0.0] * len(targets))
-        slots, total = _packed_slots(rt, targets, main, props["spacing"])
-        origin = _place(rt, node, targets, main, main.start_field, slots)
+        _distribute(rt, node, targets, main, props["spacing"])
         cross_extent = max(cross_extents)
-        cross_origin = guideline - cross.offset(field_name, cross_extent)
-        decide = rt.graph.decide
-        decide(node, main.start_field, origin, node)
-        decide(node, main.extent_field, total, node)
-        decide(node, cross.start_field, cross_origin, node)
-        decide(node, cross.extent_field, cross_extent, node)
+        rt.graph.decide(node, cross.start_field, guideline - cross.offset(field_name, cross_extent), node)
+        rt.graph.decide(node, cross.extent_field, cross_extent, node)
 
     return layout_stack
 
@@ -345,10 +345,7 @@ def layout_align(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
 def layout_distribute(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
     targets = [rt.graph.target_of(c) for c in node.children]
     main = Axis.VERTICAL if props["direction"] == "vertical" else Axis.HORIZONTAL
-    slots, total = _packed_slots(rt, targets, main, props["spacing"])
-    origin = _place(rt, node, targets, main, main.start_field, slots)
-    rt.graph.decide(node, main.start_field, origin, node)
-    rt.graph.decide(node, main.extent_field, total, node)
+    _distribute(rt, node, targets, main, props["spacing"])
     _untouched_extent(rt, node, targets, main.other)
 
 
@@ -406,7 +403,7 @@ def layout_connector(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None
     decide(node, "height", hi_y - lo_y, node)
     node.segment = _clip_segment(c1, e1, c2, e2, props["gap"])
     if node.segment is None:
-        rt.warn(Diagnostic(
+        rt.warnings.append(Diagnostic(
             DEGENERATE_CONNECTOR,
             "connector endpoints leave no visible segment",
             (rt.graph.path(node.id),), severity=WARNING))

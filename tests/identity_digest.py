@@ -38,6 +38,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import bluefish  # noqa: E402
+from bluefish.engine import layout_document  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 SEED = 7
@@ -59,7 +60,7 @@ def write_log(data: bytes) -> list[tuple[str, str, str]]:
         graph = bluefish.build_scenegraph(tree, table, registry)
     except bluefish.BluefishError:
         return []
-    bluefish.layout_document(graph)
+    layout_document(graph)
     return graph.write_log
 
 

@@ -19,6 +19,7 @@ from bluefish.docformat import (
 )
 from bluefish.engine import build_scenegraph, compile_source, standard_registry
 from bluefish.errors import DocumentSyntaxError, SchemaError
+from bluefish.relations import ElementKindSpec
 
 from conftest import errors_of
 
@@ -387,6 +388,32 @@ def test_background_mark_prop_is_checked():
 def test_invalid_path_data_is_reported():
     diags = _validate({"kind": "path", "props": {"d": "M 0 Q"}})
     assert any("invalid path data" in d.message for d in diags)
+
+
+@pytest.mark.parametrize("d, stray", [
+    ("M 0 0 # L 5 5", "#"),
+    ("M 0 0 L 5 5 foo", "f"),
+    ("M 1e", "e"),  # an exponent without digits
+    ("M--5 3", "-"),  # a doubled sign
+    ("M 0\u00a00 L 5 5", "\u00a0"),  # a no-break space is no separator
+    ("M \u0663 3", "\u0663"),  # nor is a digit outside ASCII a number
+    ("# M 0 0", "#"),
+    ("M0,0L5,5", None),
+    ("M 0\t0\tL 5 5", None),
+    ("M 0 0\nL 5 5\r\n", None),
+    ("M 0 0 L 5 5 ", None),
+])
+def test_path_data_holds_only_commands_numbers_and_separators(d, stray):
+    # any other character would be written into the SVG as given, where a
+    # user agent stops drawing at it although layout sized the box from
+    # every number; so it is one BF007, in d and in any path prop
+    registry = standard_registry()
+    registry.register(ElementKindSpec(
+        kind="tick", is_mark=True, required_props=("d",), prop_types={"d": "path"}))
+    for kind in ("path", "tick"):
+        diags = validate(parse_document(_doc({"kind": kind, "props": {"d": d}})), registry)
+        assert [(diag.code, diag.message, diag.node_paths) for diag in diags] == (
+            [] if stray is None else [("BF007", f"invalid path data: unexpected {stray!r}", (kind,))])
 
 
 def test_validating_a_tree_twice_gives_the_same_diagnostics():

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bluefish import Axis, Scenegraph, standard_registry
-from bluefish.geometry import axis_of
+from bluefish import Scenegraph, standard_registry
+from bluefish.geometry import Axis, axis_of
 from bluefish.scenegraph import LayoutNode
 
 from oracles import X_FIELDS, Y_FIELDS, solve_axis

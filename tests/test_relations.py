@@ -6,11 +6,11 @@ import json
 
 import pytest
 
-from bluefish import Axis, Scenegraph
+from bluefish import Scenegraph
 from bluefish.docformat import parse_document, resolve_names, validate
 from bluefish.engine import LayoutRuntime, build_scenegraph, layout_document, standard_registry
 from bluefish.errors import DimensionConflict
-from bluefish.geometry import path_control_points
+from bluefish.geometry import Axis, path_control_points
 from bluefish.relations import _clip_segment, measure_text
 from bluefish.scenegraph import LayoutNode
 

@@ -14,13 +14,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bluefish import (
-    TOLERANCE,
-    Axis,
     Scenegraph,
     build_scenegraph,
     compile_source,
     expand_tree,
-    layout_document,
     parse_document,
     resolve_names,
     standard_registry,
@@ -35,6 +32,8 @@ from bluefish.errors import (
     UndefinedExtentError,
     UnsizedNodes,
 )
+from bluefish.engine import layout_document
+from bluefish.geometry import TOLERANCE, Axis
 from bluefish.scenegraph import LayoutNode
 
 from conftest import FIXTURES
