@@ -16,8 +16,9 @@ not ``center_x``) so the same spelling works in documents, owner maps,
 and dumps.
 
 ``path_control_points`` reads SVG path data into the points whose box a
-path draws in. Validation reads each path prop once, into ``PathData``,
-and path layout takes the points from there.
+path draws in. Validation reads each path prop once, and registration
+each path default, into ``PathData``; path layout takes the points from
+there.
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@ Every kind is described by an ElementKindSpec bundling its props, its
 layout function, and its paint function. The engine runs a node's layout
 function once, after it has laid out all of the node's children, so
 layout functions never recurse: they size and place the finished
-children (directly or through refs), then record the node's own extent
-and local origin.
+children (directly or through refs), then record the node's own box: a
+start and an extent on each axis, covering the children's boxes, also
+on an axis the relation places nothing on (``_cover``).
 
 The anchor discipline is what lets one relation mesh with decisions made
 by earlier ones. On each axis a relation first checks which participants
@@ -35,7 +36,7 @@ from .errors import (
     InvalidKindSpec,
     UndefinedExtentError,
 )
-from .geometry import AXES, TOLERANCE, Axis, PathData, path_control_points
+from .geometry import AXES, TOLERANCE, Axis, PathData
 
 if TYPE_CHECKING:
     from .engine import LayoutRuntime
@@ -96,8 +97,9 @@ class ElementKindSpec:
     def check_facts(self) -> None:
         """Raise InvalidKindSpec where the spec's prop facts disagree.
 
-        That is a type not in ``PROP_TYPE_NAMES``, or a typed, enum or
-        signed prop that is neither required nor optional.
+        That is a type not in ``PROP_TYPE_NAMES``, a typed, enum or
+        signed prop that is neither required nor optional, or a path
+        default that is no path data.
         """
         declared = {*self.required_props, *self.optional_props}
         for facts in ("prop_types", "enum_props", "nonnegative_props", "positive_props"):
@@ -109,6 +111,7 @@ class ElementKindSpec:
             if prop_type not in PROP_TYPE_NAMES:
                 raise InvalidKindSpec(
                     self.kind, f"prop {prop!r} has type {prop_type!r}, not one of {', '.join(PROP_TYPE_NAMES)}")
+        self.default_props  # read here, so a bad path default fails at register
 
     # Facts derived from the fields above, each computed on first use.
 
@@ -122,8 +125,15 @@ class ElementKindSpec:
 
     @cached_property
     def default_props(self) -> dict[str, object]:
-        """The optional props that have a default. Read it, never change it."""
-        return {k: v for k, v in self.optional_props.items() if v is not None}
+        """The optional props that have a default, path data read into ``PathData``. Read it, never change it."""
+        defaults = {k: v for k, v in self.optional_props.items() if v is not None}
+        for prop, value in defaults.items():
+            if self.prop_types.get(prop) == "path":
+                try:
+                    defaults[prop] = PathData.read(value)
+                except ValueError as exc:
+                    raise InvalidKindSpec(self.kind, f"default of path prop {prop!r}: {exc}") from None
+        return defaults
 
     @cached_property
     def element_props(self) -> tuple[str, ...]:
@@ -190,11 +200,9 @@ def layout_text(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
 
 
 def layout_path(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
-    # the box tracks the drawn geometry, so it need not start at 0; data
-    # that validation parsed carries its points, and data it never saw (a
-    # spec's default, a graph built by hand) is parsed here
-    d = props["d"]
-    pts = d.points if d.__class__ is PathData else path_control_points(d)
+    # the box tracks the drawn geometry, so it need not start at 0; path
+    # data is read once, by validation or by the spec's default_props
+    pts = props["d"].points
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
     _mark_box(rt, node, min(xs), min(ys), max(xs) - min(xs), max(ys) - min(ys))
@@ -265,36 +273,48 @@ def _place(rt: "LayoutRuntime", node: LayoutNode, targets: list[LayoutNode], axi
     return shift
 
 
-def _untouched_extent(rt: "LayoutRuntime", node: LayoutNode, targets: list[LayoutNode],
-                      axis: Axis) -> None:
-    """Decide node's extent on an axis it places nothing on: the largest target extent.
-
-    Only the extent is recorded, and only once every target's is known.
-    """
-    extents = [getattr(t, axis.extent_field) for t in targets]
-    if all(e is not None for e in extents):
-        rt.graph.decide(node, axis.extent_field, max(extents), node)
-
-
 def _union_boxes(rt: "LayoutRuntime", node: LayoutNode, targets: list[LayoutNode],
-                 axis: Axis, strict: bool = False) -> tuple[float, float] | None:
-    """(min position, max position) of targets on an axis, in node's frame.
+                 axis: Axis) -> tuple[float, float]:
+    """(min start, max end) of targets' boxes on an axis, in node's frame.
 
-    Children without a full box on the axis are skipped, unless
-    ``strict``, in which case they are an error (a background must
-    enclose every child, so it cannot ignore one).
+    The reads pin each undecided translation on the way, owned by node
+    (``bbox_in_frame``). A target with no box is an UndefinedExtentError.
     """
     lo = math.inf
     hi = -math.inf
     for t in targets:
         start, end = rt.graph.bbox_in_frame(t, node, axis, axis.start_field, axis.end_field)
-        if start is None or end is None:
-            if strict:
-                raise UndefinedExtentError(t.id, axis.start_field if start is None else axis.end_field)
-            continue
+        if end is None:
+            raise UndefinedExtentError(t.id, axis.extent_field)
         lo = min(lo, start)
         hi = max(hi, end)
-    return (lo, hi) if lo is not math.inf else None
+    return lo, hi
+
+
+def _cover(rt: "LayoutRuntime", node: LayoutNode, targets: list[LayoutNode], axis: Axis) -> None:
+    """Decide node's box on an axis as the span its targets' boxes cover in its frame.
+
+    Unlike ``_union_boxes`` the reads pin nothing: an undecided
+    translation reads 0 and stays undecided, so a later relation can
+    still place that target through a ref. A target with no box is an
+    UndefinedExtentError.
+    """
+    lo = math.inf
+    hi = -math.inf
+    for t in targets:
+        extent = getattr(t, axis.extent_field)
+        if extent is None:
+            raise UndefinedExtentError(t.id, axis.extent_field)
+        chain, back, _ = rt.graph.climb(t, node, axis)
+        start = getattr(t, axis.start_field)
+        end = start + extent
+        for v in chain:
+            start += v
+            end += v
+        lo = min(lo, start - back)
+        hi = max(hi, end - back)
+    rt.graph.decide(node, axis.start_field, lo, node)
+    rt.graph.decide(node, axis.extent_field, hi - lo, node)
 
 
 # --- relation layout -------------------------------------------------------------
@@ -319,50 +339,30 @@ def layout_align(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
     targets = [rt.graph.target_of(c) for c in node.children]
     v_field, h_field = ALIGNMENT_FIELDS[props["alignment"]]
     for axis, field_name in ((Axis.VERTICAL, v_field), (Axis.HORIZONTAL, h_field)):
-        if field_name is None:
-            _untouched_extent(rt, node, targets, axis)
-            continue
-        guideline = _place(rt, node, targets, axis, field_name, [0.0] * len(targets))
-        lo = math.inf
-        hi = -math.inf
-        for t in targets:
-            start, end, extent = rt.graph.bbox_in_frame(
-                t, node, axis, axis.start_field, axis.end_field, axis.extent_field)
-            if start is None or end is None:
-                if extent is None:
-                    continue
-                # a target without its own box position was just placed on
-                # the guideline with content at its local origin
-                start = guideline - axis.offset(field_name, extent)
-                end = start + extent
-            lo = min(lo, start)
-            hi = max(hi, end)
-        if lo is not math.inf:
-            rt.graph.decide(node, axis.start_field, lo, node)
-            rt.graph.decide(node, axis.extent_field, hi - lo, node)
+        # once placed, every translation between a target and node is
+        # decided, so the covered span is the targets' union there too
+        if field_name is not None:
+            _place(rt, node, targets, axis, field_name, [0.0] * len(targets))
+        _cover(rt, node, targets, axis)
 
 
 def layout_distribute(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
     targets = [rt.graph.target_of(c) for c in node.children]
     main = Axis.VERTICAL if props["direction"] == "vertical" else Axis.HORIZONTAL
     _distribute(rt, node, targets, main, props["spacing"])
-    _untouched_extent(rt, node, targets, main.other)
+    _cover(rt, node, targets, main.other)
 
 
 def layout_group(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
-    # unplaced children stay put: the union's frame reads default them to 0
+    # unplaced children stay put: the union's frame reads default them to
+    # 0; an empty group decides no box, so finalize reports it unsized
     del props
     targets = [rt.graph.target_of(c) for c in node.children]
-    for axis in AXES:
-        span = _union_boxes(rt, node, targets, axis)
-        if span is not None:
-            rt.graph.decide(node, axis.start_field, span[0], node)
-            rt.graph.decide(node, axis.extent_field, span[1] - span[0], node)
-        else:
-            extents = [getattr(t, axis.extent_field) for t in targets]
-            known = [e for e in extents if e is not None]
-            if known:
-                rt.graph.decide(node, axis.extent_field, max(known), node)
+    if targets:
+        for axis in AXES:
+            lo, hi = _union_boxes(rt, node, targets, axis)
+            rt.graph.decide(node, axis.start_field, lo, node)
+            rt.graph.decide(node, axis.extent_field, hi - lo, node)
 
 
 def layout_background(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
@@ -374,9 +374,7 @@ def layout_background(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> Non
         for t in targets:
             if axis.transform_field not in t.owners:
                 rt.graph.set_dim_in_frame(t, node, axis.start_field, padding)
-        span = _union_boxes(rt, node, targets, axis, strict=True)
-        assert span is not None  # strict union either returns or raises
-        lo, hi = span
+        lo, hi = _union_boxes(rt, node, targets, axis)
         extent = (hi - lo) + 2.0 * padding
         rt.graph.set_dim_in_frame(mark, node, axis.extent_field, extent)
         rt.graph.set_dim_in_frame(mark, node, axis.start_field, lo - padding)
@@ -390,7 +388,7 @@ def layout_connector(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None
     for t in targets:
         left, cx, right, w = rt.graph.bbox_in_frame(t, node, Axis.HORIZONTAL, *Axis.HORIZONTAL.fields)
         top, cy, bottom, h = rt.graph.bbox_in_frame(t, node, Axis.VERTICAL, *Axis.VERTICAL.fields)
-        if None in (cx, w, cy, h):
+        if w is None or h is None:
             raise UndefinedExtentError(t.id, "width" if w is None else "height")
         boxes.append((left, right, top, bottom, (cx, cy), (w, h)))
     (l1, r1, t1, b1, c1, e1), (l2, r2, t2, b2, c2, e2) = boxes
@@ -532,7 +530,8 @@ _PROP_TYPES = {
     "alignment": "string", "direction": "string",
     "background": "element",
 }
-_NONNEGATIVE_PROPS = frozenset({"width", "height", "r", "rx", "ry", "strokeWidth", "padding", "gap"})
+_NONNEGATIVE_PROPS = frozenset({
+    "width", "height", "r", "rx", "ry", "strokeWidth", "spacing", "padding", "gap"})
 _POSITIVE_PROPS = frozenset({"fontSize"})
 
 

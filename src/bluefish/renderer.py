@@ -103,7 +103,7 @@ def paint(scene: Scenegraph) -> bytes:
     lines = [f'<svg viewBox="0 0 {_ceil2(root.width)} {_ceil2(root.height)}" xmlns="{SVG_NS}">']
     # the root has no parent, so replacing its translation pins the
     # content box's top-left corner to the viewBox origin
-    shift = (-(root.left or 0.0), -(root.top or 0.0))
+    shift = (-root.left, -root.top)
     kinds = scene.registry.kinds
     stack: list[str | None] = [scene.root]  # None closes a group
     while stack:
@@ -146,9 +146,9 @@ def dump_scene(scene: Scenegraph) -> bytes:
 
     It is written as text in one pass, each object's keys in that sorted
     order. Ids and owners are generated (``n<k>``) and need no escaping,
-    and a resolved scene has a width, a height and both translation
-    owners on every layout node. Kinds and names are spelled by json's
-    own string encoder, and every number by the dump's own spelling from
+    and a resolved scene has a whole box and both translation owners on
+    every layout node. Kinds and names are spelled by json's own string
+    encoder, and every number by the dump's own spelling from
     ``fmt_num``, the function that spells the SVG's numbers: its
     fixed-point text is what json writes for the rounded value, an int
     when it is whole. A mark's ``geometry`` entry is written as the node
@@ -164,18 +164,13 @@ def dump_scene(scene: Scenegraph) -> bytes:
             out.append(f'{{"id":"{node.id}","kind":"ref","refId":"{node.ref_id}"}}')
             continue
         owners = node.owners
-        left, top = owners.get("left"), owners.get("top")
-        box_owners = "".join((
-            f'"height":"{owners["height"]}"',
-            "" if left is None else f',"left":"{left}"',
-            "" if top is None else f',"top":"{top}"',
-            f',"width":"{owners["width"]}"'))
         children = '"' + '","'.join(node.children) + '"' if node.children else ""
         name = "" if node.name is None else f',"name":{text(node.name)}'
         kind = text(node.kind)
         width, height = num(node.width), num(node.height)
         out.append(
-            f'{{"bboxOwners":{{{box_owners}}},"children":[{children}],'
+            f'{{"bboxOwners":{{"height":"{owners["height"]}","left":"{owners["left"]}",'
+            f'"top":"{owners["top"]}","width":"{owners["width"]}"}},"children":[{children}],'
             f'"height":{height},"id":"{node.id}","kind":{kind}{name},'
             f'"transform":{{"x":{num(node.tx)},"y":{num(node.ty)}}},'
             f'"transformOwners":{{"x":"{owners["transform.x"]}","y":"{owners["transform.y"]}"}},'

@@ -7,18 +7,19 @@ writing them *through* the tree, in its own coordinate frame.
 
 Each layout node stores what layout decides for it as its own fields: a
 box start and extent per axis (``left``/``width``, ``top``/``height``)
-and a translation (``tx``/``ty``), each None until decided. A centre or
-end is never stored: a read derives it as ``start + extent / 2.0`` or
+and a translation (``tx``/``ty``), each None until decided. A box is
+whole or absent: ``decide`` takes no extent before its start. A centre
+or end is never stored: a read derives it as ``start + extent / 2.0`` or
 ``start + extent``. Coordinates are strictly local. A node's box lives
 in its own frame and its translation maps that frame into the parent's.
 Converting between frames composes translations along the paths to the
-least common ancestor. A relation reads and writes in its own frame, and
-the frame owns what it decides or defaults: each dimension it writes,
-and each undecided translation component on the path, which the read
-defaults to 0. Asking "where is X relative to me?" is only answerable
-once the undecided offsets in between are pinned down, and pinning them
-is itself a layout decision that must be owned. ``finalize`` defaults
-what no relation reached, owned by the root.
+least common ancestor (``climb``). A relation reads and writes in its
+own frame, and the frame owns what it decides or defaults: each
+dimension it writes, and each undecided translation component on the
+path, which the read defaults to 0. Asking "where is X relative to me?"
+is only answerable once the undecided offsets in between are pinned
+down, and pinning them is itself a layout decision that must be owned.
+``finalize`` defaults what no relation reached, owned by the root.
 
 Ownership is the immutability mechanism: each box start and extent and
 each translation component is written at most once, by exactly one
@@ -67,10 +68,11 @@ from .geometry import AXES, TOLERANCE, Axis, axis_of
 if TYPE_CHECKING:
     from .engine import Registry
 
-#: Each field a node stores, by its owner-map key: (node attribute, is an extent).
+#: Each field a node stores, by its owner-map key: (node attribute, the start an extent needs).
 _STORED = {
-    **{f: (f, f == axis.extent_field) for axis in Axis for f in (axis.start_field, axis.extent_field)},
-    **{axis.transform_field: (axis.translation, False) for axis in Axis},
+    **{axis.start_field: (axis.start_field, None) for axis in Axis},
+    **{axis.extent_field: (axis.extent_field, axis.start_field) for axis in Axis},
+    **{axis.transform_field: (axis.translation, None) for axis in Axis},
 }
 
 
@@ -116,8 +118,7 @@ class LayoutNode:
 
     def content_box(self) -> tuple[float, float, float, float]:
         """Absolute (left, top, width, height) of the node's content."""
-        return (self.x + (0.0 if self.left is None else self.left),
-                self.y + (0.0 if self.top is None else self.top), self.width, self.height)
+        return (self.x + self.left, self.y + self.top, self.width, self.height)
 
 
 @dataclass
@@ -165,7 +166,7 @@ class Scenegraph:
         node = LayoutNode(id=nid, kind=kind, paint_props={} if paint_props is None else paint_props,
                           name=name, step=step or nid)
         if parent is None:
-            # one root, so any two layout nodes share an ancestor (see _leg_translations)
+            # one root, so any two layout nodes share an ancestor (see climb)
             if self.root is not None:
                 raise DisconnectedNodes(self.root)
             self.root = nid
@@ -234,21 +235,26 @@ class Scenegraph:
         ``transform.x`` or ``transform.y``; any other name raises
         ValueError (a box stores no centre or end). A NaN or infinite
         value raises GeometryOverflow and a negative extent
-        InvalidExtent. The same owner repeating the value within
+        InvalidExtent, and an extent whose start is undecided
+        UndefinedExtentError naming the start, so a reader that finds an
+        extent finds a start. The same owner repeating the value within
         TOLERANCE changes nothing; any other second write raises
         DimensionConflict naming both owners. Every check runs before
         the write, and only a write that happens is logged.
         """
         try:
-            attr, extent = _STORED[field_name]
+            attr, start = _STORED[field_name]
         except KeyError:
             raise ValueError(
                 f"{field_name!r} is not a box start or extent or a translation component") from None
         if not math.isfinite(value):
             raise GeometryOverflow(node.id, field_name, value)
-        if extent and value < 0:
-            raise InvalidExtent(field_name, value, node.id)
         owners = node.owners
+        if start is not None:
+            if value < 0:
+                raise InvalidExtent(field_name, value, node.id)
+            if start not in owners:
+                raise UndefinedExtentError(node.id, start)
         existing_owner = owners.get(field_name)
         if existing_owner is not None:
             existing = getattr(node, attr)
@@ -262,61 +268,59 @@ class Scenegraph:
 
     # --- frame conversion -------------------------------------------------------
 
-    def _leg_translations(self, target: LayoutNode, frame: LayoutNode,
-                          axis: Axis) -> tuple[list[float], float]:
-        """Translations on ``axis`` that map target->lca, and the sum of those mapping frame->lca.
+    def climb(self, target: LayoutNode, frame: LayoutNode,
+              axis: Axis) -> tuple[list[float], float, list[LayoutNode]]:
+        """The legs between target and frame on ``axis``, and the undecided nodes on them.
 
         The target leg lists the target's own translation and then each
-        ancestor's up to the lca; the frame leg sums the frame's and its
-        ancestors' upward from 0.0. The lca's own translation belongs to
-        neither (it maps the lca out of the frame both sides share). Both
-        layout nodes climb to the lca by depth, the deeper side first; the
-        graph has one root, so the climbs meet before either side runs
-        out. A decided component is read as it is. An undecided one reads
-        0, a default the frame owns: once the climb is done, ``decide``
-        stores each, the target leg's upward and then the frame leg's.
+        ancestor's up to the lca; the frame leg is the sum of the frame's
+        and its ancestors' upward from 0.0. The lca's own translation
+        belongs to neither (it maps the lca out of the frame both sides
+        share). Both layout nodes climb to the lca by depth, the deeper
+        side first; the graph has one root, so the climbs meet before
+        either side runs out. An undecided component reads 0 and its node
+        is listed, the target leg's upward and then the frame leg's. The
+        climb writes nothing; a caller that defaults those nodes pins them.
         """
         nodes = self.nodes
         horizontal = axis is Axis.HORIZONTAL
         chain: list[float] = []
         back = 0.0
-        defaulted: list[LayoutNode] = []
-        frame_defaulted: list[LayoutNode] = []
+        undecided: list[LayoutNode] = []
+        frame_undecided: list[LayoutNode] = []
         a, b = target, frame
         while a is not b:
             if a.depth >= b.depth:
                 t = a.tx if horizontal else a.ty
                 if t is None:
                     t = 0.0
-                    defaulted.append(a)
+                    undecided.append(a)
                 chain.append(t)
                 a = nodes[a.parent]
             else:
                 t = b.tx if horizontal else b.ty
                 if t is None:
                     t = 0.0
-                    frame_defaulted.append(b)
+                    frame_undecided.append(b)
                 back += t
                 b = nodes[b.parent]
-        if defaulted or frame_defaulted:
-            field_name = axis.transform_field
-            for n in defaulted + frame_defaulted:
-                self.decide(n, field_name, 0.0, frame)
-        return chain, back
+        return chain, back, undecided + frame_undecided
 
     def bbox_in_frame(self, target: LayoutNode, frame: LayoutNode, axis: Axis,
                       *fields: str) -> list[float | None]:
         """The named box fields of target on one axis, expressed in frame coordinates.
 
         ``fields`` are any of the axis's start, centre, end and extent,
-        and the values come back in the order named, None where the box
-        leaves one underdetermined. The frame owns each translation the
-        read defaults on the way (see ``_leg_translations``). A position
-        is the local value plus the target leg's translations, one add
-        per node upward, minus the frame leg's sum; an extent is the same
-        in every frame. Only the named fields are computed.
+        and the values come back in the order named, None where the
+        target has not decided them. The frame owns each translation the
+        read defaults on the way (see ``climb``). A position is the local
+        value plus the target leg's translations, one add per node
+        upward, minus the frame leg's sum; an extent is the same in every
+        frame. Only the named fields are computed.
         """
-        chain, back = self._leg_translations(target, frame, axis)
+        chain, back, undecided = self.climb(target, frame, axis)
+        for n in undecided:
+            self.decide(n, axis.transform_field, 0.0, frame)
         if axis is Axis.HORIZONTAL:
             start, extent = target.left, target.width
         else:
@@ -330,7 +334,7 @@ class Scenegraph:
                 v = start
             elif f != axis.center_field and f != axis.end_field:
                 raise ValueError(f"{f!r} is not a field of the {axis.value} axis")
-            elif start is None or extent is None:
+            elif extent is None:
                 v = None
             else:
                 v = start + (extent / 2.0 if f == axis.center_field else extent)
@@ -352,31 +356,27 @@ class Scenegraph:
         stores nothing else, so a centre or end in the own frame raises
         ValueError). A position written from any other frame decides
         where the node *sits* and becomes its translation on the axis
-        (relations move nodes, they do not reshape them). When the
-        target stores no start on the axis its content sits at the local
-        origin by default (the same default finalize applies), so the
-        local value is the field's offset from that origin. The legs
-        climb from the target's parent: a relation writes its children
-        and their referents, never the root.
+        (relations move nodes, they do not reshape them), so the target
+        must have a box on the axis, or UndefinedExtentError names the
+        field. The legs climb from the target's parent: a relation writes
+        its children and their referents, never the root.
         """
         axis = axis_of(field_name)
         if field_name == axis.extent_field or target is frame:
             self.decide(target, field_name, value, frame)
             return
-        chain, back = self._leg_translations(self.nodes[target.parent], frame, axis)
+        chain, back, undecided = self.climb(self.nodes[target.parent], frame, axis)
+        for n in undecided:
+            self.decide(n, axis.transform_field, 0.0, frame)
         rest = 0.0
         for t in chain:
             rest += t
-        start = getattr(target, axis.start_field)
-        if field_name == axis.start_field:
-            local = 0.0 if start is None else start
-        else:
-            extent = getattr(target, axis.extent_field)
-            if extent is None:
-                # a centre or end with no extent is unrelatable to the content
-                raise UndefinedExtentError(target.id, field_name)
-            offset = axis.offset(field_name, extent)
-            local = offset if start is None else start + offset
+        extent = getattr(target, axis.extent_field)
+        if extent is None:
+            raise UndefinedExtentError(target.id, field_name)
+        local = getattr(target, axis.start_field)
+        if field_name != axis.start_field:
+            local += axis.offset(field_name, extent)
         self.decide(target, axis.transform_field, ((value - local) - rest) + back, frame)
 
     # --- finalization --------------------------------------------------------

@@ -8,9 +8,9 @@ their timing loop back the linear-time acceptance check.
 
 from __future__ import annotations
 
+import gc
 import json
 import random
-import statistics
 import time
 
 from bluefish import compile_source, paint
@@ -94,10 +94,6 @@ def random_stack_triplet(rng: random.Random) -> tuple[dict, dict, dict]:
 
 # --- ref-free documents -------------------------------------------------------------
 
-# Relations whose own box always has a position on both axes; only these
-# may sit directly under a background or connector, which must read full
-# child boxes.
-_PLACED_RELATIONS = ("stackV", "stackH", "background")
 _ALL_RELATIONS = ("stackV", "stackH", "align", "distribute", "group",
                   "background", "line", "arrow")
 
@@ -125,12 +121,11 @@ def _random_mark(rng: random.Random) -> dict:
     return {"kind": "path", "props": {"d": d}}
 
 
-def random_ref_free_element(rng: random.Random, depth: int = 3,
-                            placed_only: bool = False) -> dict:
+def random_ref_free_element(rng: random.Random, depth: int = 3) -> dict:
     if depth <= 0 or rng.random() < 0.35:
         return _random_mark(rng)
-    kind = rng.choice(_PLACED_RELATIONS if placed_only else _ALL_RELATIONS)
-    make_child = lambda placed=False: random_ref_free_element(rng, depth - 1, placed)
+    kind = rng.choice(_ALL_RELATIONS)
+    make_child = lambda: random_ref_free_element(rng, depth - 1)
     if kind in ("stackV", "stackH"):
         props = {}
         if rng.random() < 0.8:
@@ -155,11 +150,11 @@ def random_ref_free_element(rng: random.Random, depth: int = 3,
                 "children": [make_child() for _ in range(rng.randint(1, 4))]}
     if kind == "background":
         el = {"kind": "background",
-              "children": [make_child(placed=True) for _ in range(rng.randint(1, 3))]}
+              "children": [make_child() for _ in range(rng.randint(1, 3))]}
         if rng.random() < 0.7:
             el["props"] = {"padding": rng.uniform(0.0, 15.0)}
         return el
-    return {"kind": kind, "children": [make_child(placed=True), make_child(placed=True)]}
+    return {"kind": kind, "children": [make_child(), make_child()]}
 
 
 def random_ref_free_doc(rng: random.Random, depth: int = 3) -> dict:
@@ -196,18 +191,22 @@ def generate_nested_stacks(target_nodes: int) -> bytes:
 
 
 def time_nested_stacks(sizes: list[int], reps: int) -> list[tuple[int, float]]:
-    """Median wall time of compile+paint per size, as (nodes, ms)."""
-    rows = []
-    for size in sizes:
-        data = generate_nested_stacks(size)
-        times = []
-        count = 0
-        for _ in range(reps):
+    """Fastest wall time of compile+paint per size, as (nodes, ms).
+
+    Each rep times every size once, round-robin, so a slow phase of the
+    machine lands on all sizes alike rather than on one; the collector
+    runs before each timing so no size pays for another's garbage.
+    """
+    docs = [generate_nested_stacks(size) for size in sizes]
+    best = [float("inf")] * len(sizes)
+    counts = [0] * len(sizes)
+    for _ in range(reps):
+        for i, data in enumerate(docs):
+            gc.collect()
             started = time.perf_counter()
             scene, diagnostics = compile_source(data)
             assert scene is not None, [d.render() for d in diagnostics]
             paint(scene)
-            times.append((time.perf_counter() - started) * 1000.0)
-            count = len(scene.nodes)
-        rows.append((count, statistics.median(times)))
-    return rows
+            best[i] = min(best[i], (time.perf_counter() - started) * 1000.0)
+            counts[i] = len(scene.nodes)
+    return list(zip(counts, best))

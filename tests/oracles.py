@@ -131,13 +131,12 @@ def stack_marks(box: StackBox, ox: float = 0.0, oy: float = 0.0,
 # --- plain tree-walk oracle -------------------------------------------------------
 #
 # Lays out a ref-free document dict (the same shape the JSON parser
-# accepts) with plain recursion. Spans are (box start | None, extent)
-# per axis in the node's own frame; children carry their origin offset
-# from the parent. A start of None means the node's own box has no
-# position on that axis; content is then taken to sit at the origin,
-# exactly the default an unplaced node falls back to.
+# accepts) with plain recursion. Spans are (box start, extent) per axis
+# in the node's own frame; children carry their origin offset from the
+# parent. A relation's span covers its children's boxes, also on an axis
+# it places nothing on.
 
-Span = tuple[float | None, float]
+Span = tuple[float, float]
 
 _ALIGNMENT_FIELDS: dict[str, tuple[str | None, str | None]] = {
     "topLeft": ("start", "start"), "top": ("start", None), "topRight": ("start", "end"),
@@ -178,32 +177,33 @@ def _get(el: dict, prop: str):
 
 
 def _coord(span: Span, which: str) -> float:
-    """A position field of a span; content sits at the origin if unplaced."""
+    """A position field of a span."""
     s, e = span
     if which == "start":
-        return s if s is not None else 0.0
+        return s
     if which == "center":
-        return s + e / 2.0 if s is not None else e / 2.0
-    return s + e if s is not None else e
+        return s + e / 2.0
+    return s + e
 
 
 def _span_union(placed: list[tuple[float, float, WalkNode]],
-                axis: str) -> tuple[float, float] | None:
+                axis: str) -> tuple[float, float]:
+    """(min start, max end) of the placed children's boxes on an axis."""
     lo = None
     hi = None
     for cx, cy, child in placed:
-        span = child.x if axis == "x" else child.y
-        s, e = span
-        if s is None:
-            continue
+        s, e = child.x if axis == "x" else child.y
         off = cx if axis == "x" else cy
         start = s + off
         end = (s + e) + off
         lo = start if lo is None else min(lo, start)
         hi = end if hi is None else max(hi, end)
-    if lo is None:
-        return None
     return lo, hi
+
+
+def _covered(placed: list[tuple[float, float, WalkNode]], axis: str) -> Span:
+    lo, hi = _span_union(placed, axis)
+    return lo, hi - lo
 
 
 def _slots(extents: list[float], spacing: float) -> list[float]:
@@ -246,36 +246,12 @@ def _walk_align(el: dict) -> WalkNode:
     subs = [tree_walk(c) for c in el.get("children", [])]
     v_which, h_which = _ALIGNMENT_FIELDS[el["props"]["alignment"]]
     offsets = [[0.0, 0.0] for _ in subs]
-    spans: dict[str, Span] = {}
-    for axis, which in (("y", v_which), ("x", h_which)):
-        idx = 1 if axis == "y" else 0
-        child_spans = [s.y if axis == "y" else s.x for s in subs]
-        if which is None:
-            spans[axis] = (None, max(sp[1] for sp in child_spans))
-            continue
-        lo = None
-        hi = None
-        for i, sp in enumerate(child_spans):
-            off = 0.0 - _coord(sp, which)
-            offsets[i][idx] = off
-            s, e = sp
-            if s is not None:
-                start = s + off
-                end = (s + e) + off
-            else:
-                # placed on the guideline with content at the local origin
-                if which == "start":
-                    start = 0.0
-                elif which == "center":
-                    start = 0.0 - e / 2.0
-                else:
-                    start = 0.0 - e
-                end = start + e
-            lo = start if lo is None else min(lo, start)
-            hi = end if hi is None else max(hi, end)
-        spans[axis] = (lo, hi - lo)
+    for idx, which in ((1, v_which), (0, h_which)):
+        if which is not None:
+            for i, sub in enumerate(subs):
+                offsets[i][idx] = 0.0 - _coord(sub.y if idx else sub.x, which)
     placed = [(off[0], off[1], sub) for off, sub in zip(offsets, subs)]
-    return WalkNode("align", spans["x"], spans["y"], children=placed)
+    return WalkNode("align", _covered(placed, "x"), _covered(placed, "y"), children=placed)
 
 
 def _walk_distribute(el: dict) -> WalkNode:
@@ -283,7 +259,6 @@ def _walk_distribute(el: dict) -> WalkNode:
     vertical = el["props"]["direction"] == "vertical"
     spacing = _get(el, "spacing")
     main_spans = [s.y if vertical else s.x for s in subs]
-    cross_spans = [s.x if vertical else s.y for s in subs]
     slots = _slots([sp[1] for sp in main_spans], spacing)
     placed = []
     for i, sub in enumerate(subs):
@@ -291,7 +266,7 @@ def _walk_distribute(el: dict) -> WalkNode:
         placed.append((0.0, m_off, sub) if vertical else (m_off, 0.0, sub))
     total = sum(sp[1] for sp in main_spans) + spacing * (len(subs) - 1)
     main_span: Span = (0.0, total)
-    cross_span: Span = (None, max(sp[1] for sp in cross_spans))
+    cross_span = _covered(placed, "x" if vertical else "y")
     x, y = (cross_span, main_span) if vertical else (main_span, cross_span)
     return WalkNode("distribute", x, y, children=placed)
 
@@ -299,15 +274,7 @@ def _walk_distribute(el: dict) -> WalkNode:
 def _walk_group(el: dict) -> WalkNode:
     subs = [tree_walk(c) for c in el.get("children", [])]
     placed = [(0.0, 0.0, sub) for sub in subs]
-    spans: dict[str, Span] = {}
-    for axis in ("x", "y"):
-        span = _span_union(placed, axis)
-        if span is not None:
-            spans[axis] = (span[0], span[1] - span[0])
-        else:
-            child_spans = [s.x if axis == "x" else s.y for s in subs]
-            spans[axis] = (None, max(sp[1] for sp in child_spans))
-    return WalkNode("group", spans["x"], spans["y"], children=placed)
+    return WalkNode("group", _covered(placed, "x"), _covered(placed, "y"), children=placed)
 
 
 def _walk_background(el: dict) -> WalkNode:
@@ -322,9 +289,7 @@ def _walk_background(el: dict) -> WalkNode:
     spans = {}
     mark_off = {}
     for axis in ("x", "y"):
-        span = _span_union(placed, axis)
-        assert span is not None, "background child without a placed box"
-        lo, hi = span
+        lo, hi = _span_union(placed, axis)
         extent = (hi - lo) + 2.0 * padding
         spans[axis] = (lo - padding, extent)
         mark_off[axis] = lo - padding
@@ -337,12 +302,7 @@ def _walk_background(el: dict) -> WalkNode:
 def _walk_connector(el: dict) -> WalkNode:
     subs = [tree_walk(c) for c in el.get("children", [])]
     placed = [(0.0, 0.0, sub) for sub in subs]
-    spans = {}
-    for axis in ("x", "y"):
-        span = _span_union(placed, axis)
-        assert span is not None and len(subs) == 2
-        spans[axis] = (span[0], span[1] - span[0])
-    return WalkNode(el["kind"], spans["x"], spans["y"], children=placed)
+    return WalkNode(el["kind"], _covered(placed, "x"), _covered(placed, "y"), children=placed)
 
 
 def _path_points(d: str) -> list[tuple[float, float]]:

@@ -307,7 +307,7 @@ _PROP_TYPES = {
     "alignment": "string", "direction": "string",
     "background": "element",
 }
-_NONNEGATIVE = {"width", "height", "r", "rx", "ry", "strokeWidth", "padding", "gap"}
+_NONNEGATIVE = {"width", "height", "r", "rx", "ry", "strokeWidth", "spacing", "padding", "gap"}
 _POSITIVE = {"fontSize"}
 _KIND_PROPS = [(kind, prop) for kind, spec in standard_registry().kinds.items()
                for prop in (*spec.required_props, *spec.optional_props)]
@@ -329,7 +329,8 @@ def _prop_errors(kind: str, prop: str, value: object) -> list[str]:
 @pytest.mark.parametrize("kind, prop", [
     (kind, prop) for kind, prop in _KIND_PROPS if _PROP_TYPES[prop] == "number"])
 def test_negative_extents_are_rejected(kind, prop):
-    # spacing is unsigned; zero is an extent, but not a font size
+    # a negative spacing would pack children into less than they cover;
+    # zero is an extent or a gap, but not a font size
     sign = "positive" if prop in _POSITIVE else "non-negative"
     negative = [f"prop {prop!r} of {kind} must be {sign}"] if prop in _NONNEGATIVE | _POSITIVE else []
     assert _prop_errors(kind, prop, -1.0) == negative

@@ -223,11 +223,18 @@ def test_path_data_reaches_layout_and_paint_as_the_document_spells_it():
     assert paint(scene).count(f' d="{d}"'.encode()) == 2
 
 
-def test_a_path_default_that_validation_never_saw_is_laid_out():
+def _tick_with_default(registry: Registry, d: str) -> ElementKindSpec:
+    return dataclasses.replace(registry.kinds["path"], kind="tick", required_props=(),
+                               optional_props={**registry.kinds["path"].optional_props, "d": d})
+
+
+def test_a_path_default_is_read_when_registered():
     registry = standard_registry()
-    registry.register(dataclasses.replace(
-        registry.kinds["path"], kind="tick", required_props=(),
-        optional_props={**registry.kinds["path"].optional_props, "d": "M 1 2 L 3 7"}))
+    with pytest.raises(InvalidKindSpec) as excinfo:
+        registry.register(_tick_with_default(registry, "M 1 2 #"))
+    assert str(excinfo.value) == "element kind 'tick': default of path prop 'd': unexpected '#'"
+    assert "tick" not in registry.kinds
+    registry.register(_tick_with_default(registry, "M 1 2 L 3 7"))
     scene, diags = compile_doc({"bluefish": 1, "root": {"kind": "tick"}}, registry=registry)
     assert errors_of(diags) == []
     assert scene.marks()[0].content_box() == (1.0, 2.0, 2.0, 5.0)

@@ -42,11 +42,15 @@ from generators import random_ref_free_doc, random_stack_triplet
 extents = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
 
 
-def _rect(g: Scenegraph, parent: LayoutNode | None, w: float, h: float) -> LayoutNode:
-    node = g.create_node("rect", parent)
+def _size(g: Scenegraph, node: LayoutNode, w: float, h: float) -> LayoutNode:
+    """Decide node's own box at the origin, each start before its extent."""
     for field, value in (("left", 0.0), ("top", 0.0), ("width", w), ("height", h)):
         g.set_dim_in_frame(node, node, field, value)
     return node
+
+
+def _rect(g: Scenegraph, parent: LayoutNode | None, w: float, h: float) -> LayoutNode:
+    return _size(g, g.create_node("rect", parent), w, h)
 
 
 # --- construction ------------------------------------------------------------------
@@ -132,10 +136,25 @@ def _state(g: Scenegraph, node: LayoutNode) -> tuple:
 
 def test_decide_records_the_value_its_owner_and_one_log_entry():
     g, root, a = _leaf()
-    assert g.decide(a, "width", 10.0, root) is None
-    assert (a.left, a.width, a.top, a.height) == (None, 10.0, None, None)
-    assert a.owners == {"width": root.id}
-    assert g.write_log == [(a.id, "width", root.id)]
+    assert g.decide(a, "left", 10.0, root) is None
+    assert (a.left, a.width, a.top, a.height) == (10.0, None, None, None)
+    assert a.owners == {"left": root.id}
+    assert g.write_log == [(a.id, "left", root.id)]
+
+
+@pytest.mark.parametrize("extent, start", [("width", "left"), ("height", "top")])
+def test_an_extent_needs_its_start_first(extent, start):
+    # a box is whole or absent: no reader meets an extent without a start
+    g, root, a = _leaf()
+    g.decide(a, "top" if start == "left" else "left", 0.0, a)  # the other axis's start is no help
+    before = _state(g, a)
+    with pytest.raises(UndefinedExtentError) as excinfo:
+        g.decide(a, extent, 10.0, root)
+    assert (excinfo.value.node, excinfo.value.field) == (a.id, start)
+    assert _state(g, a) == before
+    g.decide(a, start, 0.0, a)
+    g.decide(a, extent, 10.0, root)  # any owner, once the start is owned
+    assert a.owners[extent] == root.id
 
 
 def test_same_owner_same_value_is_a_noop():
@@ -200,6 +219,7 @@ def test_translations_obey_the_same_rule():
        value=extents, other=extents)
 def test_every_stored_field_is_write_once(field_name, value, other):
     g, root, a = _leaf()
+    g.decide(a, {"width": "left", "height": "top"}.get(field_name, field_name), value, a)
     g.decide(a, field_name, value, a)
     with pytest.raises(DimensionConflict):
         g.decide(a, field_name, other, root)
@@ -304,17 +324,24 @@ def test_cross_frame_write_derives_local_position_from_extent():
     g = Scenegraph(standard_registry())
     root = g.create_node("group", None)
     a = g.create_node("rect", root)
+    g.set_dim_in_frame(a, a, "left", 2.0)
     g.set_dim_in_frame(a, a, "width", 10.0)
     g.set_dim_in_frame(a, root, "centerX", 0.0)
-    assert a.tx == -5.0
+    assert a.tx == -7.0
 
 
-def test_start_write_needs_no_extent():
+@pytest.mark.parametrize("decided", [(), ("left",)])
+def test_start_write_needs_the_targets_box(decided):
+    # a relation places a box: with no extent there is none, start or not
     g = Scenegraph(standard_registry())
     root = g.create_node("group", None)
     a = g.create_node("rect", root)
-    g.set_dim_in_frame(a, root, "left", 7.0)
-    assert a.tx == 7.0
+    for field in decided:
+        g.set_dim_in_frame(a, a, field, 2.0)
+    with pytest.raises(UndefinedExtentError) as excinfo:
+        g.set_dim_in_frame(a, root, "left", 7.0)
+    assert (excinfo.value.node, excinfo.value.field) == (a.id, "left")
+    assert a.tx is None
 
 
 def test_center_write_with_no_extent_is_underivable():
@@ -433,7 +460,7 @@ def test_read_from_a_deeper_frame_subtracts_the_frame_leg():
     g = Scenegraph(standard_registry())
     root = g.create_node("group", None)
     a = _rect(g, root, 10.0, 10.0)
-    outer = g.create_node("group", root)
+    outer = _size(g, g.create_node("group", root), 1.0, 1.0)
     inner = g.create_node("group", outer)
     g.set_dim_in_frame(a, root, "left", 30.0)
     g.set_dim_in_frame(outer, root, "left", 5.0)
@@ -458,8 +485,7 @@ def test_finalize_defaults_transforms_to_zero_owned_by_root():
     g = Scenegraph(standard_registry())
     root = g.create_node("group", None)
     a = _rect(g, root, 10.0, 10.0)
-    g.set_dim_in_frame(root, root, "width", 10.0)
-    g.set_dim_in_frame(root, root, "height", 10.0)
+    _size(g, root, 10.0, 10.0)
     g.finalize()
     assert a.tx == 0.0
     assert a.owners["transform.x"] == root.id
@@ -469,8 +495,7 @@ def test_finalize_reports_unsized_nodes():
     g = Scenegraph(standard_registry())
     root = g.create_node("group", None)
     a = g.create_node("rect", root)  # never sized
-    g.set_dim_in_frame(root, root, "width", 1.0)
-    g.set_dim_in_frame(root, root, "height", 1.0)
+    _size(g, root, 1.0, 1.0)
     with pytest.raises(UnsizedNodes) as excinfo:
         g.finalize()
     assert a.id in excinfo.value.node_ids
@@ -481,13 +506,12 @@ def test_resolve_accumulates_origins_down_the_tree():
     root = g.create_node("group", None)
     inner = g.create_node("group", root)
     a = _rect(g, inner, 10.0, 10.0)
+    for node in (root, inner):
+        _size(g, node, 20.0, 20.0)
     g.set_dim_in_frame(inner, root, "left", 5.0)
     g.set_dim_in_frame(inner, root, "top", 0.0)
     g.set_dim_in_frame(a, inner, "left", 2.0)
     g.set_dim_in_frame(a, inner, "top", 0.0)
-    for node in (root, inner):
-        g.set_dim_in_frame(node, node, "width", 20.0)
-        g.set_dim_in_frame(node, node, "height", 20.0)
     g.finalize()
     scene = g.resolve()
     assert scene is g and scene.nodes[a.id] is a and a.x == 7.0
@@ -515,8 +539,7 @@ def test_origins_beyond_the_float_range_overflow_in_resolve(start, origin):
     outer = g.create_node("group", root)
     inner = _rect(g, outer, 1.0, 1.0)
     for node in (root, outer):
-        g.set_dim_in_frame(node, node, "width", 1.0)
-        g.set_dim_in_frame(node, node, "height", 1.0)
+        _size(g, node, 1.0, 1.0)
     g.set_dim_in_frame(outer, root, start, 1e308)
     g.set_dim_in_frame(inner, outer, start, 1e308)
     g.finalize()
