@@ -138,8 +138,8 @@ def build_scenegraph(tree: Element, refs: dict[int, int], registry: Registry) ->
 
     An element-valued prop (the document's or the spec's default) is a
     mark the element sizes: it becomes the node's first child, created
-    right after the node, so creation order stays pre-order and paint
-    order falls out of plain pre-order traversal. Each node stores its
+    right after the node, so creation order stays pre-order, the order
+    ``paint`` and ``dump_scene`` write nodes in. Each node stores its
     own walk step (``stackV[1]:a``, ``rect(background mark)``), from
     which ``Scenegraph.path`` spells a path for a diagnostic.
     """

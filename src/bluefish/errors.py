@@ -175,3 +175,18 @@ class InvalidKindSpec(BluefishError):
     def __init__(self, kind: str, detail: str):
         self.kind = kind
         super().__init__(f"element kind {kind!r}: {detail}")
+
+
+class CallbackError(BluefishError):
+    """A kind's ``callback`` (``"paint"``) raised something other than a ``BluefishError``.
+
+    ``path`` is the node's ``Scenegraph.path``; ``error_type`` and ``detail`` are the exception's.
+    """
+
+    def __init__(self, kind: str, callback: str, path: str, exc: Exception):
+        self.kind = kind
+        self.callback = callback
+        self.path = path
+        self.error_type = type(exc).__name__
+        self.detail = str(exc)
+        super().__init__(f"{callback} of kind {kind!r} raised {self.error_type}: {self.detail} (at {path})")

@@ -89,8 +89,9 @@ class ElementKindSpec:
     # recurses
     layout: Callable[["LayoutRuntime", "LayoutNode", dict], None] | None = None
     # called as paint(node, fmt, esc, markers); returns the node's own
-    # markup. markers maps an arrowhead color to its marker id; a paint
-    # function adds the colors it meets, and paint defines one marker each
+    # markup in scene coordinates, where node.content_box() is its box.
+    # markers maps an arrowhead color to its marker id; a paint function
+    # adds the colors it meets, and paint defines one marker each
     paint: Callable[..., str] | None = None
     expand: Callable[[dict, list], object] | None = None
 
@@ -441,6 +442,9 @@ def _clip_segment(c1: tuple[float, float], e1: tuple[float, float],
 # --- paint --------------------------------------------------------------------
 
 
+# Each paint function writes its node in scene coordinates: a mark's box
+# is node.content_box(), as the dump's geometry spells it; a connector's
+# segment and a path's data, as the document spells it, move by node.x/y.
 # Each mark writes its attributes in alphabetical order, a style
 # attribute only when its prop is set.
 
@@ -464,42 +468,48 @@ def _stroke(props: dict, fmt, esc) -> str:
 
 def paint_rect(node, fmt, esc, markers) -> str:
     props = node.paint_props
-    return (f'<rect{_attr("fill", props.get("fill"), fmt, esc)} height="{fmt(node.height)}"'
+    x, y, width, height = node.content_box()
+    return (f'<rect{_attr("fill", props.get("fill"), fmt, esc)} height="{fmt(height)}"'
             f'{_attr("rx", props.get("rx", 0) or None, fmt, esc)}{_stroke(props, fmt, esc)}'
-            f' width="{fmt(node.width)}" x="{fmt(node.left)}" y="{fmt(node.top)}"/>')
+            f' width="{fmt(width)}" x="{fmt(x)}" y="{fmt(y)}"/>')
 
 
 def paint_circle(node, fmt, esc, markers) -> str:
     props = node.paint_props
-    return (f'<circle cx="{fmt(node.left + node.width / 2.0)}" cy="{fmt(node.top + node.height / 2.0)}"'
-            f'{_attr("fill", props.get("fill"), fmt, esc)} r="{fmt(min(node.width, node.height) / 2.0)}"'
+    x, y, width, height = node.content_box()
+    return (f'<circle cx="{fmt(x + width / 2.0)}" cy="{fmt(y + height / 2.0)}"'
+            f'{_attr("fill", props.get("fill"), fmt, esc)} r="{fmt(min(width, height) / 2.0)}"'
             f'{_stroke(props, fmt, esc)}/>')
 
 
 def paint_ellipse(node, fmt, esc, markers) -> str:
     props = node.paint_props
-    return (f'<ellipse cx="{fmt(node.left + node.width / 2.0)}" cy="{fmt(node.top + node.height / 2.0)}"'
+    x, y, width, height = node.content_box()
+    return (f'<ellipse cx="{fmt(x + width / 2.0)}" cy="{fmt(y + height / 2.0)}"'
             f'{_attr("fill", props.get("fill"), fmt, esc)}'
-            f' rx="{fmt(node.width / 2.0)}" ry="{fmt(node.height / 2.0)}"{_stroke(props, fmt, esc)}/>')
+            f' rx="{fmt(width / 2.0)}" ry="{fmt(height / 2.0)}"{_stroke(props, fmt, esc)}/>')
 
 
 def paint_path(node, fmt, esc, markers) -> str:
     props = node.paint_props
+    x, y = fmt(node.x), fmt(node.y)
+    shift = "" if x == y == "0" else f' transform="translate({x} {y})"'
     return (f'<path{_attr("d", props["d"], fmt, esc)}{_attr("fill", props.get("fill"), fmt, esc)}'
-            f'{_stroke(props, fmt, esc)}/>')
+            f'{_stroke(props, fmt, esc)}{shift}/>')
 
 
 def paint_text(node, fmt, esc, markers) -> str:
     props = node.paint_props
+    x, y, _, _ = node.content_box()
     return (f'<text dominant-baseline="text-before-edge"{_attr("fill", props.get("fill"), fmt, esc)}'
             f'{_attr("font-family", props.get("fontFamily"), fmt, esc)}'
             f'{_attr("font-size", props.get("fontSize"), fmt, esc)}'
-            f' x="{fmt(node.left)}" y="{fmt(node.top)}">{esc(props["content"])}</text>')
+            f' x="{fmt(x)}" y="{fmt(y)}">{esc(props["content"])}</text>')
 
 
 def _segment_data(node, fmt) -> str:
     x1, y1, x2, y2 = node.segment
-    return f"M {fmt(x1)} {fmt(y1)} L {fmt(x2)} {fmt(y2)}"
+    return f"M {fmt(node.x + x1)} {fmt(node.y + y1)} L {fmt(node.x + x2)} {fmt(node.y + y2)}"
 
 
 def paint_line(node, fmt, esc, markers) -> str:

@@ -10,9 +10,10 @@ platform.
 
 from __future__ import annotations
 
-from decimal import ROUND_CEILING, ROUND_HALF_EVEN, Context, Decimal
+from decimal import ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_EVEN, Context, Decimal
 from json.encoder import encode_basestring_ascii
 
+from .errors import BluefishError, CallbackError
 from .scenegraph import Scenegraph
 
 SVG_NS = "http://www.w3.org/2000/svg"
@@ -69,10 +70,12 @@ class _Spelling(dict):
         return text
 
 
-def _ceil2(value: float) -> str:
-    # document size rounds up so content is never clipped
-    q = Decimal(repr(float(value))).quantize(_CENTS, ROUND_CEILING, _QUANTIZE)
-    return _strip(format(q, "f"))
+def _outward(start: float, extent: float) -> tuple[str, str]:
+    """A span rounded outward to cents, as text: the start down, the far end up, so nothing is clipped."""
+    low = Decimal(repr(start)).quantize(_CENTS, ROUND_FLOOR, _QUANTIZE)
+    high = _QUANTIZE.add(Decimal(repr(start)), Decimal(repr(extent))).quantize(
+        _CENTS, ROUND_CEILING, _QUANTIZE)
+    return _strip(format(low, "f")), _strip(format(_QUANTIZE.subtract(high, low), "f"))
 
 
 def esc(text: str) -> str:
@@ -83,47 +86,36 @@ def esc(text: str) -> str:
 def paint(scene: Scenegraph) -> bytes:
     """Serialize a finalized scene as SVG.
 
-    The root's content box is shifted to start at (0, 0) and sets the
-    viewBox; every node becomes a translated group around its own markup
-    (painted by its kind's paint function, from the registry that compiled
-    the scene) and its children, pre-order.
-    Identity translations are elided. Refs emit nothing: the referent
-    already paints at its own position in the hierarchy. Painting only
-    reads the scene. Each element takes one unindented line, so bytes do
-    not grow with depth, and the walk keeps its own stack, so neither
-    does the call stack. Paint functions add the arrowhead colors they
-    meet to ``markers``; their ``<defs>`` go in front once the walk is done.
-    Each paint function gets the walk's own spelling of numbers as ``fmt``,
-    so each distinct number is spelled by ``fmt_num`` once per call.
+    The viewBox is the root's content box rounded outward to cents.
+    Nodes paint in creation order, which is pre-order, each by its kind's
+    paint function (from the registry that compiled the scene) in scene
+    coordinates, where ``node.content_box()`` is its box: a mark spells
+    the numbers of its dump ``geometry``. Each element takes one line and
+    no group holds it, so bytes do not grow with depth. Refs emit nothing.
+    Painting only reads the scene. Paint functions add the arrowhead
+    colors they meet to ``markers``, defined in ``<defs>`` in front, and
+    get this call's own spelling of numbers as ``fmt``. A paint function
+    that raises anything but a ``BluefishError`` raises ``CallbackError``.
     """
     nodes = scene.nodes
-    root = nodes[scene.root]
     fmt = _Spelling().__getitem__
     markers: dict[str, str] = {}
-    lines = [f'<svg viewBox="0 0 {_ceil2(root.width)} {_ceil2(root.height)}" xmlns="{SVG_NS}">']
-    # the root has no parent, so replacing its translation pins the
-    # content box's top-left corner to the viewBox origin
-    shift = (-root.left, -root.top)
+    left, top, width, height = nodes[scene.root].content_box()
+    (vx, vw), (vy, vh) = _outward(left, width), _outward(top, height)
+    lines = [f'<svg viewBox="{vx} {vy} {vw} {vh}" xmlns="{SVG_NS}">']
     kinds = scene.registry.kinds
-    stack: list[str | None] = [scene.root]  # None closes a group
-    while stack:
-        nid = stack.pop()
-        if nid is None:
-            lines.append("</g>")
+    for node in nodes.values():
+        paint_fn = None if node.is_ref else kinds[node.kind].paint
+        if paint_fn is None:
             continue
-        node = nodes[nid]
-        if node.is_ref:
-            continue
-        tx, ty = shift if node is root else (node.tx, node.ty)
-        sx, sy = fmt(tx), fmt(ty)
-        if sx != "0" or sy != "0":
-            lines.append(f'<g transform="translate({sx} {sy})">')
-            stack.append(None)
-        spec = kinds[node.kind]
-        own = spec.paint(node, fmt, esc, markers) if spec.paint is not None else ""
+        try:
+            own = paint_fn(node, fmt, esc, markers)
+        except BluefishError:
+            raise
+        except Exception as exc:
+            raise CallbackError(node.kind, "paint", scene.path(node.id), exc) from exc
         if own:
             lines.append(own)
-        stack.extend(reversed(node.children))
     if markers:
         lines[1:1] = ["<defs>", *(
             f'<marker id="{ref}" markerHeight="4" markerUnits="strokeWidth"'

@@ -9,11 +9,20 @@ their timing loop back the linear-time acceptance check.
 from __future__ import annotations
 
 import gc
+import itertools
 import json
 import random
+import sys
 import time
+from pathlib import Path
 
 from bluefish import compile_source, paint
+
+from conftest import FIXTURES
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from workloads import WORKLOADS  # noqa: E402
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 _V_ALIGNMENTS = ("left", "centerX", "right")
@@ -160,6 +169,23 @@ def random_ref_free_element(rng: random.Random, depth: int = 3) -> dict:
 def random_ref_free_doc(rng: random.Random, depth: int = 3) -> dict:
     root = random_ref_free_element(rng, depth)
     return {"bluefish": 1, "root": root}
+
+
+# --- a sample of every source ------------------------------------------------------
+
+#: The first documents of each workload at seed 7, a few of each size.
+WORKLOAD_DOCUMENTS = {"service-mix": 60, "editor-session": 3, "bulk-deep": 3}
+
+
+def sample_documents():
+    """(name, bytes) of the fixtures, 200 random ref-free documents and a few workload documents."""
+    for path in sorted(FIXTURES.glob("*.json")):
+        yield path.stem, path.read_bytes()
+    for seed in range(200):
+        yield f"ref-free-{seed}", json.dumps(random_ref_free_doc(random.Random(seed))).encode()
+    for name, count in WORKLOAD_DOCUMENTS.items():
+        for i, doc in enumerate(itertools.islice(WORKLOADS[name].stream(7), count)):
+            yield f"{name}-{i}", doc.data
 
 
 # --- sized documents for timing ------------------------------------------------------

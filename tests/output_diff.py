@@ -9,11 +9,12 @@ compile the documents that ``identity_digest.py`` digests (the same seed
 and counts, from this file's own ``perfbench/workloads.py``), each in
 its own subprocess, so the two ``bluefish`` packages never share an
 interpreter. For each part (svg, dump, diagnostics, write_log) it prints
-how many documents differ, then the first differing document (workload
-and index) and the largest absolute difference between corresponding
-numbers of the SVG and of the dump. Numbers correspond when the two
-texts are the same once every number is blanked; a document whose texts
-differ otherwise is counted as reshaped.
+how many documents differ and the part's total bytes over all documents
+on each side (parent -> change), then the first differing document
+(workload and index) and the largest absolute difference between
+corresponding numbers of the SVG and of the dump. Numbers correspond
+when the two texts are the same once every number is blanked; a
+document whose texts differ otherwise is counted as reshaped.
 
 ``identity_digest.py`` says whether two compilers agree; this says where
 they do not, for a change that alters output on purpose and must say how
@@ -65,6 +66,7 @@ def _numbers_apart(a: bytes, b: bytes) -> float | None:
 
 def main(parent_src: str, change_src: str) -> int:
     differ = dict.fromkeys(PARTS, 0)
+    sizes = {part: [0, 0] for part in PARTS}  # part -> [parent bytes, change bytes]
     largest = dict.fromkeys(NUMBERED, 0.0)
     reshaped = dict.fromkeys(NUMBERED, 0)
     first = None
@@ -79,6 +81,8 @@ def main(parent_src: str, change_src: str) -> int:
                 break
             documents += 1
             for part in PARTS:
+                sizes[part][0] += len(old_parts[part])
+                sizes[part][1] += len(new_parts[part])
                 if old_parts[part] == new_parts[part]:
                     continue
                 differ[part] += 1
@@ -93,7 +97,8 @@ def main(parent_src: str, change_src: str) -> int:
         print("a compiler failed", file=sys.stderr)
         return 2
     for part in PARTS:
-        print(f"{part}: {differ[part]} of {documents} documents differ")
+        old, new = sizes[part]
+        print(f"{part}: {differ[part]} of {documents} documents differ, {old} -> {new} bytes")
     print(f"first difference: {first or 'none'}")
     for part in NUMBERED:
         print(f"{part}: largest number difference {largest[part]:g}, {reshaped[part]} reshaped")

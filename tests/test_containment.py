@@ -1,38 +1,29 @@
-"""Every mark lies inside the root's box, which sets the viewBox.
+"""Every mark lies inside the root's box, and so inside the viewBox.
 
 A relation's box covers the boxes of what it holds, on both axes, so the
-root's box covers every mark in the scene. The check reads only absolute
-boxes from the finished scene: it implements no layout and trusts no
-relation's own account of its span.
+root's box covers every mark in the scene; the viewBox is that box
+rounded outward to cents. The check reads only absolute boxes from the
+finished scene and the viewBox from the SVG: it implements no layout and
+trusts no relation's own account of its span.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
-import random
-import sys
-from pathlib import Path
+import re
 
 import pytest
 
 from bluefish import compile_source, paint
 
-from conftest import FIXTURES
-from generators import random_ref_free_doc
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-
-from workloads import WORKLOADS  # noqa: E402
+from generators import sample_documents
 
 TOL = 1e-6
-#: The first documents of each workload at seed 7, a few of each size.
-WORKLOAD_DOCUMENTS = {"service-mix": 60, "editor-session": 3, "bulk-deep": 3}
 
 
-def marks_outside_the_root(scene) -> list[tuple[str, tuple[float, ...]]]:
-    """(path, absolute box) of each mark not inside the root's absolute box."""
-    left, top, width, height = scene.nodes[scene.root].content_box()
+def marks_outside(scene, box: tuple[float, float, float, float]) -> list[tuple[str, tuple[float, ...]]]:
+    """(path, absolute box) of each mark not inside ``box``, an absolute (left, top, width, height)."""
+    left, top, width, height = box
     outside = []
     for mark in scene.marks():
         x, y, w, h = box = mark.content_box()
@@ -40,6 +31,10 @@ def marks_outside_the_root(scene) -> list[tuple[str, tuple[float, ...]]]:
                 or x + w > left + width + TOL or y + h > top + height + TOL):
             outside.append((scene.path(mark.id), box))
     return outside
+
+
+def parse_view_box(svg: bytes) -> tuple[float, ...]:
+    return tuple(map(float, re.match(rb'<svg viewBox="([^"]*)"', svg).group(1).split()))
 
 
 def _doc(root: dict) -> bytes:
@@ -64,26 +59,28 @@ def _rect(width: float, height: float) -> dict:
 def test_a_one_axis_align_covers_what_it_holds(data, view_box):
     scene, diags = compile_source(data)
     assert diags == []
-    assert marks_outside_the_root(scene) == []
+    assert marks_outside(scene, scene.nodes[scene.root].content_box()) == []
     assert view_box in paint(scene).split(b"\n", 1)[0]
 
 
-def _documents():
-    for path in sorted(FIXTURES.glob("*.json")):
-        yield path.stem, path.read_bytes()
-    for seed in range(200):
-        yield f"ref-free-{seed}", json.dumps(random_ref_free_doc(random.Random(seed))).encode()
-    for name, count in WORKLOAD_DOCUMENTS.items():
-        for i, doc in enumerate(itertools.islice(WORKLOADS[name].stream(7), count)):
-            yield f"{name}-{i}", doc.data
+def test_the_view_box_rounds_outward_on_each_side():
+    # the box starts a fraction of a cent past 0 on one axis and before it
+    # on the other; rounding the start down and the far end up keeps it whole
+    scene, diags = compile_source(_doc({"kind": "path", "props": {"d": "M 0.006 -0.004 L 10.004 5"}}))
+    assert diags == []
+    assert scene.nodes[scene.root].content_box() == (0.006, -0.004, 9.998, 5.004)
+    svg = paint(scene)
+    assert svg.startswith(b'<svg viewBox="0 -0.01 10.01 5.01"')
+    assert marks_outside(scene, parse_view_box(svg)) == []
 
 
 def test_every_mark_lies_inside_the_root_box():
     accepted = 0
-    for name, data in _documents():
+    for name, data in sample_documents():
         scene, _ = compile_source(data)
         if scene is None:
             continue
-        assert marks_outside_the_root(scene) == [], name
+        assert marks_outside(scene, scene.nodes[scene.root].content_box()) == [], name
+        assert marks_outside(scene, parse_view_box(paint(scene))) == [], name
         accepted += 1
     assert accepted > 250

@@ -242,7 +242,7 @@ def test_a_path_default_is_read_when_registered():
 
 def test_a_custom_mark_sized_by_its_holder_can_be_a_background_mark():
     def paint_diamond(node, fmt, esc, markers):
-        x, y, w, h = node.left, node.top, node.width, node.height
+        x, y, w, h = node.content_box()
         corners = [(x + w / 2, y), (x + w, y + h / 2), (x + w / 2, y + h), (x, y + h / 2)]
         return '<polygon points="%s"/>' % " ".join(f"{fmt(a)},{fmt(b)}" for a, b in corners)
 

@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import random
+import re
 import sys
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 
@@ -39,7 +40,7 @@ from bluefish.scenegraph import Scenegraph
 from bluefish.renderer import esc, fmt_num
 
 from conftest import FIXTURES, call_at_depth, compile_doc, compile_fixture, errors_of, stack_chain
-from generators import random_ref_free_doc, random_stack_triplet
+from generators import random_ref_free_doc, random_stack_triplet, sample_documents
 
 GOLDEN_RECT = (
     b'<svg viewBox="0 0 10 20" xmlns="http://www.w3.org/2000/svg">\n'
@@ -223,20 +224,28 @@ def test_paint_props_are_the_element_props_over_the_spec_defaults(fixture):
 
 
 def test_identity_translations_are_elided():
-    scene = _scene({"kind": "rect", "props": {"width": 10, "height": 20}})
-    assert b"<g transform" not in paint(scene)
+    # a path keeps its data as written and moves by its frame origin
+    lone = paint(_scene({"kind": "path", "props": {"d": "M 0 0 L 10 5"}}))
+    assert b"transform" not in lone
+    stacked = paint(_scene({"kind": "stackV", "children": [
+        {"kind": "rect", "props": {"width": 10, "height": 20}},
+        {"kind": "path", "props": {"d": "M 0 0 L 10 5"}},
+    ]}))
+    assert b'<path d="M 0 0 L 10 5" fill="none" stroke="black" stroke-width="1"' \
+        b' transform="translate(-5 20)"/>' in stacked
 
 
-def test_stack_translations_appear_in_groups():
+def test_stack_children_paint_at_their_scene_positions():
     scene = _scene({"kind": "stackV", "props": {"spacing": 30}, "children": [
         {"kind": "rect", "props": {"width": 10, "height": 20}},
         {"kind": "rect", "props": {"width": 30, "height": 10}},
     ]})
-    svg = paint(scene)
-    # the root shift pins the content box to the viewBox origin
-    assert b'<g transform="translate(15 0)">' in svg
-    assert b'<g transform="translate(-15 50)">' in svg
-    assert svg.startswith(b'<svg viewBox="0 0 30 60"')
+    # the stack centres its children on x = 0, so its box starts at -15
+    assert paint(scene) == (
+        b'<svg viewBox="-15 0 30 60" xmlns="http://www.w3.org/2000/svg">\n'
+        b'<rect fill="black" height="20" width="10" x="-5" y="0"/>\n'
+        b'<rect fill="black" height="10" width="30" x="-15" y="50"/>\n'
+        b"</svg>\n")
 
 
 def test_document_size_rounds_up():
@@ -350,9 +359,9 @@ def _reference_stroke(props) -> dict:
 
 
 def _reference_mark(paint_fn, node, markers: dict) -> str:
-    """What the standard ``paint_fn`` writes for ``node``, built as a dict and sorted."""
+    """What the standard ``paint_fn`` writes for ``node`` in scene coordinates, built as a dict and sorted."""
     props = node.paint_props
-    x, y, w, h = node.left, node.top, node.width, node.height
+    x, y, w, h = node.content_box()
     fill = {"fill": props.get("fill")}
     if paint_fn is paint_rect:
         return _reference_tag("rect", {"x": x, "y": y, "width": w, "height": h, **fill,
@@ -364,7 +373,9 @@ def _reference_mark(paint_fn, node, markers: dict) -> str:
         return _reference_tag("ellipse", {"cx": x + w / 2.0, "cy": y + h / 2.0, "rx": w / 2.0,
                                           "ry": h / 2.0, **fill, **_reference_stroke(props)})
     if paint_fn is paint_path:
-        return _reference_tag("path", {"d": props["d"], **fill, **_reference_stroke(props)})
+        shift = f"translate({fmt_num(node.x)} {fmt_num(node.y)})"
+        return _reference_tag("path", {"d": props["d"], **fill, **_reference_stroke(props),
+                                       "transform": None if shift == "translate(0 0)" else shift})
     if paint_fn is paint_text:
         return _reference_tag("text", {"x": x, "y": y, "dominant-baseline": "text-before-edge", **fill,
                                        "font-family": props.get("fontFamily"),
@@ -372,6 +383,7 @@ def _reference_mark(paint_fn, node, markers: dict) -> str:
     if node.segment is None:
         return ""
     x1, y1, x2, y2 = node.segment
+    x1, y1, x2, y2 = x1 + node.x, y1 + node.y, x2 + node.x, y2 + node.y
     attrs = {"d": f"M {fmt_num(x1)} {fmt_num(y1)} L {fmt_num(x2)} {fmt_num(y2)}", "fill": "none",
              **_reference_stroke(props)}
     if paint_fn is paint_arrow:
@@ -458,6 +470,51 @@ def test_marks_of_generated_documents_match_the_reference():
         scene, diags = compile_doc(doc)
         assert errors_of(diags) == []
         _assert_marks_match_the_reference(scene)
+
+
+# --- svg against the dump --------------------------------------------------------
+
+_TAG = re.compile(r"<(\w+)")
+_ATTRIBUTE = re.compile(r' ([\w-]+)="([^"]*)"')
+_GEOMETRY = re.compile(rb'\{"height":([^,]+),"kind":"(\w+)","width":([^,]+),"x":([^,]+),"y":([^,}]+)\}')
+_CHECKED = ("rect", "text", "circle", "ellipse")
+
+
+def _svg_marks(svg: bytes) -> list[tuple[str, dict[str, str]]]:
+    """(tag, attributes) of each painted rect, text, circle and ellipse, in order."""
+    marks = []
+    for line in svg.decode().splitlines():
+        tag = _TAG.match(line)
+        if tag and tag.group(1) in _CHECKED:
+            marks.append((tag.group(1), dict(_ATTRIBUTE.findall(line.split(">", 1)[0]))))
+    return marks
+
+
+def test_the_svg_spells_the_dump_geometry():
+    # read from the two outputs' text, not from the paint functions
+    checked = 0
+    for name, data in sample_documents():
+        scene, _ = compile_source(data)
+        if scene is None:
+            continue
+        svg, dump = paint(scene), dump_scene(scene)
+        assert b"<g" not in svg, name
+        geometry = [(kind.decode(), *(n.decode() for n in (x, y, width, height)))
+                    for height, kind, width, x, y in _GEOMETRY.findall(dump)]
+        assert len(geometry) == len(scene.marks()), name
+        boxes = [(box, mark.content_box()) for box, mark in zip(geometry, scene.marks())
+                 if box[0] in _CHECKED]
+        painted = _svg_marks(svg)
+        assert [tag for tag, _ in painted] == [box[0] for box, _ in boxes], name
+        for (tag, attrs), ((_, x, y, width, height), (left, top, w, h)) in zip(painted, boxes):
+            if tag == "rect":
+                assert (attrs["x"], attrs["y"], attrs["width"], attrs["height"]) == (x, y, width, height), name
+            elif tag == "text":
+                assert (attrs["x"], attrs["y"]) == (x, y), name
+            else:
+                assert (attrs["cx"], attrs["cy"]) == (fmt_num(left + w / 2.0), fmt_num(top + h / 2.0)), name
+            checked += 1
+    assert checked > 5_000
 
 
 # --- scene dump ----------------------------------------------------------------

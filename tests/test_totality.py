@@ -5,7 +5,8 @@ refs, connectors and backgrounds) or a random ref-free document, applies
 one to three mutations, and may truncate the encoded bytes. Whatever
 comes out, ``compile_source`` must not raise, every diagnostic must carry
 a code ``bluefish.errors`` defines, a scene must paint and dump, and
-``bluefish check`` must exit 0 or 1.
+``bluefish check`` must exit 0 or 1. Painting is total over registered
+kinds: a paint function that raises becomes one ``CallbackError``.
 """
 
 from __future__ import annotations
@@ -18,14 +19,17 @@ import random
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bluefish import compile_source, dump_scene, paint, standard_registry
+from bluefish import ElementKindSpec, compile_source, dump_scene, paint, standard_registry
 from bluefish.cli import main
+from bluefish.errors import CallbackError
+from bluefish.relations import layout_rect
 
-from conftest import FIXTURES
-from generators import random_ref_free_doc
+from conftest import FIXTURES, compile_doc
+from generators import random_ref_free_doc, random_stack_triplet
 from test_diagnostic_codes import CODES
 
 _FIXTURE_DOCS = [json.loads(p.read_text()) for p in sorted(FIXTURES.glob("*.json"))]
@@ -93,3 +97,38 @@ def test_compiling_mutated_documents_never_raises(data):
         source.write_bytes(raw)
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert main(["check", str(source)]) in (0, 1)
+
+
+def test_a_paint_function_that_raises_is_one_callback_error():
+    def paint_ratio(node, fmt, esc, markers):
+        return f'<desc>{fmt(node.width / 0.0)}</desc>'
+
+    registry = standard_registry()
+    registry.register(ElementKindSpec(
+        kind="ratio", required_props=("width", "height"), is_mark=True,
+        layout=layout_rect, paint=paint_ratio))
+    scene, diags = compile_doc({"bluefish": 1, "root": {"kind": "stackV", "children": [
+        {"kind": "rect", "props": {"width": 3, "height": 3}},
+        {"kind": "ratio", "name": "r", "props": {"width": 2, "height": 1}}]}}, registry)
+    assert diags == []
+    with pytest.raises(CallbackError) as caught:
+        paint(scene)
+    error = caught.value
+    assert (error.kind, error.callback, error.path, error.error_type, error.detail) == (
+        "ratio", "paint", "stackV/ratio[1]:r", "ZeroDivisionError", "float division by zero")
+    assert str(error) == (
+        "paint of kind 'ratio' raised ZeroDivisionError: float division by zero (at stackV/ratio[1]:r)")
+    assert isinstance(error.__cause__, ZeroDivisionError)
+
+
+def test_the_standard_kinds_paint_generated_documents():
+    # a CallbackError here is a standard paint function that raised
+    rng = random.Random(27)
+    painted = 0
+    for _ in range(100):
+        for doc in (random_ref_free_doc(rng), random_stack_triplet(rng)[2]):
+            scene, _ = compile_doc(doc)
+            if scene is not None:
+                paint(scene)
+                painted += 1
+    assert painted == 200
