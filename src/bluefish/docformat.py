@@ -13,7 +13,9 @@ within its scope. A single-segment selector matches against all names in
 the document and is ambiguous if it matches twice; a path selector
 resolves segment by segment, each step searching only the local scope of
 the previous match, so relations can hide their internals behind one
-public name. Referents must precede their refs in document order.
+public name. Referents must precede their refs in document order, and
+a ref may not point at the relation that holds it or at an ancestor of
+that relation.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .errors import (
     ERROR,
     FORWARD_REFERENCE,
     SCHEMA_ERROR,
+    SELF_REFERENCE,
     UNRESOLVED_NAME,
     Diagnostic,
     DocumentSyntaxError,
@@ -356,8 +359,9 @@ def resolve_names(tree: Element) -> tuple[dict[int, int], list[Diagnostic]]:
 
     Returns the resolved refs, keyed by pre-order element index (ref
     index -> referent index), and any diagnostics (unresolved, ambiguous,
-    duplicate, or forward references). Resolution always runs to the end
-    so all problems surface together.
+    duplicate, forward references, or a ref to its holder or an ancestor
+    of it). Resolution always runs to the end so all problems surface
+    together.
     """
     order = preorder(tree)
     refs: dict[int, int] = {}
@@ -409,6 +413,19 @@ def resolve_names(tree: Element) -> tuple[dict[int, int], list[Diagnostic]]:
                     FORWARD_REFERENCE,
                     f"selector {'/'.join(selector)!r} points forward to {path(current)}; "
                     f"referents must appear before the ref",
+                    (path(i), path(current))))
+                continue
+            # an ancestor precedes its descendants in pre-order, so the climb
+            # from the holder lands on the referent exactly when it is the
+            # holder or an ancestor of it
+            holder = up = order[i][1]
+            while up > current:
+                up = order[up][1]
+            if up == current:
+                diags.append(Diagnostic(
+                    SELF_REFERENCE,
+                    f"ref under {path(holder)!r} points at {path(current)!r}, "
+                    f"which would make the relation contain itself",
                     (path(i), path(current))))
             else:
                 refs[i] = current

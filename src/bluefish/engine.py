@@ -1,10 +1,12 @@
 """Pipeline orchestration: registry, graph construction, and the layout pass.
 
 The pipeline is parse -> expand -> validate -> resolve names -> build
-scenegraph -> layout -> finalize -> resolve origins. Static problems are
-collected and reported together before any layout runs; layout itself
+scenegraph -> layout -> finalize -> resolve origins. Static problems,
+the ref rules included, are collected and reported together before any
+layout runs, so a tree without them builds without fail; layout itself
 stops at the first conflict, because a conflicting scene has no
-well-defined geometry to keep going with.
+well-defined geometry to keep going with. A kind's ``expand`` or
+``layout`` that raises anything but a ``BluefishError`` is one BF017.
 
 Layout is a single post-order pass driven by the engine: every node's
 layout function is invoked exactly once, after all of its children,
@@ -21,16 +23,17 @@ from dataclasses import dataclass, field as dc_field
 from . import docformat
 from .docformat import Element
 from .errors import (
+    CALLBACK_ERROR,
     DIMENSION_CONFLICT,
     ERROR,
     GEOMETRY_OVERFLOW,
     INVALID_EXTENT,
     SCHEMA_ERROR,
-    SELF_REFERENCE,
     SYNTAX_ERROR,
     UNDEFINED_EXTENT,
     UNSIZED_NODE,
     BluefishError,
+    CallbackError,
     Diagnostic,
     DimensionConflict,
     DocumentSyntaxError,
@@ -38,7 +41,6 @@ from .errors import (
     GeometryOverflow,
     InvalidExtent,
     SchemaError,
-    SelfReference,
     UndefinedExtentError,
     UnsizedNodes,
 )
@@ -111,7 +113,12 @@ def expand_tree(tree: Element, registry: Registry) -> Element:
             if rounds > _MAX_EXPANSIONS:
                 raise SchemaError(docformat.place_path(place),
                                   f"composite kind {el.kind!r} expands without terminating")
-            expanded = spec.expand(dict(el.props), list(el.children))
+            try:
+                expanded = spec.expand(dict(el.props), list(el.children))
+            except BluefishError:
+                raise
+            except Exception as exc:
+                raise CallbackError(el.kind, "expand", docformat.place_path(place), exc) from exc
             if expanded.__class__ is not Element:
                 raise SchemaError(docformat.place_path(place),
                                   f"expansion of {el.kind!r} must return an element")
@@ -136,7 +143,8 @@ def expand_tree(tree: Element, registry: Registry) -> Element:
 def build_scenegraph(tree: Element, refs: dict[int, int], registry: Registry) -> Scenegraph:
     """Create layout and ref nodes for every element, in document pre-order.
 
-    An element-valued prop (the document's or the spec's default) is a
+    The tree and ``refs`` passed ``validate`` and ``resolve_names``
+    without an error, so every element builds. An element-valued prop (the document's or the spec's default) is a
     mark the element sizes: it becomes the node's first child, created
     right after the node, so creation order stays pre-order, the order
     ``paint`` and ``dump_scene`` write nodes in. Each node stores its
@@ -149,16 +157,7 @@ def build_scenegraph(tree: Element, refs: dict[int, int], registry: Registry) ->
         parent = None if parent_index is None else node_of_element[parent_index]
         step = docformat.walk_step(el, parent_index, i)
         if el.kind == "ref":
-            referent_index = refs.get(index)
-            assert referent_index is not None, "unresolved ref survived static checks"
-            assert parent is not None, "a ref cannot be the document root"
-            referent = node_of_element[referent_index]
-            try:
-                graph.create_ref(parent, referent, step=step)
-            except SelfReference:
-                parent_path = graph.path(parent.id)
-                raise SelfReference(parent_path, graph.path(referent.id),
-                                    ref=f"{parent_path}/{step}") from None
+            graph.create_ref(parent, node_of_element[refs[index]], step=step)
             continue
         spec = registry.kinds[el.kind]
         props = {**spec.default_props, **el.props}
@@ -205,10 +204,17 @@ class LayoutRuntime:
                 continue
             spec = self.registry.kinds[node.kind]
             if spec.layout is not None:
-                spec.layout(self, node, node.paint_props)
+                try:
+                    spec.layout(self, node, node.paint_props)
+                except BluefishError:
+                    raise
+                except Exception as exc:
+                    raise CallbackError(node.kind, "layout", self.graph.path(node.id), exc) from exc
 
 
 def _layout_error_diagnostic(graph: Scenegraph, exc: BluefishError) -> Diagnostic:
+    if isinstance(exc, CallbackError):
+        return Diagnostic(CALLBACK_ERROR, str(exc), (exc.path,))
     if not isinstance(exc, (DimensionConflict, UndefinedExtentError, InvalidExtent, GeometryOverflow)):
         raise exc
     path = graph.path(exc.node)
@@ -258,7 +264,13 @@ def layout_document(graph: Scenegraph) -> tuple[Scenegraph | None, list[Diagnost
 
 
 def compile_source(data: bytes | str, registry: Registry | None = None) -> tuple[Scenegraph | None, list[Diagnostic]]:
-    """Document bytes in, resolved scenegraph (or diagnostics) out."""
+    """Document bytes in, resolved scenegraph (or diagnostics) out.
+
+    Parsing and expansion stop at the first error; ``validate`` and
+    ``resolve_names`` report every static problem together; a tree with
+    none is built and laid out, and layout stops at its first error. A
+    callback error (``CallbackError``) is one BF017.
+    """
     registry = registry or standard_registry()
     try:
         tree = docformat.parse_document(data)
@@ -267,14 +279,12 @@ def compile_source(data: bytes | str, registry: Registry | None = None) -> tuple
         return None, [Diagnostic(SYNTAX_ERROR, str(exc), ("document",))]
     except SchemaError as exc:
         return None, [Diagnostic(SCHEMA_ERROR, str(exc), (exc.path,))]
+    except CallbackError as exc:
+        return None, [Diagnostic(CALLBACK_ERROR, str(exc), (exc.path,))]
     diags = docformat.validate(tree, registry)
     refs, name_diags = docformat.resolve_names(tree)
     diags.extend(name_diags)
     if any(d.severity == ERROR for d in diags):
         return None, diags
-    try:
-        graph = build_scenegraph(tree, refs, registry)
-    except SelfReference as exc:
-        return None, diags + [Diagnostic(SELF_REFERENCE, str(exc), (exc.ref, exc.referent))]
-    scene, layout_diags = layout_document(graph)
+    scene, layout_diags = layout_document(build_scenegraph(tree, refs, registry))
     return scene, diags + layout_diags

@@ -26,9 +26,15 @@ DUPLICATE_NAME = "BF011"
 UNDEFINED_EXTENT = "BF012"
 INVALID_EXTENT = "BF013"
 GEOMETRY_OVERFLOW = "BF016"
+CALLBACK_ERROR = "BF017"
 
 ERROR = "error"
 WARNING = "warning"
+
+# C0 controls, DEL and C1 controls, each spelled \xNN where a diagnostic
+# is rendered, so a document's kinds and names cannot start a line or
+# send a terminal escape
+_CONTROLS_SPELLED = {c: f"\\x{c:02x}" for c in (*range(0x20), *range(0x7f, 0xa0))}
 
 
 @dataclass(frozen=True)
@@ -41,8 +47,13 @@ class Diagnostic:
     severity: str = ERROR
 
     def render(self) -> str:
-        lines = [f"{self.severity}[{self.code}]: {self.message}"]
-        lines.extend(f"  at {path}" for path in self.node_paths)
+        """One ``severity[code]: message`` line, then one ``  at <path>`` line per node path.
+
+        ``message`` and ``node_paths`` stay raw; only the rendered text
+        spells each control character in them as ``\\xNN``.
+        """
+        lines = [f"{self.severity}[{self.code}]: {self.message.translate(_CONTROLS_SPELLED)}"]
+        lines.extend(f"  at {path.translate(_CONTROLS_SPELLED)}" for path in self.node_paths)
         return "\n".join(lines)
 
 
@@ -100,24 +111,6 @@ class GeometryOverflow(BluefishError):
 
 
 # --- scenegraph -------------------------------------------------------------
-
-
-class SelfReference(BluefishError):
-    """A ref points at the relation that holds it or at an ancestor of it.
-
-    ``node`` is the ref's parent and ``referent`` its target. ``ref``
-    names the ref itself where the caller knows it; the graph raises
-    before it creates the ref, so it has none to give.
-    """
-
-    def __init__(self, ref_parent: str, referent: str, ref: str | None = None):
-        self.node = ref_parent
-        self.referent = referent
-        self.ref = ref
-        super().__init__(
-            f"ref under {ref_parent!r} points at {referent!r}, which would "
-            f"make the relation contain itself"
-        )
 
 
 class DisconnectedNodes(BluefishError):
@@ -178,9 +171,11 @@ class InvalidKindSpec(BluefishError):
 
 
 class CallbackError(BluefishError):
-    """A kind's ``callback`` (``"paint"``) raised something other than a ``BluefishError``.
+    """A kind's ``callback`` (``"expand"``, ``"layout"`` or ``"paint"``) raised something other than a ``BluefishError``.
 
-    ``path`` is the node's ``Scenegraph.path``; ``error_type`` and ``detail`` are the exception's.
+    ``path`` is the node's place as the stage that called it prints one:
+    ``docformat.place_path`` for expand, ``Scenegraph.path`` for layout
+    and paint; ``error_type`` and ``detail`` are the exception's.
     """
 
     def __init__(self, kind: str, callback: str, path: str, exc: Exception):

@@ -59,7 +59,6 @@ from .errors import (
     DisconnectedNodes,
     GeometryOverflow,
     InvalidExtent,
-    SelfReference,
     UndefinedExtentError,
     UnsizedNodes,
 )
@@ -177,14 +176,10 @@ class Scenegraph:
         return node
 
     def create_ref(self, parent: LayoutNode, referent: LayoutNode, step: str = "") -> RefNode:
-        # A ref may not point at the relation that holds it or any ancestor
-        # of it: the relation would contain itself through the edge. Only an
-        # ancestor as deep as the referent can be the referent.
-        walk = parent
-        while walk.depth > referent.depth:
-            walk = self.nodes[walk.parent]
-        if walk is referent:
-            raise SelfReference(parent.id, referent.id)
+        """Store the edge from ``parent`` to ``referent`` as ``parent``'s last child, as given.
+
+        ``docformat.resolve_names`` rejects an edge to ``parent`` or an ancestor of it (BF009).
+        """
         nid = f"n{len(self.nodes)}"
         ref = RefNode(id=nid, ref_id=referent.id, parent=parent.id, step=step or nid)
         self.nodes[nid] = ref

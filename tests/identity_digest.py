@@ -56,10 +56,7 @@ def write_log(data: bytes) -> list[tuple[str, str, str]]:
     table, name_diags = bluefish.resolve_names(tree)
     if any(d.severity == "error" for d in diags + name_diags):
         return []
-    try:
-        graph = bluefish.build_scenegraph(tree, table, registry)
-    except bluefish.BluefishError:
-        return []
+    graph = bluefish.build_scenegraph(tree, table, registry)
     layout_document(graph)
     return graph.write_log
 

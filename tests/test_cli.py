@@ -192,3 +192,23 @@ def test_a_terminal_sees_colored_severities(monkeypatch):
     tty = _FakeTty()
     _report(diagnostics, tty)
     assert tty.getvalue() == plain + "\n"
+
+
+@pytest.mark.parametrize("root, spelled", [
+    pytest.param({"kind": "rect", "name": "a\u001b[2Jb\nfake", "props": {"width": 3}},
+                 r"  at rect:a\x1b[2Jb\x0afake", id="name"),
+    pytest.param({"kind": "x\u001b[31m\nerror[BF000]: forged"},
+                 r"  at x\x1b[31m\x0aerror[BF000]: forged", id="kind"),
+    pytest.param({"kind": "group", "children": [
+        {"kind": "rect", "name": "\u0085\u009b2J\u007f\t", "props": {"height": 3}}]},
+                 r"  at group/rect[0]:\x85\x9b2J\x7f\x09", id="c1-del-tab"),
+])
+def test_rendered_diagnostics_carry_no_control_characters(tmp_path, capsys, root, spelled):
+    # kinds and names reach walk paths raw; only the rendered text spells them
+    _, diagnostics = compile_source(json.dumps({"bluefish": 1, "root": root}))
+    (diagnostic,) = diagnostics
+    header, *at_lines = diagnostic.render().split("\n")
+    assert header.startswith("error[BF007]: ") and at_lines == [spelled]
+    assert not any(ord(c) < 0x20 or 0x7f <= ord(c) <= 0x9f for c in header + "".join(at_lines))
+    assert main(["check", str(_write_doc(tmp_path, {"bluefish": 1, "root": root}))]) == 1
+    assert "\x1b" not in capsys.readouterr().err

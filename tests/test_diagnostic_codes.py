@@ -42,13 +42,21 @@ def _layout_half(rt, node, props):
     rt.graph.decide(node, "width", 1.0, node)
 
 
+def _layout_tile(rt, node, props):
+    # as a prop's mark, a tile is given without its required props
+    _layout_bar(rt, node, {"length": props["width"]})
+
+
 def _with_kinds() -> Registry:
-    """The standard kinds, and custom ones whose layout decides a negative extent, half a box or nothing."""
+    """The standard kinds, and custom ones whose layout decides a negative extent, half a box,
+    nothing, or reads a prop it may not have."""
     registry = standard_registry()
     registry.register(ElementKindSpec(kind="bar", required_props=("length",), is_mark=True,
                                       layout=_layout_bar))
     registry.register(ElementKindSpec(kind="half", is_mark=True, layout=_layout_half))
     registry.register(ElementKindSpec(kind="blank"))
+    registry.register(ElementKindSpec(kind="tile", required_props=("width", "height"), is_mark=True,
+                                      layout=_layout_tile))
     return registry
 
 
@@ -83,6 +91,7 @@ DOCUMENTS = {
     ]}),
     "BF013": _doc({"kind": "stackV", "children": [_rect(), {"kind": "bar", "props": {"length": -80}}]}),
     "BF016": _doc({"kind": "stackV", "children": [_rect(height=1e308), _rect(height=1e308)]}),
+    "BF017": _doc({"kind": "background", "props": {"background": {"kind": "tile"}}, "children": [_rect()]}),
 }
 
 
@@ -98,10 +107,13 @@ def _broken_composites() -> Registry:
     registry = standard_registry()
     registry.register(ElementKindSpec(kind="bad", expand=lambda props, children: 3))
     registry.register(ElementKindSpec(kind="loop", expand=lambda props, children: Element("loop")))
+    registry.register(ElementKindSpec(kind="share", expand=lambda props, children: Element(
+        "rect", props={"width": 1 / len(children), "height": 1.0})))
     return registry
 
 
 _SCOPE_A = "group/group[0]:a"
+_SELF = "group/stackV[0]:s"
 
 
 @pytest.mark.parametrize("data, registry, expected", [
@@ -176,6 +188,31 @@ _SCOPE_A = "group/group[0]:a"
         "BF007", "expansion of 'bad' must return an element (at root.props.background)",
         ("root.props.background",))],
         id="element-prop-expansion-not-an-element"),
+    pytest.param(_doc({"kind": "group", "children": [_rect(), {"kind": "share"}]}),
+                 _broken_composites(), [(
+        "BF017", "expand of kind 'share' raised ZeroDivisionError: division by zero (at root.children[1])",
+        ("root.children[1]",))],
+        id="expansion-that-raises"),
+    pytest.param(_doc({"kind": "stackV", "children": [
+        _rect(), {"kind": "background", "props": {"background": {"kind": "tile"}}, "children": [_rect()]},
+    ]}), _with_kinds(), [(
+        "BF017", "layout of kind 'tile' raised KeyError: 'width' "
+                 "(at stackV/background[1]/tile(background mark))",
+        ("stackV/background[1]/tile(background mark)",))],
+        id="layout-that-raises"),
+    pytest.param(_doc({"kind": "group", "children": [
+        {"kind": "stackV", "name": "s", "children": [_rect(), _ref("s"), _ref("s")]},
+    ]}), None, [(
+        "BF009", f"ref under '{_SELF}' points at '{_SELF}', which would make the relation contain itself",
+        (f"{_SELF}/ref[{i}]", _SELF)) for i in (1, 2)],
+        id="every-self-reference"),
+    pytest.param(_doc({"kind": "group", "children": [
+        {"kind": "stackV", "name": "s", "children": [_rect(), _ref("s"), _ref("t")]},
+    ]}), None, [
+        ("BF009", f"ref under '{_SELF}' points at '{_SELF}', which would make the relation contain itself",
+         (f"{_SELF}/ref[1]", _SELF)),
+        ("BF002", "no element named 't' (selector 't')", (f"{_SELF}/ref[2]",)),
+    ], id="self-reference-beside-an-unresolved-name"),
     pytest.param(_doc({"kind": "stackV", "children": [
         {"kind": "group", "children": [
             {"kind": "align", "name": "a", "props": {"alignment": "top"},
@@ -216,6 +253,87 @@ _SCOPE_A = "group/group[0]:a"
 def test_branch_diagnostics_keep_code_message_and_path(data, registry, expected):
     _, diags = compile_source(data, registry)
     assert [(d.code, d.message, d.node_paths) for d in diags] == expected
+
+
+# One nested document: each element's walk path, in pre-order, and each
+# relation that can hold a ref, with its ancestors, its child count and
+# its last descendant (after which a ref appended to it comes).
+_TREE_PATHS = {
+    "r": "group:r",
+    "g1": "group:r/group[0]:g1",
+    "s": "group:r/group[0]:g1/stackV[0]:s",
+    "in": "group:r/group[0]:g1/stackV[0]:s/group[0]:in",
+    "a": "group:r/group[0]:g1/stackV[0]:s/group[0]:in/rect[0]:a",
+    "g2": "group:r/group[1]:g2",
+    "b": "group:r/group[1]:g2/rect[0]:b",
+    "c": "group:r/rect[2]:c",
+}
+_HOLDERS = {"r": ((), 3, "c"), "g1": (("r",), 1, "a"), "s": (("g1", "r"), 1, "a"),
+            "in": (("s", "g1", "r"), 1, "a"), "g2": (("r",), 1, "b")}
+
+
+def _tree(holder: str, referent: str) -> bytes:
+    """The nested document with one ref to ``referent`` appended to ``holder``'s children."""
+    def ref_in(name: str) -> list:
+        return [_ref(referent)] if name == holder else []
+
+    return _doc({"kind": "group", "name": "r", "children": [
+        {"kind": "group", "name": "g1", "children": [
+            {"kind": "stackV", "name": "s", "children": [
+                {"kind": "group", "name": "in", "children": [_rect("a"), *ref_in("in")]},
+                *ref_in("s")]},
+            *ref_in("g1")]},
+        {"kind": "group", "name": "g2", "children": [_rect("b"), *ref_in("g2")]},
+        _rect("c"), *ref_in("r")]})
+
+
+def test_a_ref_to_its_holder_or_an_ancestor_is_bf009_and_no_other_is():
+    order = list(_TREE_PATHS)
+    judged = 0
+    for holder, (ancestors, count, last) in _HOLDERS.items():
+        holder_path = _TREE_PATHS[holder]
+        for referent in order[:order.index(last) + 1]:
+            _, diags = compile_source(_tree(holder, referent))
+            if referent == holder or referent in ancestors:
+                referent_path = _TREE_PATHS[referent]
+                assert [(d.code, d.message, d.node_paths) for d in diags] == [(
+                    "BF009", f"ref under {holder_path!r} points at {referent_path!r}, "
+                             "which would make the relation contain itself",
+                    (f"{holder_path}/ref[{count}]", referent_path))], (holder, referent)
+                judged += 1
+            else:
+                assert "BF009" not in [d.code for d in diags], (holder, referent)
+    assert judged == 1 + 2 + 3 + 4 + 2
+
+
+@pytest.mark.parametrize("root, expected", [
+    pytest.param({"kind": "stackV", "children": [
+        _rect("a"), {"kind": "stackV", "children": [_ref("a"), _rect()]},
+    ]}, [("BF001", ("stackV/stackV[1]", "stackV"))], id="stack-in-a-stack"),
+    pytest.param({"kind": "stackV", "children": [
+        _rect("a"), {"kind": "align", "props": {"alignment": "top"}, "children": [_ref("a"), _rect()]},
+    ]}, [("BF001", ("stackV/align[1]", "stackV"))], id="align-in-a-stack"),
+    pytest.param({"kind": "stackV", "children": [
+        _rect("a"), {"kind": "group", "children": [{"kind": "arrow", "children": [_ref("a"), _rect("b")]}]},
+    ]}, [("BF008", ("stackV/group[1]/arrow[0]",)),
+         ("BF001", ("stackV/group[1]/arrow[0]", "stackV"))], id="arrow-to-a-rect-in-a-stack"),
+    pytest.param({"kind": "stackV", "children": [
+        _rect("a"), {"kind": "group", "children": [
+            _rect("b"), {"kind": "arrow", "children": [_ref("a"), _ref("b")]}]},
+    ]}, [("BF008", ("stackV/group[1]/arrow[1]",)),
+         ("BF001", ("stackV/group[1]/arrow[1]", "stackV"))], id="arrow-to-a-ref-in-a-stack"),
+    pytest.param({"kind": "group", "children": [
+        {"kind": "stackV", "props": {"spacing": 20}, "children": [_rect("a"), _rect("b")]},
+        {"kind": "arrow", "children": [_ref("a"), _ref("b")]},
+    ]}, [], id="arrow-after-the-stack"),
+])
+def test_a_read_through_a_ref_pins_the_frame_an_enclosing_relation_places(root, expected):
+    # the README's Limitations entry: a relation reading a ref outside its
+    # own subtree owns the translations on the way, so an enclosing
+    # relation that places its subtree afterwards conflicts with it
+    scene, diags = compile_source(_doc(root))
+    assert [(d.code, d.node_paths) for d in diags] == expected
+    assert (scene is None) == bool(expected)
 
 
 def _nested_groups(levels: int, innermost: list) -> dict:

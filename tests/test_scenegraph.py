@@ -28,7 +28,6 @@ from bluefish.errors import (
     DisconnectedNodes,
     GeometryOverflow,
     InvalidExtent,
-    SelfReference,
     UndefinedExtentError,
     UnsizedNodes,
 )
@@ -78,46 +77,6 @@ def test_ref_resolves_to_its_referent():
     assert stack.children == [ref.id]
     assert g.target_of(ref.id) is a
     assert g.target_of(a.id) is a
-
-
-def test_ref_to_own_ancestor_rejected():
-    g = Scenegraph(standard_registry())
-    root = g.create_node("group", None)
-    stack = g.create_node("stackV", root)
-    with pytest.raises(SelfReference):
-        g.create_ref(stack, stack)
-    with pytest.raises(SelfReference) as excinfo:
-        g.create_ref(stack, root)
-    assert (excinfo.value.node, excinfo.value.referent) == (stack.id, root.id)
-    assert stack.children == [] and len(g.nodes) == 2
-
-
-def test_ref_check_matches_the_whole_ancestor_chain():
-    # create_ref climbs only to the referent's depth; judge it against every ancestor
-    g = Scenegraph(standard_registry())
-    root = g.create_node("group", None)
-    g1 = g.create_node("group", root)
-    stack = g.create_node("stackV", g1)
-    inner = g.create_node("group", stack)
-    a = _rect(g, inner, 10, 10)
-    g2 = g.create_node("group", root)
-    b = _rect(g, g2, 10, 10)
-    c = _rect(g, root, 10, 10)
-    layout = [root, g1, stack, inner, a, g2, b, c]
-    for parent in layout:
-        chain, walk = [], parent
-        while walk is not None:
-            chain.append(walk)
-            walk = g.nodes[walk.parent] if walk.parent is not None else None
-        for referent in layout:
-            before = len(g.nodes)
-            if any(referent is up for up in chain):
-                with pytest.raises(SelfReference):
-                    g.create_ref(parent, referent)
-                assert len(g.nodes) == before
-            else:
-                ref = g.create_ref(parent, referent)
-                assert g.target_of(ref.id) is referent and len(g.nodes) == before + 1
 
 
 # --- the single-write rule ------------------------------------------------------------

@@ -5,13 +5,16 @@ refs, connectors and backgrounds) or a random ref-free document, applies
 one to three mutations, and may truncate the encoded bytes. Whatever
 comes out, ``compile_source`` must not raise, every diagnostic must carry
 a code ``bluefish.errors`` defines, a scene must paint and dump, and
-``bluefish check`` must exit 0 or 1. Painting is total over registered
-kinds: a paint function that raises becomes one ``CallbackError``.
+``bluefish check`` must exit 0 or 1, and no standard kind's callback
+may raise (BF017). Compiling is total over registered kinds too: an
+``expand`` or ``layout`` that raises is one BF017, and a paint function
+that raises makes ``paint`` raise one ``CallbackError``.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -23,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bluefish import ElementKindSpec, compile_source, dump_scene, paint, standard_registry
+from bluefish import Element, ElementKindSpec, compile_source, dump_scene, paint, standard_registry
 from bluefish.cli import main
 from bluefish.errors import CallbackError
 from bluefish.relations import layout_rect
@@ -88,7 +91,9 @@ def test_compiling_mutated_documents_never_raises(data):
         raw = raw[:data.draw(st.integers(0, len(raw)))]
 
     scene, diags = compile_source(raw)
-    assert {d.code for d in diags} <= set(CODES)
+    codes = {d.code for d in diags}
+    assert codes <= set(CODES)
+    assert "BF017" not in codes  # no standard kind's callback raises
     if scene is not None:
         paint(scene)
         dump_scene(scene)
@@ -97,6 +102,71 @@ def test_compiling_mutated_documents_never_raises(data):
         source.write_bytes(raw)
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert main(["check", str(source)]) in (0, 1)
+
+
+def _paint_diamond(node, fmt, esc, markers):
+    # the README's diamond
+    x, y, w, h = node.content_box()
+    corners = [(x + w / 2, y), (x + w, y + h / 2), (x + w / 2, y + h), (x, y + h / 2)]
+    return '<polygon points="%s"/>' % " ".join(f"{fmt(a)},{fmt(b)}" for a, b in corners)
+
+
+def _layout_unprepared(rt, node, props):
+    layout_rect(rt, node, props)
+    return props["weight"]  # declared nowhere: KeyError
+
+
+def _paint_unprepared(node, fmt, esc, markers):
+    return f"<desc>{fmt(node.width / (node.height - node.height))}</desc>"  # ZeroDivisionError
+
+
+def _expand_unprepared(props, children):
+    return children[0]  # IndexError when there are none
+
+
+def _custom_registry():
+    """The README's diamond, a composite, and kinds whose expand, layout or paint raise on purpose.
+
+    Each takes a rect's props, so a rect can become any of them.
+    """
+    registry = standard_registry()
+    rect = registry.kinds["rect"]
+    registry.register(dataclasses.replace(rect, kind="diamond", paint=_paint_diamond))
+    registry.register(dataclasses.replace(rect, kind="heavy", layout=_layout_unprepared))
+    registry.register(dataclasses.replace(rect, kind="smudge", paint=_paint_unprepared))
+    registry.register(ElementKindSpec(kind="pair", expand=lambda props, children: Element(
+        "stackH", children=[Element("rect", props=props), *children])))
+    registry.register(ElementKindSpec(kind="first", expand=_expand_unprepared))
+    return registry
+
+
+_CUSTOM = _custom_registry()
+_CUSTOM_KINDS = ("diamond", "pair", "heavy", "smudge", "first")
+_RECT_DOCS = [doc for doc in _FIXTURE_DOCS if any(el["kind"] == "rect" for el in _elements(doc))]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_registered_callbacks_that_raise_give_only_the_declared_errors(data):
+    doc = json.loads(json.dumps(data.draw(st.sampled_from(_RECT_DOCS))))
+    rects = [el for el in _elements(doc) if el["kind"] == "rect"]
+    for _ in range(data.draw(st.integers(1, 3))):
+        data.draw(st.sampled_from(rects))["kind"] = data.draw(st.sampled_from(_CUSTOM_KINDS))
+    if data.draw(st.booleans()):
+        _mutate(doc, data)
+
+    scene, diags = compile_source(json.dumps(doc).encode("utf-8"), _CUSTOM)
+    assert {d.code for d in diags} <= set(CODES)
+    for d in diags:
+        if d.code == "BF017":
+            assert d.message.startswith(("layout of kind 'heavy' raised KeyError: 'weight' (at ",
+                                         "expand of kind 'first' raised IndexError: ")), d.message
+    if scene is not None:
+        dump_scene(scene)
+        try:
+            paint(scene)
+        except CallbackError as error:
+            assert (error.kind, error.callback, error.error_type) == ("smudge", "paint", "ZeroDivisionError")
 
 
 def test_a_paint_function_that_raises_is_one_callback_error():
