@@ -5,8 +5,10 @@ scenegraph -> layout -> finalize -> resolve origins. Static problems,
 the ref rules included, are collected and reported together before any
 layout runs, so a tree without them builds without fail; layout itself
 stops at the first conflict, because a conflicting scene has no
-well-defined geometry to keep going with. A kind's ``expand`` or
-``layout`` that raises anything but a ``BluefishError`` is one BF017.
+well-defined geometry to keep going with. A kind's ``expand`` that
+raises anything but a ``SchemaError``, or a ``layout`` that raises
+anything but one of the four errors layout reports (BF001, BF012, BF013,
+BF016), is one BF017.
 
 Layout is a single post-order pass driven by the engine: every node's
 layout function is invoked exactly once, after all of its children,
@@ -49,6 +51,9 @@ from .scenegraph import LayoutNode, RefNode, Scenegraph
 
 _MAX_EXPANSIONS = 32
 
+# what a layout callback may raise for the layout pass to report; anything else is a CallbackError
+_LAYOUT_ERRORS = (DimensionConflict, UndefinedExtentError, InvalidExtent, GeometryOverflow)
+
 
 class Registry:
     """Element kinds known to the pipeline."""
@@ -64,11 +69,27 @@ class Registry:
         self.kinds[spec.kind] = spec
 
 
-def standard_registry() -> Registry:
-    """A fresh registry holding the built-in kinds."""
+def _standard_kinds() -> dict[str, ElementKindSpec]:
+    """The built-in kinds, registered once, each derived fact read so no compile writes a shared spec."""
     registry = Registry()
     for spec in standard_kind_specs():
-        registry.register(spec)
+        registry.register(spec)  # checks the facts and reads default_props
+        spec.prop_checks, spec.element_props, spec.sized_by_holder
+    return registry.kinds
+
+
+_STANDARD_KINDS = _standard_kinds()
+
+
+def standard_registry() -> Registry:
+    """A fresh registry holding the built-in kinds; registering into it changes no other.
+
+    The specs are built once per process and shared by every registry:
+    read them, never change them. To vary a built-in kind, register a
+    ``dataclasses.replace`` copy under a new name.
+    """
+    registry = Registry()
+    registry.kinds.update(_STANDARD_KINDS)
     return registry
 
 
@@ -115,7 +136,7 @@ def expand_tree(tree: Element, registry: Registry) -> Element:
                                   f"composite kind {el.kind!r} expands without terminating")
             try:
                 expanded = spec.expand(dict(el.props), list(el.children))
-            except BluefishError:
+            except SchemaError:
                 raise
             except Exception as exc:
                 raise CallbackError(el.kind, "expand", docformat.place_path(place), exc) from exc
@@ -206,7 +227,7 @@ class LayoutRuntime:
             if spec.layout is not None:
                 try:
                     spec.layout(self, node, node.paint_props)
-                except BluefishError:
+                except _LAYOUT_ERRORS:
                     raise
                 except Exception as exc:
                     raise CallbackError(node.kind, "layout", self.graph.path(node.id), exc) from exc
@@ -215,8 +236,6 @@ class LayoutRuntime:
 def _layout_error_diagnostic(graph: Scenegraph, exc: BluefishError) -> Diagnostic:
     if isinstance(exc, CallbackError):
         return Diagnostic(CALLBACK_ERROR, str(exc), (exc.path,))
-    if not isinstance(exc, (DimensionConflict, UndefinedExtentError, InvalidExtent, GeometryOverflow)):
-        raise exc
     path = graph.path(exc.node)
     if isinstance(exc, DimensionConflict):
         owner, writer = graph.path(exc.existing_owner), graph.path(exc.writer)

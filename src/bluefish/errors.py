@@ -171,7 +171,11 @@ class InvalidKindSpec(BluefishError):
 
 
 class CallbackError(BluefishError):
-    """A kind's ``callback`` (``"expand"``, ``"layout"`` or ``"paint"``) raised something other than a ``BluefishError``.
+    """A kind's ``callback`` (``"expand"``, ``"layout"`` or ``"paint"``) raised what its stage does not report.
+
+    An ``expand`` passes only ``SchemaError`` through, a ``layout`` only
+    ``DimensionConflict``, ``UndefinedExtentError``, ``InvalidExtent`` and
+    ``GeometryOverflow``, and a ``paint`` nothing.
 
     ``path`` is the node's place as the stage that called it prints one:
     ``docformat.place_path`` for expand, ``Scenegraph.path`` for layout

@@ -13,7 +13,7 @@ from __future__ import annotations
 from decimal import ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_EVEN, Context, Decimal
 from json.encoder import encode_basestring_ascii
 
-from .errors import BluefishError, CallbackError
+from .errors import CallbackError
 from .scenegraph import Scenegraph
 
 SVG_NS = "http://www.w3.org/2000/svg"
@@ -95,7 +95,7 @@ def paint(scene: Scenegraph) -> bytes:
     Painting only reads the scene. Paint functions add the arrowhead
     colors they meet to ``markers``, defined in ``<defs>`` in front, and
     get this call's own spelling of numbers as ``fmt``. A paint function
-    that raises anything but a ``BluefishError`` raises ``CallbackError``.
+    that raises anything makes ``paint`` raise ``CallbackError``.
     """
     nodes = scene.nodes
     fmt = _Spelling().__getitem__
@@ -110,8 +110,6 @@ def paint(scene: Scenegraph) -> bytes:
             continue
         try:
             own = paint_fn(node, fmt, esc, markers)
-        except BluefishError:
-            raise
         except Exception as exc:
             raise CallbackError(node.kind, "paint", scene.path(node.id), exc) from exc
         if own:

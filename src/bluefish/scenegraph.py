@@ -382,17 +382,20 @@ class Scenegraph:
         Unconstrained positions are not an error: a node nobody placed
         simply stays at its local origin, owned by the root. Unknown
         extents are an error, collected per node into UnsizedNodes.
+        Decided means owned: the owner map is the one record of a
+        decision, so a value a layout stored around ``decide`` counts as
+        undecided.
         """
         assert self.root is not None
         root = self.nodes[self.root]
         layout_nodes = [node for node in self.nodes.values() if isinstance(node, LayoutNode)]
         for node in layout_nodes:
             for axis in AXES:
-                if getattr(node, axis.translation) is None:
+                if axis.transform_field not in node.owners:
                     self.decide(node, axis.transform_field, 0.0, root)
         unsized = tuple(
             node.id for node in layout_nodes
-            if node.width is None or node.height is None)
+            if "width" not in node.owners or "height" not in node.owners)
         if unsized:
             raise UnsizedNodes(unsized)
 

@@ -16,10 +16,17 @@ one process of a pair can run a little faster than the other for its
 whole life, and the same code in two processes would then read as a
 change.
 
-For compile, paint and dump separately it prints the median of the
-per-document time ratios (change over parent) with a 95% interval, and
-the parent's median time. The interval's bootstrap draws rounds and then
-documents within them, so it holds the spread between process pairs. A ratio above 1 means the
+It prints one row per measure: the median of the time ratios (change
+over parent) with a 95% interval, and the parent's median time. The
+rows are ``compile``, over the documents that compile, and ``reject``,
+over those with a planted error (what ``perfbench/run.py`` reports as
+``compile_p50_ms`` and ``reject_p50_ms``); then ``paint`` and ``dump``;
+and ``setup``, one pair per round: each fresh compiler times its own
+``import bluefish`` plus its first warm-up request (compile, paint and,
+where the workload dumps, dump), as ``perfbench/run.py``'s ``setup_s``
+does, and the two sides start in alternating order from round to round.
+The interval's bootstrap draws rounds and then ratios within them, so
+it holds the spread between process pairs. A ratio above 1 means the
 change is slower. Pairing each document cancels drift in the machine's
 speed, which moves both sides of a pair alike, so the interval resolves
 changes of about 1%, where a single benchmark run cannot tell 10%.
@@ -47,24 +54,28 @@ TESTS = Path(__file__).resolve().parent
 sys.path.insert(0, str(TESTS.parent / "perfbench"))
 
 SEED = 7
-STAGES = ("compile", "paint", "dump")
+ROWS = ("compile", "reject", "paint", "dump", "setup")
 WORKLOAD_NAMES = ("service-mix", "editor-session", "bulk-deep")
 BOOTSTRAP = 1000
 ROUND_SECONDS = 5.0
 
 
 def serve(dumps: bool) -> None:
-    """Time each document read from stdin; answer one JSON line each.
+    """Time the import of bluefish, then each document read from stdin.
 
-    A document comes as its length in bytes on one line, then the bytes.
-    The answer is ``[compile_ms, paint_ms, dump_ms]``, paint and dump
-    None where they did not run.
+    The first line written is the import's time in ms. Then a document
+    comes as its length in bytes on one line, then the bytes, and the
+    answer is one JSON line ``[compile_ms, paint_ms, dump_ms]``, paint
+    and dump None where they did not run.
     """
+    clock = time.perf_counter
+    source, out = sys.stdin.buffer, sys.stdout
+    started = clock()
     # imported here, so that only a compiler subprocess imports bluefish
     import bluefish
 
-    clock = time.perf_counter
-    source, out = sys.stdin.buffer, sys.stdout
+    out.write(json.dumps((clock() - started) * 1000.0) + "\n")
+    out.flush()
     while True:
         size = source.readline()
         if not size:
@@ -90,7 +101,10 @@ def serve(dumps: bool) -> None:
 
 
 class _Compiler:
-    """One tree's compiler subprocess, started fresh, and warmed up, by ``restart``."""
+    """One tree's compiler subprocess, started fresh, and warmed up, by ``restart``.
+
+    ``setup_ms`` is the fresh process's import plus its first warm-up request.
+    """
 
     def __init__(self, src: str, dumps: bool, warmup: bytes) -> None:
         # both sides hash alike, so neither gets the luckier dict layouts
@@ -99,13 +113,15 @@ class _Compiler:
         self.command = [sys.executable, "-c", f"import ab_time; ab_time.serve({dumps!r})"]
         self.warmup = warmup
         self.proc: subprocess.Popen | None = None
+        self.setup_ms = 0.0
 
     def restart(self) -> None:
         self.close()
         self.proc = subprocess.Popen(self.command, env=self.env, stdin=subprocess.PIPE,
                                      stdout=subprocess.PIPE)
-        for _ in range(2):
-            self.time(self.warmup)
+        self.setup_ms = json.loads(self.proc.stdout.readline())
+        self.setup_ms += sum(t for t in self.time(self.warmup) if t is not None)
+        self.time(self.warmup)
 
     def time(self, data: bytes) -> list:
         self.proc.stdin.write(b"%d\n%b" % (len(data), data))
@@ -147,8 +163,14 @@ def compare(parent_src: str, change_src: str, workload: str, seconds: float) -> 
     spec = WORKLOADS[workload]
     warmup = spec.warmup(SEED).data
     parent, change = (_Compiler(src, spec.dumps, warmup) for src in (parent_src, change_src))
-    ratios: dict[str, list[list[float]]] = {stage: [] for stage in STAGES}  # per round
-    parent_ms: dict[str, list[float]] = {stage: [] for stage in STAGES}
+    ratios: dict[str, list[list[float]]] = {row: [] for row in ROWS}  # per round
+    parent_ms: dict[str, list[float]] = {row: [] for row in ROWS}
+
+    def pair(row: str, a: float | None, b: float | None) -> None:
+        if a is not None and b is not None and a > 0.0:
+            ratios[row][-1].append(b / a)
+            parent_ms[row].append(a)
+
     documents = 0
     try:
         started = time.perf_counter()
@@ -160,11 +182,12 @@ def compare(parent_src: str, change_src: str, workload: str, seconds: float) -> 
             if now >= rounds * ROUND_SECONDS:
                 # a fresh pair of processes per round, so that neither side
                 # keeps a process that happens to run faster
-                parent.restart()
-                change.restart()
+                for compiler in (parent, change) if rounds % 2 == 0 else (change, parent):
+                    compiler.restart()
                 rounds += 1
-                for stage in STAGES:
-                    ratios[stage].append([])
+                for row in ROWS:
+                    ratios[row].append([])
+                pair("setup", parent.setup_ms, change.setup_ms)
             if documents % 2:
                 new = change.time(doc.data)
                 old = parent.time(doc.data)
@@ -172,22 +195,21 @@ def compare(parent_src: str, change_src: str, workload: str, seconds: float) -> 
                 old = parent.time(doc.data)
                 new = change.time(doc.data)
             documents += 1
-            for stage, a, b in zip(STAGES, old, new):
-                if a is not None and b is not None and a > 0.0:
-                    ratios[stage][-1].append(b / a)
-                    parent_ms[stage].append(a)
+            compiled = "compile" if doc.planted is None else "reject"
+            for row, a, b in zip((compiled, "paint", "dump"), old, new):
+                pair(row, a, b)
     finally:
         parent.close()
         change.close()
     print(f"{workload}: {documents} documents in {seconds:g} s, {rounds} rounds of fresh processes")
-    for stage in STAGES:
-        runs = [r for r in ratios[stage] if r]
+    for row in ROWS:
+        runs = [r for r in ratios[row] if r]
         if not runs:
-            print(f"  {stage:<8} not run on this workload")
+            print(f"  {row:<8} not run on this workload")
             continue
         median, lo, hi = interval(runs)
-        print(f"  {stage:<8} {median:.3f} [{lo:.3f}, {hi:.3f}] over {len(parent_ms[stage])} pairs, "
-              f"parent median {statistics.median(parent_ms[stage]):.3f} ms")
+        print(f"  {row:<8} {median:.3f} [{lo:.3f}, {hi:.3f}] over {len(parent_ms[row])} pairs, "
+              f"parent median {statistics.median(parent_ms[row]):.3f} ms")
 
 
 def main(argv: list[str] | None = None) -> int:

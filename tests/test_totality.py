@@ -7,8 +7,11 @@ comes out, ``compile_source`` must not raise, every diagnostic must carry
 a code ``bluefish.errors`` defines, a scene must paint and dump, and
 ``bluefish check`` must exit 0 or 1, and no standard kind's callback
 may raise (BF017). Compiling is total over registered kinds too: an
-``expand`` or ``layout`` that raises is one BF017, and a paint function
-that raises makes ``paint`` raise one ``CallbackError``.
+``expand`` that raises anything but a ``SchemaError``, or a ``layout``
+that raises anything but the four errors layout reports, is one BF017;
+a layout that stores a box around ``decide`` leaves it undecided (BF004);
+and a paint function that raises makes ``paint`` raise one
+``CallbackError``.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from hypothesis import strategies as st
 
 from bluefish import Element, ElementKindSpec, compile_source, dump_scene, paint, standard_registry
 from bluefish.cli import main
-from bluefish.errors import CallbackError
+from bluefish.errors import CallbackError, DimensionConflict, SchemaError
 from bluefish.relations import layout_rect
 
 from conftest import FIXTURES, compile_doc
@@ -124,8 +127,27 @@ def _expand_unprepared(props, children):
     return children[0]  # IndexError when there are none
 
 
+def _layout_second_root(rt, node, props):
+    layout_rect(rt, node, props)
+    rt.graph.create_node("rect", None)  # DisconnectedNodes: the graph has its root
+
+
+def _layout_schema_error(rt, node, props):
+    raise SchemaError("nowhere", "a layout judges no schema")
+
+
+def _expand_dimension_conflict(props, children):
+    raise DimensionConflict("n0", "left", "n0", "n1")
+
+
+def _layout_around_decide(rt, node, props):
+    # stores a whole box, but owns none of it
+    node.left, node.top = 0.0, 0.0
+    node.width, node.height = props.get("width", 1.0), props.get("height", 1.0)
+
+
 def _custom_registry():
-    """The README's diamond, a composite, and kinds whose expand, layout or paint raise on purpose.
+    """The README's diamond, composites, and kinds whose callbacks misbehave on purpose.
 
     Each takes a rect's props, so a rect can become any of them.
     """
@@ -134,14 +156,26 @@ def _custom_registry():
     registry.register(dataclasses.replace(rect, kind="diamond", paint=_paint_diamond))
     registry.register(dataclasses.replace(rect, kind="heavy", layout=_layout_unprepared))
     registry.register(dataclasses.replace(rect, kind="smudge", paint=_paint_unprepared))
+    registry.register(dataclasses.replace(rect, kind="rooted", layout=_layout_second_root))
+    registry.register(dataclasses.replace(rect, kind="strict", layout=_layout_schema_error))
+    registry.register(dataclasses.replace(rect, kind="forged", layout=_layout_around_decide))
     registry.register(ElementKindSpec(kind="pair", expand=lambda props, children: Element(
         "stackH", children=[Element("rect", props=props), *children])))
     registry.register(ElementKindSpec(kind="first", expand=_expand_unprepared))
+    registry.register(ElementKindSpec(kind="clash", expand=_expand_dimension_conflict))
     return registry
 
 
 _CUSTOM = _custom_registry()
-_CUSTOM_KINDS = ("diamond", "pair", "heavy", "smudge", "first")
+_CUSTOM_KINDS = ("diamond", "pair", "heavy", "smudge", "first", "rooted", "strict", "forged", "clash")
+# how each BF017 of the custom kinds begins
+_CALLBACK_ERRORS = (
+    "layout of kind 'heavy' raised KeyError: 'weight' (at ",
+    "expand of kind 'first' raised IndexError: ",
+    "layout of kind 'rooted' raised DisconnectedNodes: ",
+    "layout of kind 'strict' raised SchemaError: ",
+    "expand of kind 'clash' raised DimensionConflict: ",
+)
 _RECT_DOCS = [doc for doc in _FIXTURE_DOCS if any(el["kind"] == "rect" for el in _elements(doc))]
 
 
@@ -159,8 +193,7 @@ def test_registered_callbacks_that_raise_give_only_the_declared_errors(data):
     assert {d.code for d in diags} <= set(CODES)
     for d in diags:
         if d.code == "BF017":
-            assert d.message.startswith(("layout of kind 'heavy' raised KeyError: 'weight' (at ",
-                                         "expand of kind 'first' raised IndexError: ")), d.message
+            assert d.message.startswith(_CALLBACK_ERRORS), d.message
     if scene is not None:
         dump_scene(scene)
         try:
@@ -169,26 +202,64 @@ def test_registered_callbacks_that_raise_give_only_the_declared_errors(data):
             assert (error.kind, error.callback, error.error_type) == ("smudge", "paint", "ZeroDivisionError")
 
 
-def test_a_paint_function_that_raises_is_one_callback_error():
-    def paint_ratio(node, fmt, esc, markers):
-        return f'<desc>{fmt(node.width / 0.0)}</desc>'
-
-    registry = standard_registry()
-    registry.register(ElementKindSpec(
-        kind="ratio", required_props=("width", "height"), is_mark=True,
-        layout=layout_rect, paint=paint_ratio))
-    scene, diags = compile_doc({"bluefish": 1, "root": {"kind": "stackV", "children": [
+def _beside_a_rect(kind: str) -> dict:
+    return {"bluefish": 1, "root": {"kind": "stackV", "children": [
         {"kind": "rect", "props": {"width": 3, "height": 3}},
-        {"kind": "ratio", "name": "r", "props": {"width": 2, "height": 1}}]}}, registry)
-    assert diags == []
-    with pytest.raises(CallbackError) as caught:
-        paint(scene)
-    error = caught.value
-    assert (error.kind, error.callback, error.path, error.error_type, error.detail) == (
-        "ratio", "paint", "stackV/ratio[1]:r", "ZeroDivisionError", "float division by zero")
-    assert str(error) == (
-        "paint of kind 'ratio' raised ZeroDivisionError: float division by zero (at stackV/ratio[1]:r)")
-    assert isinstance(error.__cause__, ZeroDivisionError)
+        {"kind": kind, "props": {"width": 2, "height": 1}}]}}
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("rooted", "layout of kind 'rooted' raised DisconnectedNodes: the graph already has root 'n0'; "
+               "every other node needs a parent (at stackV/rooted[1])"),
+    ("strict", "layout of kind 'strict' raised SchemaError: a layout judges no schema (at nowhere) "
+               "(at stackV/strict[1])"),
+    ("clash", "expand of kind 'clash' raised DimensionConflict: "
+              + str(DimensionConflict("n0", "left", "n0", "n1")) + " (at root.children[1])"),
+], ids=("rooted", "strict", "clash"))
+def test_a_callback_raising_another_stages_error_is_one_bf017(kind, message):
+    scene, diags = compile_doc(_beside_a_rect(kind), _CUSTOM)
+    assert scene is None
+    assert [(d.code, d.message) for d in diags] == [("BF017", message)]
+
+
+def test_a_box_a_layout_stores_around_decide_is_undecided():
+    # the owner map is the one record of a decision, so finalize finds no extent
+    scene, diags = compile_doc(_beside_a_rect("forged"), _CUSTOM)
+    assert scene is None
+    assert [(d.code, d.node_paths) for d in diags] == [("BF004", ("stackV/forged[1]",))]
+    scene, diags = compile_doc({"bluefish": 1, "root": {"kind": "forged", "props": {
+        "width": 2, "height": 1}}}, _CUSTOM)
+    assert scene is None
+    assert [(d.code, d.node_paths) for d in diags] == [("BF004", ("forged",))]
+
+
+def _paint_ratio(node, fmt, esc, markers):
+    return f'<desc>{fmt(node.width / 0.0)}</desc>'
+
+
+def _paint_schema_error(node, fmt, esc, markers):
+    raise SchemaError("nowhere", "paint judges no schema")
+
+
+def test_a_paint_function_that_raises_is_one_callback_error():
+    # a BluefishError is wrapped too: paint reports no error of its own
+    for paint_ratio, raised, detail in ((_paint_ratio, ZeroDivisionError, "float division by zero"),
+                                        (_paint_schema_error, SchemaError, "paint judges no schema (at nowhere)")):
+        registry = standard_registry()
+        registry.register(ElementKindSpec(
+            kind="ratio", required_props=("width", "height"), is_mark=True,
+            layout=layout_rect, paint=paint_ratio))
+        scene, diags = compile_doc({"bluefish": 1, "root": {"kind": "stackV", "children": [
+            {"kind": "rect", "props": {"width": 3, "height": 3}},
+            {"kind": "ratio", "name": "r", "props": {"width": 2, "height": 1}}]}}, registry)
+        assert diags == []
+        with pytest.raises(CallbackError) as caught:
+            paint(scene)
+        error = caught.value
+        assert (error.kind, error.callback, error.path, error.error_type, error.detail) == (
+            "ratio", "paint", "stackV/ratio[1]:r", raised.__name__, detail)
+        assert str(error) == f"paint of kind 'ratio' raised {raised.__name__}: {detail} (at stackV/ratio[1]:r)"
+        assert isinstance(error.__cause__, raised)
 
 
 def test_the_standard_kinds_paint_generated_documents():
