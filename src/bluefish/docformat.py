@@ -158,10 +158,43 @@ def parse_document(data: bytes | str) -> Element:
 
     Raises DocumentSyntaxError (with line and column) for malformed
     JSON, SchemaError (with a document path) for structural problems,
-    including elements nested deeper than ``MAX_DEPTH`` or than the
-    caller's remaining stack lets ``json.loads`` recurse, and for string
+    including elements nested deeper than ``MAX_DEPTH``, and for string
     props holding characters SVG cannot carry.
+
+    ``json.loads`` and the element walk recurse once or twice per level.
+    When the caller's own frames leave too little of the recursion limit
+    for that, parsing runs once more in a fresh thread, whose count
+    starts at zero, so the limit a document meets is ``MAX_DEPTH`` (or,
+    for JSON nested too deep to read at all, ``sys.getrecursionlimit()``),
+    never the caller's stack.
     """
+    try:
+        return _parse(data)
+    except RecursionError:
+        pass
+    import threading  # here, so that only a document nested this deep pays for the import
+
+    outcome: list = []
+    thread = threading.Thread(target=_parse_into, args=(data, outcome))
+    thread.start()
+    thread.join()
+    (result,) = outcome
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _parse_into(data: bytes | str, outcome: list) -> None:
+    """Append what parsing ``data`` returns or raises to ``outcome``, for the calling thread."""
+    try:
+        outcome.append(_parse(data))
+    except RecursionError:
+        outcome.append(SchemaError("document", TOO_DEEP))
+    except Exception as exc:
+        outcome.append(exc)
+
+
+def _parse(data: bytes | str) -> Element:
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -174,8 +207,6 @@ def parse_document(data: bytes | str) -> Element:
         raw = json.loads(data)
     except json.JSONDecodeError as exc:
         raise DocumentSyntaxError(exc.lineno, exc.colno, exc.msg) from exc
-    except RecursionError:
-        raise SchemaError("document", TOO_DEEP) from None
     if not isinstance(raw, dict):
         raise SchemaError("document", "document must be a JSON object")
     unknown = set(raw) - _DOCUMENT_KEYS
@@ -185,10 +216,7 @@ def parse_document(data: bytes | str) -> Element:
         raise SchemaError("document", f"'bluefish' must be {FORMAT_VERSION}, got {raw.get('bluefish')!r}")
     if "root" not in raw:
         raise SchemaError("document", "document requires a 'root' element")
-    try:
-        return _parse_element(raw["root"], None, 1)
-    except RecursionError:
-        raise SchemaError("document", TOO_DEEP) from None
+    return _parse_element(raw["root"], None, 1)
 
 
 # --- paths and traversal ------------------------------------------------------

@@ -36,6 +36,7 @@ from .errors import (
     UNSIZED_NODE,
     BluefishError,
     CallbackError,
+    CreatedNodes,
     Diagnostic,
     DimensionConflict,
     DocumentSyntaxError,
@@ -211,26 +212,51 @@ class LayoutRuntime:
         Children come before their parent and siblings in document
         order, so every layout function finds its children (and, through
         refs, their referents) already laid out and never recurses.
+
+        A layout function decides boxes of nodes that exist: one that
+        creates a node, or raises a layout error naming an id the graph
+        does not hold, is a CallbackError.
         """
-        nodes = self.graph.nodes
-        stack: list[tuple[LayoutNode | RefNode, bool]] = [(nodes[nid], False)]
+        graph = self.graph
+        nodes, kinds, calls = graph.nodes, self.registry.kinds, self.calls
+        # a node to visit, or None above a node whose children are all laid out
+        stack: list[LayoutNode | RefNode | None] = [nodes[nid]]
+        pop, push = stack.pop, stack.append
         while stack:
-            node, children_done = stack.pop()
-            if node.is_ref:
+            node = pop()
+            if node is None:
+                node = pop()
+            elif node.is_ref:
                 continue  # its referent came earlier in document order, so is done
-            if not children_done:
-                self.calls[node.id] = self.calls.get(node.id, 0) + 1
-                stack.append((node, True))
-                stack.extend((nodes[child], False) for child in reversed(node.children))
+            else:
+                calls[node.id] = calls.get(node.id, 0) + 1
+                if node.children:
+                    push(node)
+                    push(None)
+                    stack.extend(map(nodes.__getitem__, reversed(node.children)))
+                    continue
+            layout = kinds[node.kind].layout
+            if layout is None:
                 continue
-            spec = self.registry.kinds[node.kind]
-            if spec.layout is not None:
-                try:
-                    spec.layout(self, node, node.paint_props)
-                except _LAYOUT_ERRORS:
+            count = len(nodes)
+            try:
+                layout(self, node, node.paint_props)
+            except _LAYOUT_ERRORS as exc:
+                if all(isinstance(named, str) and named in nodes for named in _named_nodes(exc)):
                     raise
-                except Exception as exc:
-                    raise CallbackError(node.kind, "layout", self.graph.path(node.id), exc) from exc
+                raise CallbackError(node.kind, "layout", graph.path(node.id), exc) from exc
+            except Exception as exc:
+                raise CallbackError(node.kind, "layout", graph.path(node.id), exc) from exc
+            if len(nodes) > count:
+                raise CallbackError(node.kind, "layout", graph.path(node.id),
+                                    CreatedNodes(tuple(nodes)[count:]))
+
+
+def _named_nodes(exc: BluefishError) -> tuple:
+    """The node ids a layout error names, each of which a diagnostic spells as a path."""
+    if isinstance(exc, DimensionConflict):
+        return (exc.node, exc.existing_owner, exc.writer)
+    return (exc.node,)
 
 
 def _layout_error_diagnostic(graph: Scenegraph, exc: BluefishError) -> Diagnostic:

@@ -121,6 +121,14 @@ class DisconnectedNodes(BluefishError):
         super().__init__(f"the graph already has root {root!r}; every other node needs a parent")
 
 
+class CreatedNodes(BluefishError):
+    """A layout function created nodes: the graph is built before layout, which only decides."""
+
+    def __init__(self, node_ids: tuple[str, ...]):
+        self.node_ids = node_ids
+        super().__init__(f"created node(s) {', '.join(node_ids)}; layout decides boxes and creates no node")
+
+
 class UndefinedExtentError(BluefishError):
     """A relation needed a box dimension that no layout has produced."""
 
@@ -175,7 +183,9 @@ class CallbackError(BluefishError):
 
     An ``expand`` passes only ``SchemaError`` through, a ``layout`` only
     ``DimensionConflict``, ``UndefinedExtentError``, ``InvalidExtent`` and
-    ``GeometryOverflow``, and a ``paint`` nothing.
+    ``GeometryOverflow`` naming nodes of the graph, and a ``paint``
+    nothing. A ``layout`` that creates a node is reported as having
+    raised ``CreatedNodes``.
 
     ``path`` is the node's place as the stage that called it prints one:
     ``docformat.place_path`` for expand, ``Scenegraph.path`` for layout

@@ -212,11 +212,22 @@ def layout_path(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
 # --- relation helpers -----------------------------------------------------------
 
 
-def _require_extent(target: LayoutNode, axis: Axis) -> float:
-    value = getattr(target, axis.extent_field)
-    if value is None:
-        raise UndefinedExtentError(target.id, axis.extent_field)
-    return value
+def _targets(rt: "LayoutRuntime", child_ids: list[str]) -> list[LayoutNode]:
+    """Each child's record, a ref's referent in its place (``Scenegraph.target_of`` for every child)."""
+    nodes = rt.graph.nodes
+    targets = []
+    for child in map(nodes.__getitem__, child_ids):
+        targets.append(nodes[child.ref_id] if child.is_ref else child)
+    return targets
+
+
+def _extents(targets: list[LayoutNode], axis: Axis) -> list[float]:
+    """Each target's extent on an axis; the first target with none is an UndefinedExtentError."""
+    field_name = axis.extent_field
+    extents = [getattr(t, field_name) for t in targets]
+    if None in extents:
+        raise UndefinedExtentError(targets[extents.index(None)].id, field_name)
+    return extents
 
 
 def _guideline_value(rt: "LayoutRuntime", target: LayoutNode, node: LayoutNode, axis: Axis,
@@ -233,7 +244,7 @@ def _distribute(rt: "LayoutRuntime", node: LayoutNode, targets: list[LayoutNode]
 
     The slots are 0, e0+spacing, ...; the run starts at ``_place``'s shift.
     """
-    extents = [_require_extent(t, axis) for t in targets]
+    extents = _extents(targets, axis)
     slots = [0.0]
     for e in extents[:-1]:
         slots.append(slots[-1] + (e + spacing))
@@ -255,12 +266,12 @@ def _place(rt: "LayoutRuntime", node: LayoutNode, targets: list[LayoutNode], axi
     """
     fixed = axis.transform_field
     shift = 0.0
-    for i, t in enumerate(targets):
+    for t, slot in zip(targets, slots):
         if fixed in t.owners:
-            shift = _guideline_value(rt, t, node, axis, field_name) - slots[i]
+            shift = _guideline_value(rt, t, node, axis, field_name) - slot
             break
-    for i, t in enumerate(targets):
-        implied = slots[i] + shift
+    for t, slot in zip(targets, slots):
+        implied = slot + shift
         # tested again: placing an earlier target fixes each ancestor on its
         # leg, and a later target may be one of them
         if fixed in t.owners:
@@ -300,20 +311,31 @@ def _cover(rt: "LayoutRuntime", node: LayoutNode, targets: list[LayoutNode], axi
     still place that target through a ref. A target with no box is an
     UndefinedExtentError.
     """
+    start_field, extent_field, translation = axis.start_field, axis.extent_field, axis.translation
     lo = math.inf
     hi = -math.inf
     for t in targets:
-        extent = getattr(t, axis.extent_field)
+        extent = getattr(t, extent_field)
         if extent is None:
-            raise UndefinedExtentError(t.id, axis.extent_field)
-        chain, back, _ = rt.graph.climb(t, node, axis)
-        start = getattr(t, axis.start_field)
+            raise UndefinedExtentError(t.id, extent_field)
+        start = getattr(t, start_field)
         end = start + extent
-        for v in chain:
+        if t.parent == node.id:
+            # the climb's first step, which reaches node (see Scenegraph.climb)
+            v = getattr(t, translation)
+            if v is None:
+                v = 0.0
             start += v
             end += v
-        lo = min(lo, start - back)
-        hi = max(hi, end - back)
+        else:
+            chain, back, _ = rt.graph.climb(t, node, axis)
+            for v in chain:
+                start += v
+                end += v
+            start -= back
+            end -= back
+        lo = min(lo, start)
+        hi = max(hi, end)
     rt.graph.decide(node, axis.start_field, lo, node)
     rt.graph.decide(node, axis.extent_field, hi - lo, node)
 
@@ -323,9 +345,9 @@ def _cover(rt: "LayoutRuntime", node: LayoutNode, targets: list[LayoutNode], axi
 
 def _stack_layout_for(main: Axis):
     def layout_stack(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
-        targets = [rt.graph.target_of(c) for c in node.children]
+        targets = _targets(rt, node.children)
         cross = main.other
-        cross_extents = [_require_extent(t, cross) for t in targets]
+        cross_extents = _extents(targets, cross)
         field_name = props["alignment"]
         guideline = _place(rt, node, targets, cross, field_name, [0.0] * len(targets))
         _distribute(rt, node, targets, main, props["spacing"])
@@ -337,7 +359,7 @@ def _stack_layout_for(main: Axis):
 
 
 def layout_align(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
-    targets = [rt.graph.target_of(c) for c in node.children]
+    targets = _targets(rt, node.children)
     v_field, h_field = ALIGNMENT_FIELDS[props["alignment"]]
     for axis, field_name in ((Axis.VERTICAL, v_field), (Axis.HORIZONTAL, h_field)):
         # once placed, every translation between a target and node is
@@ -348,7 +370,7 @@ def layout_align(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
 
 
 def layout_distribute(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
-    targets = [rt.graph.target_of(c) for c in node.children]
+    targets = _targets(rt, node.children)
     main = Axis.VERTICAL if props["direction"] == "vertical" else Axis.HORIZONTAL
     _distribute(rt, node, targets, main, props["spacing"])
     _cover(rt, node, targets, main.other)
@@ -358,7 +380,7 @@ def layout_group(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
     # unplaced children stay put: the union's frame reads default them to
     # 0; an empty group decides no box, so finalize reports it unsized
     del props
-    targets = [rt.graph.target_of(c) for c in node.children]
+    targets = _targets(rt, node.children)
     if targets:
         for axis in AXES:
             lo, hi = _union_boxes(rt, node, targets, axis)
@@ -369,7 +391,7 @@ def layout_group(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
 def layout_background(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
     mark_id, *rest = node.children  # build_scenegraph puts the mark first
     mark = rt.graph.nodes[mark_id]
-    targets = [rt.graph.target_of(c) for c in rest]
+    targets = _targets(rt, rest)
     padding = props["padding"]
     for axis in AXES:
         for t in targets:
@@ -384,7 +406,7 @@ def layout_background(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> Non
 
 
 def layout_connector(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
-    targets = [rt.graph.target_of(c) for c in node.children]
+    targets = _targets(rt, node.children)
     boxes = []
     for t in targets:
         left, cx, right, w = rt.graph.bbox_in_frame(t, node, Axis.HORIZONTAL, *Axis.HORIZONTAL.fields)

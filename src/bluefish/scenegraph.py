@@ -13,12 +13,14 @@ or end is never stored: a read derives it as ``start + extent / 2.0`` or
 ``start + extent``. Coordinates are strictly local. A node's box lives
 in its own frame and its translation maps that frame into the parent's.
 Converting between frames composes translations along the paths to the
-least common ancestor (``climb``). A relation reads and writes in its
-own frame, and the frame owns what it decides or defaults: each
-dimension it writes, and each undecided translation component on the
-path, which the read defaults to 0. Asking "where is X relative to me?"
-is only answerable once the undecided offsets in between are pinned
-down, and pinning them is itself a layout decision that must be owned.
+least common ancestor (``climb``); for a relation's own child that path
+is the child's own translation, so only a read or write through a ref
+climbs. A relation reads and writes in its own frame, and the frame
+owns what it decides or defaults: each dimension it writes, and each
+undecided translation component on the path, which the read defaults
+to 0. Asking "where is X relative to me?" is only answerable once the
+undecided offsets in between are pinned down, and pinning them is
+itself a layout decision that must be owned.
 ``finalize`` defaults what no relation reached, owned by the root.
 
 Ownership is the immutability mechanism: each box start and extent and
@@ -250,8 +252,8 @@ class Scenegraph:
                 raise InvalidExtent(field_name, value, node.id)
             if start not in owners:
                 raise UndefinedExtentError(node.id, start)
-        existing_owner = owners.get(field_name)
-        if existing_owner is not None:
+        if field_name in owners:
+            existing_owner = owners[field_name]
             existing = getattr(node, attr)
             if existing_owner == owner.id and abs(existing - value) <= TOLERANCE:
                 return
@@ -276,6 +278,13 @@ class Scenegraph:
         either side runs out. An undecided component reads 0 and its node
         is listed, the target leg's upward and then the frame leg's. The
         climb writes nothing; a caller that defaults those nodes pins them.
+
+        A climb runs only where a relation reaches a node through a ref.
+        When the target's parent is the frame, the climb is its first
+        step alone: the target leg is the target's own translation and
+        the frame leg is empty. ``bbox_in_frame``, ``set_dim_in_frame``
+        and ``relations._cover`` take that step themselves and call no
+        climb.
         """
         nodes = self.nodes
         horizontal = axis is Axis.HORIZONTAL
@@ -299,7 +308,8 @@ class Scenegraph:
                     frame_undecided.append(b)
                 back += t
                 b = nodes[b.parent]
-        return chain, back, undecided + frame_undecided
+        undecided += frame_undecided
+        return chain, back, undecided
 
     def bbox_in_frame(self, target: LayoutNode, frame: LayoutNode, axis: Axis,
                       *fields: str) -> list[float | None]:
@@ -311,12 +321,23 @@ class Scenegraph:
         read defaults on the way (see ``climb``). A position is the local
         value plus the target leg's translations, one add per node
         upward, minus the frame leg's sum; an extent is the same in every
-        frame. Only the named fields are computed.
+        frame. Only the named fields are computed. A read of the frame's
+        own child takes the climb's first step here, so only a read
+        through a ref climbs.
         """
-        chain, back, undecided = self.climb(target, frame, axis)
-        for n in undecided:
-            self.decide(n, axis.transform_field, 0.0, frame)
-        if axis is Axis.HORIZONTAL:
+        horizontal = axis is Axis.HORIZONTAL
+        if target.parent == frame.id:
+            # the climb's first step, which reaches the frame
+            t = target.tx if horizontal else target.ty
+            if t is None:
+                t = 0.0
+                self.decide(target, axis.transform_field, t, frame)
+            chain, back = (t,), 0.0
+        else:
+            chain, back, undecided = self.climb(target, frame, axis)
+            for n in undecided:
+                self.decide(n, axis.transform_field, 0.0, frame)
+        if horizontal:
             start, extent = target.left, target.width
         else:
             start, extent = target.top, target.height
@@ -354,18 +375,23 @@ class Scenegraph:
         (relations move nodes, they do not reshape them), so the target
         must have a box on the axis, or UndefinedExtentError names the
         field. The legs climb from the target's parent: a relation writes
-        its children and their referents, never the root.
+        its children and their referents, never the root. The legs of
+        the frame's own child are empty, so only a write through a ref
+        climbs.
         """
         axis = axis_of(field_name)
         if field_name == axis.extent_field or target is frame:
             self.decide(target, field_name, value, frame)
             return
-        chain, back, undecided = self.climb(self.nodes[target.parent], frame, axis)
-        for n in undecided:
-            self.decide(n, axis.transform_field, 0.0, frame)
-        rest = 0.0
-        for t in chain:
-            rest += t
+        if target.parent == frame.id:
+            rest = back = 0.0  # the parent is the frame: the climb takes no step
+        else:
+            chain, back, undecided = self.climb(self.nodes[target.parent], frame, axis)
+            for n in undecided:
+                self.decide(n, axis.transform_field, 0.0, frame)
+            rest = 0.0
+            for t in chain:
+                rest += t
         extent = getattr(target, axis.extent_field)
         if extent is None:
             raise UndefinedExtentError(target.id, field_name)

@@ -448,7 +448,8 @@ def test_documents_nested_hundreds_deep_compile():
     assert [n["kind"] for n in json.loads(dump_scene(scene))["geometry"]] == ["rect"]
 
 
-@pytest.mark.parametrize("frames", [0, 400], ids=["from the test", "from 400 frames deep"])
+@pytest.mark.parametrize("frames", [0, 400, 900],
+                         ids=["from the test", "from 400 frames deep", "from 900 frames deep"])
 def test_the_nesting_limit_does_not_depend_on_the_callers_stack(frames):
     # the root is at depth 1, so stack_chain(n) nests n elements deep
     assert MAX_DEPTH == 256

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import json
 import math
 import random
@@ -10,7 +11,7 @@ import sys
 import weakref
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bluefish import (
@@ -24,6 +25,7 @@ from bluefish import (
     validate,
 )
 from bluefish.errors import (
+    BluefishError,
     DimensionConflict,
     DisconnectedNodes,
     GeometryOverflow,
@@ -32,11 +34,12 @@ from bluefish.errors import (
     UnsizedNodes,
 )
 from bluefish.engine import layout_document
-from bluefish.geometry import TOLERANCE, Axis
+from bluefish.geometry import AXES, TOLERANCE, Axis, axis_of
 from bluefish.scenegraph import LayoutNode
 
 from conftest import FIXTURES
 from generators import random_ref_free_doc, random_stack_triplet
+from workloads import WORKLOADS
 
 extents = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -426,6 +429,136 @@ def test_read_from_a_deeper_frame_subtracts_the_frame_leg():
     assert g.bbox_in_frame(a, inner, Axis.HORIZONTAL, "left") == [25.0]
     assert inner.owners["transform.x"] == inner.id  # frame leg pinned by the frame
     assert root.tx is None  # the lca's own translation is untouched
+
+
+# --- frame conversion climbs only through refs ----------------------------------------
+
+
+def test_ref_free_documents_compile_without_a_climb(monkeypatch):
+    # a relation reads and writes its own children in one step of its own;
+    # only a ref reaches a node whose parent is not the relation
+    climbs = []
+    climb = Scenegraph.climb
+
+    def counted(self, target, frame, axis):
+        climbs.append((target.id, frame.id))
+        return climb(self, target, frame, axis)
+
+    monkeypatch.setattr(Scenegraph, "climb", counted)
+    rng = random.Random(34)
+    docs = [json.dumps(random_ref_free_doc(rng)).encode() for _ in range(100)]
+    docs += [doc.data for doc in itertools.islice(WORKLOADS["service-mix"].stream(7), 40)
+             if doc.ref_free and doc.planted is None]
+    for data in docs:
+        scene, diags = compile_source(data)
+        assert scene is not None, [d.render() for d in diags]
+    assert len(docs) > 100
+    assert climbs == []
+    scene, _ = compile_source((FIXTURES / "ref_stack.json").read_bytes())
+    assert scene is not None and climbs  # the count sees a climb through a ref
+
+
+def _random_tree(rng: random.Random) -> Scenegraph:
+    """Up to 13 nodes, each with a random part of its box and translation decided."""
+    g = Scenegraph(standard_registry())
+    nodes = [g.create_node("group", None)]
+    for _ in range(rng.randint(1, 12)):
+        nodes.append(g.create_node("group", rng.choice(nodes)))
+    for node in nodes:
+        for axis in AXES:
+            if rng.random() < 0.8:
+                g.decide(node, axis.start_field, rng.choice((0.0, rng.uniform(-50.0, 50.0))), node)
+                if rng.random() < 0.8:
+                    g.decide(node, axis.extent_field, rng.uniform(0.0, 50.0), node)
+            if rng.random() < 0.5:
+                g.decide(node, axis.transform_field, rng.choice((-0.0, rng.uniform(-50.0, 50.0))),
+                          rng.choice(nodes))
+    return g
+
+
+def _climbing_read(g: Scenegraph, target: LayoutNode, frame: LayoutNode, axis: Axis,
+                   *fields: str) -> list[float | None]:
+    """``bbox_in_frame`` by the general rule: climb, pin what the climb lists, convert."""
+    chain, back, undecided = g.climb(target, frame, axis)
+    for n in undecided:
+        g.decide(n, axis.transform_field, 0.0, frame)
+    start, extent = getattr(target, axis.start_field), getattr(target, axis.extent_field)
+    out = []
+    for f in fields:
+        if f == axis.extent_field:
+            out.append(extent)
+            continue
+        if f == axis.start_field:
+            v = start
+        elif extent is None:
+            v = None
+        else:
+            v = start + (extent / 2.0 if f == axis.center_field else extent)
+        if v is not None:
+            for t in chain:
+                v += t
+            v -= back
+        out.append(v)
+    return out
+
+
+def _climbing_write(g: Scenegraph, target: LayoutNode, frame: LayoutNode, field_name: str,
+                    value: float) -> None:
+    """``set_dim_in_frame`` by the general rule: the legs climb from the target's parent."""
+    axis = axis_of(field_name)
+    if field_name == axis.extent_field or target is frame:
+        g.decide(target, field_name, value, frame)
+        return
+    chain, back, undecided = g.climb(g.nodes[target.parent], frame, axis)
+    for n in undecided:
+        g.decide(n, axis.transform_field, 0.0, frame)
+    rest = 0.0
+    for t in chain:
+        rest += t
+    extent = getattr(target, axis.extent_field)
+    if extent is None:
+        raise UndefinedExtentError(target.id, field_name)
+    local = getattr(target, axis.start_field)
+    if field_name != axis.start_field:
+        local += axis.offset(field_name, extent)
+    g.decide(target, axis.transform_field, ((value - local) - rest) + back, frame)
+
+
+def _replay(g: Scenegraph, ops: list[tuple], read, write) -> list[str]:
+    """What each op returns or raises, then every node's fields and owners, then the write log."""
+    seen = []
+    for op, child, frame, *args in ops:
+        call = read if op == "read" else write
+        try:
+            seen.append(repr(call(g, g.nodes[child], g.nodes[frame], *args)))
+        except BluefishError as error:
+            seen.append(f"{type(error).__name__}: {error}")
+    seen.extend(repr((n.left, n.width, n.top, n.height, n.tx, n.ty, list(n.owners.items())))
+                for n in g.nodes.values())
+    seen.append(repr(g.write_log))
+    return seen
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_own_child_reads_and_writes_follow_the_climb_rule(seed):
+    # bbox_in_frame and set_dim_in_frame take the climb's first step
+    # themselves for a frame's own child; twin trees replay the same ops
+    # through them and through the climb, and must agree bit for bit
+    rng = random.Random(seed)
+    g = _random_tree(random.Random(seed))
+    pairs = [(n.id, n.parent) for n in g.nodes.values() if n.parent is not None]
+    ops = []
+    for _ in range(rng.randint(1, 12)):
+        child, frame = rng.choice(pairs)
+        axis = rng.choice(AXES)
+        if rng.random() < 0.5:
+            ops.append(("read", child, frame, axis, *rng.sample(axis.fields, rng.randint(1, 4))))
+        else:
+            ops.append(("write", child, frame, rng.choice(axis.fields),
+                        rng.choice((0.0, -0.0, rng.uniform(-80.0, 80.0)))))
+    assert (_replay(g, ops, Scenegraph.bbox_in_frame, Scenegraph.set_dim_in_frame)
+            == _replay(_random_tree(random.Random(seed)), ops, _climbing_read, _climbing_write))
 
 
 def test_frames_of_parentless_nodes_are_disconnected():

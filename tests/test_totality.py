@@ -8,8 +8,10 @@ a code ``bluefish.errors`` defines, a scene must paint and dump, and
 ``bluefish check`` must exit 0 or 1, and no standard kind's callback
 may raise (BF017). Compiling is total over registered kinds too: an
 ``expand`` that raises anything but a ``SchemaError``, or a ``layout``
-that raises anything but the four errors layout reports, is one BF017;
-a layout that stores a box around ``decide`` leaves it undecided (BF004);
+that raises anything but the four errors layout reports, is one BF017,
+as is a layout that creates a node or raises a layout error naming ids
+the graph does not hold; a layout that stores a box around ``decide``
+leaves it undecided (BF004);
 and a paint function that raises makes ``paint`` raise one
 ``CallbackError``.
 """
@@ -140,6 +142,19 @@ def _expand_dimension_conflict(props, children):
     raise DimensionConflict("n0", "left", "n0", "n1")
 
 
+def _layout_spawn(rt, node, props):
+    # a decided child of a kind no registry holds, which paint and dump could not spell
+    layout_rect(rt, node, props)
+    child = rt.graph.create_node("nosuch", node)
+    for field in ("left", "top", "width", "height"):
+        rt.graph.decide(child, field, 1.0, node)
+
+
+def _layout_phantom(rt, node, props):
+    layout_rect(rt, node, props)
+    raise DimensionConflict("n99", "left", "n98", "n97")  # ids the graph does not hold
+
+
 def _layout_around_decide(rt, node, props):
     # stores a whole box, but owns none of it
     node.left, node.top = 0.0, 0.0
@@ -159,6 +174,8 @@ def _custom_registry():
     registry.register(dataclasses.replace(rect, kind="rooted", layout=_layout_second_root))
     registry.register(dataclasses.replace(rect, kind="strict", layout=_layout_schema_error))
     registry.register(dataclasses.replace(rect, kind="forged", layout=_layout_around_decide))
+    registry.register(dataclasses.replace(rect, kind="spawner", layout=_layout_spawn))
+    registry.register(dataclasses.replace(rect, kind="phantom", layout=_layout_phantom))
     registry.register(ElementKindSpec(kind="pair", expand=lambda props, children: Element(
         "stackH", children=[Element("rect", props=props), *children])))
     registry.register(ElementKindSpec(kind="first", expand=_expand_unprepared))
@@ -167,7 +184,8 @@ def _custom_registry():
 
 
 _CUSTOM = _custom_registry()
-_CUSTOM_KINDS = ("diamond", "pair", "heavy", "smudge", "first", "rooted", "strict", "forged", "clash")
+_CUSTOM_KINDS = ("diamond", "pair", "heavy", "smudge", "first", "rooted", "strict", "forged", "clash",
+                 "spawner", "phantom")
 # how each BF017 of the custom kinds begins
 _CALLBACK_ERRORS = (
     "layout of kind 'heavy' raised KeyError: 'weight' (at ",
@@ -175,6 +193,8 @@ _CALLBACK_ERRORS = (
     "layout of kind 'rooted' raised DisconnectedNodes: ",
     "layout of kind 'strict' raised SchemaError: ",
     "expand of kind 'clash' raised DimensionConflict: ",
+    "layout of kind 'spawner' raised CreatedNodes: ",
+    "layout of kind 'phantom' raised DimensionConflict: ",
 )
 _RECT_DOCS = [doc for doc in _FIXTURE_DOCS if any(el["kind"] == "rect" for el in _elements(doc))]
 
@@ -220,6 +240,23 @@ def test_a_callback_raising_another_stages_error_is_one_bf017(kind, message):
     scene, diags = compile_doc(_beside_a_rect(kind), _CUSTOM)
     assert scene is None
     assert [(d.code, d.message) for d in diags] == [("BF017", message)]
+
+
+@pytest.mark.parametrize("kind, detail", [
+    ("spawner", "CreatedNodes: created node(s) {created}; layout decides boxes and creates no node"),
+    ("phantom", "DimensionConflict: " + str(DimensionConflict("n99", "left", "n98", "n97"))),
+], ids=("creates a node", "names no node"))
+def test_a_layout_that_creates_a_node_or_names_ids_outside_the_graph_is_one_bf017(kind, detail):
+    # the graph is built before layout, so what a layout creates or names
+    # outside it has no path a diagnostic could print, and nothing to paint
+    for doc, path, created in ((_beside_a_rect(kind), f"stackV/{kind}[1]", "n3"),
+                               ({"bluefish": 1, "root": {"kind": kind, "props": {
+                                   "width": 2, "height": 1}}}, kind, "n1")):
+        scene, diags = compile_doc(doc, _CUSTOM)
+        assert scene is None
+        assert [(d.code, d.message, d.node_paths) for d in diags] == [(
+            "BF017", f"layout of kind {kind!r} raised {detail.format(created=created)} (at {path})",
+            (path,))]
 
 
 def test_a_box_a_layout_stores_around_decide_is_undecided():
