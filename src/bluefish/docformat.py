@@ -24,7 +24,6 @@ import json
 import re
 import sys
 from dataclasses import dataclass, field as dc_field
-from itertools import repeat
 
 from .errors import (
     AMBIGUOUS_NAME,
@@ -77,14 +76,17 @@ def place_path(place) -> str:
     return "".join(reversed(segments))
 
 
-def _element(kind, name, select, props_raw, children, place, depth: int, nested) -> Element:
+def _element(kind, name, select, props, children, place, depth: int, nested) -> Element:
     """One element checked by the rules every element meets, parsed or expanded.
 
-    Numbers become floats and a bare-string ``select`` a one-name
-    selector. ``nested(value, place, depth)`` turns a prop mark or a
-    child into an element: ``_parse_element`` for a JSON object, and for
-    an expansion's output a check that it is an ``Element``. A JSON value
-    is told by its class, so a bool is not a number.
+    The element keeps the ``props`` dict and ``children`` list it is
+    handed and converts their values in place: a number becomes a float,
+    and ``nested(value, place, depth)`` turns each prop mark and child
+    into an element (``_parse_element`` for a JSON object, and for an
+    expansion's output a check that it is an ``Element``). So a caller
+    hands over containers that nothing else holds. A bare-string
+    ``select`` becomes a one-name selector. A JSON value is told by its
+    class, so a bool is not a number.
     """
     if kind.__class__ is not str or not kind:
         raise SchemaError(place_path(place), "element requires a non-empty string 'kind'")
@@ -93,24 +95,21 @@ def _element(kind, name, select, props_raw, children, place, depth: int, nested)
     if select is not None:
         if select.__class__ is str:
             select = [select]
-        elif select.__class__ is list and select and all(s.__class__ is str and s for s in select):
-            select = list(select)
-        else:
+        elif select.__class__ is not list or not select or not all(s.__class__ is str and s for s in select):
             raise SchemaError(place_path(place), "'select' must be a string or a non-empty list of strings")
-    if props_raw.__class__ is not dict:
+    if props.__class__ is not dict:
         raise SchemaError(place_path(place), "'props' must be an object")
-    props: dict[str, object] = {}
-    for key, value in props_raw.items():
+    for key, value in props.items():
         cls = value.__class__
         if cls is float or cls is int:
             if not -_MAX_NUMBER <= value <= _MAX_NUMBER:  # NaN, infinities, huge integers
                 raise SchemaError(place_path((place, key)), "prop values must be finite numbers")
-            props[key] = float(value)
+            if cls is int:
+                props[key] = float(value)
         elif cls is str:
             bad = _NOT_XML_CHAR.search(value)
             if bad is not None:
                 raise SchemaError(place_path((place, key)), f"SVG cannot carry {bad.group()!r} in a string")
-            props[key] = value
         elif cls is dict or cls is Element:
             # element-valued prop: a mark the holder sizes
             props[key] = nested(value, (place, key), depth + 1)
@@ -119,10 +118,9 @@ def _element(kind, name, select, props_raw, children, place, depth: int, nested)
     if children.__class__ is not list:
         raise SchemaError(place_path(place), "'children' must be a list")
     # a loop, not a comprehension, whose frame would count against the stack
-    elements = []
     for i, child in enumerate(children):
-        elements.append(nested(child, (place, i), depth + 1))
-    return Element(kind, name, props, elements, select)
+        children[i] = nested(child, (place, i), depth + 1)
+    return Element(kind, name, props, children, select)
 
 
 def _parse_element(raw: object, place, depth: int) -> Element:
@@ -133,8 +131,10 @@ def _parse_element(raw: object, place, depth: int) -> Element:
     if not _ELEMENT_KEYS.issuperset(raw):
         unknown = set(raw) - _ELEMENT_KEYS
         raise SchemaError(place_path(place), f"unknown element key(s): {', '.join(sorted(unknown))}")
-    return _element(raw.get("kind"), raw.get("name"), raw.get("select"), raw.get("props", {}),
-                    raw.get("children", []), place, depth, _parse_element)
+    # the decoder's own containers, which nothing else holds; only an absent key gets a fresh one
+    return _element(raw.get("kind"), raw.get("name"), raw.get("select"),
+                    raw["props"] if "props" in raw else {},
+                    raw["children"] if "children" in raw else [], place, depth, _parse_element)
 
 
 def _built_element(value: object, place, depth: int) -> Element:
@@ -146,11 +146,14 @@ def _built_element(value: object, place, depth: int) -> Element:
 def check_expansion(el: Element, name: str | None, place, depth: int) -> Element:
     """A composite's expansion, checked as a parsed element is, named ``name``.
 
-    The result is a new element; its children and prop marks are the
-    expansion's own, each checked only to be an ``Element``, so the
+    The result is a new element that owns copies of ``el``'s props dict
+    and children list, so ``el`` is read and never changed: a composite
+    may return one template every time. Its children and prop marks are
+    the expansion's own, each checked only to be an ``Element``, so the
     caller checks each of them in turn when it reaches it.
     """
-    return _element(el.kind, name, el.select, el.props, el.children, place, depth, _built_element)
+    return _element(el.kind, name, el.select, dict(el.props), list(el.children), place, depth,
+                    _built_element)
 
 
 def parse_document(data: bytes | str) -> Element:
@@ -222,24 +225,32 @@ def _parse(data: bytes | str) -> Element:
 # --- paths and traversal ------------------------------------------------------
 
 
-def preorder(tree: Element) -> list[tuple[Element, int | None, int]]:
-    """Every element as (element, parent index, child index), in pre-order.
+def preorder(tree: Element) -> tuple[list[Element], list[int | None], list[int]]:
+    """Every element in pre-order, as three parallel lists: elements, parent indices, child indices.
 
-    The parent index is a position in this same list, None for the root,
-    whose child index is 0. No path is spelled: a walk path is readable,
-    ``group/stackV[1]:a/rect[0]``, one ``walk_step`` per level, and
-    ``_walk_path`` spells one where a diagnostic prints it.
+    A parent index is a position in these same lists, None for the root,
+    whose child index is 0. The lists are new and the caller's to keep;
+    the elements are the tree's own. No path is spelled: a walk path is
+    readable, ``group/stackV[1]:a/rect[0]``, one ``walk_step`` per level,
+    and ``_walk_path`` spells one where a diagnostic prints it.
     """
-    order: list[tuple[Element, int | None, int]] = []
-    stack: list[tuple[Element, int | None, int]] = [(tree, None, 0)]
+    elements: list[Element] = [tree]
+    parents: list[int | None] = [None]
+    indices: list[int] = [0]
+    # (position, the rest of its children) for each parent still being walked
+    stack = [(0, enumerate(tree.children))] if tree.children else []
     while stack:
-        entry = stack.pop()
-        children = entry[0].children
-        if children:
-            n = len(children)
-            stack.extend(zip(reversed(children), repeat(len(order), n), range(n - 1, -1, -1)))
-        order.append(entry)
-    return order
+        parent, rest = stack[-1]
+        for i, el in rest:
+            elements.append(el)
+            parents.append(parent)
+            indices.append(i)
+            if el.children:
+                stack.append((len(elements) - 1, enumerate(el.children)))
+                break
+        else:
+            stack.pop()
+    return elements, parents, indices
 
 
 def walk_step(el: Element, parent: int | None, i: int) -> str:
@@ -248,12 +259,13 @@ def walk_step(el: Element, parent: int | None, i: int) -> str:
     return f"{segment}:{el.name}" if el.name else segment
 
 
-def _walk_path(order: list[tuple[Element, int | None, int]], index: int) -> str:
-    """The walk path of the element at ``index`` of ``preorder``'s list."""
+def _walk_path(order: tuple[list[Element], list[int | None], list[int]], index: int) -> str:
+    """The walk path of the element at ``index`` of ``preorder``'s lists."""
+    elements, parents, indices = order
     segments = []
     while index is not None:
-        el, parent, i = order[index]
-        segments.append(walk_step(el, parent, i))
+        parent = parents[index]
+        segments.append(walk_step(elements[index], parent, indices[index]))
         index = parent
     return "/".join(reversed(segments))
 
@@ -285,7 +297,7 @@ def _check_props(el: Element, spec, kinds: dict, problems: list[tuple[str, str]]
         elif cls is not str:
             problems.append((suffix, f"prop {prop!r} of {el.kind} must be a string"))
         elif expected == "path":
-            # kept in the tree, so layout reads the points and not the data again
+            # kept in the tree, so layout reads the box and not the data again
             try:
                 props[prop] = PathData.read(value)
             except ValueError as exc:
@@ -331,7 +343,7 @@ def validate(tree: Element, registry) -> list[Diagnostic]:
     kinds = registry.kinds
     order = preorder(tree)
     problems: list[tuple[str, str]] = []  # (path suffix, message) for the element in hand
-    for index, (el, _, _) in enumerate(order):
+    for index, el in enumerate(order[0]):
         spec = kinds.get(el.kind)
         if spec is None:
             problems.append(("", f"unknown element kind {el.kind!r} (UnknownKind)"))
@@ -350,7 +362,8 @@ def validate(tree: Element, registry) -> list[Diagnostic]:
             for prop in spec.required_props:
                 if prop not in el.props:
                     problems.append(("", f"{el.kind} requires prop {prop!r} (MissingProp)"))
-            _check_props(el, spec, kinds, problems, "")
+            if el.props:
+                _check_props(el, spec, kinds, problems, "")
             count = len(el.children)
             if spec.is_mark and count:
                 problems.append(("", f"mark kind {el.kind!r} cannot have children"))
@@ -392,6 +405,7 @@ def resolve_names(tree: Element) -> tuple[dict[int, int], list[Diagnostic]]:
     together.
     """
     order = preorder(tree)
+    elements, parents, _ = order
     refs: dict[int, int] = {}
     diags: list[Diagnostic] = []
 
@@ -403,11 +417,12 @@ def resolve_names(tree: Element) -> tuple[dict[int, int], list[Diagnostic]]:
     by_scope: dict[tuple[int, str], list[int]] = {}
     by_name: dict[str, list[int]] = {}
     ref_indices: list[int] = []
-    for i, (el, parent, _) in enumerate(order):
+    for i, el in enumerate(elements):
+        parent = parents[i]
         if parent is None:
             owner = -1
         else:
-            owner = parent if order[parent][0].name else scope_of[parent]
+            owner = parent if elements[parent].name else scope_of[parent]
         scope_of.append(owner)
         name = el.name
         if el.kind == "ref":
@@ -424,10 +439,14 @@ def resolve_names(tree: Element) -> tuple[dict[int, int], list[Diagnostic]]:
                     f"name {name!r} is already used in this scope (DuplicateNameInScope)",
                     (path(i), path(same[0]))))
                 same.append(i)
-            by_name.setdefault(name, []).append(i)
+            named = by_name.get(name)
+            if named is None:
+                by_name[name] = [i]
+            else:
+                named.append(i)
 
     for i in ref_indices:
-        selector = order[i][0].select
+        selector = elements[i].select
         current = None  # the first segment is looked up document-wide, each later one in its scope
         for segment in selector:
             matches = by_name.get(segment, ()) if current is None else by_scope.get((current, segment), ())
@@ -446,9 +465,9 @@ def resolve_names(tree: Element) -> tuple[dict[int, int], list[Diagnostic]]:
             # an ancestor precedes its descendants in pre-order, so the climb
             # from the holder lands on the referent exactly when it is the
             # holder or an ancestor of it
-            holder = up = order[i][1]
+            holder = up = parents[i]
             while up > current:
-                up = order[up][1]
+                up = parents[up]
             if up == current:
                 diags.append(Diagnostic(
                     SELF_REFERENCE,

@@ -175,9 +175,11 @@ def build_scenegraph(tree: Element, refs: dict[int, int], registry: Registry) ->
     """
     graph = Scenegraph(registry)
     node_of_element: dict[int, LayoutNode] = {}
-    for index, (el, parent_index, i) in enumerate(docformat.preorder(tree)):
+    elements, parents, indices = docformat.preorder(tree)
+    for index, el in enumerate(elements):
+        parent_index = parents[index]
         parent = None if parent_index is None else node_of_element[parent_index]
-        step = docformat.walk_step(el, parent_index, i)
+        step = docformat.walk_step(el, parent_index, indices[index])
         if el.kind == "ref":
             graph.create_ref(parent, node_of_element[refs[index]], step=step)
             continue

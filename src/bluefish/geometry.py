@@ -17,8 +17,8 @@ and dumps.
 
 ``path_control_points`` reads SVG path data into the points whose box a
 path draws in. Validation reads each path prop once, and registration
-each path default, into ``PathData``; path layout takes the points from
-there.
+each path default, into ``PathData``, which keeps only that box; path
+layout takes the box from there.
 """
 
 from __future__ import annotations
@@ -171,18 +171,24 @@ def path_control_points(d: str) -> list[tuple[float, float]]:
 
 
 class PathData(str):
-    """Path data that validation read: the document's string, carrying its points.
+    """Path data that validation read: the document's string, carrying its box.
 
     It equals the string it was made from, so paint and a custom kind's
-    layout see the document's data; ``points`` is what
+    layout see the document's data; ``box`` is ``(left, top, right,
+    bottom)``, the least and greatest coordinates of the points
     ``path_control_points`` returned for it.
     """
 
-    points: list[tuple[float, float]]
+    box: tuple[float, float, float, float]
 
     @classmethod
     def read(cls, d: str) -> "PathData":
-        """``d`` with its control points; raises ValueError as ``path_control_points`` does."""
+        """``d`` with its box; raises ValueError as ``path_control_points`` does, or for data with no point."""
+        points = path_control_points(d)
+        if not points:  # such as a lone "Z", which has no box
+            raise ValueError("no point to draw")
+        xs = [p[0] for p in points]
+        ys = [p[1] for p in points]
         data = cls(d)
-        data.points = path_control_points(d)
+        data.box = (min(xs), min(ys), max(xs), max(ys))
         return data

@@ -203,10 +203,8 @@ def layout_text(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
 def layout_path(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
     # the box tracks the drawn geometry, so it need not start at 0; path
     # data is read once, by validation or by the spec's default_props
-    pts = props["d"].points
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    _mark_box(rt, node, min(xs), min(ys), max(xs) - min(xs), max(ys) - min(ys))
+    left, top, right, bottom = props["d"].box
+    _mark_box(rt, node, left, top, right - left, bottom - top)
 
 
 # --- relation helpers -----------------------------------------------------------

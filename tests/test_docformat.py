@@ -91,6 +91,18 @@ def test_element_shape_is_checked(root):
         parse_document(_doc(root))
 
 
+@pytest.mark.parametrize("key, message", [
+    ("props", "'props' must be an object"),
+    ("children", "'children' must be a list"),
+])
+def test_a_null_props_or_children_is_one_bf007(key, message):
+    # an element keeps the decoder's containers, and only an absent key
+    # gets a fresh empty one, so a null is still a wrong shape
+    _, diags = compile_source(_doc({"kind": "group", "children": [{"kind": "rect", key: None}]}))
+    assert [(d.code, d.message, d.node_paths) for d in diags] == [
+        ("BF007", f"{message} (at root.children[0])", ("root.children[0]",))]
+
+
 def test_schema_errors_carry_the_document_path():
     with pytest.raises(SchemaError) as excinfo:
         parse_document(_doc({"kind": "group", "children": [{"kind": 3}]}))
@@ -225,7 +237,7 @@ def test_select_accepts_string_or_path():
 def walk(tree: Element):
     """Yield (element, path, parent_index) in pre-order, each path extending its parent's."""
     paths: list[str] = []
-    for el, parent, i in preorder(tree):
+    for el, parent, i in zip(*preorder(tree)):
         segment = walk_step(el, parent, i)
         path = segment if parent is None else f"{paths[parent]}/{segment}"
         paths.append(path)
@@ -417,8 +429,15 @@ def test_path_data_holds_only_commands_numbers_and_separators(d, stray):
             [] if stray is None else [("BF007", f"invalid path data: unexpected {stray!r}", (kind,))])
 
 
+def test_path_data_that_draws_no_point_is_one_bf007():
+    # it has no box for layout to decide, so validation reports it
+    diags = _validate({"kind": "path", "props": {"d": "Z"}})
+    assert [(d.code, d.message, d.node_paths) for d in diags] == [
+        ("BF007", "invalid path data: no point to draw", ("path",))]
+
+
 def test_validating_a_tree_twice_gives_the_same_diagnostics():
-    # validation keeps each path's points in the tree; a second run reads
+    # validation keeps each path's box in the tree; a second run reads
     # them there and must still report every problem, and only those
     tree = parse_document(_doc({"kind": "group", "children": [
         {"kind": "path", "props": {"d": "M 0 0 L 4 4"}},

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 
@@ -337,6 +338,41 @@ def test_runaway_expansion_is_cut_off():
     (diag,) = errors_of(diags)
     assert diag.code == "BF007"
     assert "without terminating" in diag.message
+
+
+# one template every expansion returns: int props, a prop mark, path data and child lists
+_TEMPLATE = Element("stackV", props={"spacing": 2}, children=[
+    Element("rect", props={"width": 3, "height": 4}),
+    Element("path", props={"d": "M 0 0 L 4 2"}),
+    Element("background", props={"background": Element("rect", props={"fill": "red"})},
+            children=[Element("rect", props={"width": 5, "height": 1})]),
+])
+
+
+def _shape(el: Element) -> tuple:
+    """The element's kind and name, each container's identity, and each value with its type, all the way down."""
+    props = tuple((key, type(value), _shape(value) if isinstance(value, Element) else value)
+                  for key, value in el.props.items())
+    return (id(el), el.kind, el.name, id(el.props), props, id(el.children),
+            tuple(_shape(child) for child in el.children))
+
+
+def test_an_expansion_is_read_and_never_changed():
+    # an element keeps the containers it is handed, so expansion hands it
+    # copies: numbers, prop marks, path data and children are converted
+    # in the copies, and compiling the same template twice gives the same bytes
+    registry = standard_registry()
+    registry.register(ElementKindSpec(kind="tmpl", expand=lambda props, children: _TEMPLATE))
+    equal, shape = copy.deepcopy(_TEMPLATE), _shape(_TEMPLATE)
+    doc = {"bluefish": 1, "root": {"kind": "group", "children": [{"kind": "tmpl", "name": "t"}, {"kind": "tmpl"}]}}
+    outputs = []
+    for _ in range(2):
+        scene, diags = compile_doc(doc, registry=registry)
+        assert diags == []
+        outputs.append((paint(scene), dump_scene(scene)))
+        assert _TEMPLATE == equal
+        assert _shape(_TEMPLATE) == shape
+    assert outputs[0] == outputs[1]
 
 
 def _compile_comp(expansion: Element) -> tuple:

@@ -213,7 +213,8 @@ def test_paint_props_are_the_element_props_over_the_spec_defaults(fixture):
     registry = standard_registry()
     data = (FIXTURES / f"{fixture}.json").read_bytes()
     expected: list[dict] = []
-    for el, _, _ in preorder(expand_tree(parse_document(data), registry)):
+    elements, _, _ = preorder(expand_tree(parse_document(data), registry))
+    for el in elements:
         props = {} if el.kind == "ref" else {**registry.kinds[el.kind].default_props, **el.props}
         expected.append(props)
         expected.extend({**registry.kinds[v.kind].default_props, **v.props}

@@ -25,7 +25,7 @@ from generators import random_ref_free_doc, random_stack_triplet
 def _snapshot(value):
     """A comparable deep copy: containers by identity and content, other values as they are."""
     if isinstance(value, PathData):
-        return ("PathData", id(value), str(value), _snapshot(value.points))
+        return ("PathData", id(value), str(value), _snapshot(value.box))
     if isinstance(value, dict):
         return ("dict", id(value), tuple((key, _snapshot(item)) for key, item in value.items()))
     if isinstance(value, (list, tuple)):

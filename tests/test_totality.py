@@ -10,8 +10,9 @@ may raise (BF017). Compiling is total over registered kinds too: an
 ``expand`` that raises anything but a ``SchemaError``, or a ``layout``
 that raises anything but the four errors layout reports, is one BF017,
 as is a layout that creates a node or raises a layout error naming ids
-the graph does not hold; a layout that stores a box around ``decide``
-leaves it undecided (BF004);
+the graph does not hold; the hostile registry has a layout and an
+expand raising each ``BluefishError`` subclass; a layout that stores a
+box around ``decide`` leaves it undecided (BF004);
 and a paint function that raises makes ``paint`` raise one
 ``CallbackError``.
 """
@@ -31,7 +32,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bluefish import Element, ElementKindSpec, compile_source, dump_scene, paint, standard_registry
+from bluefish import Element, ElementKindSpec, compile_source, dump_scene, errors, paint, standard_registry
 from bluefish.cli import main
 from bluefish.errors import CallbackError, DimensionConflict, SchemaError
 from bluefish.relations import layout_rect
@@ -161,6 +162,34 @@ def _layout_around_decide(rt, node, props):
     node.width, node.height = props.get("width", 1.0), props.get("height", 1.0)
 
 
+# one of each error the package defines, naming only ids a graph always holds
+_EVERY_ERROR = (
+    errors.BluefishError("a plain package error"),
+    errors.DimensionConflict("n0", "left", "n0", "n0"),
+    errors.InvalidExtent("width", -1.0, "n0"),
+    errors.GeometryOverflow("n0", "left", math.inf),
+    errors.DisconnectedNodes("n0"),
+    errors.CreatedNodes(("n9",)),
+    errors.UndefinedExtentError("n0", "width"),
+    errors.UnsizedNodes(("n0",)),
+    errors.DocumentSyntaxError(1, 1, "a callback reads no JSON"),
+    errors.SchemaError("nowhere", "a callback judges no schema"),
+    errors.DuplicateKind("rect"),
+    errors.InvalidKindSpec("rect", "a callback registers no kind"),
+    errors.CallbackError("rect", "paint", "nowhere", ValueError("an inner fault")),
+)
+# the errors a layout may raise for the layout pass to report, each with its code
+_LAYOUT_CODES = {errors.DimensionConflict: "BF001", errors.UndefinedExtentError: "BF012",
+                 errors.InvalidExtent: "BF013", errors.GeometryOverflow: "BF016"}
+
+
+def _raising(error: Exception):
+    """A layout or expand that raises ``error``, afresh each call."""
+    def callback(*args):
+        raise error.with_traceback(None)
+    return callback
+
+
 def _custom_registry():
     """The README's diamond, composites, and kinds whose callbacks misbehave on purpose.
 
@@ -180,12 +209,18 @@ def _custom_registry():
         "stackH", children=[Element("rect", props=props), *children])))
     registry.register(ElementKindSpec(kind="first", expand=_expand_unprepared))
     registry.register(ElementKindSpec(kind="clash", expand=_expand_dimension_conflict))
+    for error in _EVERY_ERROR:
+        name = type(error).__name__
+        registry.register(dataclasses.replace(rect, kind=f"layout_{name}", layout=_raising(error)))
+        registry.register(ElementKindSpec(kind=f"expand_{name}", expand=_raising(error)))
     return registry
 
 
 _CUSTOM = _custom_registry()
 _CUSTOM_KINDS = ("diamond", "pair", "heavy", "smudge", "first", "rooted", "strict", "forged", "clash",
-                 "spawner", "phantom")
+                 "spawner", "phantom",
+                 *(f"{callback}_{type(error).__name__}" for error in _EVERY_ERROR
+                   for callback in ("layout", "expand")))
 # how each BF017 of the custom kinds begins
 _CALLBACK_ERRORS = (
     "layout of kind 'heavy' raised KeyError: 'weight' (at ",
@@ -195,6 +230,8 @@ _CALLBACK_ERRORS = (
     "expand of kind 'clash' raised DimensionConflict: ",
     "layout of kind 'spawner' raised CreatedNodes: ",
     "layout of kind 'phantom' raised DimensionConflict: ",
+    *(f"{callback} of kind '{callback}_{type(error).__name__}' raised {type(error).__name__}: "
+      for error in _EVERY_ERROR for callback in ("layout", "expand")),
 )
 _RECT_DOCS = [doc for doc in _FIXTURE_DOCS if any(el["kind"] == "rect" for el in _elements(doc))]
 
@@ -257,6 +294,30 @@ def test_a_layout_that_creates_a_node_or_names_ids_outside_the_graph_is_one_bf01
         assert [(d.code, d.message, d.node_paths) for d in diags] == [(
             "BF017", f"layout of kind {kind!r} raised {detail.format(created=created)} (at {path})",
             (path,))]
+
+
+def test_the_hostile_registry_raises_every_error_the_package_defines():
+    defined = [name for name, cls in vars(errors).items()
+               if isinstance(cls, type) and issubclass(cls, errors.BluefishError)]
+    assert sorted(type(error).__name__ for error in _EVERY_ERROR) == sorted(defined)
+
+
+@pytest.mark.parametrize("error", _EVERY_ERROR, ids=lambda error: type(error).__name__)
+def test_a_callback_raising_any_package_error_is_one_diagnostic(error):
+    # a layout passes only the four layout errors, and an expand only a
+    # SchemaError, to their own codes; every other error is one BF017
+    name = type(error).__name__
+    for callback, place, code in (
+            ("layout", f"stackV/layout_{name}[1]", _LAYOUT_CODES.get(type(error), "BF017")),
+            ("expand", "root.children[1]", "BF007" if type(error) is SchemaError else "BF017")):
+        kind = f"{callback}_{name}"
+        for _ in range(2):  # the same error instance, raised again
+            scene, diags = compile_doc(_beside_a_rect(kind), _CUSTOM)
+            assert scene is None
+            assert [d.code for d in diags] == [code]
+            if code == "BF017":
+                assert (diags[0].message, diags[0].node_paths) == (
+                    f"{callback} of kind {kind!r} raised {name}: {error} (at {place})", (place,))
 
 
 def test_a_box_a_layout_stores_around_decide_is_undecided():
