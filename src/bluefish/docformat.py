@@ -148,12 +148,16 @@ def check_expansion(el: Element, name: str | None, place, depth: int) -> Element
 
     The result is a new element that owns copies of ``el``'s props dict
     and children list, so ``el`` is read and never changed: a composite
-    may return one template every time. Its children and prop marks are
-    the expansion's own, each checked only to be an ``Element``, so the
-    caller checks each of them in turn when it reaches it.
+    may return one template every time. A container of another class is
+    handed on as it is, for ``_element`` to refuse. Its children and prop
+    marks are the expansion's own, each checked only to be an ``Element``,
+    so the caller checks each of them in turn when it reaches it.
     """
-    return _element(el.kind, name, el.select, dict(el.props), list(el.children), place, depth,
-                    _built_element)
+    props, children = el.props, el.children
+    return _element(el.kind, name, el.select,
+                    dict(props) if props.__class__ is dict else props,
+                    list(children) if children.__class__ is list else children,
+                    place, depth, _built_element)
 
 
 def parse_document(data: bytes | str) -> Element:

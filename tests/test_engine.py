@@ -231,10 +231,11 @@ def _tick_with_default(registry: Registry, d: str) -> ElementKindSpec:
 
 def test_a_path_default_is_read_when_registered():
     registry = standard_registry()
-    with pytest.raises(InvalidKindSpec) as excinfo:
-        registry.register(_tick_with_default(registry, "M 1 2 #"))
-    assert str(excinfo.value) == "element kind 'tick': default of path prop 'd': unexpected '#'"
-    assert "tick" not in registry.kinds
+    for default, detail in [("M 1 2 #", "unexpected '#'"), ("Z", "no point to draw")]:
+        with pytest.raises(InvalidKindSpec) as excinfo:
+            registry.register(_tick_with_default(registry, default))
+        assert str(excinfo.value) == f"element kind 'tick': default of path prop 'd': {detail}"
+        assert "tick" not in registry.kinds
     registry.register(_tick_with_default(registry, "M 1 2 L 3 7"))
     scene, diags = compile_doc({"bluefish": 1, "root": {"kind": "tick"}}, registry=registry)
     assert errors_of(diags) == []
@@ -398,6 +399,13 @@ def _compile_comp(expansion: Element) -> tuple:
      "prop values must be numbers, strings, or elements (at root.children[1].props.width)"),
     (Element("background", props={"background": {"kind": "rect"}}, children=[]),
      "element must be an Element, got dict (at root.children[1].props.background)"),
+    (Element("rect", props=None), "'props' must be an object (at root.children[1])"),
+    (Element("rect", props=[("width", 1.0), ("height", 1.0)]), "'props' must be an object (at root.children[1])"),
+    (Element("group", children=None), "'children' must be a list (at root.children[1])"),
+    (Element("group", children=(Element("rect"),)), "'children' must be a list (at root.children[1])"),
+    (Element("background", props={"padding": 1.0, "background": Element("rect", props=None)},
+             children=[Element("rect", props={"width": 1.0, "height": 1.0})]),
+     "'props' must be an object (at root.children[1].props.background)"),
 ])
 def test_an_expansion_is_checked_as_a_parsed_element_is(expansion, expected):
     scene, diags = _compile_comp(expansion)

@@ -10,7 +10,8 @@ may raise (BF017). Compiling is total over registered kinds too: an
 ``expand`` that raises anything but a ``SchemaError``, or a ``layout``
 that raises anything but the four errors layout reports, is one BF017,
 as is a layout that creates a node or raises a layout error naming ids
-the graph does not hold; the hostile registry has a layout and an
+the graph does not hold; an expansion whose props are not a dict or
+whose children are not a list is one BF007; the hostile registry has a layout and an
 expand raising each ``BluefishError`` subclass; a layout that stores a
 box around ``decide`` leaves it undecided (BF004);
 and a paint function that raises makes ``paint`` raise one
@@ -209,6 +210,9 @@ def _custom_registry():
         "stackH", children=[Element("rect", props=props), *children])))
     registry.register(ElementKindSpec(kind="first", expand=_expand_unprepared))
     registry.register(ElementKindSpec(kind="clash", expand=_expand_dimension_conflict))
+    # an expansion whose containers are not a dict and a list: BF007, as in a document
+    registry.register(ElementKindSpec(kind="hollow", expand=lambda props, children: Element(
+        "group", props=None, children=(Element("rect", props=props),))))
     for error in _EVERY_ERROR:
         name = type(error).__name__
         registry.register(dataclasses.replace(rect, kind=f"layout_{name}", layout=_raising(error)))
@@ -218,7 +222,7 @@ def _custom_registry():
 
 _CUSTOM = _custom_registry()
 _CUSTOM_KINDS = ("diamond", "pair", "heavy", "smudge", "first", "rooted", "strict", "forged", "clash",
-                 "spawner", "phantom",
+                 "spawner", "phantom", "hollow",
                  *(f"{callback}_{type(error).__name__}" for error in _EVERY_ERROR
                    for callback in ("layout", "expand")))
 # how each BF017 of the custom kinds begins
