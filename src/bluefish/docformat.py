@@ -5,7 +5,9 @@ A document is ``{"bluefish": 1, "root": <element>}``. Elements carry a
 ``ref`` elements instead carry ``select``. Parsing checks shape only;
 ``validate`` checks meaning against a kind registry and returns
 diagnostics rather than raising, so every problem in a document is
-reported in one pass.
+reported in one pass. Validation only reads the tree: it matches path
+data against ``geometry.PATH_DATA``, and what the data draws is left to
+the build, which runs only for a document with no static error.
 
 Names are scoped: an element's scope is the subtree of its nearest named
 ancestor (the root for top-level names), and a name must be unique
@@ -37,7 +39,7 @@ from .errors import (
     DocumentSyntaxError,
     SchemaError,
 )
-from .geometry import PathData
+from .geometry import PATH_DATA, PathData
 
 FORMAT_VERSION = 1
 _DOCUMENT_KEYS = {"bluefish", "root"}
@@ -279,9 +281,8 @@ def _walk_path(order: tuple[list[Element], list[int | None], list[int]], index: 
 
 def _check_props(el: Element, spec, kinds: dict, problems: list[tuple[str, str]], suffix: str) -> None:
     """Add (path suffix, message) to ``problems`` for each prop ``el`` gives that its kind rejects."""
-    props = el.props
     checks = spec.prop_checks
-    for prop, value in props.items():
+    for prop, value in el.props.items():
         check = checks.get(prop)
         if check is None:
             problems.append((suffix, f"{el.kind} does not accept prop {prop!r}"))
@@ -296,14 +297,11 @@ def _check_props(el: Element, spec, kinds: dict, problems: list[tuple[str, str]]
                 _check_sized_mark(value, f"{suffix}.props.{prop}", prop, kinds, problems)
             else:
                 problems.append((suffix, f"prop {prop!r} of {el.kind} must be an element"))
-        elif cls is PathData:
-            cls = str  # read by an earlier validation of this tree
         elif cls is not str:
             problems.append((suffix, f"prop {prop!r} of {el.kind} must be a string"))
-        elif expected == "path":
-            # kept in the tree, so layout reads the box and not the data again
+        elif expected == "path" and PATH_DATA.fullmatch(value) is None:
             try:
-                props[prop] = PathData.read(value)
+                PathData.read(value)  # for its message; the build reads data that matches
             except ValueError as exc:
                 problems.append((suffix, f"invalid path data: {exc}"))
         if cls is str:

@@ -3,9 +3,10 @@
 The pipeline is parse -> expand -> validate -> resolve names -> build
 scenegraph -> layout -> finalize -> resolve origins. Static problems,
 the ref rules included, are collected and reported together before any
-layout runs, so a tree without them builds without fail; layout itself
-stops at the first conflict, because a conflicting scene has no
-well-defined geometry to keep going with. A kind's ``expand`` that
+layout runs, so a tree without them builds without fail. A document
+with one never reaches the build, which is where each path's data is
+read into its box. Layout itself stops at the first conflict, because a
+conflicting scene has no well-defined geometry to keep going with. A kind's ``expand`` that
 raises anything but a ``SchemaError``, or a ``layout`` that raises
 anything but one of the four errors layout reports (BF001, BF012, BF013,
 BF016), is one BF017.
@@ -47,6 +48,7 @@ from .errors import (
     UndefinedExtentError,
     UnsizedNodes,
 )
+from .geometry import PathData
 from .relations import ElementKindSpec, standard_kind_specs
 from .scenegraph import LayoutNode, RefNode, Scenegraph
 
@@ -75,7 +77,7 @@ def _standard_kinds() -> dict[str, ElementKindSpec]:
     registry = Registry()
     for spec in standard_kind_specs():
         registry.register(spec)  # checks the facts and reads default_props
-        spec.prop_checks, spec.element_props, spec.sized_by_holder
+        spec.prop_checks, spec.element_props, spec.path_props, spec.sized_by_holder
     return registry.kinds
 
 
@@ -166,10 +168,13 @@ def build_scenegraph(tree: Element, refs: dict[int, int], registry: Registry) ->
     """Create layout and ref nodes for every element, in document pre-order.
 
     The tree and ``refs`` passed ``validate`` and ``resolve_names``
-    without an error, so every element builds. An element-valued prop (the document's or the spec's default) is a
-    mark the element sizes: it becomes the node's first child, created
-    right after the node, so creation order stays pre-order, the order
-    ``paint`` and ``dump_scene`` write nodes in. Each node stores its
+    without an error, so every element builds. A node's ``paint_props``
+    are its element's props over its kind's defaults, each path prop read
+    into ``PathData`` here, once. An element-valued prop (the document's
+    or the spec's default) is a mark the element sizes: it becomes the
+    node's first child, created right after the node, so creation order
+    stays pre-order, the order ``paint`` and ``dump_scene`` write nodes
+    in. Each node stores its
     own walk step (``stackV[1]:a``, ``rect(background mark)``), from
     which ``Scenegraph.path`` spells a path for a diagnostic.
     """
@@ -184,16 +189,25 @@ def build_scenegraph(tree: Element, refs: dict[int, int], registry: Registry) ->
             graph.create_ref(parent, node_of_element[refs[index]], step=step)
             continue
         spec = registry.kinds[el.kind]
-        props = {**spec.default_props, **el.props}
+        props = _paint_props(spec, el.props)
         node = graph.create_node(el.kind, parent, paint_props=props, name=el.name, step=step)
         node_of_element[index] = node
         for prop in spec.element_props:
             if prop in props:
                 mark = props[prop]
-                graph.create_node(
-                    mark.kind, node, paint_props={**registry.kinds[mark.kind].default_props, **mark.props},
-                    step=f"{mark.kind}({prop} mark)")
+                graph.create_node(mark.kind, node, paint_props=_paint_props(registry.kinds[mark.kind], mark.props),
+                                  step=f"{mark.kind}({prop} mark)")
     return graph
+
+
+def _paint_props(spec: ElementKindSpec, props: dict) -> dict:
+    """An element's props over its kind's defaults, each path prop read into ``PathData``."""
+    merged = {**spec.default_props, **props}
+    for prop in spec.path_props:
+        value = merged.get(prop)
+        if value.__class__ is str:  # a default is read already
+            merged[prop] = PathData.read(value)
+    return merged
 
 
 # --- layout ---------------------------------------------------------------------

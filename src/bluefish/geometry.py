@@ -15,10 +15,12 @@ Field names use the document format's dimension vocabulary (``centerX``
 not ``center_x``) so the same spelling works in documents, owner maps,
 and dumps.
 
-``path_control_points`` reads SVG path data into the points whose box a
-path draws in. Validation reads each path prop once, and registration
-each path default, into ``PathData``, which keeps only that box; path
-layout takes the box from there.
+Path data is checked and read apart. ``PATH_DATA`` is one grammar of
+what the reader accepts: validation matches each path prop against it,
+and reads the data only to say why it does not match. ``PathData.read``
+reads the points whose box a path draws in and keeps only that box. The
+build reads each path prop once, and registration each path default;
+path layout takes the box from there.
 """
 
 from __future__ import annotations
@@ -97,19 +99,53 @@ def axis_of(field_name: str) -> Axis:
 
 # --- path data ----------------------------------------------------------------
 
-_NUM = re.compile(r"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
+_SEPARATORS = r" \t\n\r,"
+#: A number, its quantifiers possessive: it takes the longest run it can
+#: and never gives part of it back, so no pattern it is part of can split
+#: ``123`` or ``1.5`` into two numbers.
+_NUM = re.compile(r"[-+]?+(?:[0-9]++(?:\.[0-9]*+)?+|\.[0-9]++)(?:[eE][-+]?+[0-9]++)?+")
 _COMMANDS = "MmLlHhVvCcSsQqTtAaZz"
-#: A command letter, a number, or else the first character that is neither
-#: nor a separator (space, tab, LF, CR, comma), taken with the rest of the
-#: data so that it is the last token.
-_TOKEN = re.compile(rf"[{_COMMANDS}]|{_NUM.pattern}|[^ \t\n\r,].*", re.DOTALL)
+#: After any separators, a command letter, a number, or else the first
+#: character that is neither, taken with the rest of the data so that it
+#: is the last token.
+_TOKEN = re.compile(rf"[{_SEPARATORS}]*+([{_COMMANDS}]|{_NUM.pattern}|[^{_SEPARATORS}].*)", re.DOTALL)
 _ARGS_PER_COMMAND = {
     "M": 2, "L": 2, "T": 2, "H": 1, "V": 1, "C": 6, "S": 4, "Q": 4, "A": 7, "Z": 0,
 }
+#: Each command letter -> (its upper case, whether it is relative, how many numbers it takes).
+_COMMAND = {letter: (upper, letter != upper, n)
+            for upper, n in _ARGS_PER_COMMAND.items() for letter in (upper, upper.lower())}
+_LETTERS = frozenset(_COMMANDS)
 
 
-def path_control_points(d: str) -> list[tuple[float, float]]:
-    """All on-curve and control points of an SVG path string.
+def _path_data_grammar() -> re.Pattern:
+    """What ``_coordinates`` reads without error, and draws at least one point from.
+
+    A number never gives back part of its run, so the grammar splits
+    ``1.5.5`` or ``1-2`` where the tokenizer does and nowhere else; each
+    drawing command takes one or more counted runs of its numbers, a
+    close takes none, and a lookahead asks for one drawing command, since
+    a close alone draws no point.
+    """
+    sep = f"[{_SEPARATORS}]*+"
+    number = sep + _NUM.pattern
+    letters: dict[int, str] = {}
+    for upper, n in _ARGS_PER_COMMAND.items():
+        letters[n] = letters.get(n, "") + upper + upper.lower()
+    commands = "|".join(f"[{group}]" if n == 0 else f"[{group}](?:(?:{number}){{{n}}})++"
+                        for n, group in letters.items())
+    drawing = "".join(group for n, group in letters.items() if n)
+    return re.compile(f"(?=[^{drawing}]*+[{drawing}])(?:{sep}(?:{commands}))++{sep}")
+
+
+#: ``PATH_DATA.fullmatch(d)`` is a match exactly when ``PathData.read(d)``
+#: returns, so checking data costs one match and reading it is left to
+#: the build.
+PATH_DATA = _path_data_grammar()
+
+
+def _coordinates(d: str) -> tuple[list[float], list[float]]:
+    """The x and the y coordinates of the on-curve and control points of SVG path data, in order.
 
     The control polygon bounds the curve for line and Bezier segments;
     arcs contribute their endpoints only. Raises ValueError on malformed
@@ -122,61 +158,76 @@ def path_control_points(d: str) -> list[tuple[float, float]]:
     stray = tokens[-1]
     if stray[0] not in _COMMANDS and _NUM.fullmatch(stray) is None:
         raise ValueError(f"unexpected {stray[0]!r}")
-    points: list[tuple[float, float]] = []
-    cur = (0.0, 0.0)
-    start = (0.0, 0.0)
-    i = 0
-    command: str | None = None
-    while i < len(tokens):
+    xs: list[float] = []
+    ys: list[float] = []
+    x = y = start_x = start_y = 0.0
+    i, count = 0, len(tokens)
+    command = None
+    while i < count:
         tok = tokens[i]
-        if tok.isalpha():
+        if tok in _LETTERS:
             command = tok
+            upper, rel, n = _COMMAND[tok]
             i += 1
-            if command.upper() == "Z":
-                cur = start
+            if n == 0:
+                x, y = start_x, start_y
                 continue
         elif command is None:
             raise ValueError("path data must begin with a command")
-        elif command.upper() == "Z":
+        elif n == 0:
             raise ValueError("coordinates after close command")
-        elif command.upper() == "M":
-            command = "L" if command == "M" else "l"  # implicit lineto after moveto
-        assert command is not None
-        upper = command.upper()
-        rel = command.islower()
-        n = _ARGS_PER_COMMAND[upper]
+        elif upper == "M":  # implicit lineto after moveto
+            command, upper = "l" if rel else "L", "L"
         args = tokens[i:i + n]
-        if len(args) < n or any(a.isalpha() for a in args):
+        if len(args) < n or not _LETTERS.isdisjoint(args):
             raise ValueError(f"command {command!r} needs {n} numbers")
-        vals = [float(a) for a in args]
         i += n
-        ox, oy = cur if rel else (0.0, 0.0)
-        if upper == "H":
-            cur = (ox + vals[0] if rel else vals[0], cur[1])
-            points.append(cur)
-        elif upper == "V":
-            cur = (cur[0], oy + vals[0] if rel else vals[0])
-            points.append(cur)
-        elif upper == "A":
-            cur = (ox + vals[5], oy + vals[6])
-            points.append(cur)
-        else:
-            for j in range(0, n, 2):
-                pt = (ox + vals[j], oy + vals[j + 1])
-                points.append(pt)
-            cur = points[-1]
+        if n == 2:  # M, L and T, most of what documents draw
+            a, b = args
+            if rel:
+                x += float(a)
+                y += float(b)
+            else:
+                # added to an origin of 0.0, as every absolute point but H's
+                # and V's is, which reads -0.0 as 0.0
+                x = 0.0 + float(a)
+                y = 0.0 + float(b)
             if upper == "M":
-                start = cur
-    return points
+                start_x, start_y = x, y
+        else:
+            ox, oy = (x, y) if rel else (0.0, 0.0)
+            if upper == "H":
+                x = ox + float(args[0]) if rel else float(args[0])
+            elif upper == "V":
+                y = oy + float(args[0]) if rel else float(args[0])
+            else:
+                vals = list(map(float, args))
+                if upper == "A":
+                    x = ox + vals[5]
+                    y = oy + vals[6]
+                else:
+                    for j in range(0, n - 2, 2):
+                        xs.append(ox + vals[j])
+                        ys.append(oy + vals[j + 1])
+                    x = ox + vals[n - 2]
+                    y = oy + vals[n - 1]
+        xs.append(x)
+        ys.append(y)
+    return xs, ys
+
+
+def path_control_points(d: str) -> list[tuple[float, float]]:
+    """The points ``_coordinates`` reads from ``d``, each as an (x, y) pair."""
+    return list(zip(*_coordinates(d)))
 
 
 class PathData(str):
-    """Path data that validation read: the document's string, carrying its box.
+    """Path data that the build read: the document's string, carrying its box.
 
     It equals the string it was made from, so paint and a custom kind's
     layout see the document's data; ``box`` is ``(left, top, right,
     bottom)``, the least and greatest coordinates of the points
-    ``path_control_points`` returned for it.
+    ``path_control_points`` returns for it.
     """
 
     box: tuple[float, float, float, float]
@@ -184,11 +235,9 @@ class PathData(str):
     @classmethod
     def read(cls, d: str) -> "PathData":
         """``d`` with its box; raises ValueError as ``path_control_points`` does, or for data with no point."""
-        points = path_control_points(d)
-        if not points:  # such as a lone "Z", which has no box
+        xs, ys = _coordinates(d)
+        if not xs:  # such as a lone "Z", which has no box
             raise ValueError("no point to draw")
-        xs = [p[0] for p in points]
-        ys = [p[1] for p in points]
         data = cls(d)
         data.box = (min(xs), min(ys), max(xs), max(ys))
         return data

@@ -142,6 +142,11 @@ class ElementKindSpec:
         return tuple(prop for prop, prop_type in self.prop_types.items() if prop_type == "element")
 
     @cached_property
+    def path_props(self) -> tuple[str, ...]:
+        """The path-typed props: data the build reads into ``PathData``."""
+        return tuple(prop for prop, prop_type in self.prop_types.items() if prop_type == "path")
+
+    @cached_property
     def sized_by_holder(self) -> bool:
         """A mark whose required props are all numbers: sizes its holder supplies."""
         return self.is_mark and all(
@@ -202,7 +207,7 @@ def layout_text(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
 
 def layout_path(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
     # the box tracks the drawn geometry, so it need not start at 0; path
-    # data is read once, by validation or by the spec's default_props
+    # data is read once, by the build or by the spec's default_props
     left, top, right, bottom = props["d"].box
     _mark_box(rt, node, left, top, right - left, bottom - top)
 

@@ -437,8 +437,9 @@ def test_path_data_that_draws_no_point_is_one_bf007():
 
 
 def test_validating_a_tree_twice_gives_the_same_diagnostics():
-    # validation keeps each path's box in the tree; a second run reads
-    # them there and must still report every problem, and only those
+    # validation only reads the tree: path data stays the document's
+    # string, read into a box by the build, so a second run reports
+    # every problem again, and only those
     tree = parse_document(_doc({"kind": "group", "children": [
         {"kind": "path", "props": {"d": "M 0 0 L 4 4"}},
         {"kind": "path", "props": {"d": "M 0 Q"}},
@@ -448,7 +449,8 @@ def test_validating_a_tree_twice_gives_the_same_diagnostics():
     first = validate(tree, standard_registry())
     assert [d.node_paths for d in first] == [("group/path[1]",), ("group/path[2]",), ("group/text[3]",)]
     assert validate(tree, standard_registry()) == first
-    assert tree.children[0].props["d"] == "M 0 0 L 4 4"
+    d = tree.children[0].props["d"]
+    assert d == "M 0 0 L 4 4" and d.__class__ is str
 
 
 # --- name resolution ---------------------------------------------------------------
