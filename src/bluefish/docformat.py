@@ -216,6 +216,8 @@ def _parse(data: bytes | str) -> Element:
         raw = json.loads(data)
     except json.JSONDecodeError as exc:
         raise DocumentSyntaxError(exc.lineno, exc.colno, exc.msg) from exc
+    except ValueError as exc:  # an integer literal too long for int(), the one other error decoding raises
+        raise SchemaError("document", f"an integer has more than {sys.get_int_max_str_digits()} digits") from exc
     if not isinstance(raw, dict):
         raise SchemaError("document", "document must be a JSON object")
     unknown = set(raw) - _DOCUMENT_KEYS

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import bluefish
 from bluefish import compile_source
 from bluefish.cli import _report, _use_color, main
 
@@ -81,6 +84,23 @@ def test_check_rejects_a_nan_without_a_traceback(tmp_path, capsys):
     assert out == ""
     assert err.count("error[BF007]") == 1
     assert "root.props.width" in err
+
+
+def test_check_rejects_an_integer_too_long_to_read_without_a_traceback(tmp_path):
+    # in a fresh interpreter, whose int conversion limit is its default of
+    # 4,300 digits, as a user's shell runs the tool
+    source = tmp_path / "long.json"
+    source.write_text('{"bluefish": 1, "root": {"kind": "rect", "props": {"width": %s, "height": 1}}}'
+                      % ("9" * 5000))
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONINTMAXSTRDIGITS"}
+    env["PYTHONPATH"] = str(Path(bluefish.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-m", "bluefish", "check", str(source)],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert done.stderr.count("error[BF007]") == 1
+    assert "an integer has more than 4300 digits" in done.stderr
 
 
 def test_check_rejects_overflowing_geometry_without_a_traceback(tmp_path, capsys):

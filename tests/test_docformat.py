@@ -209,6 +209,25 @@ def test_validation_and_name_errors_200_levels_deep_name_their_full_paths():
     ]
 
 
+def test_an_integer_too_long_for_int_is_one_bf007():
+    # json.loads refuses an integer literal longer than the interpreter's
+    # int conversion limit with a plain ValueError, not a JSONDecodeError
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the default, whatever the environment set
+    try:
+        for digits in (4301, 5000):
+            scene, diagnostics = compile_source(_RECT_WIDTH % ("9" * digits))
+            assert scene is None
+            assert [(d.code, d.message, d.node_paths) for d in diagnostics] == [
+                ("BF007", "an integer has more than 4300 digits (at document)", ("document",))]
+        # at the limit it is read, and is too large for a float
+        _, diagnostics = compile_source(_RECT_WIDTH % ("9" * 4300))
+        assert [(d.code, d.message, d.node_paths) for d in diagnostics] == [
+            ("BF007", "prop values must be finite numbers (at root.props.width)", ("root.props.width",))]
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_the_largest_finite_numbers_are_accepted():
     tree = parse_document(_RECT_WIDTH % "1.7976931348623157e308")
     assert tree.props["width"] == sys.float_info.max
