@@ -49,6 +49,9 @@ TOO_DEEP = "document nests too deeply"
 #: or prop mark one deeper than its holder.
 MAX_DEPTH = 256
 _MAX_NUMBER = sys.float_info.max
+#: How many of an ambiguous name's matches a BF005 spells out; it counts
+#: the rest, so that its message does not grow with the document.
+_NAMED_MATCHES = 3
 # What XML, and so SVG, cannot carry: C0 controls other than tab, LF and
 # CR, lone surrogates (UTF-8 cannot encode them) and U+FFFE/U+FFFF.
 _NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
@@ -393,7 +396,9 @@ def _selector_fault(order, ref: int, selector: list[str], segment: str, scope: i
     if not matches:
         return Diagnostic(UNRESOLVED_NAME, f"no element named {segment!r}{inside} "
                           f"(selector {'/'.join(selector)!r})", (_walk_path(order, ref),))
-    where = ", ".join(_walk_path(order, m) for m in matches)
+    where = ", ".join(_walk_path(order, m) for m in matches[:_NAMED_MATCHES])
+    if len(matches) > _NAMED_MATCHES:
+        where += f" and {len(matches) - _NAMED_MATCHES} more"
     return Diagnostic(AMBIGUOUS_NAME, f"name {segment!r} is ambiguous"
                       f"{': matches' if scope is None else ' within scope:'} {where}",
                       (_walk_path(order, ref),))

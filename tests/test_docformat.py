@@ -525,6 +525,36 @@ def test_bare_ambiguous_name_is_reported():
     assert [d.code for d in errors_of(diags)] == ["BF005"]
 
 
+def _ambiguous_probe(n: int) -> bytes:
+    """n named groups each holding a rect ``a``, then n arrows over two ``ref a`` each."""
+    groups = [{"kind": "group", "name": f"g{i}", "children": [dict(_RECT, name="a")]} for i in range(n)]
+    arrows = [{"kind": "arrow", "children": [{"kind": "ref", "select": "a"}] * 2}] * n
+    return _doc({"kind": "group", "children": groups + arrows})
+
+
+def test_an_ambiguous_name_names_three_matches_and_counts_the_rest():
+    _, diags = compile_source(_ambiguous_probe(4))
+    assert [(d.code, d.message, d.node_paths) for d in diags[:1]] == [(
+        "BF005", "name 'a' is ambiguous: matches group/group[0]:g0/rect[0]:a, "
+                 "group/group[1]:g1/rect[0]:a, group/group[2]:g2/rect[0]:a and 1 more",
+        ("group/arrow[4]/ref[0]",))]
+    _, diags = compile_source(_ambiguous_probe(3))
+    assert diags[0].message == ("name 'a' is ambiguous: matches group/group[0]:g0/rect[0]:a, "
+                                "group/group[1]:g1/rect[0]:a, group/group[2]:g2/rect[0]:a")
+
+
+def test_ambiguous_name_diagnostics_grow_linearly_with_the_document():
+    # each BF005 once named every match, so 2,000 groups and 2,000 arrows
+    # gave 4,000 diagnostics of 271 MB; now each is a bounded line
+    sizes = {}
+    for n in (1000, 2000):
+        _, diags = compile_source(_ambiguous_probe(n))
+        assert len(diags) == 2 * n and {d.code for d in diags} == {"BF005"}
+        sizes[n] = sum(len(d.render().encode("utf-8")) for d in diags)
+    assert sizes == {1000: 346_000, 2000: 696_000}
+    assert max(len(d.render()) for d in diags) < 200
+
+
 def test_duplicate_names_in_one_scope_are_reported():
     _, _, diags = _resolve({
         "kind": "group",
