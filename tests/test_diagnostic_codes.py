@@ -241,6 +241,17 @@ _SELF = "group/stackV[0]:s"
     pytest.param(_doc({"kind": "stackV", "children": [_rect(), {"kind": "half"}]}), _with_kinds(), [(
         "BF012", "stackV/half[1] cannot report 'left' where a relation needs it", ("stackV/half[1]",))],
         id="custom-kind-deciding-an-extent-before-its-start"),
+    # the arrow reads r through a ref, which pins k's translation; so the
+    # align reads k's guideline through the frame, where a kind with no
+    # layout has no box
+    pytest.param(_doc({"kind": "group", "children": [
+        {"kind": "blank", "name": "k", "children": [_rect("r")]},
+        {"kind": "arrow", "children": [_ref("r"), _ref("r")]},
+        {"kind": "align", "props": {"alignment": "top"}, "children": [_ref("k"), _rect()]},
+    ]}), _with_kinds(), [
+        ("BF008", "connector endpoints leave no visible segment", ("group/arrow[1]",)),
+        ("BF012", "group/blank[0]:k cannot report 'top' where a relation needs it", ("group/blank[0]:k",))],
+        id="align-over-a-ref-to-a-kind-with-no-layout"),
     pytest.param(_doc({"kind": "group", "children": [
         {"kind": "group", "name": "g", "children": [_rect("r")]},
         {"kind": "stackV", "props": {"spacing": 5}, "children": [_ref("r"), _ref("g")]},
