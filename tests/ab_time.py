@@ -21,10 +21,12 @@ over parent) with a 95% interval, and the parent's median time. The
 rows are ``compile``, over the documents that compile, and ``reject``,
 over those with a planted error (what ``perfbench/run.py`` reports as
 ``compile_p50_ms`` and ``reject_p50_ms``); then ``paint`` and ``dump``;
-and ``setup``, one pair per round: each fresh compiler times its own
-``import bluefish`` plus its first warm-up request (compile, paint and,
-where the workload dumps, dump), as ``perfbench/run.py``'s ``setup_s``
-does, and the two sides start in alternating order from round to round.
+and ``setup``, one pair per round: each fresh compiler takes the median
+of 5 reps of ``import bluefish`` plus a warm-up request (compile, paint
+and, where the workload dumps, dump), dropping every ``bluefish`` module
+before each import, in one process whose standard library and ``re``
+pattern cache stay warm, as ``perfbench/run.py``'s ``setup_s`` does; the
+two sides start in alternating order from round to round.
 The interval's bootstrap draws rounds and then ratios within them, so
 it holds the spread between process pairs. A ratio above 1 means the
 change is slower. Pairing each document cancels drift in the machine's
@@ -58,23 +60,37 @@ ROWS = ("compile", "reject", "paint", "dump", "setup")
 WORKLOAD_NAMES = ("service-mix", "editor-session", "bulk-deep")
 BOOTSTRAP = 1000
 ROUND_SECONDS = 5.0
+SETUP_REPS = 5
 
 
 def serve(dumps: bool) -> None:
-    """Time the import of bluefish, then each document read from stdin.
+    """Time the setup of bluefish, then each document read from stdin.
 
-    The first line written is the import's time in ms. Then a document
-    comes as its length in bytes on one line, then the bytes, and the
-    answer is one JSON line ``[compile_ms, paint_ms, dump_ms]``, paint
+    A document comes as its length in bytes on one line, then the bytes.
+    The first is the warm-up document: the first line written is the
+    median setup time in ms over ``SETUP_REPS`` reps, each a fresh import
+    of bluefish and one warm-up request. The answer to each later
+    document is one JSON line ``[compile_ms, paint_ms, dump_ms]``, paint
     and dump None where they did not run.
     """
     clock = time.perf_counter
     source, out = sys.stdin.buffer, sys.stdout
-    started = clock()
-    # imported here, so that only a compiler subprocess imports bluefish
-    import bluefish
+    warmup = source.read(int(source.readline()))
+    setups = []
+    for _ in range(SETUP_REPS):
+        for name in [m for m in sys.modules if m == "bluefish" or m.startswith("bluefish.")]:
+            del sys.modules[name]
+        started = clock()
+        # imported here, so that only a compiler subprocess imports bluefish
+        import bluefish
 
-    out.write(json.dumps((clock() - started) * 1000.0) + "\n")
+        scene, _ = bluefish.compile_source(warmup)
+        if scene is not None:
+            bluefish.paint(scene)
+            if dumps:
+                bluefish.dump_scene(scene)
+        setups.append((clock() - started) * 1000.0)
+    out.write(json.dumps(statistics.median(setups)) + "\n")
     out.flush()
     while True:
         size = source.readline()
@@ -103,7 +119,7 @@ def serve(dumps: bool) -> None:
 class _Compiler:
     """One tree's compiler subprocess, started fresh, and warmed up, by ``restart``.
 
-    ``setup_ms`` is the fresh process's import plus its first warm-up request.
+    ``setup_ms`` is the fresh process's median import plus warm-up request.
     """
 
     def __init__(self, src: str, dumps: bool, warmup: bytes) -> None:
@@ -119,17 +135,19 @@ class _Compiler:
         self.close()
         self.proc = subprocess.Popen(self.command, env=self.env, stdin=subprocess.PIPE,
                                      stdout=subprocess.PIPE)
-        self.setup_ms = json.loads(self.proc.stdout.readline())
-        self.setup_ms += sum(t for t in self.time(self.warmup) if t is not None)
-        self.time(self.warmup)
+        self.setup_ms = json.loads(self.send(self.warmup))
 
     def time(self, data: bytes) -> list:
+        return json.loads(self.send(data))
+
+    def send(self, data: bytes) -> bytes:
+        """Hand the compiler one document; returns the line it answers."""
         self.proc.stdin.write(b"%d\n%b" % (len(data), data))
         self.proc.stdin.flush()
         line = self.proc.stdout.readline()
         if not line:
             raise RuntimeError("a compiler exited")
-        return json.loads(line)
+        return line
 
     def close(self) -> None:
         if self.proc is not None:
