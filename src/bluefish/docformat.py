@@ -219,8 +219,10 @@ def _parse(data: bytes | str) -> Element:
         raw = json.loads(data)
     except json.JSONDecodeError as exc:
         raise DocumentSyntaxError(exc.lineno, exc.colno, exc.msg) from exc
-    except ValueError as exc:  # an integer literal too long for int(), the one other error decoding raises
-        raise SchemaError("document", f"an integer has more than {sys.get_int_max_str_digits()} digits") from exc
+    except ValueError as exc:
+        # the one other error decoding raises: an integer literal too long for int()
+        limit = sys.get_int_max_str_digits()
+        raise SchemaError("document", f"an integer has more than {limit} digits") from exc
     if not isinstance(raw, dict):
         raise SchemaError("document", "document must be a JSON object")
     unknown = set(raw) - _DOCUMENT_KEYS

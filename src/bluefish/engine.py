@@ -6,10 +6,10 @@ the ref rules included, are collected and reported together before any
 layout runs, so a tree without them builds without fail. A document
 with one never reaches the build, which is where each path's data is
 read into its box. Layout itself stops at the first conflict, because a
-conflicting scene has no well-defined geometry to keep going with. A kind's ``expand`` that
-raises anything but a ``SchemaError``, or a ``layout`` that raises
-anything but one of the four errors layout reports (BF001, BF012, BF013,
-BF016), is one BF017.
+conflicting scene has no well-defined geometry to keep going with. A
+kind's ``expand`` that raises anything but a ``SchemaError``, or a
+``layout`` that raises anything but one of the four errors layout
+reports (BF001, BF012, BF013, BF016), is one BF017.
 
 Layout is a single post-order pass driven by the engine: every node's
 layout function is invoked exactly once, after all of its children,
@@ -174,9 +174,9 @@ def build_scenegraph(tree: Element, refs: dict[int, int], registry: Registry) ->
     or the spec's default) is a mark the element sizes: it becomes the
     node's first child, created right after the node, so creation order
     stays pre-order, the order ``paint`` and ``dump_scene`` write nodes
-    in. Each node stores its
-    own walk step (``stackV[1]:a``, ``rect(background mark)``), from
-    which ``Scenegraph.path`` spells a path for a diagnostic.
+    in. Each node stores its own walk step (``stackV[1]:a``,
+    ``rect(background mark)``), from which ``Scenegraph.path`` spells a
+    path for a diagnostic.
     """
     graph = Scenegraph(registry)
     node_of_element: dict[int, LayoutNode] = {}
@@ -195,8 +195,9 @@ def build_scenegraph(tree: Element, refs: dict[int, int], registry: Registry) ->
         for prop in spec.element_props:
             if prop in props:
                 mark = props[prop]
-                graph.create_node(mark.kind, node, paint_props=_paint_props(registry.kinds[mark.kind], mark.props),
-                                  step=f"{mark.kind}({prop} mark)")
+                graph.create_node(
+                    mark.kind, node, paint_props=_paint_props(registry.kinds[mark.kind], mark.props),
+                    step=f"{mark.kind}({prop} mark)")
     return graph
 
 

@@ -178,7 +178,8 @@ def _commands(draw) -> str:
         count = draw(st.sampled_from((n, n, 2 * n, n + 1, max(n - 1, 0), 1)))
         parts.append(letter)
         parts.extend(draw(st.sampled_from(_NUMBERS)) for _ in range(count))
-    glue = draw(st.lists(st.sampled_from(("", " ", ",", "\n", " , ")), min_size=len(parts), max_size=len(parts)))
+    glue = draw(st.lists(st.sampled_from(("", " ", ",", "\n", " , ")),
+                         min_size=len(parts), max_size=len(parts)))
     text = "".join(g + p for g, p in zip(glue, parts)) + draw(st.sampled_from(("", " ", "#", "e")))
     return text
 
@@ -188,6 +189,11 @@ _PATH_TEXTS = st.one_of(st.text(_PATH_CHARACTERS, max_size=30), _commands())
 
 @settings(max_examples=500, derandomize=True, deadline=None, database=None)
 @given(d=_PATH_TEXTS)
+# numbers after a close, a command one number short, and digits that
+# split in two would make a count
+@example(d="M 0 0 Z 5")
+@example(d="M 0 0 Q 1 2 3")
+@example(d="M 123")
 def test_the_grammar_accepts_exactly_what_the_reader_reads(d):
     read = _outcome(lambda text: PathData.read(text).box, d)
     assert (PATH_DATA.fullmatch(d) is not None) == (read[0] != "error"), read
