@@ -102,7 +102,8 @@ def axis_of(field_name: str) -> Axis:
 _SEPARATORS = r" \t\n\r,"
 #: A number, its quantifiers possessive: it takes the longest run it can
 #: and never gives part of it back, so no pattern it is part of can split
-#: ``123`` or ``1.5`` into two numbers.
+#: ``123`` or ``1.5`` into two numbers. ``re`` reads possessive quantifiers
+#: from Python 3.11 on, the floor ``pyproject.toml`` declares.
 _NUM = re.compile(r"[-+]?+(?:[0-9]++(?:\.[0-9]*+)?+|\.[0-9]++)(?:[eE][-+]?+[0-9]++)?+")
 _COMMANDS = "MmLlHhVvCcSsQqTtAaZz"
 #: After any separators, a command letter, a number, or else the first
@@ -182,35 +183,24 @@ def _coordinates(d: str) -> tuple[list[float], list[float]]:
         if len(args) < n or not _LETTERS.isdisjoint(args):
             raise ValueError(f"command {command!r} needs {n} numbers")
         i += n
-        if n == 2:  # M, L and T, most of what documents draw
-            a, b = args
-            if rel:
-                x += float(a)
-                y += float(b)
-            else:
-                # added to an origin of 0.0, as every absolute point but H's
-                # and V's is, which reads -0.0 as 0.0
-                x = 0.0 + float(a)
-                y = 0.0 + float(b)
-            if upper == "M":
-                start_x, start_y = x, y
+        ox, oy = (x, y) if rel else (0.0, 0.0)
+        if upper == "H":
+            x = ox + float(args[0]) if rel else float(args[0])
+        elif upper == "V":
+            y = oy + float(args[0]) if rel else float(args[0])
         else:
-            ox, oy = (x, y) if rel else (0.0, 0.0)
-            if upper == "H":
-                x = ox + float(args[0]) if rel else float(args[0])
-            elif upper == "V":
-                y = oy + float(args[0]) if rel else float(args[0])
+            vals = list(map(float, args))
+            if upper == "A":
+                x = ox + vals[5]
+                y = oy + vals[6]
             else:
-                vals = list(map(float, args))
-                if upper == "A":
-                    x = ox + vals[5]
-                    y = oy + vals[6]
-                else:
-                    for j in range(0, n - 2, 2):
-                        xs.append(ox + vals[j])
-                        ys.append(oy + vals[j + 1])
-                    x = ox + vals[n - 2]
-                    y = oy + vals[n - 1]
+                for j in range(0, n - 2, 2):
+                    xs.append(ox + vals[j])
+                    ys.append(oy + vals[j + 1])
+                x = ox + vals[n - 2]
+                y = oy + vals[n - 1]
+                if upper == "M":
+                    start_x, start_y = x, y
         xs.append(x)
         ys.append(y)
     return xs, ys
