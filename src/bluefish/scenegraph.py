@@ -15,12 +15,15 @@ in its own frame and its translation maps that frame into the parent's.
 Converting between frames composes translations along the paths to the
 least common ancestor (``climb``); for a relation's own child that path
 is the child's own translation, so only a read or write through a ref
-climbs. A relation reads and writes in its own frame, and the frame
-owns what it decides or defaults: each dimension it writes, and each
-undecided translation component on the path, which the read defaults
-to 0. Asking "where is X relative to me?" is only answerable once the
-undecided offsets in between are pinned down, and pinning them is
-itself a layout decision that must be owned.
+climbs: ``bbox_in_frame`` (named fields of one node), ``span_in_frame``
+(the span a relation covers) and ``set_dim_in_frame`` (a write) take
+that first step themselves. A relation reads and writes in its own
+frame, and the frame owns what it decides or defaults: each dimension
+it writes, and each undecided translation component on the path, which
+a read defaults to 0 (a span read only when asked to pin). Asking
+"where is X relative to me?" is only answerable once the undecided
+offsets in between are pinned down, and pinning them is itself a
+layout decision that must be owned.
 ``finalize`` defaults what no relation reached, owned by the root.
 
 Ownership is the immutability mechanism: each box start and extent and
@@ -58,7 +61,6 @@ from typing import TYPE_CHECKING
 
 from .errors import (
     DimensionConflict,
-    DisconnectedNodes,
     GeometryOverflow,
     InvalidExtent,
     UndefinedExtentError,
@@ -167,9 +169,8 @@ class Scenegraph:
         node = LayoutNode(id=nid, kind=kind, paint_props={} if paint_props is None else paint_props,
                           name=name, step=step or nid)
         if parent is None:
-            # one root, so any two layout nodes share an ancestor (see climb)
-            if self.root is not None:
-                raise DisconnectedNodes(self.root)
+            # the build makes one root, so any two layout nodes share an
+            # ancestor (see climb); a layout that creates a node is a BF017
             self.root = nid
         else:
             node.parent, node.depth = parent.id, parent.depth + 1
@@ -279,12 +280,9 @@ class Scenegraph:
         is listed, the target leg's upward and then the frame leg's. The
         climb writes nothing; a caller that defaults those nodes pins them.
 
-        A climb runs only where a relation reaches a node through a ref.
-        When the target's parent is the frame, the climb is its first
-        step alone: the target leg is the target's own translation and
-        the frame leg is empty. ``bbox_in_frame``, ``set_dim_in_frame``
-        and ``relations._cover`` take that step themselves and call no
-        climb.
+        A climb runs only through a ref: for the frame's own child it is
+        the child's own translation alone, a step ``bbox_in_frame``,
+        ``span_in_frame`` and ``set_dim_in_frame`` take themselves.
         """
         nodes = self.nodes
         horizontal = axis is Axis.HORIZONTAL
@@ -360,6 +358,42 @@ class Scenegraph:
                 v -= back
             out.append(v)
         return out
+
+    def span_in_frame(self, targets: list[LayoutNode], frame: LayoutNode, axis: Axis,
+                      pin: bool) -> tuple[float, float]:
+        """The least start and greatest end of the targets' boxes on ``axis``, in frame coordinates.
+
+        With ``pin`` the frame owns each undecided translation on the way,
+        decided as 0 before the target's extent is checked, as in
+        ``bbox_in_frame``. Without it one reads 0 and stays undecided, so
+        a later relation can still place that target through a ref. A
+        target with no box is an UndefinedExtentError.
+        """
+        horizontal = axis is Axis.HORIZONTAL
+        lo, hi = math.inf, -math.inf
+        for target in targets:
+            if target.parent == frame.id:
+                # the climb's first step, which reaches the frame
+                t = target.tx if horizontal else target.ty
+                if t is None:
+                    t = 0.0
+                    if pin:
+                        self.decide(target, axis.transform_field, t, frame)
+                chain, back = (t,), 0.0
+            else:
+                chain, back, undecided = self.climb(target, frame, axis)
+                if pin:
+                    for n in undecided:
+                        self.decide(n, axis.transform_field, 0.0, frame)
+            start, extent = (target.left, target.width) if horizontal else (target.top, target.height)
+            if extent is None:
+                raise UndefinedExtentError(target.id, axis.extent_field)
+            end = start + extent
+            for t in chain:
+                start += t
+                end += t
+            lo, hi = min(lo, start - back), max(hi, end - back)
+        return lo, hi
 
     def set_dim_in_frame(self, target: LayoutNode, frame: LayoutNode, field_name: str,
                          value: float) -> None:

@@ -9,9 +9,17 @@ import json
 import pytest
 
 from bluefish import dump_scene, paint
-from bluefish.docformat import MAX_DEPTH, Element, _walk_path, parse_document, preorder, resolve_names
+from bluefish.docformat import (
+    MAX_DEPTH,
+    MAX_ELEMENTS,
+    Element,
+    _walk_path,
+    parse_document,
+    preorder,
+    resolve_names,
+)
 from bluefish.engine import Registry, compile_source, expand_tree, standard_registry
-from bluefish.errors import DuplicateKind, InvalidKindSpec
+from bluefish.errors import DuplicateKind, InvalidKindSpec, SchemaError
 from bluefish.relations import ElementKindSpec, layout_group, layout_rect, standard_kind_specs
 from bluefish.scenegraph import LayoutNode
 
@@ -560,6 +568,78 @@ def test_documents_nested_too_deeply_are_one_schema_error():
     (diag,) = diags
     assert diag.code == "BF007"
     assert diag.message == "document nests too deeply (at document)"
+
+
+_MARKED = {"kind": "background", "props": {"background": {"kind": "rect"}}}
+_UNIT = {"kind": "rect", "props": {"width": 1, "height": 1}}
+
+
+def _marked_group(elements: int, element) -> object:
+    """A group of ``elements`` elements made by ``element(dict)``: backgrounds with marks, an odd rect.
+
+    A background and its prop mark are two elements, so a limit that
+    skipped prop marks would let the group one past the limit through.
+    """
+    pairs, odd = divmod(elements - 1, 2)
+    return element({"kind": "group", "children": [element(_MARKED)] * pairs + [element(_UNIT)] * odd})
+
+
+def _elements_in(el: Element) -> int:
+    """How many elements ``el`` holds: itself, its prop marks and everything below it."""
+    marks = [value for value in el.props.values() if isinstance(value, Element)]
+    return 1 + sum(map(_elements_in, [*marks, *el.children]))
+
+
+def _too_many(call) -> tuple[str, str]:
+    with pytest.raises(SchemaError) as excinfo:
+        call()
+    return excinfo.value.path, excinfo.value.detail
+
+
+def test_a_parsed_document_holds_at_most_max_elements():
+    def parse(elements: int) -> Element:
+        return parse_document(json.dumps({"bluefish": 1, "root": _marked_group(elements, dict)}))
+
+    assert _elements_in(parse(MAX_ELEMENTS)) == MAX_ELEMENTS
+    assert _too_many(lambda: parse(MAX_ELEMENTS + 1)) == (
+        "document", f"document has more than {MAX_ELEMENTS} elements")
+
+
+def _element(raw: dict) -> Element:
+    """The element a composite returns for a document-shaped dict."""
+    props = {key: _element(value) if isinstance(value, dict) else value
+             for key, value in raw.get("props", {}).items()}
+    return Element(raw["kind"], props=props, children=raw.get("children", []))
+
+
+def test_an_expansion_holds_at_most_max_elements():
+    registry = standard_registry()
+    registry.register(ElementKindSpec(
+        kind="crowd", expand=lambda props, children: _marked_group(int(props["n"]), _element)))
+
+    def expand(elements: int) -> Element:
+        doc = {"bluefish": 1, "root": {"kind": "crowd", "props": {"n": elements}}}
+        return expand_tree(parse_document(json.dumps(doc)), registry)
+
+    assert _elements_in(expand(MAX_ELEMENTS)) == MAX_ELEMENTS
+    assert _too_many(lambda: expand(MAX_ELEMENTS + 1)) == (
+        "document", f"document has more than {MAX_ELEMENTS} elements")
+
+
+def test_a_composite_that_doubles_at_each_level_stops_at_the_element_limit():
+    # bin n is a group of two bin n - 1, so bin 40 would be 2**41 - 1 elements
+    def expand_bin(props: dict, children: list) -> Element:
+        n = props["n"]
+        if n == 0:
+            return Element("rect", props={"width": 1, "height": 1})
+        return Element("group", children=[Element("bin", props={"n": n - 1})] * 2)
+
+    registry = standard_registry()
+    registry.register(ElementKindSpec(kind="bin", expand=expand_bin))
+    scene, diags = compile_doc({"bluefish": 1, "root": {"kind": "bin", "props": {"n": 40}}}, registry)
+    assert scene is None
+    assert [(d.code, d.message, d.node_paths) for d in diags] == [
+        ("BF007", f"document has more than {MAX_ELEMENTS} elements (at document)", ("document",))]
 
 
 def _tall_rect(height: float) -> dict:

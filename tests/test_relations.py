@@ -223,6 +223,53 @@ def test_a_background_mark_decides_only_its_start(kind):
         ("n0", "top", "n0"), ("n0", "height", "n0"), *_ROOT_TRANSLATION_LOG]
 
 
+def _over_an_unplaced_ref(relation: dict) -> dict:
+    """A relation (n4) over a ref to rect a (n3), inside two aligns (n1, n2) that leave legs open.
+
+    The inner align places a only horizontally and the outer align places
+    the inner one only vertically, and the root group (n0) lays out last,
+    so when n4 reads a, the climb meets an undecided translation on each
+    axis on the target's leg, and n4's own on the frame's leg.
+    """
+    return {"kind": "group", "children": [
+        {"kind": "align", "props": {"alignment": "top"}, "children": [
+            {"kind": "align", "props": {"alignment": "left"}, "children": [
+                {"kind": "rect", "name": "a", "props": {"width": 10, "height": 20}}]}]},
+        {**relation, "children": [{"kind": "ref", "select": "a"}]}]}
+
+
+_SPAN_PINS_X = [("n2", "transform.x", "n4"), ("n1", "transform.x", "n4"), ("n4", "transform.x", "n4")]
+_OWN_BOX_X = [("n4", "left", "n4"), ("n4", "width", "n4")]
+_OWN_BOX_Y = [("n4", "top", "n4"), ("n4", "height", "n4")]
+
+
+@pytest.mark.parametrize("relation, writes", [
+    # the span read pins the target's leg upward, then the frame's leg
+    pytest.param({"kind": "group"}, [
+        *_SPAN_PINS_X, *_OWN_BOX_X,
+        ("n3", "transform.y", "n4"), ("n1", "transform.y", "n4"), ("n4", "transform.y", "n4"), *_OWN_BOX_Y],
+        id="group"),
+    # horizontally a is placed already, so the span read pins the legs;
+    # vertically the background places a first, which pins the legs from
+    # a's parent (n2's translation is the outer align's), then a itself
+    pytest.param({"kind": "background"}, [
+        *_SPAN_PINS_X, ("n5", "width", "n4"), ("n5", "transform.x", "n4"), *_OWN_BOX_X,
+        ("n1", "transform.y", "n4"), ("n4", "transform.y", "n4"), ("n3", "transform.y", "n4"),
+        ("n5", "height", "n4"), ("n5", "transform.y", "n4"), *_OWN_BOX_Y],
+        id="background"),
+    # a one-axis align places a vertically and covers it horizontally
+    # without pinning, so a later relation could still place it there
+    pytest.param({"kind": "align", "props": {"alignment": "top"}}, [
+        ("n1", "transform.y", "n4"), ("n4", "transform.y", "n4"), ("n3", "transform.y", "n4"),
+        *_OWN_BOX_Y, *_OWN_BOX_X],
+        id="align"),
+])
+def test_a_span_read_through_a_ref_pins_its_legs_in_climb_order(relation, writes):
+    diagnostics, write_log = _layout_write_log(_over_an_unplaced_ref(relation))
+    assert diagnostics == []
+    assert [entry for entry in write_log if entry[2] == "n4"] == writes
+
+
 # --- align and distribute ----------------------------------------------------------
 
 

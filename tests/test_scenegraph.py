@@ -27,7 +27,6 @@ from bluefish import (
 from bluefish.errors import (
     BluefishError,
     DimensionConflict,
-    DisconnectedNodes,
     GeometryOverflow,
     InvalidExtent,
     UndefinedExtentError,
@@ -524,13 +523,34 @@ def _climbing_write(g: Scenegraph, target: LayoutNode, frame: LayoutNode, field_
     g.decide(target, axis.transform_field, ((value - local) - rest) + back, frame)
 
 
-def _replay(g: Scenegraph, ops: list[tuple], read, write) -> list[str]:
+def _climbing_span(g: Scenegraph, targets: list[LayoutNode], frame: LayoutNode, axis: Axis,
+                   pin: bool) -> tuple[float, float]:
+    """``span_in_frame`` by the general rule: climb for every target, pin what it lists with ``pin``."""
+    lo, hi = math.inf, -math.inf
+    for target in targets:
+        chain, back, undecided = g.climb(target, frame, axis)
+        if pin:
+            for n in undecided:
+                g.decide(n, axis.transform_field, 0.0, frame)
+        start, extent = getattr(target, axis.start_field), getattr(target, axis.extent_field)
+        if extent is None:
+            raise UndefinedExtentError(target.id, axis.extent_field)
+        end = start + extent
+        for t in chain:
+            start += t
+            end += t
+        lo, hi = min(lo, start - back), max(hi, end - back)
+    return lo, hi
+
+
+def _replay(g: Scenegraph, ops: list[tuple], read, write, span) -> list[str]:
     """What each op returns or raises, then every node's fields and owners, then the write log."""
+    calls = {"read": read, "write": write, "span": span}
     seen = []
     for op, child, frame, *args in ops:
-        call = read if op == "read" else write
+        target = [g.nodes[c] for c in child] if op == "span" else g.nodes[child]
         try:
-            seen.append(repr(call(g, g.nodes[child], g.nodes[frame], *args)))
+            seen.append(repr(calls[op](g, target, g.nodes[frame], *args)))
         except BluefishError as error:
             seen.append(f"{type(error).__name__}: {error}")
     seen.extend(repr((n.left, n.width, n.top, n.height, n.tx, n.ty, list(n.owners.items())))
@@ -542,9 +562,11 @@ def _replay(g: Scenegraph, ops: list[tuple], read, write) -> list[str]:
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_own_child_reads_and_writes_follow_the_climb_rule(seed):
-    # bbox_in_frame and set_dim_in_frame take the climb's first step
-    # themselves for a frame's own child; twin trees replay the same ops
-    # through them and through the climb, and must agree bit for bit
+    # bbox_in_frame, span_in_frame and set_dim_in_frame take the climb's
+    # first step themselves for a frame's own child; twin trees replay the
+    # same ops through them and through the climb, and must agree bit for
+    # bit. A span mixes the frame's own children with nodes a ref could
+    # reach: any node that is not the frame or one of its ancestors
     rng = random.Random(seed)
     g = _random_tree(random.Random(seed))
     pairs = [(n.id, n.parent) for n in g.nodes.values() if n.parent is not None]
@@ -552,22 +574,24 @@ def test_own_child_reads_and_writes_follow_the_climb_rule(seed):
     for _ in range(rng.randint(1, 12)):
         child, frame = rng.choice(pairs)
         axis = rng.choice(AXES)
-        if rng.random() < 0.5:
+        op = rng.choice(("read", "write", "span"))
+        if op == "read":
             ops.append(("read", child, frame, axis, *rng.sample(axis.fields, rng.randint(1, 4))))
-        else:
+        elif op == "write":
             ops.append(("write", child, frame, rng.choice(axis.fields),
                         rng.choice((0.0, -0.0, rng.uniform(-80.0, 80.0)))))
-    assert (_replay(g, ops, Scenegraph.bbox_in_frame, Scenegraph.set_dim_in_frame)
-            == _replay(_random_tree(random.Random(seed)), ops, _climbing_read, _climbing_write))
-
-
-def test_frames_of_parentless_nodes_are_disconnected():
-    g = Scenegraph(standard_registry())
-    a = _rect(g, None, 10.0, 10.0)
-    with pytest.raises(DisconnectedNodes) as excinfo:
-        g.create_node("rect", None)
-    assert excinfo.value.node == a.id
-    assert list(g.nodes) == [a.id] and g.root == a.id
+        else:
+            up, enclosing = frame, set()
+            while up is not None:
+                enclosing.add(up)
+                up = g.nodes[up].parent
+            outside = [nid for nid in g.nodes if nid not in enclosing]
+            targets = [child if rng.random() < 0.5 else rng.choice(outside)
+                       for _ in range(rng.randint(1, 4))]
+            ops.append(("span", targets, frame, axis, rng.random() < 0.5))
+    assert (_replay(g, ops, Scenegraph.bbox_in_frame, Scenegraph.set_dim_in_frame, Scenegraph.span_in_frame)
+            == _replay(_random_tree(random.Random(seed)), ops,
+                       _climbing_read, _climbing_write, _climbing_span))
 
 
 # --- finalize and resolve ----------------------------------------------------------

@@ -2,9 +2,10 @@
 
 ``standard_registry()`` returns a fresh registry each call, but every
 registry holds the same spec objects, with their derived facts read when
-``bluefish.engine`` was imported. So compiling must write nothing on a
-spec: not a field, not a derived fact, not the ``background`` kind's
-default mark, and no newly cached attribute, from any thread.
+``bluefish.engine`` registered them on import. So compiling must write
+nothing on a spec: not a field, not a derived fact, not the
+``background`` kind's default mark, and no newly cached attribute, from
+any thread.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ import json
 import random
 import sys
 import threading
+from functools import cached_property
 
-from bluefish import Element, compile_source, dump_scene, paint, standard_registry
+from bluefish import Element, ElementKindSpec, compile_source, dump_scene, paint, standard_registry
 from bluefish.geometry import PathData
 
 from conftest import FIXTURES
@@ -61,9 +63,19 @@ def _outputs(data: bytes) -> tuple:
     return paint(scene), dump_scene(scene), [d.render() for d in diags]
 
 
+#: Every fact a spec derives from its fields, each a ``cached_property`` stored on first read.
+_DERIVED_FACTS = {name for name, member in vars(ElementKindSpec).items()
+                  if isinstance(member, cached_property)}
+
+
 def test_every_derived_fact_is_read_before_any_compile():
-    for spec in standard_registry().kinds.values():
-        assert {"prop_checks", "default_props", "element_props", "sized_by_holder"} <= set(vars(spec))
+    assert "path_props" in _DERIVED_FACTS
+    registry = standard_registry()
+    custom = dataclasses.replace(registry.kinds["path"], kind="trail")
+    assert not _DERIVED_FACTS & set(vars(custom))
+    registry.register(custom)  # register reads them, for a custom kind as for a built-in one
+    for spec in registry.kinds.values():
+        assert _DERIVED_FACTS <= set(vars(spec)), spec.kind
 
 
 def test_compiling_leaves_the_shared_kinds_as_they_were():

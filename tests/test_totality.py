@@ -139,7 +139,7 @@ def _expand_unprepared(props, children):
 
 def _layout_second_root(rt, node, props):
     layout_rect(rt, node, props)
-    rt.graph.create_node("rect", None)  # DisconnectedNodes: the graph has its root
+    rt.graph.create_node("rect", None)  # CreatedNodes: a layout creates no node, a root neither
 
 
 def _layout_schema_error(rt, node, props):
@@ -175,7 +175,6 @@ _EVERY_ERROR = (
     errors.DimensionConflict("n0", "left", "n0", "n0"),
     errors.InvalidExtent("width", -1.0, "n0"),
     errors.GeometryOverflow("n0", "left", math.inf),
-    errors.DisconnectedNodes("n0"),
     errors.CreatedNodes(("n9",)),
     errors.UndefinedExtentError("n0", "width"),
     errors.UnsizedNodes(("n0",)),
@@ -235,7 +234,7 @@ _CUSTOM_KINDS = ("diamond", "pair", "heavy", "smudge", "first", "rooted", "stric
 _CALLBACK_ERRORS = (
     "layout of kind 'heavy' raised KeyError: 'weight' (at ",
     "expand of kind 'first' raised IndexError: ",
-    "layout of kind 'rooted' raised DisconnectedNodes: ",
+    "layout of kind 'rooted' raised CreatedNodes: ",
     "layout of kind 'strict' raised SchemaError: ",
     "expand of kind 'clash' raised DimensionConflict: ",
     "layout of kind 'spawner' raised CreatedNodes: ",
@@ -276,8 +275,8 @@ def _beside_a_rect(kind: str) -> dict:
 
 
 @pytest.mark.parametrize("kind, message", [
-    ("rooted", "layout of kind 'rooted' raised DisconnectedNodes: the graph already has root 'n0'; "
-               "every other node needs a parent (at stackV/rooted[1])"),
+    ("rooted", "layout of kind 'rooted' raised CreatedNodes: created node(s) n3; "
+               "layout decides boxes and creates no node (at stackV/rooted[1])"),
     ("strict", "layout of kind 'strict' raised SchemaError: a layout judges no schema (at nowhere) "
                "(at stackV/strict[1])"),
     ("clash", "expand of kind 'clash' raised DimensionConflict: "
