@@ -7,7 +7,7 @@ A document is ``{"bluefish": 1, "root": <element>}``. Elements carry a
 diagnostics rather than raising, so every problem in a document is
 reported in one pass. Validation only reads the tree: it matches path
 data against ``geometry.PATH_DATA``, and what the data draws is left to
-the build, which runs only for a document with no static error.
+layout, which runs only for a document with no static error.
 
 Names are scoped: an element's scope is the subtree of its nearest named
 ancestor (the root for top-level names), and a name must be unique
@@ -40,7 +40,7 @@ from .errors import (
     DocumentSyntaxError,
     SchemaError,
 )
-from .geometry import PATH_DATA, PathData
+from .geometry import PATH_DATA, path_box
 
 FORMAT_VERSION = 1
 _DOCUMENT_KEYS = {"bluefish", "root"}
@@ -324,7 +324,7 @@ def _check_props(el: Element, spec, kinds: dict, problems: list[tuple[str, str]]
             problems.append((suffix, f"prop {prop!r} of {el.kind} must be a string"))
         elif expected == "path" and PATH_DATA.fullmatch(value) is None:
             try:
-                PathData.read(value)  # for its message; the build reads data that matches
+                path_box(value)  # for its message; layout reads data that matches
             except ValueError as exc:
                 problems.append((suffix, f"invalid path data: {exc}"))
         if cls is str:

@@ -4,12 +4,12 @@ The pipeline is parse -> expand -> validate -> resolve names -> build
 scenegraph -> layout -> finalize -> resolve origins. Static problems,
 the ref rules included, are collected and reported together before any
 layout runs, so a tree without them builds without fail. A document
-with one never reaches the build, which is where each path's data is
-read into its box. Layout itself stops at the first conflict, because a
-conflicting scene has no well-defined geometry to keep going with. A
-kind's ``expand`` that raises anything but a ``SchemaError``, or a
-``layout`` that raises anything but one of the four errors layout
-reports (BF001, BF012, BF013, BF016), is one BF017.
+with one never reaches the build or layout, and layout is where each
+path's data is read into its box. Layout itself stops at the first
+conflict, because a conflicting scene has no well-defined geometry to
+keep going with. A kind's ``expand`` that raises anything but a
+``SchemaError``, or a ``layout`` that raises anything but one of the
+four errors layout reports (BF001, BF012, BF013, BF016), is one BF017.
 
 Layout is a single post-order pass driven by the engine: every node's
 layout function is invoked exactly once, after all of its children,
@@ -48,7 +48,6 @@ from .errors import (
     UndefinedExtentError,
     UnsizedNodes,
 )
-from .geometry import PathData
 from .relations import ElementKindSpec, standard_kind_specs
 from .scenegraph import LayoutNode, RefNode, Scenegraph
 
@@ -172,8 +171,8 @@ def build_scenegraph(tree: Element, refs: dict[int, int], registry: Registry) ->
 
     The tree and ``refs`` passed ``validate`` and ``resolve_names``
     without an error, so every element builds. A node's ``paint_props``
-    are its element's props over its kind's defaults, each path prop read
-    into ``PathData`` here, once. An element-valued prop (the document's
+    are its element's props over its kind's defaults, path data kept as
+    the document's string. An element-valued prop (the document's
     or the spec's default) is a mark the element sizes: it becomes the
     node's first child, created right after the node, so creation order
     stays pre-order, the order ``paint`` and ``dump_scene`` write nodes
@@ -192,26 +191,16 @@ def build_scenegraph(tree: Element, refs: dict[int, int], registry: Registry) ->
             graph.create_ref(parent, node_of_element[refs[index]], step=step)
             continue
         spec = registry.kinds[el.kind]
-        props = _paint_props(spec, el.props)
+        props = {**spec.default_props, **el.props}
         node = graph.create_node(el.kind, parent, paint_props=props, name=el.name, step=step)
         node_of_element[index] = node
         for prop in spec.element_props:
             if prop in props:
                 mark = props[prop]
                 graph.create_node(
-                    mark.kind, node, paint_props=_paint_props(registry.kinds[mark.kind], mark.props),
+                    mark.kind, node, paint_props={**registry.kinds[mark.kind].default_props, **mark.props},
                     step=f"{mark.kind}({prop} mark)")
     return graph
-
-
-def _paint_props(spec: ElementKindSpec, props: dict) -> dict:
-    """An element's props over its kind's defaults, each path prop read into ``PathData``."""
-    merged = {**spec.default_props, **props}
-    for prop in spec.path_props:
-        value = merged.get(prop)
-        if value.__class__ is str:  # a default is read already
-            merged[prop] = PathData.read(value)
-    return merged
 
 
 # --- layout ---------------------------------------------------------------------

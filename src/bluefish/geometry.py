@@ -17,10 +17,10 @@ and dumps.
 
 Path data is checked and read apart. ``PATH_DATA`` is one grammar of
 what the reader accepts: validation matches each path prop against it,
-and reads the data only to say why it does not match. ``PathData.read``
-reads the points whose box a path draws in and keeps only that box. The
-build reads each path prop once, and registration each path default;
-path layout takes the box from there.
+and reads the data only to say why it does not match. ``path_box``
+reads the points a path draws through and returns their box. Path data
+stays the document's string: path layout reads its box, and
+registration checks each path default.
 """
 
 from __future__ import annotations
@@ -139,9 +139,9 @@ def _path_data_grammar() -> re.Pattern:
     return re.compile(f"(?=[^{drawing}]*+[{drawing}])(?:{sep}(?:{commands}))++{sep}")
 
 
-#: ``PATH_DATA.fullmatch(d)`` is a match exactly when ``PathData.read(d)``
+#: ``PATH_DATA.fullmatch(d)`` is a match exactly when ``path_box(d)``
 #: returns, so checking data costs one match and reading it is left to
-#: the build.
+#: layout.
 PATH_DATA = _path_data_grammar()
 
 
@@ -206,28 +206,13 @@ def _coordinates(d: str) -> tuple[list[float], list[float]]:
     return xs, ys
 
 
-def path_control_points(d: str) -> list[tuple[float, float]]:
-    """The points ``_coordinates`` reads from ``d``, each as an (x, y) pair."""
-    return list(zip(*_coordinates(d)))
+def path_box(d: str) -> tuple[float, float, float, float]:
+    """``(left, top, right, bottom)``: the least and greatest coordinates ``d`` draws through.
 
-
-class PathData(str):
-    """Path data that the build read: the document's string, carrying its box.
-
-    It equals the string it was made from, so paint and a custom kind's
-    layout see the document's data; ``box`` is ``(left, top, right,
-    bottom)``, the least and greatest coordinates of the points
-    ``path_control_points`` returns for it.
+    Raises ValueError as ``_coordinates`` does, or for data with no point,
+    such as a lone ``Z``.
     """
-
-    box: tuple[float, float, float, float]
-
-    @classmethod
-    def read(cls, d: str) -> "PathData":
-        """``d`` with its box; raises ValueError as ``path_control_points`` does, or for data with no point."""
-        xs, ys = _coordinates(d)
-        if not xs:  # such as a lone "Z", which has no box
-            raise ValueError("no point to draw")
-        data = cls(d)
-        data.box = (min(xs), min(ys), max(xs), max(ys))
-        return data
+    xs, ys = _coordinates(d)
+    if not xs:
+        raise ValueError("no point to draw")
+    return (min(xs), min(ys), max(xs), max(ys))

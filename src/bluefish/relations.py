@@ -9,7 +9,10 @@ start and an extent on each axis, covering the children's boxes, also
 on an axis the relation places nothing on (``_cover``), with one
 ``Scenegraph.span_in_frame`` read. A group or background pins the
 undecided translations on the way; an align's unplaced axis and a
-distribute's cross axis leave them for a later ref to place.
+distribute's cross axis leave them for a later ref to place. A mark
+decides its own box from its props; a path's props keep its data as the
+document's string, and ``layout_path`` reads the box from it with
+``geometry.path_box``.
 
 The anchor discipline is what lets one relation mesh with decisions made
 by earlier ones. On each axis a relation first checks which participants
@@ -39,7 +42,7 @@ from .errors import (
     InvalidKindSpec,
     UndefinedExtentError,
 )
-from .geometry import AXES, TOLERANCE, Axis, PathData
+from .geometry import AXES, TOLERANCE, Axis, path_box
 
 if TYPE_CHECKING:
     from .engine import LayoutRuntime
@@ -116,7 +119,13 @@ class ElementKindSpec:
             if prop_type not in PROP_TYPE_NAMES:
                 raise InvalidKindSpec(
                     self.kind, f"prop {prop!r} has type {prop_type!r}, not one of {', '.join(PROP_TYPE_NAMES)}")
-        self.prop_checks, self.default_props, self.element_props, self.path_props, self.sized_by_holder
+        for prop, value in self.default_props.items():
+            if self.prop_types.get(prop) == "path":
+                try:
+                    path_box(value)
+                except ValueError as exc:
+                    raise InvalidKindSpec(self.kind, f"default of path prop {prop!r}: {exc}") from None
+        self.prop_checks, self.default_props, self.element_props, self.sized_by_holder
 
     # Facts derived from the fields above, each computed on first use.
 
@@ -130,25 +139,13 @@ class ElementKindSpec:
 
     @cached_property
     def default_props(self) -> dict[str, object]:
-        """The optional props that have a default, path data read into ``PathData``. Read it, never change it."""
-        defaults = {k: v for k, v in self.optional_props.items() if v is not None}
-        for prop, value in defaults.items():
-            if self.prop_types.get(prop) == "path":
-                try:
-                    defaults[prop] = PathData.read(value)
-                except ValueError as exc:
-                    raise InvalidKindSpec(self.kind, f"default of path prop {prop!r}: {exc}") from None
-        return defaults
+        """The optional props that have a default. Read it, never change it."""
+        return {k: v for k, v in self.optional_props.items() if v is not None}
 
     @cached_property
     def element_props(self) -> tuple[str, ...]:
         """The element-valued props: marks the node sizes, built as its first child."""
         return tuple(prop for prop, prop_type in self.prop_types.items() if prop_type == "element")
-
-    @cached_property
-    def path_props(self) -> tuple[str, ...]:
-        """The path-typed props: data the build reads into ``PathData``."""
-        return tuple(prop for prop, prop_type in self.prop_types.items() if prop_type == "path")
 
     @cached_property
     def sized_by_holder(self) -> bool:
@@ -210,9 +207,8 @@ def layout_text(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
 
 
 def layout_path(rt: "LayoutRuntime", node: LayoutNode, props: dict) -> None:
-    # the box tracks the drawn geometry, so it need not start at 0; path
-    # data is read once, by the build or by the spec's default_props
-    left, top, right, bottom = props["d"].box
+    # the box tracks the drawn geometry, so it need not start at 0
+    left, top, right, bottom = path_box(props["d"])
     _mark_box(rt, node, left, top, right - left, bottom - top)
 
 

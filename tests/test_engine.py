@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import gc
 import json
 
 import pytest
@@ -18,9 +19,16 @@ from bluefish.docformat import (
     preorder,
     resolve_names,
 )
-from bluefish.engine import Registry, compile_source, expand_tree, standard_registry
+from bluefish.engine import (
+    Registry,
+    build_scenegraph,
+    compile_source,
+    expand_tree,
+    layout_document,
+    standard_registry,
+)
 from bluefish.errors import DuplicateKind, InvalidKindSpec, SchemaError
-from bluefish.relations import ElementKindSpec, layout_group, layout_rect, standard_kind_specs
+from bluefish.relations import ElementKindSpec, layout_group, layout_path, layout_rect, standard_kind_specs
 from bluefish.scenegraph import LayoutNode
 
 from conftest import call_at_depth, compile_doc, compile_fixture, errors_of, node_named, stack_chain
@@ -248,6 +256,46 @@ def test_a_path_default_is_read_when_registered():
     scene, diags = compile_doc({"bluefish": 1, "root": {"kind": "tick"}}, registry=registry)
     assert errors_of(diags) == []
     assert scene.marks()[0].content_box() == (1.0, 2.0, 2.0, 5.0)
+
+
+def test_a_path_default_reaches_layout_as_given():
+    registry = standard_registry()
+    default = "M 1 2 L 3 7"
+    seen = []
+
+    def layout_tick(rt, node, props):
+        seen.append(props["d"])
+        layout_path(rt, node, props)
+
+    registry.register(dataclasses.replace(_tick_with_default(registry, default), layout=layout_tick))
+    scene, diags = compile_doc({"bluefish": 1, "root": {"kind": "tick"}}, registry=registry)
+    assert errors_of(diags) == []
+    assert len(seen) == 1 and seen[0] is default and type(seen[0]) is str
+    assert scene.marks()[0].content_box() == (1.0, 2.0, 2.0, 5.0)
+
+
+def test_a_built_path_holds_the_documents_string():
+    registry = standard_registry()
+    tree = parse_document(json.dumps({"bluefish": 1, "root": {"kind": "path", "props": {"d": "M 0 0 L 3 4"}}}))
+    refs, diags = resolve_names(tree)
+    assert diags == []
+    graph = build_scenegraph(tree, refs, registry)
+    d = graph.nodes[graph.root].paint_props["d"]
+    assert d is tree.props["d"] and type(d) is str
+    assert not gc.is_tracked(d)
+
+
+def test_malformed_path_data_in_a_tree_validate_never_saw_is_one_callback_error():
+    registry = standard_registry()
+    tree = parse_document(json.dumps({"bluefish": 1, "root": {"kind": "group", "children": [
+        {"kind": "path", "props": {"d": "M 0 0 #"}}]}}))
+    refs, diags = resolve_names(tree)
+    assert diags == []
+    scene, diags = layout_document(build_scenegraph(tree, refs, registry))
+    assert scene is None
+    assert [(d.code, d.message, d.node_paths) for d in diags] == [(
+        "BF017", "layout of kind 'path' raised ValueError: unexpected '#' (at group/path[0])",
+        ("group/path[0]",))]
 
 
 def test_a_custom_mark_sized_by_its_holder_can_be_a_background_mark():

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bluefish import Scenegraph, standard_registry
-from bluefish.geometry import PATH_DATA, Axis, PathData, axis_of
+from bluefish.geometry import PATH_DATA, Axis, axis_of, path_box
 from bluefish.scenegraph import LayoutNode
 
 from oracles import X_FIELDS, Y_FIELDS, solve_axis
@@ -195,7 +195,7 @@ _PATH_TEXTS = st.one_of(st.text(_PATH_CHARACTERS, max_size=30), _commands())
 @example(d="M 0 0 Q 1 2 3")
 @example(d="M 123")
 def test_the_grammar_accepts_exactly_what_the_reader_reads(d):
-    read = _outcome(lambda text: PathData.read(text).box, d)
+    read = _outcome(path_box, d)
     assert (PATH_DATA.fullmatch(d) is not None) == (read[0] != "error"), read
 
 
@@ -203,4 +203,4 @@ def test_the_grammar_accepts_exactly_what_the_reader_reads(d):
 @given(d=_PATH_TEXTS)
 @example(d="H-0 V-0")  # an absolute H or V keeps a zero's sign, as the reference does
 def test_the_reader_gives_the_reference_box_or_message(d):
-    assert _outcome(lambda text: PathData.read(text).box, d) == _outcome(_reference_box, d)
+    assert _outcome(path_box, d) == _outcome(_reference_box, d)

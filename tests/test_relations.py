@@ -10,7 +10,7 @@ from bluefish import Scenegraph
 from bluefish.docformat import parse_document, resolve_names, validate
 from bluefish.engine import LayoutRuntime, build_scenegraph, layout_document, standard_registry
 from bluefish.errors import DimensionConflict
-from bluefish.geometry import Axis, path_control_points
+from bluefish.geometry import Axis, _coordinates
 from bluefish.relations import _clip_segment, measure_text
 from bluefish.scenegraph import LayoutNode
 
@@ -48,13 +48,13 @@ def test_text_metrics_reject_nonpositive_sizes():
     ("M 1e1 2.5e-1", [(10.0, 0.25)]),
 ])
 def test_control_points(d, expected):
-    assert path_control_points(d) == [pytest.approx(p) for p in expected]
+    assert list(zip(*_coordinates(d))) == [pytest.approx(p) for p in expected]
 
 
 @pytest.mark.parametrize("d", ["", "10 10", "M 5", "M 0 0 Z 5", "M 0 Q"])
 def test_malformed_path_data_is_rejected(d):
     with pytest.raises(ValueError):
-        path_control_points(d)
+        _coordinates(d)
 
 
 # --- mark layout -------------------------------------------------------------------
